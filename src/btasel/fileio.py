@@ -34,21 +34,6 @@ _HEADER = struct.Struct("<QQQB")
 _HEADER_SIZE = len(MAGIC) + _HEADER.size
 
 
-def _block_order(n: int, b: int, a: int):
-    """Yield the (rows, cols) of every payload block in file order."""
-    for _ in range(n):
-        yield (b, b)
-    for _ in range(n - 1):
-        yield (b, b)
-    for _ in range(n - 1):
-        yield (b, b)
-    for _ in range(n):
-        yield (a, b)
-    for _ in range(n):
-        yield (b, a)
-    yield (a, a)
-
-
 def payload_size(n: int, b: int, a: int) -> int:
     """Payload size in bytes for the given shape."""
     entries = n * b * b + 2 * (n - 1) * b * b + 2 * n * a * b + a * a
@@ -98,28 +83,23 @@ def read_bta(path) -> BtaMatrix:
     raw = path.read_bytes()
     n, b, a = _parse_header(raw[:_HEADER_SIZE])
     expected = payload_size(n, b, a)
-    payload = raw[_HEADER_SIZE:]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"payload has {len(payload)} bytes, header requires {expected}"
-        )
-    if len(payload) > expected:
+    size = len(raw) - _HEADER_SIZE
+    if size < expected:
+        raise TruncatedPayloadError(f"payload has {size} bytes, header requires {expected}")
+    if size > expected:
         raise ShapeInconsistencyError(
-            f"payload has {len(payload)} bytes, header requires exactly {expected}"
+            f"payload has {size} bytes, header requires exactly {expected}"
         )
-    blocks = []
-    offset = 0
-    for rows, cols in _block_order(n, b, a):
-        nbytes = 16 * rows * cols
-        blk = np.frombuffer(payload, dtype="<c16", count=rows * cols, offset=offset)
-        blocks.append(blk.reshape(rows, cols).astype(np.complex128))
-        offset += nbytes
-    if any(not np.isfinite(blk).all() for blk in blocks):
+    # One decode and one finiteness check; the blocks are disjoint views of it.
+    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER_SIZE).astype(np.complex128)
+    if not np.isfinite(data).all():
         raise ShapeInconsistencyError("payload contains non-finite entries")
-    diag = blocks[:n]
-    lower = blocks[n : 2 * n - 1]
-    upper = blocks[2 * n - 1 : 3 * n - 2]
-    arrow_row = blocks[3 * n - 2 : 4 * n - 2]
-    arrow_col = blocks[4 * n - 2 : 5 * n - 2]
-    tip = blocks[5 * n - 2]
-    return BtaMatrix(n, b, a, diag, lower, upper, arrow_row, arrow_col, tip)
+    sq, ab = (3 * n - 2) * b * b, n * a * b
+    square = data[:sq].reshape(3 * n - 2, b, b)
+    arrow_row = data[sq : sq + ab].reshape(n, a, b)
+    arrow_col = data[sq + ab : sq + 2 * ab].reshape(n, b, a)
+    tip = data[sq + 2 * ab :].reshape(a, a)
+    return BtaMatrix(
+        n, b, a, list(square[:n]), list(square[n : 2 * n - 1]), list(square[2 * n - 1 :]),
+        list(arrow_row), list(arrow_col), tip,
+    )

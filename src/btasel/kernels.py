@@ -6,6 +6,14 @@ LU factorization with partial pivoting, triangular solves, and explicit
 block inversion.  A block is a plain two-dimensional ``numpy.ndarray`` of
 ``complex128``; no wrapper type is introduced.
 
+The public kernels check their operands.  The sweeps multiply through
+:func:`mm`, which does not: their blocks come from containers that
+validated every shape when they were built, and at small block sizes the
+checks would cost as much as the product.  LU and inversion call LAPACK
+``zgetrf``/``zgetrs`` directly and read exact singularity from ``info``,
+without SciPy's wrappers or any change to the process-wide warning
+filters.
+
 Operation counting happens inside the kernels: passing an
 :class:`OpCounter` attributes every multiply, factorization, and solve to
 the running tally, so higher-level modules get counts for free.
@@ -13,12 +21,12 @@ the running tally, so higher-level modules get counts for free.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import ShapeMismatchError, SingularBlockError
 
@@ -162,12 +170,24 @@ def mm(
     ta: bool = False,
     tb: bool = False,
 ) -> np.ndarray:
-    """Shorthand for ``op(a) @ op(b)`` with counting; op = conj-transpose."""
-    return block_multiply_acc(None, a, b, trans_a=ta, trans_b=tb, counter=counter)
+    """Unchecked ``op(a) @ op(b)`` with counting; op = conj-transpose.
+
+    The sweeps' product.  The operands must be 2-d ``complex128`` blocks
+    whose shapes agree; nothing converts or checks them.  On such operands
+    the result and the count equal those of the checked
+    :func:`block_multiply_acc` bit for bit.
+    """
+    if ta:
+        a = a.conj().T
+    if tb:
+        b = b.conj().T
+    if counter is not None:
+        counter.record_gemm(a.shape[0], a.shape[1], b.shape[1])
+    return a @ b
 
 
-def _lu_packed(a: np.ndarray, counter: OpCounter | None = None):
-    """LAPACK-style packed LU with partial pivoting and a hard singularity check."""
+def _getrf(a: np.ndarray, counter: OpCounter | None = None):
+    """LAPACK ``zgetrf`` of a square block; raises on an exactly zero pivot."""
     a = _as_block(a)
     m, n = a.shape
     if m != n:
@@ -176,16 +196,9 @@ def _lu_packed(a: np.ndarray, counter: OpCounter | None = None):
         counter.lu_count += 1
     if n == 0:
         return np.empty((0, 0), dtype=COMPLEX), np.empty(0, dtype=np.int32)
-    with warnings.catch_warnings():
-        # Exact singularity is re-raised below with the pivot index.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    udiag = np.diagonal(lu)
-    zero = np.flatnonzero(udiag == 0)
-    if zero.size:
-        raise SingularBlockError(
-            f"exactly singular pivot at row {int(zero[0])}", index=int(zero[0])
-        )
+    lu, piv, info = zgetrf(a)
+    if info > 0:
+        raise SingularBlockError(f"exactly singular pivot at row {info - 1}", index=info - 1)
     return lu, piv
 
 
@@ -206,9 +219,8 @@ def block_lu(
         If a pivot column remainder is exactly zero; carries the pivot
         index.
     """
-    a = _as_block(a)
-    lu, piv = _lu_packed(a, counter)
-    n = a.shape[0]
+    lu, piv = _getrf(a, counter)
+    n = lu.shape[0]
     lower = np.tril(lu, k=-1) + np.eye(n, dtype=COMPLEX)
     upper = np.triu(lu)
     perm = np.arange(n)
@@ -218,22 +230,26 @@ def block_lu(
 
 
 def block_inverse(a: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Invert a square block via LU plus triangular solves against identity.
+    """Invert a square block: LAPACK ``zgetrf``, then ``zgetrs`` against identity.
+
+    ``zgetrs`` is the routine under ``scipy.linalg.lu_solve``, so the
+    result equals ``lu_solve(lu_factor(a), eye)`` bit for bit; it is
+    counted as one LU, two triangular solves and one inversion.
 
     Raises
     ------
     SingularBlockError
-        Propagated from the factorization when ``a`` is exactly singular.
+        If ``a`` is exactly singular; carries the pivot index.
     """
-    a = _as_block(a)
-    lu, piv = _lu_packed(a, counter)
-    n = a.shape[0]
+    lu, piv = _getrf(a, counter)
+    n = lu.shape[0]
     if counter is not None:
         counter.inv_count += 1
         counter.trsm_count += 2
     if n == 0:
         return np.empty((0, 0), dtype=COMPLEX)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=COMPLEX), check_finite=False)
+    inv, _ = zgetrs(lu, piv, np.eye(n, dtype=COMPLEX, order="F"), overwrite_b=1)
+    return inv
 
 
 def triangular_solve(

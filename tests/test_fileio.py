@@ -108,3 +108,25 @@ def test_nonfinite_payload_rejected(tmp_path):
     write_bta(m, path)
     with pytest.raises(ShapeInconsistencyError):
         read_bta(path)
+
+
+@pytest.mark.parametrize("where", ["arrow_row", "arrow_col", "tip"])
+def test_nonfinite_outside_diagonal_rejected(tmp_path, where):
+    m = generate_dd_bta(3, 2, 2, seed=1)
+    blk = m.tip if where == "tip" else getattr(m, where)[1]
+    blk[-1, -1] = np.nan  # for the tip, the last entry of the payload
+    path = tmp_path / "m.bta"
+    write_bta(m, path)
+    with pytest.raises(ShapeInconsistencyError):
+        read_bta(path)
+
+
+def test_read_blocks_do_not_alias(tmp_path):
+    m = generate_dd_bta(3, 2, 2, seed=4)
+    path = tmp_path / "m.bta"
+    write_bta(m, path)
+    got = read_bta(path)
+    got.diag[0][...] = 7.0
+    assert np.array_equal(got.diag[1], m.diag[1])
+    assert np.array_equal(got.tip, m.tip)
+    assert m.equals_exact(read_bta(path))
