@@ -505,21 +505,10 @@ def assemble_reduced(
 
 
 def solve_reduced(
-    reduced: ReducedSystem,
-    mode: str,
-    counter: OpCounter | None = None,
-    recursive_parts: int | None = None,
+    reduced: ReducedSystem, mode: str, counter: OpCounter | None = None
 ) -> SelectedSolution:
-    """Solve the replicated reduced system locally on every rank.
-
-    By default this runs the sequential arrowhead solver; passing
-    ``recursive_parts`` re-enters the distributed solver on the reduced
-    system when it is large enough to split again.
-    """
-    if recursive_parts and reduced.matrix_a.n >= 2 * recursive_parts:
-        return dist_solve(
-            reduced.matrix_a, reduced.matrix_b, num_parts=recursive_parts, mode=mode
-        )
+    """Solve the replicated reduced system locally on every rank with the
+    sequential arrowhead solver."""
     return solve_selected(reduced.matrix_a, reduced.matrix_b, mode, counter=counter)
 
 
@@ -780,7 +769,7 @@ def _merge_slices(a: BtaMatrix, mode: str, slices: list[dict]) -> SelectedSoluti
     return SelectedSolution(x_a=x_a, x_b=x_b, mode=mode)
 
 
-def _run_rank(a, b, plan, rank, coll, mode, recursive_parts):
+def _run_rank(a, b, plan, rank, coll, mode):
     counter = OpCounter(b=a.b, a=a.a)
     reduced_counter = OpCounter(b=a.b, a=a.a)
     t0 = perf_counter()
@@ -788,7 +777,7 @@ def _run_rank(a, b, plan, rank, coll, mode, recursive_parts):
     t1 = perf_counter()
     reduced = assemble_reduced(coll, a, b, plan, payload, tip_delta)
     t2 = perf_counter()
-    red_sol = solve_reduced(reduced, mode, reduced_counter, recursive_parts)
+    red_sol = solve_reduced(reduced, mode, reduced_counter)
     t3 = perf_counter()
     sl = local_backward(a, b, plan, rank, factors, reduced, red_sol, counter)
     t4 = perf_counter()
@@ -811,7 +800,6 @@ def dist_solve(
     counter: OpCounter | None = None,
     timings: dict | None = None,
     rank_counters: list | None = None,
-    recursive_parts: int | None = None,
 ) -> SelectedSolution | None:
     """Distributed selected solve.
 
@@ -842,9 +830,7 @@ def dist_solve(
             raise ProtocolError(
                 f"transport world size {transport.world_size} != num_parts {num_parts}"
             )
-        sl, cnt, red_cnt, phases = _run_rank(
-            a, b, plan, transport.rank, transport, mode, recursive_parts
-        )
+        sl, cnt, red_cnt, phases = _run_rank(a, b, plan, transport.rank, transport, mode)
         if timings is not None:
             timings.update(phases)
         if counter is not None:
@@ -865,7 +851,7 @@ def dist_solve(
 
     def run(rank: int):
         try:
-            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, recursive_parts)
+            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode)
         except BaseException:
             hub.abort()  # release peers blocked inside a collective round
             raise

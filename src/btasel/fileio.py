@@ -42,12 +42,11 @@ def payload_size(n: int, b: int, a: int) -> int:
 
 def write_bta(m: BtaMatrix, path) -> None:
     """Write a container losslessly; ``read_bta`` restores it bit-for-bit."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128))
-        for _, _, blk in m.pattern_blocks():
-            fh.write(np.ascontiguousarray(blk, dtype="<c16").tobytes())
+    # Flattened in C order into one buffer: the payload is a single write.
+    payload = np.concatenate([blk for _, _, blk in m.pattern_blocks()], axis=None, dtype="<c16")
+    with open(Path(path), "wb") as fh:
+        fh.write(MAGIC + _HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128))
+        fh.write(payload)
 
 
 def read_bta_header(path) -> tuple[int, int, int]:

@@ -39,9 +39,11 @@ class RgfFactors:
     """Per-block Schur data retained between the forward and backward passes.
 
     ``s_a[i]`` is the exact inverse of the i-th updated pivot.  In fused
-    mode ``s_b[i]`` holds the quadratic Schur block for ``i < n-1``; the
-    last diagonal's quadratic block is formed at the start of the
-    backward pass from the forward-updated ``b_diag_last``.  For
+    mode ``s_b[i]`` holds the quadratic Schur block for ``i < n-1`` (and,
+    for plain BT systems, ``l_sb[i]`` the forward's product
+    ``lower[i]·s_b[i]``, which the backward step reuses); the last
+    diagonal's quadratic block is formed at the start of the backward
+    pass from the forward-updated ``b_diag_last``.  For
     arrowhead systems the arrow couplings as seen when block ``i`` was
     eliminated are retained, together with the inverted reduced tip.
     """
@@ -52,6 +54,7 @@ class RgfFactors:
     mode: str
     s_a: list = field(default_factory=list)
     s_b: list | None = None
+    l_sb: list | None = None
     b_diag_last: np.ndarray | None = None
     arrow_row_elim: list | None = None
     arrow_col_elim: list | None = None
@@ -100,6 +103,7 @@ def bt_forward(
     factors.s_a = [None] * n
     if fused:
         factors.s_b = [None] * max(n - 1, 0)
+        factors.l_sb = [None] * max(n - 1, 0)
 
     for i in range(n - 1):
         s = _invert_pivot(a.diag[i], i, counter)
@@ -110,6 +114,7 @@ def bt_forward(
             sb = mm(w, s, counter, tb=True)
             factors.s_b[i] = sb
             v = mm(a.lower[i], sb, counter)
+            factors.l_sb[i] = v
             b.diag[i + 1] = (
                 b.diag[i + 1]
                 + mm(v, a.lower[i], counter, tb=True)
@@ -139,6 +144,20 @@ def bt_backward(
     ``a`` and ``b`` (the forward pass never modifies off-diagonals).
     With ``diagonal_only`` the off-diagonal solution blocks are computed
     transiently but not stored in the output containers.
+
+    This is the ``k = 1`` case of the arrowhead step (``_backstep``),
+    written out by hand because it is the hot loop of small-block runs:
+    with ``S = s_a[i]``, ``Sb = s_b[i]``, ``U``/``L`` the upper/lower
+    couplings of ``a`` and ``Bu``/``Bl`` those of ``b``, ``F1 = S·U``,
+    ``F2 = L·S`` and ``Y``/``Z`` the trailing diagonals::
+
+        X(i+1,i) = -Y·F2    X(i,i+1) = -F1·Y    X_ii = S - F1·X(i+1,i)
+        Z(i+1,i) = Y·(Bl·S^H - L·Sb) - Z·F1^H
+        V = (S·Bu - Sb·L^H)·Y^H                 Z(i,i+1) = V - F1·Z
+        Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
+
+    ``L·Sb`` comes from the forward pass (``l_sb``), so a step costs 5
+    (selected inversion) or 14 (fused) b-sized products.
     """
     n = factors.n
     if factors.a != 0:
@@ -163,34 +182,29 @@ def bt_backward(
 
     for i in range(n - 2, -1, -1):
         s = s_a[i]
-        xd_next = xd
-        t_a1 = mm(s, a.upper[i], counter)
-        t_a2 = mm(xd_next, a.lower[i], counter)
-        x_lo = -mm(t_a2, s, counter)
-        x_up = -mm(t_a1, xd_next, counter)
-        xd = s - mm(t_a1, x_lo, counter)
+        y = xd
+        f1 = mm(s, a.upper[i], counter)
+        f2 = mm(a.lower[i], s, counter)
+        x_lo = -mm(y, f2, counter)
+        x_up = -mm(f1, y, counter)
+        xd = s - mm(f1, x_lo, counter)
         x_a.diag[i] = xd
         if not diagonal_only:
             x_a.lower[i] = x_lo
             x_a.upper[i] = x_up
         if fused:
-            zd_next = zd
+            z = zd
             sb = factors.s_b[i]
-            t_b1 = mm(zd_next, t_a1, counter, tb=True)
-            t_b2 = mm(sb, t_a2, counter, tb=True)
-            t_b3 = mm(t_a2, sb, counter)
-            t_b4 = mm(mm(s, b.upper[i], counter), xd_next, counter, tb=True)
-            t_b5 = mm(mm(xd_next, b.lower[i], counter), s, counter, tb=True)
-            xb_up = -mm(t_a1, zd_next, counter) - t_b2 + t_b4
-            xb_lo = -t_b1 - t_b3 + t_b5
-            zd = (
-                sb
-                + mm(t_a1, t_b1, counter)
-                + mm(t_a1, t_b3, counter)
-                + mm(t_b2, t_a1, counter, tb=True)
-                - mm(t_a1, t_b5, counter)
-                - mm(t_b4, t_a1, counter, tb=True)
+            e = mm(b.lower[i], s, counter, tb=True) - factors.l_sb[i]
+            xb_lo = mm(y, e, counter) - mm(z, f1, counter, tb=True)
+            v = mm(
+                mm(s, b.upper[i], counter) - mm(sb, a.lower[i], counter, tb=True),
+                y,
+                counter,
+                tb=True,
             )
+            xb_up = v - mm(f1, z, counter)
+            zd = sb - mm(f1, xb_lo, counter) - mm(v, f1, counter, tb=True)
             x_b.diag[i] = zd
             if not diagonal_only:
                 x_b.lower[i] = xb_lo
@@ -319,82 +333,76 @@ def bta_forward(
     return factors
 
 
+def _sum(terms):
+    """Sum of a non-empty iterable of fresh products, accumulated in place."""
+    it = iter(terms)
+    acc = next(it)
+    for t in it:
+        acc += t
+    return acc
+
+
+def _minus(terms, base=None):
+    """``base - sum(terms)``, or ``-sum(terms)`` without ``base``, in place."""
+    acc = _sum(terms)
+    if base is None:
+        return np.negative(acc, out=acc)
+    return np.subtract(base, acc, out=acc)
+
+
 def _backstep(g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None):
     """One backward substitution step at a pivot with trailing couplings.
 
-    ``rs[l]``/``qs[l]`` are the pivot-to-trailing and trailing-to-pivot
-    coupling blocks as seen at elimination time; ``ya[l][m]`` (and
-    ``yb``) are the already-known trailing solution blocks.  Returns the
-    pivot's solution row, column, and diagonal for the inverse and, when
-    the quadratic data ``sc``/``ss``/``ws``/``yb`` is given, for the
-    quadratic solution.
+    ``g`` is the pivot inverse ``S``; ``rs[l]``/``qs[l]`` are the
+    pivot-to-trailing and trailing-to-pivot coupling blocks ``R_l``/``Q_l``
+    as seen at elimination time; ``ya[l][m]`` (and ``yb``) are the
+    already-known trailing solution blocks ``Y_lm`` (``Z_lm``).  Returns
+    the pivot's solution row ``X(i,j)``, column ``X(j,i)`` and diagonal
+    for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
+    (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
+    ``yb`` is given, for the quadratic solution.
 
-    All products are pattern-restricted: the trailing blocks touched are
-    exactly those on the BT(A) pattern of the (possibly permuted) system.
+    Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
+    ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
+
+        X(j,i) = -sum_l Y_jl·F2_l        X(i,j) = -sum_l F1_l·Y_lj
+        X_ii   = S - sum_l F1_l·X(l,i)
+        Z(j,i) = sum_l (Y_jl·E_l - Z_jl·F1_l^H)
+        V_j    = sum_l G_l·Y_jl^H        Z(i,j) = V_j - sum_l F1_l·Z_lj
+        Z_ii   = Sb - sum_l (F1_l·Z(l,i) + V_l·F1_l^H)
+
+    which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
+    the quadratic solution at ``k`` trailing couplings (the standard RGF
+    recursion, Svizhenko et al., J. Appl. Phys. 2002).  Nothing assumes
+    ``B = B^H``.  All products are pattern-restricted: the trailing blocks
+    touched are exactly those on the BT(A) pattern of the (possibly
+    permuted) system.
     """
     k = len(rs)
     c = counter
-
-    xa_row = []
-    for j in range(k):
-        acc = mm(rs[0], ya[0][j], c)
-        for l in range(1, k):
-            acc = acc + mm(rs[l], ya[l][j], c)
-        xa_row.append(-mm(g, acc, c))
-    xa_col = []
-    for j in range(k):
-        acc = mm(ya[j][0], qs[0], c)
-        for l in range(1, k):
-            acc = acc + mm(ya[j][l], qs[l], c)
-        xa_col.append(-mm(acc, g, c))
-    phi = -mm(xa_row[0], qs[0], c)
-    for l in range(1, k):
-        phi = phi - mm(xa_row[l], qs[l], c)
-    xa_diag = g + mm(phi, g, c)
+    # Ordered, with sums formed in place, so that few temporary blocks
+    # are alive at once: at large b each one shows in peak memory.
+    f2 = [mm(q, g, c) for q in qs]
+    xa_col = [_minus(mm(ya[j][l], f2[l], c) for l in range(k)) for j in range(k)]
+    del f2
+    f1 = [mm(g, r, c) for r in rs]
+    xa_diag = _minus((mm(f1[l], xa_col[l], c) for l in range(k)), g)
+    xa_row = [_minus(mm(f1[l], ya[l][j], c) for l in range(k)) for j in range(k)]
 
     if yb is None:
         return xa_row, xa_col, xa_diag, None, None, None
 
-    # Row and column helpers combining quadratic Schur data with couplings.
-    es = [mm(g, ss[l], c) - mm(sc, qs[l], c, tb=True) for l in range(k)]
-    fs = [mm(ws[l], g, c, tb=True) - mm(qs[l], sc, c) for l in range(k)]
-
-    xb_row = []
-    for j in range(k):
-        acc = mm(es[0], ya[j][0], c, tb=True)
-        for l in range(1, k):
-            acc = acc + mm(es[l], ya[j][l], c, tb=True)
-        accz = mm(rs[0], yb[0][j], c)
-        for l in range(1, k):
-            accz = accz + mm(rs[l], yb[l][j], c)
-        xb_row.append(acc - mm(g, accz, c))
-    xb_col = []
-    for j in range(k):
-        acc = mm(ya[j][0], fs[0], c)
-        for l in range(1, k):
-            acc = acc + mm(ya[j][l], fs[l], c)
-        accz = mm(yb[j][0], rs[0], c, tb=True)
-        for l in range(1, k):
-            accz = accz + mm(yb[j][l], rs[l], c, tb=True)
-        xb_col.append(acc - mm(accz, g, c, tb=True))
-
-    xb_diag = sc + mm(phi, sc, c) + mm(sc, phi, c, tb=True)
-    acc = mm(ss[0], xa_row[0], c, tb=True)
-    for l in range(1, k):
-        acc = acc + mm(ss[l], xa_row[l], c, tb=True)
-    xb_diag = xb_diag + mm(g, acc, c)
-    acc = mm(xa_row[0], ws[0], c)
-    for l in range(1, k):
-        acc = acc + mm(xa_row[l], ws[l], c)
-    xb_diag = xb_diag + mm(acc, g, c, tb=True)
-    quad = None
-    for l in range(k):
-        inner = mm(yb[l][0], rs[0], c, tb=True)
-        for m in range(1, k):
-            inner = inner + mm(yb[l][m], rs[m], c, tb=True)
-        term = mm(rs[l], inner, c)
-        quad = term if quad is None else quad + term
-    xb_diag = xb_diag + mm(mm(g, quad, c), g, c, tb=True)
+    es = [mm(ws[l], g, c, tb=True) - mm(qs[l], sc, c) for l in range(k)]
+    gs = [mm(g, ss[l], c) - mm(sc, qs[l], c, tb=True) for l in range(k)]
+    xb_col = [
+        _sum(mm(ya[j][l], es[l], c) - mm(yb[j][l], f1[l], c, tb=True) for l in range(k))
+        for j in range(k)
+    ]
+    vs = [_sum(mm(gs[l], ya[j][l], c, tb=True) for l in range(k)) for j in range(k)]
+    xb_diag = _minus(
+        (mm(f1[l], xb_col[l], c) + mm(vs[l], f1[l], c, tb=True) for l in range(k)), sc
+    )
+    xb_row = [_minus((mm(f1[l], yb[l][j], c) for l in range(k)), vs[j]) for j in range(k)]
     return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
 
 

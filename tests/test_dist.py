@@ -275,12 +275,34 @@ def test_worker_error_carries_rank():
     assert info.value.rank == 1
 
 
-def test_recursive_reduced_solve():
-    a, rhs = random_system(24, 2, 1, seed=15)
-    seq = solve_selected(a, rhs, "siq")
-    got = dist_solve(a, rhs, num_parts=6, mode="siq", recursive_parts=2)
-    assert max_block_rel_err(got.x_a, seq.x_a) <= 1e-9
-    assert max_block_rel_err(got.x_b, seq.x_b) <= 1e-9
+def test_middle_backward_per_step_counts():
+    # The middle backward step has k = 3 trailing couplings (fill,
+    # next diagonal, tip): 2k^2+3k = 27 (si) and 6k^2+9k = 81 (siq)
+    # products, measured as rank 1's tally minus its forward pass.
+    def middle_backward(n, fused):
+        a, rhs = random_system(n, 4, 2, seed=10)
+        rhs = rhs if fused else None
+        mode = "siq" if fused else "si"
+        plan = plan_partitions(n, 3, mode)
+        lo, hi = plan.ranges[1]
+        per_rank = []
+        dist_solve(a, rhs, num_parts=3, mode=mode, rank_counters=per_rank)
+        forward = OpCounter(b=4, a=2)
+        local_forward(a, rhs, plan, 1, forward)
+        counts = per_rank[1].gemm_by_shape.copy()
+        counts.subtract(forward.gemm_by_shape)
+        return hi - lo - 2, counts
+
+    si = {"bbb": 14, "abb": 3, "bba": 3, "bab": 5, "aab": 1, "baa": 1}
+    siq = {"bbb": 42, "abb": 9, "bba": 9, "bab": 15, "aab": 3, "baa": 3}
+    for fused, step in ((False, si), (True, siq)):
+        steps1, c1 = middle_backward(16, fused)
+        steps2, c2 = middle_backward(24, fused)
+        assert steps2 > steps1
+        assert {k: v for k, v in c1.items() if v} == {k: v * steps1 for k, v in step.items()}
+        assert {k: c2[k] - c1[k] for k in c2 if c2[k] != c1[k]} == {
+            k: v * (steps2 - steps1) for k, v in step.items()
+        }
 
 
 def test_counters_aggregate():

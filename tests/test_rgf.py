@@ -19,6 +19,7 @@ from btasel import (
     solve_selected,
     to_dense,
 )
+from btasel.rgf import _backstep
 
 
 class TestBtForward:
@@ -158,6 +159,77 @@ class TestBtaPaths:
         a.tip[:] = 0.0
         with pytest.raises(SingularBlockError):
             bta_forward(a.copy())
+
+
+class TestBackwardStep:
+    """The backward step forms each product once (``rgf._backstep``)."""
+
+    @staticmethod
+    def _step_counts(b, a_sz, fused):
+        # Backward products per step, by differencing two lengths.
+        def backward_counts(n):
+            a, rhs = random_system(n, b, a_sz, seed=6)
+            wa, wb = a.copy(), (rhs.copy() if fused else None)
+            factors = bta_forward(wa, wb)
+            counter = OpCounter(b=b, a=a_sz)
+            bta_backward(factors, wa, wb, counter)
+            return counter.gemm_by_shape
+
+        c5, c6 = backward_counts(5), backward_counts(6)
+        return {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
+
+    def test_bt_step_counts(self):
+        assert self._step_counts(4, 0, fused=True) == {"bbb": 14}
+        assert self._step_counts(4, 0, fused=False) == {"bbb": 5}
+
+    def test_bta_step_counts(self):
+        # k = 2 trailing couplings: 2k^2+3k = 14 (si), 6k^2+9k = 42 (siq).
+        assert self._step_counts(8, 4, fused=False) == {
+            "bbb": 5, "bba": 2, "abb": 2, "bab": 3, "aab": 1, "baa": 1,
+        }
+        assert self._step_counts(8, 4, fused=True) == {
+            "bbb": 15, "bba": 6, "abb": 6, "bab": 9, "aab": 3, "baa": 3,
+        }
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_dense_oracle_with_non_hermitian_rhs(self, k, rng):
+        # Pivot block 0 (size 3) couples to k trailing blocks of mixed sizes.
+        sizes = [3, 3, 2, 3][: k + 1]
+        off = np.concatenate([[0], np.cumsum(sizes)])
+        dim = off[-1]
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = cplx(dim, dim) + 4 * dim * np.eye(dim)
+        b = cplx(dim, dim)
+        assert np.linalg.norm(b - b.conj().T) > 1.0
+        x = np.linalg.inv(a)
+        z = x @ b @ x.conj().T
+
+        def blk(m, r, c):
+            return np.ascontiguousarray(m[off[r] : off[r + 1], off[c] : off[c + 1]])
+
+        t = range(1, k + 1)
+        s = np.linalg.inv(blk(a, 0, 0))
+        sb = s @ blk(b, 0, 0) @ s.conj().T
+        rs, qs = [blk(a, 0, l) for l in t], [blk(a, l, 0) for l in t]
+        ss, ws = [blk(b, 0, l) for l in t], [blk(b, l, 0) for l in t]
+        ya = [[blk(x, l, m) for m in t] for l in t]
+        yb = [[blk(z, l, m) for m in t] for l in t]
+
+        def close(got, want):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        si = _backstep(s, rs, qs, ya)
+        assert si[3:] == (None, None, None)
+        out = _backstep(s, rs, qs, ya, sb, ss, ws, yb)
+        for got, full in ((si[:3], x), (out[:3], x), (out[3:], z)):
+            row, col, diag = got
+            close(diag, blk(full, 0, 0))
+            for j in t:
+                close(row[j - 1], blk(full, 0, j))
+                close(col[j - 1], blk(full, j, 0))
 
 
 class TestSolveFacade:
