@@ -23,6 +23,7 @@ from .errors import (
     BtaselError,
     DenseGuardError,
     FormatError,
+    NonFiniteInputError,
     ProtocolError,
     ShapeInconsistencyError,
     ShapeMismatchError,
@@ -89,6 +90,7 @@ __all__ = [
     "weak_scaling_sweep",
     "BtaselError",
     "ShapeMismatchError",
+    "NonFiniteInputError",
     "SingularBlockError",
     "DenseGuardError",
     "ProtocolError",

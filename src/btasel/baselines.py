@@ -104,8 +104,7 @@ def _scatter_column(out: BtaMatrix, col: int, vec: np.ndarray) -> None:
     n, b, a = out.shape_params
     if col >= n * b:  # tip column
         j = col - n * b
-        for i in range(n):
-            out.arrow_col[i][:, j] = vec[i * b : (i + 1) * b]
+        out.arrow_col[:, :, j] = vec[: n * b].reshape(n, b)
         out.tip[:, j] = vec[n * b :]
         return
     blk, j = divmod(col, b)

@@ -141,6 +141,8 @@ class LocalFactors:
     mode: str
     s_a: dict = field(default_factory=dict)
     s_b: dict = field(default_factory=dict)
+    l_sb: dict = field(default_factory=dict)  # coupling·s_b, formed by the forward
+    fill_sb: dict = field(default_factory=dict)  # fill_row·s_b (middle kind)
     arrow_row_elim: dict = field(default_factory=dict)
     arrow_col_elim: dict = field(default_factory=dict)
     b_arrow_row_elim: dict = field(default_factory=dict)
@@ -191,14 +193,15 @@ def local_forward(
 
     factors = LocalFactors(kind=kind, lo=lo, hi=hi, mode="siq" if fused else "si")
 
-    ad = {i: a.diag[i].copy() for i in range(lo, hi)}
-    ar = {i: a.arrow_row[i].copy() for i in range(lo, hi)}
-    ac = {i: a.arrow_col[i].copy() for i in range(lo, hi)}
+    def local(stack):
+        # One copy of the partition's slice; the blocks are its slots,
+        # updated in place (a slot is retained only once it is final).
+        return dict(zip(range(lo, hi), stack[lo:hi].copy()))
+
+    ad, ar, ac = local(a.diag), local(a.arrow_row), local(a.arrow_col)
     tip_a = np.zeros((asz, asz), dtype=COMPLEX)
     if fused:
-        bd = {i: b.diag[i].copy() for i in range(lo, hi)}
-        br = {i: b.arrow_row[i].copy() for i in range(lo, hi)}
-        bc = {i: b.arrow_col[i].copy() for i in range(lo, hi)}
+        bd, br, bc = local(b.diag), local(b.arrow_row), local(b.arrow_col)
         tip_b = np.zeros((asz, asz), dtype=COMPLEX)
 
     def retain(i):
@@ -221,28 +224,20 @@ def local_forward(
                 g = mm(ar[i], s, counter)
                 p = mm(g, bd[i], counter)
                 k = mm(bd[i], g, counter, tb=True)
-                ad[i + 1] = ad[i + 1] - mm(f, a.upper[i], counter)
-                ar[i + 1] = ar[i + 1] - mm(g, a.upper[i], counter)
-                ac[i + 1] = ac[i + 1] - mm(f, ac[i], counter)
+                ad[i + 1] -= mm(f, a.upper[i], counter)
+                ar[i + 1] -= mm(g, a.upper[i], counter)
+                ac[i + 1] -= mm(f, ac[i], counter)
                 tip_a -= mm(g, ac[i], counter)
                 v = mm(a.lower[i], sb, counter)
-                bd[i + 1] = (
-                    bd[i + 1]
-                    + mm(v, a.lower[i], counter, tb=True)
-                    - mm(b.lower[i], f, counter, tb=True)
-                    - mm(f, b.upper[i], counter)
-                )
-                br[i + 1] = (
-                    br[i + 1]
-                    - mm(g, b.upper[i], counter)
-                    + mm(p - br[i], f, counter, tb=True)
-                )
-                bc[i + 1] = (
-                    bc[i + 1]
-                    - mm(f, bc[i], counter)
-                    - mm(b.lower[i], g, counter, tb=True)
-                    + mm(f, k, counter)
-                )
+                factors.l_sb[i] = v
+                bd[i + 1] += mm(v, a.lower[i], counter, tb=True)
+                bd[i + 1] -= mm(b.lower[i], f, counter, tb=True)
+                bd[i + 1] -= mm(f, b.upper[i], counter)
+                br[i + 1] -= mm(g, b.upper[i], counter)
+                br[i + 1] += mm(p - br[i], f, counter, tb=True)
+                bc[i + 1] -= mm(f, bc[i], counter)
+                bc[i + 1] -= mm(b.lower[i], g, counter, tb=True)
+                bc[i + 1] += mm(f, k, counter)
                 tip_b += (
                     -mm(g, bc[i], counter)
                     - mm(br[i], g, counter, tb=True)
@@ -251,9 +246,9 @@ def local_forward(
             else:
                 t1 = mm(s, a.upper[i], counter)
                 t2 = mm(s, ac[i], counter)
-                ad[i + 1] = ad[i + 1] - mm(a.lower[i], t1, counter)
-                ar[i + 1] = ar[i + 1] - mm(ar[i], t1, counter)
-                ac[i + 1] = ac[i + 1] - mm(a.lower[i], t2, counter)
+                ad[i + 1] -= mm(a.lower[i], t1, counter)
+                ar[i + 1] -= mm(ar[i], t1, counter)
+                ac[i + 1] -= mm(a.lower[i], t2, counter)
                 tip_a -= mm(ar[i], t2, counter)
         bnd = [hi - 1]
 
@@ -270,28 +265,20 @@ def local_forward(
                 g = mm(ar[i], s, counter)
                 p = mm(g, bd[i], counter)
                 k = mm(bd[i], g, counter, tb=True)
-                ad[i - 1] = ad[i - 1] - mm(f, a.lower[i - 1], counter)
-                ar[i - 1] = ar[i - 1] - mm(g, a.lower[i - 1], counter)
-                ac[i - 1] = ac[i - 1] - mm(f, ac[i], counter)
+                ad[i - 1] -= mm(f, a.lower[i - 1], counter)
+                ar[i - 1] -= mm(g, a.lower[i - 1], counter)
+                ac[i - 1] -= mm(f, ac[i], counter)
                 tip_a -= mm(g, ac[i], counter)
                 v = mm(a.upper[i - 1], sb, counter)
-                bd[i - 1] = (
-                    bd[i - 1]
-                    + mm(v, a.upper[i - 1], counter, tb=True)
-                    - mm(b.upper[i - 1], f, counter, tb=True)
-                    - mm(f, b.lower[i - 1], counter)
-                )
-                br[i - 1] = (
-                    br[i - 1]
-                    - mm(g, b.lower[i - 1], counter)
-                    + mm(p - br[i], f, counter, tb=True)
-                )
-                bc[i - 1] = (
-                    bc[i - 1]
-                    - mm(f, bc[i], counter)
-                    - mm(b.upper[i - 1], g, counter, tb=True)
-                    + mm(f, k, counter)
-                )
+                factors.l_sb[i] = v
+                bd[i - 1] += mm(v, a.upper[i - 1], counter, tb=True)
+                bd[i - 1] -= mm(b.upper[i - 1], f, counter, tb=True)
+                bd[i - 1] -= mm(f, b.lower[i - 1], counter)
+                br[i - 1] -= mm(g, b.lower[i - 1], counter)
+                br[i - 1] += mm(p - br[i], f, counter, tb=True)
+                bc[i - 1] -= mm(f, bc[i], counter)
+                bc[i - 1] -= mm(b.upper[i - 1], g, counter, tb=True)
+                bc[i - 1] += mm(f, k, counter)
                 tip_b += (
                     -mm(g, bc[i], counter)
                     - mm(br[i], g, counter, tb=True)
@@ -300,9 +287,9 @@ def local_forward(
             else:
                 t1 = mm(s, a.lower[i - 1], counter)
                 t2 = mm(s, ac[i], counter)
-                ad[i - 1] = ad[i - 1] - mm(a.upper[i - 1], t1, counter)
-                ar[i - 1] = ar[i - 1] - mm(ar[i], t1, counter)
-                ac[i - 1] = ac[i - 1] - mm(a.upper[i - 1], t2, counter)
+                ad[i - 1] -= mm(a.upper[i - 1], t1, counter)
+                ar[i - 1] -= mm(ar[i], t1, counter)
+                ac[i - 1] -= mm(a.upper[i - 1], t2, counter)
                 tip_a -= mm(ar[i], t2, counter)
         bnd = [lo]
 
@@ -325,12 +312,12 @@ def local_forward(
             # both arrow strips, tip.
             new_fill_r = -mm(fr, a.upper[i], counter)
             new_fill_c = -mm(fn, fill_c, counter)
-            ad[i + 1] = ad[i + 1] - mm(fn, a.upper[i], counter)
-            ad[lo] = ad[lo] - mm(fr, fill_c, counter)
-            ar[i + 1] = ar[i + 1] - mm(g, a.upper[i], counter)
-            ar[lo] = ar[lo] - mm(g, fill_c, counter)
-            ac[i + 1] = ac[i + 1] - mm(fn, ac[i], counter)
-            ac[lo] = ac[lo] - mm(fr, ac[i], counter)
+            ad[i + 1] -= mm(fn, a.upper[i], counter)
+            ad[lo] -= mm(fr, fill_c, counter)
+            ar[i + 1] -= mm(g, a.upper[i], counter)
+            ar[lo] -= mm(g, fill_c, counter)
+            ac[i + 1] -= mm(fn, ac[i], counter)
+            ac[lo] -= mm(fr, ac[i], counter)
             tip_a -= mm(g, ac[i], counter)
             if fused:
                 factors.b_fill_row[i] = bfill_r
@@ -340,13 +327,12 @@ def local_forward(
                 factors.s_b[i] = sb
                 v0 = mm(fill_r, sb, counter)
                 vn = mm(a.lower[i], sb, counter)
+                factors.fill_sb[i] = v0
+                factors.l_sb[i] = vn
                 p = mm(g, bd[i], counter)
-                bd[i + 1] = (
-                    bd[i + 1]
-                    - mm(fn, b.upper[i], counter)
-                    - mm(b.lower[i], fn, counter, tb=True)
-                    + mm(vn, a.lower[i], counter, tb=True)
-                )
+                bd[i + 1] -= mm(fn, b.upper[i], counter)
+                bd[i + 1] -= mm(b.lower[i], fn, counter, tb=True)
+                bd[i + 1] += mm(vn, a.lower[i], counter, tb=True)
                 new_bfill_c = (
                     -mm(fn, bfill_c, counter)
                     - mm(b.lower[i], fr, counter, tb=True)
@@ -357,36 +343,21 @@ def local_forward(
                     - mm(bfill_r, fn, counter, tb=True)
                     + mm(v0, a.lower[i], counter, tb=True)
                 )
-                bd[lo] = (
-                    bd[lo]
-                    - mm(fr, bfill_c, counter)
-                    - mm(bfill_r, fr, counter, tb=True)
-                    + mm(v0, fill_r, counter, tb=True)
-                )
-                bc[i + 1] = (
-                    bc[i + 1]
-                    - mm(fn, bc[i], counter)
-                    - mm(b.lower[i], g, counter, tb=True)
-                    + mm(vn, ar[i], counter, tb=True)
-                )
-                bc[lo] = (
-                    bc[lo]
-                    - mm(fr, bc[i], counter)
-                    - mm(bfill_r, g, counter, tb=True)
-                    + mm(v0, ar[i], counter, tb=True)
-                )
-                br[i + 1] = (
-                    br[i + 1]
-                    - mm(g, b.upper[i], counter)
-                    - mm(br[i], fn, counter, tb=True)
-                    + mm(p, fn, counter, tb=True)
-                )
-                br[lo] = (
-                    br[lo]
-                    - mm(g, bfill_c, counter)
-                    - mm(br[i], fr, counter, tb=True)
-                    + mm(p, fr, counter, tb=True)
-                )
+                bd[lo] -= mm(fr, bfill_c, counter)
+                bd[lo] -= mm(bfill_r, fr, counter, tb=True)
+                bd[lo] += mm(v0, fill_r, counter, tb=True)
+                bc[i + 1] -= mm(fn, bc[i], counter)
+                bc[i + 1] -= mm(b.lower[i], g, counter, tb=True)
+                bc[i + 1] += mm(vn, ar[i], counter, tb=True)
+                bc[lo] -= mm(fr, bc[i], counter)
+                bc[lo] -= mm(bfill_r, g, counter, tb=True)
+                bc[lo] += mm(v0, ar[i], counter, tb=True)
+                br[i + 1] -= mm(g, b.upper[i], counter)
+                br[i + 1] -= mm(br[i], fn, counter, tb=True)
+                br[i + 1] += mm(p, fn, counter, tb=True)
+                br[lo] -= mm(g, bfill_c, counter)
+                br[lo] -= mm(br[i], fr, counter, tb=True)
+                br[lo] += mm(p, fr, counter, tb=True)
                 tip_b += (
                     -mm(g, bc[i], counter)
                     - mm(br[i], g, counter, tb=True)
@@ -396,16 +367,17 @@ def local_forward(
             fill_r, fill_c = new_fill_r, new_fill_c
         bnd = [lo, hi - 1]
 
+    # Copies, so that the payload does not keep the local slices alive.
     payload = BoundaryPayload(rank=rank, kind=kind)
-    payload.diag = [ad[g] for g in bnd]
-    payload.arrow_row = [ar[g] for g in bnd]
-    payload.arrow_col = [ac[g] for g in bnd]
+    payload.diag = [ad[g].copy() for g in bnd]
+    payload.arrow_row = [ar[g].copy() for g in bnd]
+    payload.arrow_col = [ac[g].copy() for g in bnd]
     if kind == "middle":
         payload.coupling = [fill_r, fill_c]
     if fused:
-        payload.b_diag = [bd[g] for g in bnd]
-        payload.b_arrow_row = [br[g] for g in bnd]
-        payload.b_arrow_col = [bc[g] for g in bnd]
+        payload.b_diag = [bd[g].copy() for g in bnd]
+        payload.b_arrow_row = [br[g].copy() for g in bnd]
+        payload.b_arrow_col = [bc[g].copy() for g in bnd]
         if kind == "middle":
             payload.b_coupling = [bfill_r, bfill_c]
 
@@ -604,10 +576,11 @@ def local_backward(
                 ws = [b.lower[i], factors.b_arrow_row_elim[i]]
                 yb = [[z_dd, z_dt], [z_td, ztt]]
                 sc = factors.s_b[i]
+                qsb = [factors.l_sb[i], None]
             else:
-                ss = ws = yb = sc = None
+                ss = ws = yb = sc = qsb = None
             xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter
+                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb
             )
             put(out_a, "diag", i, xa_diag)
             put(out_a, "upper", i, xa_row[0])
@@ -645,10 +618,11 @@ def local_backward(
                 ws = [b.upper[i - 1], factors.b_arrow_row_elim[i]]
                 yb = [[z_dd, z_dt], [z_td, ztt]]
                 sc = factors.s_b[i]
+                qsb = [factors.l_sb[i], None]
             else:
-                ss = ws = yb = sc = None
+                ss = ws = yb = sc = qsb = None
             xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter
+                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb
             )
             put(out_a, "diag", i, xa_diag)
             put(out_a, "lower", i - 1, xa_row[0])
@@ -703,10 +677,11 @@ def local_backward(
                 ws = [factors.b_fill_row[i], b.lower[i], factors.b_arrow_row_elim[i]]
                 yb = [[z00, z_fr, z0t], [z_fc, z_dd, z_dt], [zt0, z_td, ztt]]
                 sc = factors.s_b[i]
+                qsb = [factors.fill_sb[i], factors.l_sb[i], None]
             else:
-                ss = ws = yb = sc = None
+                ss = ws = yb = sc = qsb = None
             xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter
+                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb
             )
             put(out_a, "diag", i, xa_diag)
             put(out_a, "upper", i, xa_row[1])
@@ -745,18 +720,12 @@ def _merge_slices(a: BtaMatrix, mode: str, slices: list[dict]) -> SelectedSoluti
     x_b = BtaMatrix.zeros(n, bs, asz) if fused else None
 
     def fill(container: BtaMatrix, part: dict):
-        for g, blk in part["diag"].items():
-            container.diag[g] = blk
-        for g, blk in part["lower"].items():
-            container.lower[g] = blk
-        for g, blk in part["upper"].items():
-            container.upper[g] = blk
-        for g, blk in part["arrow_row"].items():
-            container.arrow_row[g] = blk
-        for g, blk in part["arrow_col"].items():
-            container.arrow_col[g] = blk
+        for kind in _SLICE_KINDS:
+            stack = getattr(container, kind)
+            for g, blk in part[kind].items():
+                stack[g] = blk
         if part["tip"] is not None:
-            container.tip = part["tip"]
+            container.tip[...] = part["tip"]
 
     seen_diag = set()
     for sl in slices:
@@ -812,7 +781,9 @@ def dist_solve(
 
     The aggregated ``counter`` receives every rank's local operations
     plus the (replicated, counted once) reduced solve; ``rank_counters``
-    receives the per-rank local tallies.
+    receives the per-rank local tallies.  Raises
+    :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
+    holds a NaN or infinite entry.
     """
     if mode is None:
         mode = "si" if b is None else "siq"
@@ -822,6 +793,9 @@ def dist_solve(
         b = None
     if num_parts == 1:
         return solve_selected(a, b, mode, counter=counter, timings=timings)
+    a.require_finite("a")
+    if b is not None:
+        b.require_finite("b")
 
     plan = plan_partitions(a.n, num_parts, mode)
 

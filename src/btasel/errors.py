@@ -9,6 +9,10 @@ class ShapeMismatchError(BtaselError, ValueError):
     """Operands or containers have incompatible shapes."""
 
 
+class NonFiniteInputError(BtaselError, ValueError):
+    """An input matrix handed to a solver holds a NaN or infinite entry."""
+
+
 class SingularBlockError(BtaselError, ArithmeticError):
     """A pivot is exactly singular.
 

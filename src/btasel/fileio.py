@@ -18,13 +18,14 @@ with the payload size each raise their own exception type.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadMagicError, ShapeInconsistencyError, TruncatedPayloadError
-from .matrix import BtaMatrix
+from .matrix import BtaMatrix, stack_shapes
 
 __all__ = ["read_bta", "write_bta", "read_bta_header", "MAGIC", "DTYPE_COMPLEX128"]
 
@@ -36,14 +37,13 @@ _HEADER_SIZE = len(MAGIC) + _HEADER.size
 
 def payload_size(n: int, b: int, a: int) -> int:
     """Payload size in bytes for the given shape."""
-    entries = n * b * b + 2 * (n - 1) * b * b + 2 * n * a * b + a * a
-    return 16 * entries
+    return 16 * sum(math.prod(shape) for shape in stack_shapes(n, b, a))
 
 
 def write_bta(m: BtaMatrix, path) -> None:
     """Write a container losslessly; ``read_bta`` restores it bit-for-bit."""
-    # Flattened in C order into one buffer: the payload is a single write.
-    payload = np.concatenate([blk for _, _, blk in m.pattern_blocks()], axis=None, dtype="<c16")
+    # The six stacks flattened in C order into one buffer: a single write.
+    payload = np.concatenate(m.stacks, axis=None, dtype="<c16")
     with open(Path(path), "wb") as fh:
         fh.write(MAGIC + _HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128))
         fh.write(payload)
@@ -89,16 +89,10 @@ def read_bta(path) -> BtaMatrix:
         raise ShapeInconsistencyError(
             f"payload has {size} bytes, header requires exactly {expected}"
         )
-    # One decode and one finiteness check; the blocks are disjoint views of it.
+    # One decode and one finiteness check; the fields are views of it.
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER_SIZE).astype(np.complex128)
     if not np.isfinite(data).all():
         raise ShapeInconsistencyError("payload contains non-finite entries")
-    sq, ab = (3 * n - 2) * b * b, n * a * b
-    square = data[:sq].reshape(3 * n - 2, b, b)
-    arrow_row = data[sq : sq + ab].reshape(n, a, b)
-    arrow_col = data[sq + ab : sq + 2 * ab].reshape(n, b, a)
-    tip = data[sq + 2 * ab :].reshape(a, a)
-    return BtaMatrix(
-        n, b, a, list(square[:n]), list(square[n : 2 * n - 1]), list(square[2 * n - 1 :]),
-        list(arrow_row), list(arrow_col), tip,
-    )
+    shapes = stack_shapes(n, b, a)
+    parts = np.split(data, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return BtaMatrix(n, b, a, *(p.reshape(shape) for p, shape in zip(parts, shapes)))

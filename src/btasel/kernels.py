@@ -229,6 +229,18 @@ def block_lu(
     return lower, upper, perm
 
 
+# F-ordered identities by order, read-only: ``zgetrs`` overwrites a copy.
+# ``setdefault`` keeps one entry per order when rank threads race to fill it.
+_EYE: dict[int, np.ndarray] = {}
+
+
+def _identity(n: int) -> np.ndarray:
+    eye = _EYE.get(n)
+    if eye is None:
+        eye = _EYE.setdefault(n, np.eye(n, dtype=COMPLEX, order="F"))
+    return eye.copy(order="F")
+
+
 def block_inverse(a: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Invert a square block: LAPACK ``zgetrf``, then ``zgetrs`` against identity.
 
@@ -248,7 +260,7 @@ def block_inverse(a: np.ndarray, counter: OpCounter | None = None) -> np.ndarray
         counter.trsm_count += 2
     if n == 0:
         return np.empty((0, 0), dtype=COMPLEX)
-    inv, _ = zgetrs(lu, piv, np.eye(n, dtype=COMPLEX, order="F"), overwrite_b=1)
+    inv, _ = zgetrs(lu, piv, _identity(n), overwrite_b=1)
     return inv
 
 

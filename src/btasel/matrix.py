@@ -4,8 +4,8 @@ A :class:`BtaMatrix` stores the pattern blocks of an ``N x N`` complex
 matrix tiled into ``n`` diagonal blocks of size ``b``, first off-diagonal
 blocks, dense arrow strips coupling every diagonal block to a trailing
 tip of size ``a``, and the tip itself (``N = n*b + a``).  Setting
-``a = 0`` yields a plain block-tridiagonal matrix; the arrow lists are
-then empty strips and all code paths degrade gracefully.
+``a = 0`` yields a plain block-tridiagonal matrix; the arrow stacks
+are then empty strips and all code paths degrade gracefully.
 
 Containers are treated as immutable once handed to a solver facade;
 solvers work on copies.
@@ -13,11 +13,12 @@ solvers work on copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import NonFiniteInputError, ShapeMismatchError
 from .kernels import COMPLEX
 
 __all__ = [
@@ -32,68 +33,60 @@ __all__ = [
 MODES = ("si", "siq")
 
 
+def stack_shapes(n: int, b: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the six fields, in :attr:`BtaMatrix.FIELDS` order."""
+    return ((n, b, b), (n - 1, b, b), (n - 1, b, b), (n, a, b), (n, b, a), (a, a))
+
+
+def _as_stack(name: str, blocks, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous complex128 array of ``shape``: ``blocks`` itself when
+    it already is one, else the blocks stacked once."""
+    if blocks is None:
+        return np.zeros(shape, dtype=COMPLEX)
+    try:
+        arr = np.ascontiguousarray(blocks, dtype=COMPLEX)
+    except ValueError as exc:  # ragged block sequence
+        raise ShapeMismatchError(f"{name} blocks do not stack to {shape}: {exc}") from exc
+    if arr.shape != shape and arr.size == 0 and arr.shape[:1] == shape[:1] == (0,):
+        arr = arr.reshape(shape)  # an empty block list, e.g. lower at n=1
+    if arr.shape != shape:
+        raise ShapeMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 class BtaMatrix:
     """Container for the pattern blocks of a BT(A) matrix.
+
+    Each field is one C-contiguous ``complex128`` array: a stack of
+    blocks whose ``i``-th entry is a view of block ``i``.  A
+    field given as such an array is stored as given (not copied); a
+    sequence of blocks is stacked once.
 
     Parameters
     ----------
     n, b, a : int
         Number of diagonal blocks, diagonal block size, arrow tip size.
-    diag : list of (b, b) arrays, length n
-    lower : list of (b, b) arrays, length n-1
+    diag : (n, b, b) stack, or a sequence of n (b, b) blocks
+    lower : (n-1, b, b)
         Block ``(i+1, i)``.
-    upper : list of (b, b) arrays, length n-1
+    upper : (n-1, b, b)
         Block ``(i, i+1)``.
-    arrow_row : list of (a, b) arrays, length n
+    arrow_row : (n, a, b), zeros when omitted
         Block ``(t, i)`` coupling diagonal block ``i`` to the tip row.
-    arrow_col : list of (b, a) arrays, length n
+    arrow_col : (n, b, a), zeros when omitted
         Block ``(i, t)``.
-    tip : (a, a) array
+    tip : (a, a), zeros when omitted
     """
+
+    FIELDS = ("diag", "lower", "upper", "arrow_row", "arrow_col", "tip")
 
     def __init__(self, n, b, a, diag, lower, upper, arrow_row=None, arrow_col=None, tip=None):
         if n < 1 or b < 1 or a < 0:
             raise ShapeMismatchError(f"invalid shape parameters (n={n}, b={b}, a={a})")
-        self.n = int(n)
-        self.b = int(b)
-        self.a = int(a)
-        self.diag = [np.asarray(x, dtype=COMPLEX) for x in diag]
-        self.lower = [np.asarray(x, dtype=COMPLEX) for x in lower]
-        self.upper = [np.asarray(x, dtype=COMPLEX) for x in upper]
-        if arrow_row is None:
-            arrow_row = [np.zeros((a, b), dtype=COMPLEX) for _ in range(n)]
-        if arrow_col is None:
-            arrow_col = [np.zeros((b, a), dtype=COMPLEX) for _ in range(n)]
-        if tip is None:
-            tip = np.zeros((a, a), dtype=COMPLEX)
-        self.arrow_row = [np.asarray(x, dtype=COMPLEX) for x in arrow_row]
-        self.arrow_col = [np.asarray(x, dtype=COMPLEX) for x in arrow_col]
-        self.tip = np.asarray(tip, dtype=COMPLEX)
-        self._validate()
-
-    def _validate(self) -> None:
-        n, b, a = self.n, self.b, self.a
-        if len(self.diag) != n or len(self.lower) != n - 1 or len(self.upper) != n - 1:
-            raise ShapeMismatchError(
-                f"block counts ({len(self.diag)}, {len(self.lower)}, {len(self.upper)}) "
-                f"inconsistent with n={n}"
-            )
-        if len(self.arrow_row) != n or len(self.arrow_col) != n:
-            raise ShapeMismatchError("arrow strip counts inconsistent with n")
-        for name, blocks, shape in (
-            ("diag", self.diag, (b, b)),
-            ("lower", self.lower, (b, b)),
-            ("upper", self.upper, (b, b)),
-            ("arrow_row", self.arrow_row, (a, b)),
-            ("arrow_col", self.arrow_col, (b, a)),
-        ):
-            for i, blk in enumerate(blocks):
-                if blk.shape != shape:
-                    raise ShapeMismatchError(
-                        f"{name}[{i}] has shape {blk.shape}, expected {shape}"
-                    )
-        if self.tip.shape != (a, a):
-            raise ShapeMismatchError(f"tip has shape {self.tip.shape}, expected {(a, a)}")
+        self.n, self.b, self.a = int(n), int(b), int(a)
+        given = (diag, lower, upper, arrow_row, arrow_col, tip)
+        for name, blocks, shape in zip(self.FIELDS, given, stack_shapes(*self.shape_params)):
+            setattr(self, name, _as_stack(name, blocks, shape))
 
     @property
     def shape_params(self) -> tuple[int, int, int]:
@@ -103,61 +96,48 @@ class BtaMatrix:
     def total_size(self) -> int:
         return self.n * self.b + self.a
 
+    @property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The six field arrays, in :attr:`FIELDS` (and ``BTA1`` payload) order."""
+        return (self.diag, self.lower, self.upper, self.arrow_row, self.arrow_col, self.tip)
+
     @classmethod
     def zeros(cls, n: int, b: int, a: int = 0) -> "BtaMatrix":
-        return cls(
-            n,
-            b,
-            a,
-            [np.zeros((b, b), COMPLEX) for _ in range(n)],
-            [np.zeros((b, b), COMPLEX) for _ in range(n - 1)],
-            [np.zeros((b, b), COMPLEX) for _ in range(n - 1)],
-            [np.zeros((a, b), COMPLEX) for _ in range(n)],
-            [np.zeros((b, a), COMPLEX) for _ in range(n)],
-            np.zeros((a, a), COMPLEX),
-        )
+        return cls(n, b, a, *(np.zeros(shape, COMPLEX) for shape in stack_shapes(n, b, a)))
 
     @classmethod
     def identity(cls, n: int, b: int, a: int = 0) -> "BtaMatrix":
         m = cls.zeros(n, b, a)
-        for blk in m.diag:
-            np.fill_diagonal(blk, 1.0)
+        idx = np.arange(b)
+        m.diag[:, idx, idx] = 1.0
         np.fill_diagonal(m.tip, 1.0)
         return m
 
-    def copy(self) -> "BtaMatrix":
-        return BtaMatrix(
-            self.n,
-            self.b,
-            self.a,
-            [x.copy() for x in self.diag],
-            [x.copy() for x in self.lower],
-            [x.copy() for x in self.upper],
-            [x.copy() for x in self.arrow_row],
-            [x.copy() for x in self.arrow_col],
-            self.tip.copy(),
-        )
+    def copy(self, share: tuple[str, ...] = ()) -> "BtaMatrix":
+        """A copy whose fields share no memory with this container's,
+        except the fields named in ``share``, which it holds as they are."""
+        return BtaMatrix(self.n, self.b, self.a, *(
+            x if name in share else x.copy() for name, x in zip(self.FIELDS, self.stacks)
+        ))
 
     def pattern_blocks(self):
         """Yield ``(kind, index, block)`` over all pattern blocks."""
-        for i, blk in enumerate(self.diag):
-            yield ("diag", i, blk)
-        for i, blk in enumerate(self.lower):
-            yield ("lower", i, blk)
-        for i, blk in enumerate(self.upper):
-            yield ("upper", i, blk)
-        for i, blk in enumerate(self.arrow_row):
-            yield ("arrow_row", i, blk)
-        for i, blk in enumerate(self.arrow_col):
-            yield ("arrow_col", i, blk)
+        for kind, stack in zip(self.FIELDS[:-1], self.stacks):
+            for i, blk in enumerate(stack):
+                yield (kind, i, blk)
         yield ("tip", 0, self.tip)
 
     def equals_exact(self, other: "BtaMatrix") -> bool:
-        if self.shape_params != other.shape_params:
-            return False
-        mine = list(self.pattern_blocks())
-        theirs = list(other.pattern_blocks())
-        return all(np.array_equal(x[2], y[2]) for x, y in zip(mine, theirs))
+        return self.shape_params == other.shape_params and all(
+            np.array_equal(x, y) for x, y in zip(self.stacks, other.stacks)
+        )
+
+    def require_finite(self, name: str = "matrix") -> None:
+        """Raise :class:`NonFiniteInputError` if any entry is NaN or infinite."""
+        for field_name, stack in zip(self.FIELDS, self.stacks):
+            # As float64 pairs: half the cost of the complex isfinite.
+            if not np.isfinite(stack.reshape(-1).view(np.float64)).all():
+                raise NonFiniteInputError(f"{name}.{field_name} has non-finite entries")
 
     def __repr__(self) -> str:
         return f"BtaMatrix(n={self.n}, b={self.b}, a={self.a})"
@@ -201,24 +181,33 @@ def _splitmix64(seed: int, offset: int, count: int) -> np.ndarray:
     The stream is a pure function of (seed, position), identical on every
     platform; this is the repository's pinned PRNG contract.
     """
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    # In place: a whole field is drawn at once, and its temporaries are
+    # as large as the field.
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _uniform_complex(seed: int, offset: int, shape: tuple[int, int]) -> np.ndarray:
-    """Complex block with real/imag parts i.i.d. uniform in [-1, 1)."""
-    count = 2 * shape[0] * shape[1]
+def _uniform_complex(seed: int, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array with real/imag parts i.i.d. uniform in [-1, 1), filled
+    in C order from the stream, real part first."""
+    count = 2 * math.prod(shape)
     if count == 0:
         return np.zeros(shape, dtype=COMPLEX)
     u = _splitmix64(seed, offset, count)
-    d = (u >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)  # [0, 1)
-    d = 2.0 * d - 1.0
-    re = d[0::2].reshape(shape)
-    im = d[1::2].reshape(shape)
-    return re + 1j * im
+    u >>= np.uint64(11)
+    d = u.astype(np.float64)
+    del u
+    d *= 2.0 ** -53  # [0, 1)
+    d *= 2.0
+    d -= 1.0
+    return d.view(COMPLEX).reshape(shape)  # consecutive (real, imag) pairs
 
 
 def generate_dd_bta(
@@ -232,9 +221,9 @@ def generate_dd_bta(
     along its own phase, so its modulus grows by exactly that amount and
     every row is strictly dominant for any ``dominance >= 1``.  The
     stream consumption order is diag, lower, upper, arrow_row, arrow_col,
-    tip, so instances sharing ``(n, b, seed)`` draw identical BT blocks
-    regardless of the arrow size (only the dominance shift on the
-    diagonal entries sees the arrow mass).
+    tip, block by block, so instances sharing ``(n, b, seed)`` draw
+    identical BT blocks regardless of the arrow size (only the dominance
+    shift on the diagonal entries sees the arrow mass).
 
     Deterministic: fixed ``(n, b, a, seed, dominance)`` reproduces the
     matrix bit-for-bit on any platform.
@@ -244,44 +233,34 @@ def generate_dd_bta(
     if dominance < 1.0:
         raise ValueError(f"dominance must be >= 1, got {dominance}")
 
-    offset = 0
+    # One draw per field reads the stream exactly as one draw per block.
+    fields, offset = [], 0
+    for shape in stack_shapes(n, b, a):
+        fields.append(_uniform_complex(seed, offset, shape))
+        offset += 2 * math.prod(shape)
+    diag, lower, upper, arrow_row, arrow_col, tip = fields
 
-    def draw(shape):
-        nonlocal offset
-        blk = _uniform_complex(seed, offset, shape)
-        offset += 2 * shape[0] * shape[1]
-        return blk
-
-    diag = [draw((b, b)) for _ in range(n)]
-    lower = [draw((b, b)) for _ in range(n - 1)]
-    upper = [draw((b, b)) for _ in range(n - 1)]
-    arrow_row = [draw((a, b)) for _ in range(n)]
-    arrow_col = [draw((b, a)) for _ in range(n)]
-    tip = draw((a, a))
-
-    def shift_diagonal(block, rs):
-        idx = np.arange(block.shape[0])
-        d = block[idx, idx]
+    def shift_diagonal(blocks, rs):
+        idx = np.arange(blocks.shape[-1])
+        d = blocks[..., idx, idx]
         mag = np.abs(d)
         phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-        block[idx, idx] = d + dominance * (rs + 1.0) * phase
+        blocks[..., idx, idx] = d + dominance * (rs + 1.0) * phase
 
-    for i in range(n):
-        rs = np.abs(diag[i]).sum(axis=1) - np.abs(np.diagonal(diag[i]))
-        if i > 0:
-            rs += np.abs(lower[i - 1]).sum(axis=1)
-        if i < n - 1:
-            rs += np.abs(upper[i]).sum(axis=1)
-        if a:
-            rs += np.abs(arrow_col[i]).sum(axis=1)
-        shift_diagonal(diag[i], rs)
+    idx = np.arange(b)
+    rs = np.abs(diag).sum(axis=2) - np.abs(diag[:, idx, idx])
+    rs[1:] += np.abs(lower).sum(axis=2)
+    rs[:-1] += np.abs(upper).sum(axis=2)
+    if a:
+        rs += np.abs(arrow_col).sum(axis=2)
+    shift_diagonal(diag, rs)
     if a:
         rs = np.abs(tip).sum(axis=1) - np.abs(np.diagonal(tip))
-        for i in range(n):
-            rs += np.abs(arrow_row[i]).sum(axis=1)
+        for row_sums in np.abs(arrow_row).sum(axis=2):  # block order, as summed per block
+            rs += row_sums
         shift_diagonal(tip, rs)
 
-    return BtaMatrix(n, b, a, diag, lower, upper, arrow_row, arrow_col, tip)
+    return BtaMatrix(n, b, a, *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +268,25 @@ def generate_dd_bta(
 # ---------------------------------------------------------------------------
 
 
+def _block_grid(dense: np.ndarray, n: int, b: int) -> np.ndarray:
+    """View of the leading ``n*b`` square of ``dense`` as ``(n, b, n, b)``:
+    ``grid[i, :, j, :]`` is block ``(i, j)``."""
+    return dense[: n * b, : n * b].reshape(n, b, n, b)
+
+
 def to_dense(m: BtaMatrix) -> np.ndarray:
     """Expand to the full ``N x N`` dense array; off-pattern entries are zero."""
     n, b, a = m.shape_params
+    nb = n * b
     big = np.zeros((m.total_size, m.total_size), dtype=COMPLEX)
-    for i in range(n):
-        big[i * b : (i + 1) * b, i * b : (i + 1) * b] = m.diag[i]
-        if i < n - 1:
-            big[(i + 1) * b : (i + 2) * b, i * b : (i + 1) * b] = m.lower[i]
-            big[i * b : (i + 1) * b, (i + 1) * b : (i + 2) * b] = m.upper[i]
-        if a:
-            big[n * b :, i * b : (i + 1) * b] = m.arrow_row[i]
-            big[i * b : (i + 1) * b, n * b :] = m.arrow_col[i]
-    if a:
-        big[n * b :, n * b :] = m.tip
+    grid = _block_grid(big, n, b)
+    i = np.arange(n)
+    grid[i, :, i, :] = m.diag
+    grid[i[1:], :, i[:-1], :] = m.lower
+    grid[i[:-1], :, i[1:], :] = m.upper
+    big[nb:, :nb] = m.arrow_row.transpose(1, 0, 2).reshape(a, nb)
+    big[:nb, nb:] = m.arrow_col.reshape(nb, a)
+    big[nb:, nb:] = m.tip
     return big
 
 
@@ -315,23 +299,24 @@ def mask_to_pattern(dense: np.ndarray, shape: tuple[int, int, int]) -> BtaMatrix
         If ``dense`` is not ``N x N`` with ``N = n*b + a``.
     """
     n, b, a = shape
-    total = n * b + a
+    nb = n * b
+    total = nb + a
     dense = np.asarray(dense, dtype=COMPLEX)
     if dense.shape != (total, total):
         raise ShapeMismatchError(
             f"dense array has shape {dense.shape}, expected {(total, total)}"
         )
-    diag = [dense[i * b : (i + 1) * b, i * b : (i + 1) * b].copy() for i in range(n)]
-    lower = [
-        dense[(i + 1) * b : (i + 2) * b, i * b : (i + 1) * b].copy() for i in range(n - 1)
-    ]
-    upper = [
-        dense[i * b : (i + 1) * b, (i + 1) * b : (i + 2) * b].copy() for i in range(n - 1)
-    ]
-    arrow_row = [dense[n * b :, i * b : (i + 1) * b].copy() for i in range(n)]
-    arrow_col = [dense[i * b : (i + 1) * b, n * b :].copy() for i in range(n)]
-    tip = dense[n * b :, n * b :].copy()
-    return BtaMatrix(n, b, a, diag, lower, upper, arrow_row, arrow_col, tip)
+    grid = _block_grid(dense, n, b)
+    i = np.arange(n)
+    return BtaMatrix(
+        n, b, a,
+        grid[i, :, i, :],
+        grid[i[1:], :, i[:-1], :],
+        grid[i[:-1], :, i[1:], :],
+        dense[nb:, :nb].reshape(a, n, b).transpose(1, 0, 2).copy(),
+        dense[:nb, nb:].reshape(n, b, a).copy(),
+        dense[nb:, nb:].copy(),
+    )
 
 
 def hermitianize(m: BtaMatrix) -> BtaMatrix:
@@ -341,14 +326,16 @@ def hermitianize(m: BtaMatrix) -> BtaMatrix:
     ``arrow_col[i] == arrow_row[i]^H``, and Hermitian diag and tip
     blocks, making it a structurally Hermitian right-hand side.
     """
-    out = m.copy()
-    for i in range(m.n):
-        out.diag[i] = (m.diag[i] + m.diag[i].conj().T) / 2.0
-    for i in range(m.n - 1):
-        out.upper[i] = (m.upper[i] + m.lower[i].conj().T) / 2.0
-        out.lower[i] = (m.lower[i] + m.upper[i].conj().T) / 2.0
-    for i in range(m.n):
-        out.arrow_row[i] = (m.arrow_row[i] + m.arrow_col[i].conj().T) / 2.0
-        out.arrow_col[i] = (m.arrow_col[i] + m.arrow_row[i].conj().T) / 2.0
-    out.tip = (m.tip + m.tip.conj().T) / 2.0
-    return out
+
+    def mean_h(x, y):  # (x + y^H) / 2, block by block
+        return (x + y.conj().swapaxes(-1, -2)) / 2.0
+
+    return BtaMatrix(
+        m.n, m.b, m.a,
+        mean_h(m.diag, m.diag),
+        mean_h(m.lower, m.upper),
+        mean_h(m.upper, m.lower),
+        mean_h(m.arrow_row, m.arrow_col),
+        mean_h(m.arrow_col, m.arrow_row),
+        mean_h(m.tip, m.tip),
+    )

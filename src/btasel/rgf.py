@@ -39,13 +39,14 @@ class RgfFactors:
     """Per-block Schur data retained between the forward and backward passes.
 
     ``s_a[i]`` is the exact inverse of the i-th updated pivot.  In fused
-    mode ``s_b[i]`` holds the quadratic Schur block for ``i < n-1`` (and,
-    for plain BT systems, ``l_sb[i]`` the forward's product
-    ``lower[i]·s_b[i]``, which the backward step reuses); the last
-    diagonal's quadratic block is formed at the start of the backward
-    pass from the forward-updated ``b_diag_last``.  For
-    arrowhead systems the arrow couplings as seen when block ``i`` was
-    eliminated are retained, together with the inverted reduced tip.
+    mode ``s_b[i]`` holds the quadratic Schur block for ``i < n-1`` and
+    ``l_sb[i]`` the forward's product ``lower[i]·s_b[i]``, which the
+    backward step reuses; the last diagonal's quadratic block is formed
+    at the start of the backward pass from the forward-updated
+    ``b_diag_last``.  For arrowhead systems the arrow couplings as seen
+    when block ``i`` was eliminated are retained, together with the
+    inverted reduced tip.  Retained blocks may be views of the working
+    copies' slots, which the forward pass writes no more once retained.
     """
 
     n: int
@@ -108,24 +109,24 @@ def bt_forward(
     for i in range(n - 1):
         s = _invert_pivot(a.diag[i], i, counter)
         factors.s_a[i] = s
-        t1 = mm(a.lower[i], s, counter)
+        lo = a.lower[i]
+        t1 = mm(lo, s, counter)
         if fused:
             w = mm(s, b.diag[i], counter)
             sb = mm(w, s, counter, tb=True)
             factors.s_b[i] = sb
-            v = mm(a.lower[i], sb, counter)
+            v = mm(lo, sb, counter)
             factors.l_sb[i] = v
-            b.diag[i + 1] = (
-                b.diag[i + 1]
-                + mm(v, a.lower[i], counter, tb=True)
-                - mm(b.lower[i], t1, counter, tb=True)
-                - mm(t1, b.upper[i], counter)
-            )
-        a.diag[i + 1] = a.diag[i + 1] - mm(t1, a.upper[i], counter)
+            bd = b.diag[i + 1]  # updated in place, as are all next-block slots
+            bd += mm(v, lo, counter, tb=True)
+            bd -= mm(b.lower[i], t1, counter, tb=True)
+            bd -= mm(t1, b.upper[i], counter)
+        ad = a.diag[i + 1]
+        ad -= mm(t1, a.upper[i], counter)
 
     factors.s_a[n - 1] = _invert_pivot(a.diag[n - 1], n - 1, counter)
     if fused:
-        factors.b_diag_last = b.diag[n - 1].copy()
+        factors.b_diag_last = b.diag[n - 1]
     return factors
 
 
@@ -143,7 +144,7 @@ def bt_backward(
     :func:`bt_forward` together with the original off-diagonal blocks of
     ``a`` and ``b`` (the forward pass never modifies off-diagonals).
     With ``diagonal_only`` the off-diagonal solution blocks are computed
-    transiently but not stored in the output containers.
+    but left zero in the output containers.
 
     This is the ``k = 1`` case of the arrowhead step (``_backstep``),
     written out by hand because it is the hot loop of small-block runs:
@@ -172,44 +173,39 @@ def bt_backward(
     x_a = BtaMatrix.zeros(n, factors.b, 0)
     x_b = BtaMatrix.zeros(n, factors.b, 0) if fused else None
 
-    xd = s_a[n - 1].copy()
-    x_a.diag[n - 1] = xd
+    # Each solution block's last operation writes its output slot.
+    xd = x_a.diag[n - 1]
+    xd[...] = s_a[n - 1]
     zd = None
     if fused:
         w = mm(s_a[n - 1], factors.b_diag_last, counter)
-        zd = mm(w, s_a[n - 1], counter, tb=True)
-        x_b.diag[n - 1] = zd
+        zd = x_b.diag[n - 1]
+        zd[...] = mm(w, s_a[n - 1], counter, tb=True)
 
     for i in range(n - 2, -1, -1):
         s = s_a[i]
         y = xd
+        lo = a.lower[i]
         f1 = mm(s, a.upper[i], counter)
-        f2 = mm(a.lower[i], s, counter)
-        x_lo = -mm(y, f2, counter)
-        x_up = -mm(f1, y, counter)
-        xd = s - mm(f1, x_lo, counter)
-        x_a.diag[i] = xd
-        if not diagonal_only:
-            x_a.lower[i] = x_lo
-            x_a.upper[i] = x_up
+        f2 = mm(lo, s, counter)
+        x_lo = np.negative(mm(y, f2, counter), out=x_a.lower[i])
+        np.negative(mm(f1, y, counter), out=x_a.upper[i])
+        xd = np.subtract(s, mm(f1, x_lo, counter), out=x_a.diag[i])
         if fused:
             z = zd
             sb = factors.s_b[i]
-            e = mm(b.lower[i], s, counter, tb=True) - factors.l_sb[i]
-            xb_lo = mm(y, e, counter) - mm(z, f1, counter, tb=True)
-            v = mm(
-                mm(s, b.upper[i], counter) - mm(sb, a.lower[i], counter, tb=True),
-                y,
-                counter,
-                tb=True,
-            )
-            xb_up = v - mm(f1, z, counter)
-            zd = sb - mm(f1, xb_lo, counter) - mm(v, f1, counter, tb=True)
-            x_b.diag[i] = zd
-            if not diagonal_only:
-                x_b.lower[i] = xb_lo
-                x_b.upper[i] = xb_up
+            e = mm(b.lower[i], s, counter, tb=True)
+            e -= factors.l_sb[i]
+            xb_lo = np.subtract(mm(y, e, counter), mm(z, f1, counter, tb=True), out=x_b.lower[i])
+            g = mm(s, b.upper[i], counter)
+            g -= mm(sb, lo, counter, tb=True)
+            v = mm(g, y, counter, tb=True)
+            np.subtract(v, mm(f1, z, counter), out=x_b.upper[i])
+            zd = np.subtract(sb, mm(f1, xb_lo, counter), out=x_b.diag[i])
+            zd -= mm(v, f1, counter, tb=True)
 
+    if diagonal_only:
+        _clear_off_diagonals(x_a, x_b)
     return SelectedSolution(x_a=x_a, x_b=x_b, mode=factors.mode)
 
 
@@ -245,6 +241,7 @@ def bta_forward(
     factors.arrow_col_elim = [None] * n
     if fused:
         factors.s_b = [None] * max(n - 1, 0)
+        factors.l_sb = [None] * max(n - 1, 0)
         factors.b_arrow_row_elim = [None] * n
         factors.b_arrow_col_elim = [None] * n
 
@@ -253,6 +250,8 @@ def bta_forward(
         factors.s_a[i] = s
         factors.arrow_row_elim[i] = a.arrow_row[i]
         factors.arrow_col_elim[i] = a.arrow_col[i]
+        # Next-block slots, updated in place; slot i stays as retained.
+        ad, ar, ac = a.diag[i + 1], a.arrow_row[i + 1], a.arrow_col[i + 1]
         if fused:
             factors.b_arrow_row_elim[i] = b.arrow_row[i]
             factors.b_arrow_col_elim[i] = b.arrow_col[i]
@@ -264,42 +263,32 @@ def bta_forward(
             g = mm(a.arrow_row[i], s, counter)
             p = mm(g, b.diag[i], counter)
             k = mm(b.diag[i], g, counter, tb=True)
-            a.diag[i + 1] = a.diag[i + 1] - mm(f, a.upper[i], counter)
-            a.arrow_row[i + 1] = a.arrow_row[i + 1] - mm(g, a.upper[i], counter)
-            a.arrow_col[i + 1] = a.arrow_col[i + 1] - mm(f, a.arrow_col[i], counter)
-            a.tip = a.tip - mm(g, a.arrow_col[i], counter)
+            ad -= mm(f, a.upper[i], counter)
+            ar -= mm(g, a.upper[i], counter)
+            ac -= mm(f, a.arrow_col[i], counter)
+            a.tip -= mm(g, a.arrow_col[i], counter)
             v = mm(a.lower[i], sb, counter)
-            b.diag[i + 1] = (
-                b.diag[i + 1]
-                + mm(v, a.lower[i], counter, tb=True)
-                - mm(b.lower[i], f, counter, tb=True)
-                - mm(f, b.upper[i], counter)
-            )
-            b.arrow_row[i + 1] = (
-                b.arrow_row[i + 1]
-                - mm(g, b.upper[i], counter)
-                + mm(p - b.arrow_row[i], f, counter, tb=True)
-            )
-            b.arrow_col[i + 1] = (
-                b.arrow_col[i + 1]
-                - mm(f, b.arrow_col[i], counter)
-                - mm(b.lower[i], g, counter, tb=True)
-                + mm(f, k, counter)
-            )
-            b.tip = (
-                b.tip
-                - mm(g, b.arrow_col[i], counter)
-                - mm(b.arrow_row[i], g, counter, tb=True)
-                + mm(p, g, counter, tb=True)
-            )
+            factors.l_sb[i] = v
+            bd, br, bc = b.diag[i + 1], b.arrow_row[i + 1], b.arrow_col[i + 1]
+            bd += mm(v, a.lower[i], counter, tb=True)
+            bd -= mm(b.lower[i], f, counter, tb=True)
+            bd -= mm(f, b.upper[i], counter)
+            br -= mm(g, b.upper[i], counter)
+            br += mm(p - b.arrow_row[i], f, counter, tb=True)
+            bc -= mm(f, b.arrow_col[i], counter)
+            bc -= mm(b.lower[i], g, counter, tb=True)
+            bc += mm(f, k, counter)
+            b.tip -= mm(g, b.arrow_col[i], counter)
+            b.tip -= mm(b.arrow_row[i], g, counter, tb=True)
+            b.tip += mm(p, g, counter, tb=True)
         else:
             # Right-hand temporaries reach the minimal mixed-shape count.
             t1 = mm(s, a.upper[i], counter)
             t2 = mm(s, a.arrow_col[i], counter)
-            a.diag[i + 1] = a.diag[i + 1] - mm(a.lower[i], t1, counter)
-            a.arrow_row[i + 1] = a.arrow_row[i + 1] - mm(a.arrow_row[i], t1, counter)
-            a.arrow_col[i + 1] = a.arrow_col[i + 1] - mm(a.lower[i], t2, counter)
-            a.tip = a.tip - mm(a.arrow_row[i], t2, counter)
+            ad -= mm(a.lower[i], t1, counter)
+            ar -= mm(a.arrow_row[i], t1, counter)
+            ac -= mm(a.lower[i], t2, counter)
+            a.tip -= mm(a.arrow_row[i], t2, counter)
 
     # Epilogue: eliminate the last diagonal block into the tip, invert it.
     i = n - 1
@@ -310,20 +299,17 @@ def bta_forward(
     if fused:
         factors.b_arrow_row_elim[i] = b.arrow_row[i]
         factors.b_arrow_col_elim[i] = b.arrow_col[i]
-        factors.b_diag_last = b.diag[i].copy()
+        factors.b_diag_last = b.diag[i]
         g = mm(a.arrow_row[i], s, counter)
         p = mm(g, b.diag[i], counter)
-        a.tip = a.tip - mm(g, a.arrow_col[i], counter)
-        b.tip = (
-            b.tip
-            - mm(g, b.arrow_col[i], counter)
-            - mm(b.arrow_row[i], g, counter, tb=True)
-            + mm(p, g, counter, tb=True)
-        )
-        factors.b_tip = b.tip.copy()
+        a.tip -= mm(g, a.arrow_col[i], counter)
+        b.tip -= mm(g, b.arrow_col[i], counter)
+        b.tip -= mm(b.arrow_row[i], g, counter, tb=True)
+        b.tip += mm(p, g, counter, tb=True)
+        factors.b_tip = b.tip
     else:
         t2 = mm(s, a.arrow_col[i], counter)
-        a.tip = a.tip - mm(a.arrow_row[i], t2, counter)
+        a.tip -= mm(a.arrow_row[i], t2, counter)
     try:
         factors.tip_schur_inv = block_inverse(a.tip, counter)
     except SingularBlockError as exc:
@@ -333,24 +319,34 @@ def bta_forward(
     return factors
 
 
-def _sum(terms):
-    """Sum of a non-empty iterable of fresh products, accumulated in place."""
-    it = iter(terms)
-    acc = next(it)
-    for t in it:
-        acc += t
-    return acc
+def _sum(k, term, out=None):
+    """``sum_{l<k} term(l)`` of fresh blocks, accumulated in place into
+    ``term(0)``; with ``out`` the last addition (or the copy of a single
+    term) lands there."""
+    acc = term(0)
+    for l in range(1, k - 1):
+        acc += term(l)
+    if k > 1:
+        return np.add(acc, term(k - 1), out=acc if out is None else out)
+    if out is None:
+        return acc
+    out[...] = acc
+    return out
 
 
-def _minus(terms, base=None):
-    """``base - sum(terms)``, or ``-sum(terms)`` without ``base``, in place."""
-    acc = _sum(terms)
+def _minus(k, term, base=None, out=None):
+    """``base - sum_l term(l)``, or ``-sum_l term(l)`` without ``base``,
+    written into ``out`` when given and in place otherwise."""
+    acc = _sum(k, term)
+    out = acc if out is None else out
     if base is None:
-        return np.negative(acc, out=acc)
-    return np.subtract(base, acc, out=acc)
+        return np.negative(acc, out=out)
+    return np.subtract(base, acc, out=out)
 
 
-def _backstep(g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None):
+def _backstep(
+    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, out=None
+):
     """One backward substitution step at a pivot with trailing couplings.
 
     ``g`` is the pivot inverse ``S``; ``rs[l]``/``qs[l]`` are the
@@ -360,7 +356,11 @@ def _backstep(g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None):
     the pivot's solution row ``X(i,j)``, column ``X(j,i)`` and diagonal
     for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
     (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
-    ``yb`` is given, for the quadratic solution.
+    ``yb`` is given, for the quadratic solution.  ``qsb[l]``, when not
+    None, is the forward's product ``Q_l·Sb``, reused instead of formed.
+    ``out``, when given, names an output slot for every block of the
+    result, in its shape; each block is written into its slot by its last
+    operation.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -372,38 +372,65 @@ def _backstep(g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None):
         Z_ii   = Sb - sum_l (F1_l·Z(l,i) + V_l·F1_l^H)
 
     which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
-    the quadratic solution at ``k`` trailing couplings (the standard RGF
-    recursion, Svizhenko et al., J. Appl. Phys. 2002).  Nothing assumes
-    ``B = B^H``.  All products are pattern-restricted: the trailing blocks
-    touched are exactly those on the BT(A) pattern of the (possibly
-    permuted) system.
+    the quadratic solution at ``k`` trailing couplings, less one per
+    reused ``Q_l·Sb`` (the standard RGF recursion, Svizhenko et al.,
+    J. Appl. Phys. 2002).  Nothing assumes ``B = B^H``.  All products are
+    pattern-restricted: the trailing blocks touched are exactly those on
+    the BT(A) pattern of the (possibly permuted) system.
     """
     k = len(rs)
     c = counter
+    none = [None] * k
+    ra, ca, da, rb, cb, db = out or (none, none, None, none, none, None)
     # Ordered, with sums formed in place, so that few temporary blocks
     # are alive at once: at large b each one shows in peak memory.
     f2 = [mm(q, g, c) for q in qs]
-    xa_col = [_minus(mm(ya[j][l], f2[l], c) for l in range(k)) for j in range(k)]
+    xa_col = [_minus(k, lambda l: mm(ya[j][l], f2[l], c), out=ca[j]) for j in range(k)]
     del f2
     f1 = [mm(g, r, c) for r in rs]
-    xa_diag = _minus((mm(f1[l], xa_col[l], c) for l in range(k)), g)
-    xa_row = [_minus(mm(f1[l], ya[l][j], c) for l in range(k)) for j in range(k)]
+    xa_diag = _minus(k, lambda l: mm(f1[l], xa_col[l], c), g, out=da)
+    xa_row = [_minus(k, lambda l: mm(f1[l], ya[l][j], c), out=ra[j]) for j in range(k)]
 
     if yb is None:
         return xa_row, xa_col, xa_diag, None, None, None
 
-    es = [mm(ws[l], g, c, tb=True) - mm(qs[l], sc, c) for l in range(k)]
-    gs = [mm(g, ss[l], c) - mm(sc, qs[l], c, tb=True) for l in range(k)]
+    es, gs = [], []
+    for l in range(k):
+        e = mm(ws[l], g, c, tb=True)
+        e -= mm(qs[l], sc, c) if qsb is None or qsb[l] is None else qsb[l]
+        gl = mm(g, ss[l], c)
+        gl -= mm(sc, qs[l], c, tb=True)
+        es.append(e)
+        gs.append(gl)
     xb_col = [
-        _sum(mm(ya[j][l], es[l], c) - mm(yb[j][l], f1[l], c, tb=True) for l in range(k))
+        _sum(k, lambda l: mm(ya[j][l], es[l], c) - mm(yb[j][l], f1[l], c, tb=True), cb[j])
         for j in range(k)
     ]
-    vs = [_sum(mm(gs[l], ya[j][l], c, tb=True) for l in range(k)) for j in range(k)]
+    vs = [_sum(k, lambda l: mm(gs[l], ya[j][l], c, tb=True)) for j in range(k)]
     xb_diag = _minus(
-        (mm(f1[l], xb_col[l], c) + mm(vs[l], f1[l], c, tb=True) for l in range(k)), sc
+        k, lambda l: mm(f1[l], xb_col[l], c) + mm(vs[l], f1[l], c, tb=True), sc, out=db
     )
-    xb_row = [_minus((mm(f1[l], yb[l][j], c) for l in range(k)), vs[j]) for j in range(k)]
+    xb_row = [
+        _minus(k, lambda l: mm(f1[l], yb[l][j], c), vs[j], out=rb[j]) for j in range(k)
+    ]
     return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
+
+
+def _out_slots(x, i, k):
+    """Output slots of backward step ``i``: the solution row (first
+    off-diagonal when ``k = 2``, arrow column), column and diagonal."""
+    row, col = [x.arrow_col[i]], [x.arrow_row[i]]
+    if k == 2:
+        row.insert(0, x.upper[i])
+        col.insert(0, x.lower[i])
+    return row, col, x.diag[i]
+
+
+def _clear_off_diagonals(*containers):
+    for x in containers:
+        if x is not None:
+            x.lower[...] = 0.0
+            x.upper[...] = 0.0
 
 
 def bta_backward(
@@ -418,7 +445,8 @@ def bta_backward(
 
     Starts from the inverted reduced tip and steps backward through the
     diagonal blocks, producing every pattern block of the solution(s):
-    diagonal, first off-diagonals, arrow strips, and tip.  ``a = 0``
+    diagonal, first off-diagonals, arrow strips, and tip.  Each block is
+    written into its output slot by its last operation.  ``a = 0``
     factors delegate to :func:`bt_backward`.
     """
     if factors.a == 0:
@@ -434,18 +462,19 @@ def bta_backward(
     x_b = BtaMatrix.zeros(n, factors.b, factors.a) if fused else None
 
     ytt = factors.tip_schur_inv
-    x_a.tip = ytt.copy()
+    x_a.tip[...] = ytt
     ztt = None
     if fused:
         w = mm(ytt, factors.b_tip, counter)
         ztt = mm(w, ytt, counter, tb=True)
-        x_b.tip = ztt.copy()
+        x_b.tip[...] = ztt
 
     # Trailing state: the previously computed diagonal row/column blocks.
     y_dd = y_dt = y_td = None
     z_dd = z_dt = z_td = None
 
     for i in range(n - 1, -1, -1):
+        ss = ws = yb = sc = qsb = None
         if i == n - 1:
             rs = [factors.arrow_col_elim[i]]
             qs = [factors.arrow_row_elim[i]]
@@ -460,8 +489,6 @@ def bta_backward(
                     counter,
                     tb=True,
                 )
-            else:
-                ss = ws = yb = sc = None
         else:
             rs = [a.upper[i], factors.arrow_col_elim[i]]
             qs = [a.lower[i], factors.arrow_row_elim[i]]
@@ -471,29 +498,19 @@ def bta_backward(
                 ws = [b.lower[i], factors.b_arrow_row_elim[i]]
                 yb = [[z_dd, z_dt], [z_td, ztt]]
                 sc = factors.s_b[i]
-            else:
-                ss = ws = yb = sc = None
+                qsb = [factors.l_sb[i], None]
 
+        k = len(rs)
+        out = _out_slots(x_a, i, k) + (_out_slots(x_b, i, k) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter
+            factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
         )
-
-        x_a.diag[i] = xa_diag
-        x_a.arrow_col[i] = xa_row[-1]
-        x_a.arrow_row[i] = xa_col[-1]
-        if i < n - 1 and not diagonal_only:
-            x_a.upper[i] = xa_row[0]
-            x_a.lower[i] = xa_col[0]
         y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
         if fused:
-            x_b.diag[i] = xb_diag
-            x_b.arrow_col[i] = xb_row[-1]
-            x_b.arrow_row[i] = xb_col[-1]
-            if i < n - 1 and not diagonal_only:
-                x_b.upper[i] = xb_row[0]
-                x_b.lower[i] = xb_col[0]
             z_dd, z_dt, z_td = xb_diag, xb_row[-1], xb_col[-1]
 
+    if diagonal_only:
+        _clear_off_diagonals(x_a, x_b)
     return SelectedSolution(x_a=x_a, x_b=x_b, mode=factors.mode)
 
 
@@ -517,7 +534,9 @@ def solve_selected(
     Dispatches on the arrow size (plain BT vs. arrowhead) and never
     mutates its inputs.  ``mode`` defaults to ``"siq"`` when ``b`` is
     given and ``"si"`` otherwise; ``timings``, when provided, receives
-    the wall-clock seconds of the forward and backward sweeps.
+    the wall-clock seconds of the forward and backward sweeps.  Raises
+    :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
+    holds a NaN or infinite entry.
     """
     if mode is None:
         mode = "si" if b is None else "siq"
@@ -525,8 +544,13 @@ def solve_selected(
         raise ValueError(f"mode must be 'si' or 'siq', got {mode!r}")
     if mode == "siq" and b is None:
         raise ValueError("mode 'siq' requires a right-hand side")
-    rhs = b.copy() if (b is not None and mode == "siq") else None
-    work = a.copy()
+    a.require_finite("a")
+    if mode == "siq":
+        b.require_finite("b")
+    # The sweeps never write the off-diagonal stacks: the working copies
+    # share them with the inputs instead of copying them.
+    rhs = b.copy(share=("lower", "upper")) if mode == "siq" else None
+    work = a.copy(share=("lower", "upper"))
 
     t0 = perf_counter()
     factors = bta_forward(work, rhs, counter)

@@ -278,7 +278,8 @@ def test_worker_error_carries_rank():
 def test_middle_backward_per_step_counts():
     # The middle backward step has k = 3 trailing couplings (fill,
     # next diagonal, tip): 2k^2+3k = 27 (si) and 6k^2+9k = 81 (siq)
-    # products, measured as rank 1's tally minus its forward pass.
+    # products less the forward's two reused coupling·Sb (79), measured
+    # as rank 1's tally minus its forward pass.
     def middle_backward(n, fused):
         a, rhs = random_system(n, 4, 2, seed=10)
         rhs = rhs if fused else None
@@ -294,7 +295,7 @@ def test_middle_backward_per_step_counts():
         return hi - lo - 2, counts
 
     si = {"bbb": 14, "abb": 3, "bba": 3, "bab": 5, "aab": 1, "baa": 1}
-    siq = {"bbb": 42, "abb": 9, "bba": 9, "bab": 15, "aab": 3, "baa": 3}
+    siq = {"bbb": 40, "abb": 9, "bba": 9, "bab": 15, "aab": 3, "baa": 3}
     for fused, step in ((False, si), (True, siq)):
         steps1, c1 = middle_backward(16, fused)
         steps2, c2 = middle_backward(24, fused)

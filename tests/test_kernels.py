@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import btasel.dist
+import btasel.kernels
 import btasel.rgf
 from btasel import (
     OpCounter,
@@ -182,6 +185,41 @@ class TestBlockInverse:
         eye = np.eye(size, dtype=complex)
         want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), eye)
         assert block_inverse(a).tobytes() == want.tobytes()
+
+    def test_identity_cache_filled_from_threads(self, rng, monkeypatch):
+        # Rank threads invert blocks at the same time.  Each inversion must
+        # get its own copy of the cached identity, which zgetrs overwrites.
+        monkeypatch.setattr(btasel.kernels, "_EYE", {})
+        sizes = [1, 2, 3, 4, 5, 8, 16]
+        blocks = {n: [_dd_block(rng, n) for _ in range(3)] for n in sizes}
+        want = {
+            n: [scipy.linalg.lu_solve(scipy.linalg.lu_factor(x), np.eye(n)).tobytes() for x in xs]
+            for n, xs in blocks.items()
+        }
+        mismatches = []
+
+        def work(seed):
+            for n in np.random.default_rng(seed).permutation(sizes * 10):
+                for x, w in zip(blocks[n], want[n]):
+                    if block_inverse(x).tobytes() != w:
+                        mismatches.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert sorted(btasel.kernels._EYE) == sizes
+        for n, eye in btasel.kernels._EYE.items():
+            assert eye.flags.f_contiguous
+            assert np.array_equal(eye, np.eye(n))
 
     def test_real_input(self, rng):
         a = _dd_block(rng, 6).real

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,12 @@ from btasel import (
     generate_dd_bta,
     hermitianize,
     mask_to_pattern,
+    read_bta,
+    solve_selected,
     to_dense,
+    write_bta,
 )
+from btasel.matrix import stack_shapes
 
 
 def _pattern_mask(n, b, a):
@@ -167,3 +173,112 @@ class TestContainer:
 
     def test_total_size(self):
         assert generate_dd_bta(3, 2, 1, seed=1).total_size == 7
+
+
+def _sha256(m, tmp_path):
+    path = tmp_path / "m.bta"
+    write_bta(m, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestStackedStorage:
+    # SHA-256 of the BTA1 bytes, as written by the list-of-blocks storage
+    # this layout replaced: the generator, ``hermitianize`` and the solver
+    # must not change a bit.
+    GENERATED = {
+        (1, 1, 0): "b4764d7070cd06a65263e2dc5d45d2c67a9b81a16b2b54ba3d7095c1fa8db291",
+        (7, 3, 2): "da7460034a799df8886dd73ca2ac9c9d3272f30a8d28c7455bdadd6685c5ab22",
+        (256, 4, 0): "f2b0a43946452ba18609acbf43e223405857c7994bfe5542ea0b67c39f91715f",
+    }
+    HERMITIANIZED = {
+        (1, 1, 0): "f3c9e74464dff5bae8666833556eadc644b29576e56e2a232c455cd5da15b3fc",
+        (7, 3, 2): "2dfa92e621ac9dba428ae4202c3eae834908195e7b6ec4a8ed00572029adeaa4",
+        (256, 4, 0): "640a75868dc103e3c7d0d48d88855f96baee9f8c873139755afb54cb09b16f7b",
+    }
+    SOLVED = {
+        "si x_a": "74cbe76d0f12cc488eb475ab6987243260fad0755bfdc7c703be8035439f3fd7",
+        "siq x_a": "80efe2cf07de3b0ce0440c70d52b88de771a0fe71bfe3c244ab68e39ff2c3ffd",
+        "siq x_b": "ae06dc5779d8d4d6d25759406bc08445731c2f2c64791015169a85314b5c28b4",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GENERATED))
+    def test_generator_bits_pinned(self, tmp_path, shape):
+        assert _sha256(generate_dd_bta(*shape, seed=11), tmp_path) == self.GENERATED[shape]
+        rhs = hermitianize(generate_dd_bta(*shape, seed=12))
+        assert _sha256(rhs, tmp_path) == self.HERMITIANIZED[shape]
+
+    def test_solver_bits_pinned(self, tmp_path):
+        a = generate_dd_bta(7, 3, 2, seed=11)
+        rhs = hermitianize(generate_dd_bta(7, 3, 2, seed=12))
+        si, siq = solve_selected(a), solve_selected(a, rhs)
+        got = {
+            "si x_a": _sha256(si.x_a, tmp_path),
+            "siq x_a": _sha256(siq.x_a, tmp_path),
+            "siq x_b": _sha256(siq.x_b, tmp_path),
+        }
+        assert got == self.SOLVED
+
+    @pytest.mark.parametrize("shape", [(1, 3, 0), (1, 2, 2), (4, 3, 0), (5, 2, 3)])
+    def test_fields_are_contiguous_stacks(self, tmp_path, shape):
+        m = generate_dd_bta(*shape, seed=3)
+        write_bta(m, tmp_path / "m.bta")
+        made = [
+            m,
+            m.copy(),
+            BtaMatrix.zeros(*shape),
+            BtaMatrix.identity(*shape),
+            hermitianize(m),
+            mask_to_pattern(to_dense(m), shape),
+            read_bta(tmp_path / "m.bta"),
+            solve_selected(m, m).x_b,
+        ]
+        for x in made:
+            for name, shape_i in zip(BtaMatrix.FIELDS, stack_shapes(*shape)):
+                field = getattr(x, name)
+                assert field.shape == shape_i, name
+                assert field.dtype == np.complex128, name
+                assert field.flags.c_contiguous, name
+
+    def test_copy_shares_no_memory(self):
+        m = generate_dd_bta(4, 3, 2, seed=5)
+        c = m.copy()
+        assert c.equals_exact(m)
+        for name in BtaMatrix.FIELDS:
+            assert not np.shares_memory(getattr(c, name), getattr(m, name)), name
+
+    def test_copy_shares_only_the_named_fields(self):
+        m = generate_dd_bta(4, 3, 2, seed=5)
+        c = m.copy(share=("lower", "upper"))
+        assert c.equals_exact(m)
+        for name in BtaMatrix.FIELDS:
+            shared = getattr(c, name) is getattr(m, name)
+            assert shared == (name in ("lower", "upper")), name
+
+    def test_mask_to_pattern_copies(self):
+        # A single-entry tip or arrow strip of a 1x1-block dense array is
+        # contiguous; it must still be copied out.
+        dense = np.arange(4, dtype=complex).reshape(2, 2)
+        m = mask_to_pattern(dense, (1, 1, 1))
+        for name in BtaMatrix.FIELDS:
+            assert not np.shares_memory(getattr(m, name), dense), name
+
+    def test_blocks_and_stacks_build_equal_containers(self):
+        m = generate_dd_bta(5, 3, 2, seed=9)
+        from_blocks = BtaMatrix(5, 3, 2, *([blk for blk in x] for x in m.stacks[:-1]), m.tip)
+        from_stacks = BtaMatrix(5, 3, 2, *m.stacks)
+        assert from_blocks.equals_exact(m)
+        assert from_stacks.equals_exact(m)
+        # A C-contiguous complex128 stack is taken as given.
+        assert all(x is y for x, y in zip(from_stacks.stacks, m.stacks))
+
+    def test_single_block_has_empty_off_diagonal_stacks(self):
+        m = BtaMatrix(1, 2, 0, [np.eye(2)], [], [])
+        assert m.lower.shape == m.upper.shape == (0, 2, 2)
+        assert m.arrow_row.shape == (1, 0, 2)
+        assert m.equals_exact(BtaMatrix.identity(1, 2, 0))
+
+    def test_ragged_blocks_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            BtaMatrix(2, 2, 0, [np.eye(2), np.eye(2)[:1]], [np.eye(2)], [np.eye(2)])
+        with pytest.raises(ShapeMismatchError):
+            BtaMatrix(2, 2, 1, [np.eye(2)] * 2, [np.eye(2)], [np.eye(2)], tip=np.eye(2))

@@ -9,12 +9,14 @@ from conftest import (
 
 from btasel import (
     BtaMatrix,
+    NonFiniteInputError,
     OpCounter,
     SingularBlockError,
     bt_backward,
     bt_forward,
     bta_backward,
     bta_forward,
+    dist_solve,
     generate_dd_bta,
     solve_selected,
     to_dense,
@@ -183,12 +185,13 @@ class TestBackwardStep:
         assert self._step_counts(4, 0, fused=False) == {"bbb": 5}
 
     def test_bta_step_counts(self):
-        # k = 2 trailing couplings: 2k^2+3k = 14 (si), 6k^2+9k = 42 (siq).
+        # k = 2 trailing couplings: 2k^2+3k = 14 (si), 6k^2+9k = 42 (siq)
+        # less the forward's L·Sb, reused: 41.
         assert self._step_counts(8, 4, fused=False) == {
             "bbb": 5, "bba": 2, "abb": 2, "bab": 3, "aab": 1, "baa": 1,
         }
         assert self._step_counts(8, 4, fused=True) == {
-            "bbb": 15, "bba": 6, "abb": 6, "bab": 9, "aab": 3, "baa": 3,
+            "bbb": 14, "bba": 6, "abb": 6, "bab": 9, "aab": 3, "baa": 3,
         }
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -309,3 +312,19 @@ def test_identity_residual_beyond_dense_sizes():
     a = generate_dd_bta(6, 128, 16, seed=77)
     sol = solve_selected(a)
     assert identity_block_row_residual(a, sol.x_a) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", ["solve_selected", "dist_solve"])
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("field", BtaMatrix.FIELDS)
+def test_non_finite_input_rejected(entry, operand, field):
+    a, rhs = random_system(6, 3, 2, seed=21)
+    bad = a if operand == "a" else rhs
+    # The tip is a single block; the stacks take their third block.
+    blk = bad.tip if field == "tip" else getattr(bad, field)[2]
+    blk[0, -1] = np.nan if field in ("diag", "arrow_row", "tip") else np.inf
+    with pytest.raises(NonFiniteInputError, match=f"{operand}.{field}"):
+        if entry == "solve_selected":
+            solve_selected(a, rhs, "siq")
+        else:
+            dist_solve(a, rhs, num_parts=2, mode="siq")
