@@ -112,7 +112,11 @@ def run_benchmark(
     repeat: int = 10,
     residual_oracle: bool = False,
 ) -> BenchReport:
-    """Run one benchmark point: ``repeat`` timed solves of the same input."""
+    """Run one benchmark point: ``repeat`` timed solves of the same input.
+
+    An untimed solve first warms up and takes the operation counts; the
+    timed solves run without counting.
+    """
     if algo not in ALGOS:
         raise ValueError(f"algo must be one of {ALGOS}, got {algo!r}")
     if repeat < 1:
@@ -120,15 +124,15 @@ def run_benchmark(
     if mode is None:
         mode = "si" if b is None else "siq"
 
+    counter = OpCounter(b=a.b, a=a.a)
+    _solve_once(algo, a, b, mode, parts, counter, {})
     phase_samples = {phase: [] for phase in PHASES}
     totals = []
-    counter = None
     solution = None
     for _ in range(repeat):
-        counter = OpCounter(b=a.b, a=a.a)
         timings: dict = {}
         t0 = perf_counter()
-        solution = _solve_once(algo, a, b, mode, parts, counter, timings)
+        solution = _solve_once(algo, a, b, mode, parts, None, timings)
         totals.append(perf_counter() - t0)
         for phase in PHASES:
             phase_samples[phase].append(timings.get(phase, 0.0))

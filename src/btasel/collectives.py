@@ -205,18 +205,13 @@ class SocketCollectives(Collectives):
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._listener.bind((host, port))
             self._listener.listen(world_size)
-            self._listener.settimeout(timeout)
             self._peers: dict[int, socket.socket] = {}
-            while len(self._peers) < world_size - 1:
-                try:
-                    conn, _ = self._listener.accept()
-                except socket.timeout as exc:
-                    raise ProtocolError(
-                        f"rendezvous timed out with {len(self._peers) + 1} of "
-                        f"{world_size} ranks present"
-                    ) from exc
-                peer_rank, _, _ = _recv_frame(conn)
-                self._peers[peer_rank] = conn
+            try:
+                while len(self._peers) < world_size - 1:
+                    self._accept_peer(deadline)
+            except BaseException:
+                self.close()
+                raise
         else:
             # Ranks may start before the hub listens; retry until the deadline.
             self._hub = None
@@ -230,6 +225,38 @@ class SocketCollectives(Collectives):
             self._hub.settimeout(None)
             _send_frame(self._hub, rank, 0, b"")
 
+    def _accept_peer(self, deadline: float) -> None:
+        """Accept one connection and register it under its hello rank.
+
+        The rank must lie in ``1..world_size-1`` and not be taken yet;
+        anything else closes the connection and raises ``ProtocolError``.
+        """
+        try:
+            self._listener.settimeout(max(deadline - time.monotonic(), 1e-3))
+            conn, _ = self._listener.accept()
+        except socket.timeout as exc:
+            raise ProtocolError(
+                f"rendezvous timed out with {len(self._peers) + 1} of "
+                f"{self.world_size} ranks present"
+            ) from exc
+        try:
+            conn.settimeout(max(deadline - time.monotonic(), 1e-3))
+            peer_rank, _, _ = _recv_frame(conn)
+            if not 1 <= peer_rank < self.world_size:
+                raise ProtocolError(
+                    f"hello from rank {peer_rank}, outside 1..{self.world_size - 1}"
+                )
+            if peer_rank in self._peers:
+                raise ProtocolError(f"hello from rank {peer_rank}, which is already connected")
+            conn.settimeout(None)
+        except socket.timeout as exc:
+            conn.close()
+            raise ProtocolError("rendezvous timed out waiting for a hello frame") from exc
+        except BaseException:
+            conn.close()
+            raise
+        self._peers[peer_rank] = conn
+
     @classmethod
     def from_env(cls) -> "SocketCollectives":
         return cls(
@@ -238,6 +265,16 @@ class SocketCollectives(Collectives):
             rendezvous=os.environ[ENV_RENDEZVOUS],
         )
 
+    @staticmethod
+    def _recv_from(peer: int, sock: socket.socket, round_id: int) -> bytes:
+        """Receive one frame from ``peer``; it must carry that rank and round."""
+        frame_rank, frame_round, payload = _recv_frame(sock)
+        if frame_rank != peer:
+            raise ProtocolError(f"frame tagged rank {frame_rank} on rank {peer}'s connection")
+        if frame_round != round_id:
+            raise ProtocolError(f"round mismatch: got {frame_round}, expected {round_id}")
+        return payload
+
     def _round_trip(self, blob: bytes) -> list[bytes]:
         """Send this rank's blob, receive everyone's, ordered by rank."""
         round_id = self._round
@@ -245,15 +282,8 @@ class SocketCollectives(Collectives):
         if self.rank == 0:
             blobs = [None] * self.world_size
             blobs[0] = blob
-            for sock in self._peers.values():
-                peer_rank, peer_round, payload = _recv_frame(sock)
-                if peer_round != round_id:
-                    raise ProtocolError(
-                        f"round mismatch: got {peer_round}, expected {round_id}"
-                    )
-                blobs[peer_rank] = payload
-            if any(p is None for p in blobs):
-                raise ProtocolError("missing contribution in collective round")
+            for peer, sock in self._peers.items():
+                blobs[peer] = self._recv_from(peer, sock, round_id)
             bundle = b"".join(
                 _FRAME_HEADER.pack(r, round_id, len(p)) + p for r, p in enumerate(blobs)
             )
@@ -321,11 +351,8 @@ class SocketCollectives(Collectives):
         if self.rank == 0:
             blobs = [None] * self.world_size
             blobs[0] = blob
-            for sock in self._peers.values():
-                peer_rank, peer_round, payload = _recv_frame(sock)
-                if peer_round != round_id:
-                    raise ProtocolError("round mismatch in gather_to_root")
-                blobs[peer_rank] = payload
+            for peer, sock in self._peers.items():
+                blobs[peer] = self._recv_from(peer, sock, round_id)
             return blobs
         _send_frame(self._hub, self.rank, round_id, blob)
         return None

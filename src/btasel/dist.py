@@ -738,9 +738,11 @@ def _merge_slices(a: BtaMatrix, mode: str, slices: list[dict]) -> SelectedSoluti
     return SelectedSolution(x_a=x_a, x_b=x_b, mode=mode)
 
 
-def _run_rank(a, b, plan, rank, coll, mode):
-    counter = OpCounter(b=a.b, a=a.a)
-    reduced_counter = OpCounter(b=a.b, a=a.a)
+def _run_rank(a, b, plan, rank, coll, mode, counting):
+    # Every rank solves the same reduced system; only rank 0's tally of it
+    # is kept, so the other ranks do not count it.
+    counter = OpCounter(b=a.b, a=a.a) if counting else None
+    reduced_counter = OpCounter(b=a.b, a=a.a) if counting and rank == 0 else None
     t0 = perf_counter()
     payload, tip_delta, factors = local_forward(a, b, plan, rank, counter)
     t1 = perf_counter()
@@ -781,7 +783,9 @@ def dist_solve(
 
     The aggregated ``counter`` receives every rank's local operations
     plus the (replicated, counted once) reduced solve; ``rank_counters``
-    receives the per-rank local tallies.  Raises
+    receives the per-rank local tallies (on a socket rank, its own).
+    Operations are counted only when ``counter`` or ``rank_counters`` is
+    passed; without either, no rank builds a tally.  Raises
     :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
     holds a NaN or infinite entry.
     """
@@ -798,19 +802,24 @@ def dist_solve(
         b.require_finite("b")
 
     plan = plan_partitions(a.n, num_parts, mode)
+    counting = counter is not None or rank_counters is not None
 
     if isinstance(transport, SocketCollectives):
         if transport.world_size != num_parts:
             raise ProtocolError(
                 f"transport world size {transport.world_size} != num_parts {num_parts}"
             )
-        sl, cnt, red_cnt, phases = _run_rank(a, b, plan, transport.rank, transport, mode)
+        sl, cnt, red_cnt, phases = _run_rank(
+            a, b, plan, transport.rank, transport, mode, counting
+        )
         if timings is not None:
             timings.update(phases)
         if counter is not None:
             counter.merge(cnt)
             if transport.rank == 0:
                 counter.merge(red_cnt)
+        if rank_counters is not None:
+            rank_counters.append(cnt)
         blobs = transport.gather_to_root(_slice_to_bytes(sl))
         if transport.rank != 0:
             return None
@@ -825,7 +834,7 @@ def dist_solve(
 
     def run(rank: int):
         try:
-            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode)
+            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting)
         except BaseException:
             hub.abort()  # release peers blocked inside a collective round
             raise

@@ -37,6 +37,32 @@ def test_counts_match_opcounter():
     assert report.counts["gemm_bbb"] == 2 * (6 - 1) + 5 * (6 - 1)  # forward + backward
 
 
+@pytest.mark.parametrize("algo, parts", [("rgf", 1), ("dist", 2)])
+def test_counts_in_one_untimed_warmup(monkeypatch, algo, parts):
+    # Counting costs time at small blocks: one solve before the clock
+    # starts takes the counts, and the timed solves run without a counter.
+    import btasel.bench as bench
+
+    events = []
+    solve_once, clock = bench._solve_once, bench.perf_counter
+
+    def solve_spy(algo, a, b, mode, parts, counter, timings):
+        events.append("counted" if counter is not None else "uncounted")
+        return solve_once(algo, a, b, mode, parts, counter, timings)
+
+    def clock_spy():
+        events.append("clock")
+        return clock()
+
+    monkeypatch.setattr(bench, "_solve_once", solve_spy)
+    monkeypatch.setattr(bench, "perf_counter", clock_spy)
+    a = generate_dd_bta(8, 4, 1, seed=8)
+    run_benchmark(algo, a, a, mode="siq", parts=parts, repeat=3)
+    assert events.count("counted") == 1
+    assert events.count("uncounted") == 3
+    assert events.index("counted") < events.index("clock")
+
+
 def test_forward_counts_column():
     # The forward-pass count column reproduces the per-step table figure
     # for the BT selected inversion: 2(n-1) b-sized products.

@@ -1,12 +1,13 @@
 import multiprocessing
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from btasel import ProtocolError, ThreadHub
-from btasel.collectives import SocketCollectives
+from btasel.collectives import _FRAME_HEADER, SocketCollectives
 from btasel.dist import BoundaryPayload
 
 
@@ -181,3 +182,88 @@ def test_reduce_shape_mismatch_raises():
     for t in threads:
         t.join()
     assert errors
+
+
+class TestRendezvousValidation:
+    # Rank 0 runs in a thread with a short deadline; raw client sockets
+    # play the other ranks and send what a faulty or foreign peer might.
+    TIMEOUT = 5.0
+
+    def _hub(self, world, port, then=None, timeout=TIMEOUT):
+        outcome = {}
+
+        def run():
+            try:
+                coll = SocketCollectives(world, 0, f"127.0.0.1:{port}", timeout=timeout)
+                try:
+                    if then is not None:
+                        then(coll)
+                finally:
+                    coll.close()
+            except Exception as exc:  # noqa: BLE001 - inspected by the test
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread, outcome
+
+    def _peer(self, port, rank):
+        deadline = time.monotonic() + self.TIMEOUT
+        while True:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=self.TIMEOUT)
+                break
+            except ConnectionRefusedError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
+        if rank is not None:
+            sock.sendall(_FRAME_HEADER.pack(rank, 0, 0))
+        return sock
+
+    def _expect_protocol_error(self, thread, outcome, started):
+        thread.join(timeout=2 * self.TIMEOUT)
+        assert not thread.is_alive()
+        assert isinstance(outcome.get("error"), ProtocolError), outcome
+        assert time.monotonic() - started < self.TIMEOUT
+
+    @pytest.mark.parametrize("hellos", [[0], [3], [7], [1, 1], [2, 0]])
+    def test_bad_hello_rank(self, hellos):
+        port = _free_port()
+        started = time.monotonic()
+        thread, outcome = self._hub(3, port)
+        peers = [self._peer(port, rank) for rank in hellos]
+        try:
+            self._expect_protocol_error(thread, outcome, started)
+        finally:
+            for sock in peers:
+                sock.close()
+
+    def test_missing_hello_times_out(self):
+        port = _free_port()
+        thread, outcome = self._hub(2, port, timeout=1.0)
+        peer = self._peer(port, None)
+        try:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert isinstance(outcome.get("error"), ProtocolError), outcome
+        finally:
+            peer.close()
+
+    @pytest.mark.parametrize(
+        "collective",
+        [lambda c: c.all_reduce_sum(np.zeros(1)), lambda c: c.gather_to_root(b"x")],
+        ids=["all_reduce_sum", "gather_to_root"],
+    )
+    def test_frame_rank_must_match_connection(self, collective):
+        # Registered as rank 1, the peer tags its round-0 frame as rank 0:
+        # rank 0's own contribution must not be overwritten.
+        port = _free_port()
+        started = time.monotonic()
+        thread, outcome = self._hub(2, port, collective)
+        peer = self._peer(port, 1)
+        try:
+            peer.sendall(_FRAME_HEADER.pack(0, 0, 1) + b"y")
+            self._expect_protocol_error(thread, outcome, started)
+        finally:
+            peer.close()

@@ -1,5 +1,7 @@
 import multiprocessing
 import socket
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -314,6 +316,130 @@ def test_counters_aggregate():
     assert len(per_rank) == 3
     local_sum = sum(c.gemm_by_shape["bbb"] for c in per_rank)
     assert counter.gemm_by_shape["bbb"] > local_sum  # includes the reduced solve
+
+
+def test_no_tally_without_counter(monkeypatch):
+    # Instrumentation is off unless asked for: no rank may count a product
+    # that nobody reads.
+    recorded = []
+    record = OpCounter.record_gemm
+
+    def spy(self, *dims):
+        recorded.append(dims)
+        record(self, *dims)
+
+    monkeypatch.setattr(OpCounter, "record_gemm", spy)
+    a, rhs = random_system(16, 3, 2, seed=21)
+    dist_solve(a, rhs, num_parts=2, mode="siq")
+    assert recorded == []
+    dist_solve(a, rhs, num_parts=2, mode="siq", counter=OpCounter(b=3, a=2))
+    assert recorded
+
+
+_GEMM_CLASSES = ("aaa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb")
+
+
+def _tally(gemms, inv):
+    counts = {f"gemm_{k}": v for k, v in zip(_GEMM_CLASSES, gemms) if v}
+    counts.update(lu=inv, trsm=2 * inv, inv=inv)
+    return counts
+
+
+class TestCountingOnRequest:
+    # random_system(16, 3, 2, seed=21): the aggregate tally, then each
+    # rank's, as counted before counting was made optional.  Gemm counts in
+    # _GEMM_CLASSES order, then the inversions (one LU and two TRSM each).
+    TALLIES = {
+        (2, "si"): [
+            ((0, 16, 16, 46, 16, 46, 62, 105), 17),
+            ((0, 7, 7, 21, 7, 21, 28, 49), 7),
+            ((0, 7, 7, 21, 7, 21, 28, 49), 7),
+        ],
+        (2, "siq"): [
+            ((2, 48, 64, 170, 48, 138, 168, 332), 17),
+            ((0, 21, 28, 77, 21, 63, 77, 154), 7),
+            ((0, 21, 28, 77, 21, 63, 77, 154), 7),
+        ],
+        (3, "si"): [
+            ((0, 16, 16, 49, 16, 48, 63, 118), 17),
+            ((0, 6, 6, 18, 6, 18, 24, 42), 6),
+            ((0, 1, 1, 6, 1, 5, 5, 20), 1),
+            ((0, 5, 5, 15, 5, 15, 20, 35), 5),
+        ],
+        (3, "siq"): [
+            ((2, 48, 64, 178, 48, 144, 174, 372), 17),
+            ((0, 18, 24, 66, 18, 54, 66, 132), 6),
+            ((0, 3, 4, 19, 3, 15, 17, 62), 1),
+            ((0, 15, 20, 55, 15, 45, 55, 110), 5),
+        ],
+    }
+
+    @staticmethod
+    def _solve(parts, mode, counter=None, rank_counters=None, transport=None):
+        a, rhs = random_system(16, 3, 2, seed=21)
+        rhs = rhs if mode == "siq" else None
+        return dist_solve(
+            a,
+            rhs,
+            num_parts=parts,
+            mode=mode,
+            transport=transport,
+            counter=counter,
+            rank_counters=rank_counters,
+        )
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    @pytest.mark.parametrize("ask", ["counter", "rank_counters", "both"])
+    def test_tallies_unchanged(self, parts, mode, ask):
+        total, *ranks = (_tally(*t) for t in self.TALLIES[(parts, mode)])
+        counter = OpCounter(b=3, a=2) if ask != "rank_counters" else None
+        per_rank = [] if ask != "counter" else None
+        self._solve(parts, mode, counter, per_rank)
+        if counter is not None:
+            assert counter.as_dict() == total
+        if per_rank is not None:
+            assert [c.as_dict() for c in per_rank] == ranks
+
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    def test_socket_ranks_tally_their_own(self, mode):
+        # Both ranks of a socket run, in threads of this process: each keeps
+        # its local tally, and rank 0 adds the reduced solve.
+        total, *ranks = (_tally(*t) for t in self.TALLIES[(2, mode)])
+        port = _free_port()
+        got, errors = {}, []
+
+        def run(rank):
+            try:
+                coll = SocketCollectives(2, rank, f"127.0.0.1:{port}", timeout=30.0)
+                try:
+                    counter, per_rank = OpCounter(b=3, a=2), []
+                    self._solve(2, mode, counter, per_rank, coll)
+                    got[rank] = counter.as_dict(), [c.as_dict() for c in per_rank]
+                finally:
+                    coll.close()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(rank,)) for rank in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert got[0][1] == ranks[:1]
+        assert got[1] == (ranks[1], ranks[1:])
+        assert Counter(got[0][0]) + Counter(got[1][0]) == Counter(total)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    def test_counting_does_not_change_bits(self, parts, mode):
+        plain = self._solve(parts, mode)
+        counted = self._solve(parts, mode, OpCounter(b=3, a=2), [])
+        assert plain.x_a.equals_exact(counted.x_a)
+        if mode == "siq":
+            assert plain.x_b.equals_exact(counted.x_b)
 
 
 def test_timings_phases():
