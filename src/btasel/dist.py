@@ -1,16 +1,19 @@
 """Distributed-memory selected inversion and quadratic solution.
 
 The diagonal blocks are split into contiguous partitions.  Each worker
-eliminates its interior blocks independently: the first partition sweeps
-down into its bottom boundary block, the last sweeps up into its top
-boundary block, and middle partitions sweep down from below their top
-boundary while maintaining fill-in couplings to it.  The updated
-boundary blocks, fill-in coupling pairs, and arrow strips are exchanged
-in a single AllGather; the tip contributions are summed in a single
-AllReduce.  Every rank then assembles and redundantly solves the same
-small reduced arrowhead system, seeds its partition boundaries with the
-reduced solution, and back-substitutes its interior blocks in
-embarrassingly parallel fashion.
+eliminates its interior blocks independently: the first partition runs
+the sequential forward sweep of :mod:`btasel.rgf` down into its bottom
+boundary block, the last runs the same sweep on its block-reversed
+blocks up into its top boundary block, and middle partitions sweep down
+from below their top boundary while maintaining fill-in couplings to
+it.  The updated boundary blocks, fill-in coupling pairs, and arrow
+strips are exchanged in a single AllGather; the tip contributions are
+summed in a single AllReduce.  Every rank then assembles and
+redundantly solves the same small reduced arrowhead system, seeds its
+partition boundaries with the reduced solution, and back-substitutes
+its interior blocks in embarrassingly parallel fashion, into stacks of
+its own blocks.  The separators between partitions and the tip are
+taken from the reduced solution when the slices are merged.
 
 The communication contract is exactly one AllGather round plus (for
 arrowhead systems) one AllReduce round per solve, with deterministic,
@@ -23,15 +26,26 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .collectives import Collectives, SocketCollectives, ThreadHub
 from .errors import ProtocolError, WorkerError
+from .fileio import decode_bta, encode_bta
 from .kernels import COMPLEX, OpCounter, mm
-from .matrix import BtaMatrix, SelectedSolution
+from .matrix import BtaMatrix, SelectedSolution, stack_shapes
 from .partition import PartitionPlan, plan_partitions
-from .rgf import _backstep, _invert_pivot, solve_selected
+from .rgf import (
+    RgfFactors,
+    _backstep,
+    _backward_sweep,
+    _forward_sweep,
+    _invert_pivot,
+    _new_factors,
+    _out_slots,
+    solve_selected,
+)
 
 __all__ = [
     "BoundaryPayload",
@@ -132,25 +146,54 @@ class BoundaryPayload:
 
 
 @dataclass
-class LocalFactors:
-    """Per-rank elimination data retained for the local backward pass."""
+class LocalFactors(RgfFactors):
+    """A middle partition's elimination data, one entry per interior block
+    in elimination order: the :class:`RgfFactors` lists plus the fill-in
+    couplings to the top boundary as seen at each elimination."""
 
-    kind: str
-    lo: int
-    hi: int
-    mode: str
-    s_a: dict = field(default_factory=dict)
-    s_b: dict = field(default_factory=dict)
-    l_sb: dict = field(default_factory=dict)  # coupling·s_b, formed by the forward
-    fill_sb: dict = field(default_factory=dict)  # fill_row·s_b (middle kind)
-    arrow_row_elim: dict = field(default_factory=dict)
-    arrow_col_elim: dict = field(default_factory=dict)
-    b_arrow_row_elim: dict = field(default_factory=dict)
-    b_arrow_col_elim: dict = field(default_factory=dict)
-    fill_row: dict = field(default_factory=dict)  # A'(lo, j) at elimination of j
-    fill_col: dict = field(default_factory=dict)  # A'(j, lo)
-    b_fill_row: dict = field(default_factory=dict)
-    b_fill_col: dict = field(default_factory=dict)
+    fill_row: list = field(default_factory=list)  # A'(top, j)
+    fill_col: list = field(default_factory=list)  # A'(j, top)
+    b_fill_row: list = field(default_factory=list)
+    b_fill_col: list = field(default_factory=list)
+    fill_sb: list = field(default_factory=list)  # fill_row·s_b
+
+
+class _Stacks(NamedTuple):
+    """The stacks of a :class:`BtaMatrix` but the tip, as the sweeps read them."""
+
+    diag: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    arrow_row: np.ndarray
+    arrow_col: np.ndarray
+
+
+def _view(m, lo: int, hi: int, reverse: bool) -> _Stacks:
+    """Views of blocks ``lo..hi-1`` of ``m`` and the couplings between
+    them; with ``reverse`` in reverse block order, which swaps the roles
+    of ``lower`` and ``upper``."""
+    d, lower, upper = m.diag[lo:hi], m.lower[lo : hi - 1], m.upper[lo : hi - 1]
+    r, c = m.arrow_row[lo:hi], m.arrow_col[lo:hi]
+    if reverse:
+        return _Stacks(d[::-1], upper[::-1], lower[::-1], r[::-1], c[::-1])
+    return _Stacks(d, lower, upper, r, c)
+
+
+def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
+    """A partition's working stacks: copies of the slots the forward
+    sweep updates, the off-diagonals shared with ``m``."""
+    v = _view(m, lo, hi, reverse)
+    return v._replace(
+        diag=v.diag.copy(), arrow_row=v.arrow_row.copy(), arrow_col=v.arrow_col.copy()
+    )
+
+
+def _empty_stacks(n: int, b: int, a: int) -> BtaMatrix:
+    """Output stacks left uninitialised but the tip, which is zero: a
+    partition's, where :func:`local_backward` writes every other slot,
+    and the merged solution's, where the merge writes every slot."""
+    shapes = stack_shapes(n, b, a)[:-1]
+    return BtaMatrix(n, b, a, *(np.empty(shape, COMPLEX) for shape in shapes))
 
 
 @dataclass
@@ -183,181 +226,103 @@ def local_forward(
     Returns ``(payload, tip_delta, factors)``: the AllGather payload, the
     stacked tip contribution for the AllReduce (system side, and
     right-hand side in fused mode), and the retained interior factors.
-    The inputs are never mutated; boundary updates accumulate in local
-    copies.
+    The first partition runs the sequential forward sweep down to its
+    bottom boundary, the last runs it on its block-reversed blocks up to
+    its top boundary; their factors are indexed by block position in
+    sweep order.  The inputs are never mutated; boundary updates
+    accumulate in local copies.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
     fused = b is not None
-    n, bs, asz = a.shape_params
+    m, bs, asz = hi - lo, a.b, a.a
+    reverse = kind == "last"
+    wa = _working(a, lo, hi, reverse)
+    wb = _working(b, lo, hi, reverse) if fused else None
+    tip_delta = np.zeros((2 if fused else 1, asz, asz), dtype=COMPLEX)
+    tip_a, tip_b = tip_delta[0], tip_delta[1] if fused else None
 
-    factors = LocalFactors(kind=kind, lo=lo, hi=hi, mode="siq" if fused else "si")
-
-    def local(stack):
-        # One copy of the partition's slice; the blocks are its slots,
-        # updated in place (a slot is retained only once it is final).
-        return dict(zip(range(lo, hi), stack[lo:hi].copy()))
-
-    ad, ar, ac = local(a.diag), local(a.arrow_row), local(a.arrow_col)
-    tip_a = np.zeros((asz, asz), dtype=COMPLEX)
-    if fused:
-        bd, br, bc = local(b.diag), local(b.arrow_row), local(b.arrow_col)
-        tip_b = np.zeros((asz, asz), dtype=COMPLEX)
-
-    def retain(i):
-        factors.arrow_row_elim[i] = ar[i]
-        factors.arrow_col_elim[i] = ac[i]
+    if kind != "middle":
+        factors = _new_factors(m, bs, asz, fused)
+        index = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        _forward_sweep(wa, wb, factors, m - 1, tip_a, tip_b, counter, index)
+        bnd = [m - 1]
+    else:
+        # Interior blocks 1..m-2 downward, keeping fill-in couplings to
+        # the top boundary, block 0; factors in elimination order.
+        factors = LocalFactors(n=m, b=bs, a=asz, mode="siq" if fused else "si")
+        factors.arrow_row_elim, factors.arrow_col_elim = [], []
+        ad, al, au, ar, ac = wa
+        fill_r = au[0].copy()  # A'(lo, j), starts at the original coupling
+        fill_c = al[0].copy()  # A'(j, lo)
         if fused:
-            factors.b_arrow_row_elim[i] = br[i]
-            factors.b_arrow_col_elim[i] = bc[i]
-
-    if kind == "first":
-        for i in range(lo, hi - 1):
-            s = _invert_pivot(ad[i], i, counter)
-            factors.s_a[i] = s
-            retain(i)
-            if fused:
-                w = mm(s, bd[i], counter)
-                sb = mm(w, s, counter, tb=True)
-                factors.s_b[i] = sb
-                f = mm(a.lower[i], s, counter)
-                g = mm(ar[i], s, counter)
-                p = mm(g, bd[i], counter)
-                k = mm(bd[i], g, counter, tb=True)
-                ad[i + 1] -= mm(f, a.upper[i], counter)
-                ar[i + 1] -= mm(g, a.upper[i], counter)
-                ac[i + 1] -= mm(f, ac[i], counter)
-                tip_a -= mm(g, ac[i], counter)
-                v = mm(a.lower[i], sb, counter)
-                factors.l_sb[i] = v
-                bd[i + 1] += mm(v, a.lower[i], counter, tb=True)
-                bd[i + 1] -= mm(b.lower[i], f, counter, tb=True)
-                bd[i + 1] -= mm(f, b.upper[i], counter)
-                br[i + 1] -= mm(g, b.upper[i], counter)
-                br[i + 1] += mm(p - br[i], f, counter, tb=True)
-                bc[i + 1] -= mm(f, bc[i], counter)
-                bc[i + 1] -= mm(b.lower[i], g, counter, tb=True)
-                bc[i + 1] += mm(f, k, counter)
-                tip_b += (
-                    -mm(g, bc[i], counter)
-                    - mm(br[i], g, counter, tb=True)
-                    + mm(p, g, counter, tb=True)
-                )
-            else:
-                t1 = mm(s, a.upper[i], counter)
-                t2 = mm(s, ac[i], counter)
-                ad[i + 1] -= mm(a.lower[i], t1, counter)
-                ar[i + 1] -= mm(ar[i], t1, counter)
-                ac[i + 1] -= mm(a.lower[i], t2, counter)
-                tip_a -= mm(ar[i], t2, counter)
-        bnd = [hi - 1]
-
-    elif kind == "last":
-        for i in range(hi - 1, lo, -1):
-            s = _invert_pivot(ad[i], i, counter)
-            factors.s_a[i] = s
-            retain(i)
-            if fused:
-                w = mm(s, bd[i], counter)
-                sb = mm(w, s, counter, tb=True)
-                factors.s_b[i] = sb
-                f = mm(a.upper[i - 1], s, counter)
-                g = mm(ar[i], s, counter)
-                p = mm(g, bd[i], counter)
-                k = mm(bd[i], g, counter, tb=True)
-                ad[i - 1] -= mm(f, a.lower[i - 1], counter)
-                ar[i - 1] -= mm(g, a.lower[i - 1], counter)
-                ac[i - 1] -= mm(f, ac[i], counter)
-                tip_a -= mm(g, ac[i], counter)
-                v = mm(a.upper[i - 1], sb, counter)
-                factors.l_sb[i] = v
-                bd[i - 1] += mm(v, a.upper[i - 1], counter, tb=True)
-                bd[i - 1] -= mm(b.upper[i - 1], f, counter, tb=True)
-                bd[i - 1] -= mm(f, b.lower[i - 1], counter)
-                br[i - 1] -= mm(g, b.lower[i - 1], counter)
-                br[i - 1] += mm(p - br[i], f, counter, tb=True)
-                bc[i - 1] -= mm(f, bc[i], counter)
-                bc[i - 1] -= mm(b.upper[i - 1], g, counter, tb=True)
-                bc[i - 1] += mm(f, k, counter)
-                tip_b += (
-                    -mm(g, bc[i], counter)
-                    - mm(br[i], g, counter, tb=True)
-                    + mm(p, g, counter, tb=True)
-                )
-            else:
-                t1 = mm(s, a.lower[i - 1], counter)
-                t2 = mm(s, ac[i], counter)
-                ad[i - 1] -= mm(a.upper[i - 1], t1, counter)
-                ar[i - 1] -= mm(ar[i], t1, counter)
-                ac[i - 1] -= mm(a.upper[i - 1], t2, counter)
-                tip_a -= mm(ar[i], t2, counter)
-        bnd = [lo]
-
-    else:  # middle
-        fill_r = a.upper[lo].copy()  # A'(lo, j), starts at the original coupling
-        fill_c = a.lower[lo].copy()  # A'(j, lo)
-        if fused:
-            bfill_r = b.upper[lo].copy()
-            bfill_c = b.lower[lo].copy()
-        for i in range(lo + 1, hi - 1):
-            s = _invert_pivot(ad[i], i, counter)
-            factors.s_a[i] = s
-            retain(i)
-            factors.fill_row[i] = fill_r
-            factors.fill_col[i] = fill_c
-            fn = mm(a.lower[i], s, counter)
+            factors.s_b, factors.l_sb = [], []
+            factors.b_arrow_row_elim, factors.b_arrow_col_elim = [], []
+            bd, bl, bu, br, bc = wb
+            bfill_r = bu[0].copy()
+            bfill_c = bl[0].copy()
+        for i in range(1, m - 1):
+            s = _invert_pivot(ad[i], lo + i, counter)
+            factors.s_a.append(s)
+            factors.arrow_row_elim.append(ar[i])
+            factors.arrow_col_elim.append(ac[i])
+            factors.fill_row.append(fill_r)
+            factors.fill_col.append(fill_c)
+            fn = mm(al[i], s, counter)
             fr = mm(fill_r, s, counter)
             g = mm(ar[i], s, counter)
             # System-side updates: next diagonal, fill pair, top boundary,
             # both arrow strips, tip.
-            new_fill_r = -mm(fr, a.upper[i], counter)
+            new_fill_r = -mm(fr, au[i], counter)
             new_fill_c = -mm(fn, fill_c, counter)
-            ad[i + 1] -= mm(fn, a.upper[i], counter)
-            ad[lo] -= mm(fr, fill_c, counter)
-            ar[i + 1] -= mm(g, a.upper[i], counter)
-            ar[lo] -= mm(g, fill_c, counter)
+            ad[i + 1] -= mm(fn, au[i], counter)
+            ad[0] -= mm(fr, fill_c, counter)
+            ar[i + 1] -= mm(g, au[i], counter)
+            ar[0] -= mm(g, fill_c, counter)
             ac[i + 1] -= mm(fn, ac[i], counter)
-            ac[lo] -= mm(fr, ac[i], counter)
+            ac[0] -= mm(fr, ac[i], counter)
             tip_a -= mm(g, ac[i], counter)
             if fused:
-                factors.b_fill_row[i] = bfill_r
-                factors.b_fill_col[i] = bfill_c
+                factors.b_arrow_row_elim.append(br[i])
+                factors.b_arrow_col_elim.append(bc[i])
+                factors.b_fill_row.append(bfill_r)
+                factors.b_fill_col.append(bfill_c)
                 w = mm(s, bd[i], counter)
                 sb = mm(w, s, counter, tb=True)
-                factors.s_b[i] = sb
+                factors.s_b.append(sb)
                 v0 = mm(fill_r, sb, counter)
-                vn = mm(a.lower[i], sb, counter)
-                factors.fill_sb[i] = v0
-                factors.l_sb[i] = vn
+                vn = mm(al[i], sb, counter)
+                factors.fill_sb.append(v0)
+                factors.l_sb.append(vn)
                 p = mm(g, bd[i], counter)
-                bd[i + 1] -= mm(fn, b.upper[i], counter)
-                bd[i + 1] -= mm(b.lower[i], fn, counter, tb=True)
-                bd[i + 1] += mm(vn, a.lower[i], counter, tb=True)
+                bd[i + 1] -= mm(fn, bu[i], counter)
+                bd[i + 1] -= mm(bl[i], fn, counter, tb=True)
+                bd[i + 1] += mm(vn, al[i], counter, tb=True)
                 new_bfill_c = (
                     -mm(fn, bfill_c, counter)
-                    - mm(b.lower[i], fr, counter, tb=True)
+                    - mm(bl[i], fr, counter, tb=True)
                     + mm(vn, fill_r, counter, tb=True)
                 )
                 new_bfill_r = (
-                    -mm(fr, b.upper[i], counter)
+                    -mm(fr, bu[i], counter)
                     - mm(bfill_r, fn, counter, tb=True)
-                    + mm(v0, a.lower[i], counter, tb=True)
+                    + mm(v0, al[i], counter, tb=True)
                 )
-                bd[lo] -= mm(fr, bfill_c, counter)
-                bd[lo] -= mm(bfill_r, fr, counter, tb=True)
-                bd[lo] += mm(v0, fill_r, counter, tb=True)
+                bd[0] -= mm(fr, bfill_c, counter)
+                bd[0] -= mm(bfill_r, fr, counter, tb=True)
+                bd[0] += mm(v0, fill_r, counter, tb=True)
                 bc[i + 1] -= mm(fn, bc[i], counter)
-                bc[i + 1] -= mm(b.lower[i], g, counter, tb=True)
+                bc[i + 1] -= mm(bl[i], g, counter, tb=True)
                 bc[i + 1] += mm(vn, ar[i], counter, tb=True)
-                bc[lo] -= mm(fr, bc[i], counter)
-                bc[lo] -= mm(bfill_r, g, counter, tb=True)
-                bc[lo] += mm(v0, ar[i], counter, tb=True)
-                br[i + 1] -= mm(g, b.upper[i], counter)
+                bc[0] -= mm(fr, bc[i], counter)
+                bc[0] -= mm(bfill_r, g, counter, tb=True)
+                bc[0] += mm(v0, ar[i], counter, tb=True)
+                br[i + 1] -= mm(g, bu[i], counter)
                 br[i + 1] -= mm(br[i], fn, counter, tb=True)
                 br[i + 1] += mm(p, fn, counter, tb=True)
-                br[lo] -= mm(g, bfill_c, counter)
-                br[lo] -= mm(br[i], fr, counter, tb=True)
-                br[lo] += mm(p, fr, counter, tb=True)
+                br[0] -= mm(g, bfill_c, counter)
+                br[0] -= mm(br[i], fr, counter, tb=True)
+                br[0] += mm(p, fr, counter, tb=True)
                 tip_b += (
                     -mm(g, bc[i], counter)
                     - mm(br[i], g, counter, tb=True)
@@ -365,26 +330,21 @@ def local_forward(
                 )
                 bfill_r, bfill_c = new_bfill_r, new_bfill_c
             fill_r, fill_c = new_fill_r, new_fill_c
-        bnd = [lo, hi - 1]
+        bnd = [0, m - 1]
 
-    # Copies, so that the payload does not keep the local slices alive.
+    # Copies, so that the payload does not keep the working stacks alive.
     payload = BoundaryPayload(rank=rank, kind=kind)
-    payload.diag = [ad[g].copy() for g in bnd]
-    payload.arrow_row = [ar[g].copy() for g in bnd]
-    payload.arrow_col = [ac[g].copy() for g in bnd]
+    payload.diag = [wa.diag[j].copy() for j in bnd]
+    payload.arrow_row = [wa.arrow_row[j].copy() for j in bnd]
+    payload.arrow_col = [wa.arrow_col[j].copy() for j in bnd]
     if kind == "middle":
         payload.coupling = [fill_r, fill_c]
     if fused:
-        payload.b_diag = [bd[g].copy() for g in bnd]
-        payload.b_arrow_row = [br[g].copy() for g in bnd]
-        payload.b_arrow_col = [bc[g].copy() for g in bnd]
+        payload.b_diag = [wb.diag[j].copy() for j in bnd]
+        payload.b_arrow_row = [wb.arrow_row[j].copy() for j in bnd]
+        payload.b_arrow_col = [wb.arrow_col[j].copy() for j in bnd]
         if kind == "middle":
             payload.b_coupling = [bfill_r, bfill_c]
-
-    if fused:
-        tip_delta = np.stack([tip_a, tip_b])
-    else:
-        tip_delta = np.stack([tip_a])
     return payload, tip_delta, factors
 
 
@@ -484,40 +444,26 @@ def solve_reduced(
     return solve_selected(reduced.matrix_a, reduced.matrix_b, mode, counter=counter)
 
 
-def _seed(red_sol: SelectedSolution, reduced: ReducedSystem, rank: int, side: str, fused: bool):
-    k = reduced.index[(rank, side)]
-    xa = red_sol.x_a
-    seeds = {
-        "diag": xa.diag[k],
-        "arrow_col": xa.arrow_col[k],
-        "arrow_row": xa.arrow_row[k],
-    }
-    if fused:
-        xb = red_sol.x_b
-        seeds.update(
-            b_diag=xb.diag[k], b_arrow_col=xb.arrow_col[k], b_arrow_row=xb.arrow_row[k]
-        )
-    return k, seeds
-
-
 def local_backward(
     a: BtaMatrix,
     b: BtaMatrix | None,
     plan: PartitionPlan,
     rank: int,
-    factors: LocalFactors,
+    factors: RgfFactors,
     reduced: ReducedSystem,
     red_sol: SelectedSolution,
     counter: OpCounter | None = None,
-) -> dict:
+) -> tuple[BtaMatrix, BtaMatrix | None]:
     """Back-substitute one partition, seeded with the reduced solution.
 
-    Returns the partition's slice of the solution as nested dicts
-    ``{"x_a": {block_kind: {index: block}}, "x_b": {...} | None}``.
-    Each rank produces exactly the pattern blocks it owns: its diagonal
-    blocks, interior off-diagonals, arrow strips, and (except for the
-    last rank) its separator to the next partition; rank 0 contributes
-    the tip.
+    Returns the partition's slice of the solution as ``(x_a, x_b)``,
+    containers of the partition's ``hi - lo`` blocks in global block
+    order (``x_b`` is None in ``"si"`` mode).  They hold its diagonal
+    blocks, arrow strips and the couplings between its own blocks; their
+    tips are zero.  The separator to the next partition and the tip are
+    blocks of the reduced solution, which the merge reads from there.
+    The first and last partitions run the sequential backward sweep, the
+    last on its block-reversed blocks.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -526,186 +472,74 @@ def local_backward(
         raise ProtocolError("fused factors require the right-hand side")
     if red_sol.x_a.shape_params != reduced.matrix_a.shape_params:
         raise ProtocolError("reduced solution shape disagrees with reduced system")
+    m = hi - lo
+    x_a = _empty_stacks(m, a.b, a.a)
+    x_b = _empty_stacks(m, a.b, a.a) if fused else None
+    pairs = [(x_a, red_sol.x_a)] + ([(x_b, red_sol.x_b)] if fused else [])
+    ytt = red_sol.x_a.tip
+    ztt = red_sol.x_b.tip if fused else None
 
-    out_a = {"diag": {}, "lower": {}, "upper": {}, "arrow_row": {}, "arrow_col": {}, "tip": None}
-    out_b = (
-        {"diag": {}, "lower": {}, "upper": {}, "arrow_row": {}, "arrow_col": {}, "tip": None}
-        if fused
-        else None
-    )
-    xa_r, xb_r = red_sol.x_a, red_sol.x_b
+    # Boundary blocks are solved in the reduced system.
+    top, bottom = ("top", 0), ("bottom", m - 1)
+    for side, j in {"first": [bottom], "middle": [top, bottom], "last": [top]}[kind]:
+        k = reduced.index[(rank, side)]
+        for x, r in pairs:
+            x.diag[j], x.arrow_row[j], x.arrow_col[j] = r.diag[k], r.arrow_row[k], r.arrow_col[k]
 
-    ytt = xa_r.tip
-    ztt = xb_r.tip if fused else None
-    if rank == 0:
-        out_a["tip"] = ytt.copy()
+    if kind != "middle":
+        rev = kind == "last"
+        va, vb = (_view(x, 0, m, rev) if x is not None else None for x in (x_a, x_b))
+        ab = _view(b, lo, hi, rev) if fused else None
+        _backward_sweep(factors, _view(a, lo, hi, rev), ab, va, vb, m - 1, ytt, ztt, counter)
+        return x_a, x_b
+
+    # Middle: X values at the fill positions (top boundary <-> running
+    # block) start as the reduced solution's top coupling.
+    k_top = reduced.index[(rank, "top")]
+    if m == 2:
+        # Degenerate middle: the fill coupling is the original pattern
+        # off-diagonal, solved entirely inside the reduced system.
+        for x, r in pairs:
+            x.upper[0], x.lower[0] = r.upper[k_top], r.lower[k_top]
+    y00, y0t, yt0 = x_a.diag[0], x_a.arrow_col[0], x_a.arrow_row[0]
+    y_dd, y_dt, y_td = x_a.diag[m - 1], x_a.arrow_col[m - 1], x_a.arrow_row[m - 1]
+    y_fr, y_fc = red_sol.x_a.upper[k_top], red_sol.x_a.lower[k_top]  # X(lo, i+1), X(i+1, lo)
+    al, au = a.lower[lo : hi - 1], a.upper[lo : hi - 1]
+    if fused:
+        z00, z0t, zt0 = x_b.diag[0], x_b.arrow_col[0], x_b.arrow_row[0]
+        z_dd, z_dt, z_td = x_b.diag[m - 1], x_b.arrow_col[m - 1], x_b.arrow_row[m - 1]
+        z_fr, z_fc = red_sol.x_b.upper[k_top], red_sol.x_b.lower[k_top]
+        bl, bu = b.lower[lo : hi - 1], b.upper[lo : hi - 1]
+    ss = ws = yb = sc = qsb = None
+    for i in range(m - 2, 0, -1):
+        t = i - 1  # elimination order
+        rs = [factors.fill_col[t], au[i], factors.arrow_col_elim[t]]
+        qs = [factors.fill_row[t], al[i], factors.arrow_row_elim[t]]
+        ya = [[y00, y_fr, y0t], [y_fc, y_dd, y_dt], [yt0, y_td, ytt]]
         if fused:
-            out_b["tip"] = ztt.copy()
-
-    def put(out, field_name, g, blk):
-        out[field_name][g] = blk
-
-    def separator_from_reduced(k_bottom):
-        g = hi - 1
-        put(out_a, "lower", g, xa_r.lower[k_bottom].copy())
-        put(out_a, "upper", g, xa_r.upper[k_bottom].copy())
+            ss = [factors.b_fill_col[t], bu[i], factors.b_arrow_col_elim[t]]
+            ws = [factors.b_fill_row[t], bl[i], factors.b_arrow_row_elim[t]]
+            yb = [[z00, z_fr, z0t], [z_fc, z_dd, z_dt], [zt0, z_td, ztt]]
+            sc = factors.s_b[t]
+            qsb = [factors.fill_sb[t], factors.l_sb[t], None]
+        out = ()
+        for x in (x_a, x_b):
+            if x is None:
+                out += (None,) * 3
+                continue
+            row, col, diag = _out_slots(x, i, 2)
+            # The fill blocks are pattern blocks only next to the top boundary.
+            fill_row, fill_col = (x.lower[0], x.upper[0]) if i == 1 else (None, None)
+            out += ([fill_row, *row], [fill_col, *col], diag)
+        xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
+            factors.s_a[t], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
+        )
+        y_dd, y_dt, y_td = xa_diag, xa_row[2], xa_col[2]
+        y_fr, y_fc = xa_col[0], xa_row[0]
         if fused:
-            put(out_b, "lower", g, xb_r.lower[k_bottom].copy())
-            put(out_b, "upper", g, xb_r.upper[k_bottom].copy())
-
-    if kind == "first":
-        k_bot, seeds = _seed(red_sol, reduced, rank, "bottom", fused)
-        g = hi - 1
-        put(out_a, "diag", g, seeds["diag"].copy())
-        put(out_a, "arrow_col", g, seeds["arrow_col"].copy())
-        put(out_a, "arrow_row", g, seeds["arrow_row"].copy())
-        if fused:
-            put(out_b, "diag", g, seeds["b_diag"].copy())
-            put(out_b, "arrow_col", g, seeds["b_arrow_col"].copy())
-            put(out_b, "arrow_row", g, seeds["b_arrow_row"].copy())
-        separator_from_reduced(k_bot)
-        y_dd, y_dt, y_td = seeds["diag"], seeds["arrow_col"], seeds["arrow_row"]
-        if fused:
-            z_dd, z_dt, z_td = seeds["b_diag"], seeds["b_arrow_col"], seeds["b_arrow_row"]
-        for i in range(hi - 2, lo - 1, -1):
-            rs = [a.upper[i], factors.arrow_col_elim[i]]
-            qs = [a.lower[i], factors.arrow_row_elim[i]]
-            ya = [[y_dd, y_dt], [y_td, ytt]]
-            if fused:
-                ss = [b.upper[i], factors.b_arrow_col_elim[i]]
-                ws = [b.lower[i], factors.b_arrow_row_elim[i]]
-                yb = [[z_dd, z_dt], [z_td, ztt]]
-                sc = factors.s_b[i]
-                qsb = [factors.l_sb[i], None]
-            else:
-                ss = ws = yb = sc = qsb = None
-            xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb
-            )
-            put(out_a, "diag", i, xa_diag)
-            put(out_a, "upper", i, xa_row[0])
-            put(out_a, "lower", i, xa_col[0])
-            put(out_a, "arrow_col", i, xa_row[1])
-            put(out_a, "arrow_row", i, xa_col[1])
-            y_dd, y_dt, y_td = xa_diag, xa_row[1], xa_col[1]
-            if fused:
-                put(out_b, "diag", i, xb_diag)
-                put(out_b, "upper", i, xb_row[0])
-                put(out_b, "lower", i, xb_col[0])
-                put(out_b, "arrow_col", i, xb_row[1])
-                put(out_b, "arrow_row", i, xb_col[1])
-                z_dd, z_dt, z_td = xb_diag, xb_row[1], xb_col[1]
-
-    elif kind == "last":
-        k_top, seeds = _seed(red_sol, reduced, rank, "top", fused)
-        g = lo
-        put(out_a, "diag", g, seeds["diag"].copy())
-        put(out_a, "arrow_col", g, seeds["arrow_col"].copy())
-        put(out_a, "arrow_row", g, seeds["arrow_row"].copy())
-        if fused:
-            put(out_b, "diag", g, seeds["b_diag"].copy())
-            put(out_b, "arrow_col", g, seeds["b_arrow_col"].copy())
-            put(out_b, "arrow_row", g, seeds["b_arrow_row"].copy())
-        y_dd, y_dt, y_td = seeds["diag"], seeds["arrow_col"], seeds["arrow_row"]
-        if fused:
-            z_dd, z_dt, z_td = seeds["b_diag"], seeds["b_arrow_col"], seeds["b_arrow_row"]
-        for i in range(lo + 1, hi):
-            rs = [a.lower[i - 1], factors.arrow_col_elim[i]]
-            qs = [a.upper[i - 1], factors.arrow_row_elim[i]]
-            ya = [[y_dd, y_dt], [y_td, ytt]]
-            if fused:
-                ss = [b.lower[i - 1], factors.b_arrow_col_elim[i]]
-                ws = [b.upper[i - 1], factors.b_arrow_row_elim[i]]
-                yb = [[z_dd, z_dt], [z_td, ztt]]
-                sc = factors.s_b[i]
-                qsb = [factors.l_sb[i], None]
-            else:
-                ss = ws = yb = sc = qsb = None
-            xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb
-            )
-            put(out_a, "diag", i, xa_diag)
-            put(out_a, "lower", i - 1, xa_row[0])
-            put(out_a, "upper", i - 1, xa_col[0])
-            put(out_a, "arrow_col", i, xa_row[1])
-            put(out_a, "arrow_row", i, xa_col[1])
-            y_dd, y_dt, y_td = xa_diag, xa_row[1], xa_col[1]
-            if fused:
-                put(out_b, "diag", i, xb_diag)
-                put(out_b, "lower", i - 1, xb_row[0])
-                put(out_b, "upper", i - 1, xb_col[0])
-                put(out_b, "arrow_col", i, xb_row[1])
-                put(out_b, "arrow_row", i, xb_col[1])
-                z_dd, z_dt, z_td = xb_diag, xb_row[1], xb_col[1]
-
-    else:  # middle
-        k_top, top = _seed(red_sol, reduced, rank, "top", fused)
-        k_bot, bot = _seed(red_sol, reduced, rank, "bottom", fused)
-        for g, seeds in ((lo, top), (hi - 1, bot)):
-            put(out_a, "diag", g, seeds["diag"].copy())
-            put(out_a, "arrow_col", g, seeds["arrow_col"].copy())
-            put(out_a, "arrow_row", g, seeds["arrow_row"].copy())
-            if fused:
-                put(out_b, "diag", g, seeds["b_diag"].copy())
-                put(out_b, "arrow_col", g, seeds["b_arrow_col"].copy())
-                put(out_b, "arrow_row", g, seeds["b_arrow_row"].copy())
-        separator_from_reduced(k_bot)
-        # X values at the fill positions (top boundary <-> running block).
-        y00, y0t, yt0 = top["diag"], top["arrow_col"], top["arrow_row"]
-        y_dd, y_dt, y_td = bot["diag"], bot["arrow_col"], bot["arrow_row"]
-        y_fr = xa_r.upper[k_top]  # X(lo, i+1)
-        y_fc = xa_r.lower[k_top]  # X(i+1, lo)
-        if fused:
-            z00, z0t, zt0 = top["b_diag"], top["b_arrow_col"], top["b_arrow_row"]
-            z_dd, z_dt, z_td = bot["b_diag"], bot["b_arrow_col"], bot["b_arrow_row"]
-            z_fr = xb_r.upper[k_top]
-            z_fc = xb_r.lower[k_top]
-        if hi - lo == 2:
-            # Degenerate middle: the fill coupling is the original pattern
-            # off-diagonal, solved entirely inside the reduced system.
-            put(out_a, "upper", lo, y_fr.copy())
-            put(out_a, "lower", lo, y_fc.copy())
-            if fused:
-                put(out_b, "upper", lo, z_fr.copy())
-                put(out_b, "lower", lo, z_fc.copy())
-        for i in range(hi - 2, lo, -1):
-            rs = [factors.fill_col[i], a.upper[i], factors.arrow_col_elim[i]]
-            qs = [factors.fill_row[i], a.lower[i], factors.arrow_row_elim[i]]
-            ya = [[y00, y_fr, y0t], [y_fc, y_dd, y_dt], [yt0, y_td, ytt]]
-            if fused:
-                ss = [factors.b_fill_col[i], b.upper[i], factors.b_arrow_col_elim[i]]
-                ws = [factors.b_fill_row[i], b.lower[i], factors.b_arrow_row_elim[i]]
-                yb = [[z00, z_fr, z0t], [z_fc, z_dd, z_dt], [zt0, z_td, ztt]]
-                sc = factors.s_b[i]
-                qsb = [factors.fill_sb[i], factors.l_sb[i], None]
-            else:
-                ss = ws = yb = sc = qsb = None
-            xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-                factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb
-            )
-            put(out_a, "diag", i, xa_diag)
-            put(out_a, "upper", i, xa_row[1])
-            put(out_a, "lower", i, xa_col[1])
-            put(out_a, "arrow_col", i, xa_row[2])
-            put(out_a, "arrow_row", i, xa_col[2])
-            if i == lo + 1:
-                put(out_a, "upper", lo, xa_col[0])
-                put(out_a, "lower", lo, xa_row[0])
-            y_dd, y_dt, y_td = xa_diag, xa_row[2], xa_col[2]
-            y_fr, y_fc = xa_col[0], xa_row[0]
-            if fused:
-                put(out_b, "diag", i, xb_diag)
-                put(out_b, "upper", i, xb_row[1])
-                put(out_b, "lower", i, xb_col[1])
-                put(out_b, "arrow_col", i, xb_row[2])
-                put(out_b, "arrow_row", i, xb_col[2])
-                if i == lo + 1:
-                    put(out_b, "upper", lo, xb_col[0])
-                    put(out_b, "lower", lo, xb_row[0])
-                z_dd, z_dt, z_td = xb_diag, xb_row[2], xb_col[2]
-                z_fr, z_fc = xb_col[0], xb_row[0]
-
-    return {"x_a": out_a, "x_b": out_b}
+            z_dd, z_dt, z_td = xb_diag, xb_row[2], xb_col[2]
+            z_fr, z_fc = xb_col[0], xb_row[0]
+    return x_a, x_b
 
 
 # ---------------------------------------------------------------------------
@@ -713,29 +547,34 @@ def local_backward(
 # ---------------------------------------------------------------------------
 
 
-def _merge_slices(a: BtaMatrix, mode: str, slices: list[dict]) -> SelectedSolution:
+def _merge_slices(
+    a: BtaMatrix,
+    plan: PartitionPlan,
+    reduced: ReducedSystem,
+    red_sol: SelectedSolution,
+    slices: list,
+) -> SelectedSolution:
+    """The full solution: each rank's slice copied into place, then each
+    separator and the tip from the reduced solution."""
     n, bs, asz = a.shape_params
-    fused = mode == "siq"
-    x_a = BtaMatrix.zeros(n, bs, asz)
-    x_b = BtaMatrix.zeros(n, bs, asz) if fused else None
-
-    def fill(container: BtaMatrix, part: dict):
-        for kind in _SLICE_KINDS:
-            stack = getattr(container, kind)
-            for g, blk in part[kind].items():
-                stack[g] = blk
-        if part["tip"] is not None:
-            container.tip[...] = part["tip"]
-
-    seen_diag = set()
-    for sl in slices:
-        seen_diag.update(sl["x_a"]["diag"].keys())
-        fill(x_a, sl["x_a"])
-        if fused:
-            fill(x_b, sl["x_b"])
-    if seen_diag != set(range(n)):
-        raise ProtocolError(f"incomplete solution coverage: missing {set(range(n)) - seen_diag}")
-    return SelectedSolution(x_a=x_a, x_b=x_b, mode=mode)
+    reds = [x for x in (red_sol.x_a, red_sol.x_b) if x is not None]
+    xs = [_empty_stacks(n, bs, asz) for _ in reds]
+    if len(slices) != plan.num_parts:
+        raise ProtocolError(f"expected {plan.num_parts} solution slices, got {len(slices)}")
+    for p, ((lo, hi), sl) in enumerate(zip(plan.ranges, slices)):
+        parts = [x for x in sl if x is not None]
+        if len(parts) != len(xs) or any(x.shape_params != (hi - lo, bs, asz) for x in parts):
+            shapes = [x.shape_params for x in parts]
+            raise ProtocolError(f"rank {p} sent slices of shapes {shapes}, not {hi - lo} blocks")
+        for x, part, r in zip(xs, parts, reds):
+            for dst, src in zip(x.stacks[:-1], part.stacks[:-1]):
+                dst[lo : lo + len(src)] = src
+            if p < plan.num_parts - 1:
+                k = reduced.index[(p, "bottom")]
+                x.lower[hi - 1], x.upper[hi - 1] = r.lower[k], r.upper[k]
+    for x, r in zip(xs, reds):
+        x.tip[...] = r.tip
+    return SelectedSolution(xs[0], xs[1] if len(xs) > 1 else None, red_sol.mode)
 
 
 def _run_rank(a, b, plan, rank, coll, mode, counting):
@@ -758,7 +597,7 @@ def _run_rank(a, b, plan, rank, coll, mode, counting):
         "reduced": t3 - t2,
         "backward": t4 - t3,
     }
-    return sl, counter, reduced_counter, phases
+    return sl, counter, reduced_counter, phases, (reduced, red_sol)
 
 
 def dist_solve(
@@ -783,11 +622,12 @@ def dist_solve(
 
     The aggregated ``counter`` receives every rank's local operations
     plus the (replicated, counted once) reduced solve; ``rank_counters``
-    receives the per-rank local tallies (on a socket rank, its own).
-    Operations are counted only when ``counter`` or ``rank_counters`` is
-    passed; without either, no rank builds a tally.  Raises
-    :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
-    holds a NaN or infinite entry.
+    receives the per-rank local tallies (on a socket rank, its own; with
+    ``num_parts=1``, the sequential solve's).  Operations are counted
+    only when ``counter`` or ``rank_counters`` is passed; without
+    either, no rank builds a tally.  Raises :class:`NonFiniteInputError`
+    if ``a`` (or, in ``"siq"`` mode, ``b``) holds a NaN or infinite
+    entry.
     """
     if mode is None:
         mode = "si" if b is None else "siq"
@@ -796,7 +636,13 @@ def dist_solve(
     if mode == "si":
         b = None
     if num_parts == 1:
-        return solve_selected(a, b, mode, counter=counter, timings=timings)
+        own = counter if rank_counters is None else OpCounter(b=a.b, a=a.a)
+        sol = solve_selected(a, b, mode, counter=own, timings=timings)
+        if rank_counters is not None:
+            rank_counters.append(own)
+            if counter is not None:
+                counter.merge(own)
+        return sol
     a.require_finite("a")
     if b is not None:
         b.require_finite("b")
@@ -809,7 +655,7 @@ def dist_solve(
             raise ProtocolError(
                 f"transport world size {transport.world_size} != num_parts {num_parts}"
             )
-        sl, cnt, red_cnt, phases = _run_rank(
+        sl, cnt, red_cnt, phases, reduced = _run_rank(
             a, b, plan, transport.rank, transport, mode, counting
         )
         if timings is not None:
@@ -820,11 +666,11 @@ def dist_solve(
                 counter.merge(red_cnt)
         if rank_counters is not None:
             rank_counters.append(cnt)
-        blobs = transport.gather_to_root(_slice_to_bytes(sl))
+        # A slice travels as its containers' BTA1 bytes, back to back.
+        blobs = transport.gather_to_root(b"".join(encode_bta(x) for x in sl if x is not None))
         if transport.rank != 0:
             return None
-        slices = [_slice_from_bytes(blob) for blob in blobs]
-        return _merge_slices(a, mode, slices)
+        return _merge_slices(a, plan, *reduced, [_decode_slice(blob) for blob in blobs])
 
     hub = transport if transport is not None else ThreadHub(num_parts)
     if hub.world_size != num_parts:
@@ -853,7 +699,6 @@ def dist_solve(
             rank, exc = min(primary or errors, key=lambda e: e[0])
             raise WorkerError(rank, exc) from exc
 
-    slices = [r[0] for r in results]
     if counter is not None:
         for r in results:
             counter.merge(r[1])
@@ -862,63 +707,13 @@ def dist_solve(
         rank_counters.extend(r[1] for r in results)
     if timings is not None:
         timings.update(results[0][3])
-    return _merge_slices(a, mode, slices)
+    return _merge_slices(a, plan, *results[0][4], [r[0] for r in results])
 
 
-_SLICE_KINDS = ("diag", "lower", "upper", "arrow_row", "arrow_col")
-
-
-def _slice_to_bytes(sl: dict) -> bytes:
-    parts = []
-    for side in ("x_a", "x_b"):
-        part = sl[side]
-        if part is None:
-            parts.append(struct.pack("<B", 0))
-            continue
-        parts.append(struct.pack("<B", 1))
-        for kind in _SLICE_KINDS:
-            entries = sorted(part[kind].items())
-            parts.append(struct.pack("<I", len(entries)))
-            for g, blk in entries:
-                parts.append(struct.pack("<QQQ", g, blk.shape[0], blk.shape[1]))
-                parts.append(np.ascontiguousarray(blk, dtype="<c16").tobytes())
-        tip = part["tip"]
-        if tip is None:
-            parts.append(struct.pack("<B", 0))
-        else:
-            parts.append(struct.pack("<BQQ", 1, tip.shape[0], tip.shape[1]))
-            parts.append(np.ascontiguousarray(tip, dtype="<c16").tobytes())
-    return b"".join(parts)
-
-
-def _slice_from_bytes(buf: bytes) -> dict:
-    offset = 0
-    out = {}
-    for side in ("x_a", "x_b"):
-        (present,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        if not present:
-            out[side] = None
-            continue
-        part = {kind: {} for kind in _SLICE_KINDS}
-        for kind in _SLICE_KINDS:
-            (count,) = struct.unpack_from("<I", buf, offset)
-            offset += 4
-            for _ in range(count):
-                g, rows, cols = struct.unpack_from("<QQQ", buf, offset)
-                offset += 24
-                blk = np.frombuffer(buf, dtype="<c16", count=rows * cols, offset=offset)
-                part[kind][g] = blk.reshape(rows, cols).astype(COMPLEX)
-                offset += 16 * rows * cols
-        (present_tip,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        if present_tip:
-            rows, cols = struct.unpack_from("<QQ", buf, offset)
-            offset += 16
-            blk = np.frombuffer(buf, dtype="<c16", count=rows * cols, offset=offset)
-            part["tip"] = blk.reshape(rows, cols).astype(COMPLEX)
-            offset += 16 * rows * cols
-        else:
-            part["tip"] = None
-        out[side] = part
-    return out
+def _decode_slice(blob: bytes) -> list:
+    """The containers of one rank's slice, from their BTA1 bytes."""
+    xs, offset = [], 0
+    while offset < len(blob):
+        x, offset = decode_bta(blob, offset)
+        xs.append(x)
+    return xs

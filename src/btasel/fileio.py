@@ -27,7 +27,15 @@ import numpy as np
 from .errors import BadMagicError, ShapeInconsistencyError, TruncatedPayloadError
 from .matrix import BtaMatrix, stack_shapes
 
-__all__ = ["read_bta", "write_bta", "read_bta_header", "MAGIC", "DTYPE_COMPLEX128"]
+__all__ = [
+    "read_bta",
+    "write_bta",
+    "read_bta_header",
+    "encode_bta",
+    "decode_bta",
+    "MAGIC",
+    "DTYPE_COMPLEX128",
+]
 
 MAGIC = b"BTA1"
 DTYPE_COMPLEX128 = 0x10
@@ -40,13 +48,19 @@ def payload_size(n: int, b: int, a: int) -> int:
     return 16 * sum(math.prod(shape) for shape in stack_shapes(n, b, a))
 
 
+def encode_bta(m: BtaMatrix) -> bytearray:
+    """A container's ``BTA1`` bytes: the header, then the six stacks
+    flattened in C order into the same buffer."""
+    buf = bytearray(_HEADER_SIZE + payload_size(*m.shape_params))
+    buf[:_HEADER_SIZE] = MAGIC + _HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128)
+    payload = np.frombuffer(buf, dtype="<c16", offset=_HEADER_SIZE)
+    np.concatenate(m.stacks, axis=None, out=payload)
+    return buf
+
+
 def write_bta(m: BtaMatrix, path) -> None:
     """Write a container losslessly; ``read_bta`` restores it bit-for-bit."""
-    # The six stacks flattened in C order into one buffer: a single write.
-    payload = np.concatenate(m.stacks, axis=None, dtype="<c16")
-    with open(Path(path), "wb") as fh:
-        fh.write(MAGIC + _HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128))
-        fh.write(payload)
+    Path(path).write_bytes(encode_bta(m))
 
 
 def read_bta_header(path) -> tuple[int, int, int]:
@@ -69,30 +83,41 @@ def _parse_header(head: bytes) -> tuple[int, int, int]:
     return n, b, a
 
 
+def decode_bta(raw, offset: int = 0) -> tuple[BtaMatrix, int]:
+    """Decode the ``BTA1`` container at ``offset`` of ``raw``; returns it
+    and the offset just past it.  Its fields are views of one decoded
+    array.  Entries are not checked for finiteness."""
+    n, b, a = _parse_header(raw[offset : offset + _HEADER_SIZE])
+    start = offset + _HEADER_SIZE
+    end = start + payload_size(n, b, a)
+    if len(raw) < end:
+        raise TruncatedPayloadError(
+            f"payload has {len(raw) - start} bytes, header requires {end - start}"
+        )
+    data = np.frombuffer(raw, dtype="<c16", count=(end - start) // 16, offset=start)
+    data = data.astype(np.complex128)
+    shapes = stack_shapes(n, b, a)
+    parts = np.split(data, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return BtaMatrix(n, b, a, *(p.reshape(shape) for p, shape in zip(parts, shapes))), end
+
+
 def read_bta(path) -> BtaMatrix:
     """Read a ``BTA1`` file.
 
     Raises
     ------
     BadMagicError, TruncatedPayloadError, ShapeInconsistencyError
-        For a wrong magic, a short payload, and an invalid header or
-        oversized payload, respectively.
+        For a wrong magic, a short payload, and an invalid header, an
+        oversized payload or a non-finite entry, respectively.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    n, b, a = _parse_header(raw[:_HEADER_SIZE])
-    expected = payload_size(n, b, a)
-    size = len(raw) - _HEADER_SIZE
-    if size < expected:
-        raise TruncatedPayloadError(f"payload has {size} bytes, header requires {expected}")
-    if size > expected:
+    raw = Path(path).read_bytes()
+    m, end = decode_bta(raw)
+    if len(raw) > end:
         raise ShapeInconsistencyError(
-            f"payload has {size} bytes, header requires exactly {expected}"
+            f"payload has {len(raw) - _HEADER_SIZE} bytes, header requires exactly "
+            f"{end - _HEADER_SIZE}"
         )
-    # One decode and one finiteness check; the fields are views of it.
-    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER_SIZE).astype(np.complex128)
-    if not np.isfinite(data).all():
+    # One pass over the payload as (real, imag) float pairs.
+    if not np.isfinite(np.frombuffer(raw, dtype="<f8", offset=_HEADER_SIZE)).all():
         raise ShapeInconsistencyError("payload contains non-finite entries")
-    shapes = stack_shapes(n, b, a)
-    parts = np.split(data, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-    return BtaMatrix(n, b, a, *(p.reshape(shape) for p, shape in zip(parts, shapes)))
+    return m

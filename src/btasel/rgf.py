@@ -214,6 +214,78 @@ def bt_backward(
 # ---------------------------------------------------------------------------
 
 
+def _new_factors(n, b, a, fused) -> RgfFactors:
+    """Factors with one empty slot per block for every retained list."""
+    factors = RgfFactors(n=n, b=b, a=a, mode="siq" if fused else "si")
+    factors.s_a = [None] * n
+    factors.arrow_row_elim = [None] * n
+    factors.arrow_col_elim = [None] * n
+    if fused:
+        factors.s_b = [None] * max(n - 1, 0)
+        factors.l_sb = [None] * max(n - 1, 0)
+        factors.b_arrow_row_elim = [None] * n
+        factors.b_arrow_col_elim = [None] * n
+    return factors
+
+
+def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
+    """Eliminate blocks ``0..stop-1`` of an arrowhead system, top-down.
+
+    ``a`` (and ``b``) are working stacks with the fields of a
+    :class:`BtaMatrix` except the tip, updated in place: each step writes
+    the next block's diagonal and arrow slots and subtracts its tip
+    contribution from ``tip_a`` (``tip_b``).  The pivot inverses and the
+    couplings as seen at elimination are retained in ``factors`` at the
+    block's position.  ``index[i]`` is the number a singular pivot at
+    block ``i`` is reported under.
+    """
+    fused = b is not None
+    for i in range(stop):
+        s = _invert_pivot(a.diag[i], index[i], counter)
+        factors.s_a[i] = s
+        factors.arrow_row_elim[i] = a.arrow_row[i]
+        factors.arrow_col_elim[i] = a.arrow_col[i]
+        # Next-block slots, updated in place; slot i stays as retained.
+        ad, ar, ac = a.diag[i + 1], a.arrow_row[i + 1], a.arrow_col[i + 1]
+        if fused:
+            factors.b_arrow_row_elim[i] = b.arrow_row[i]
+            factors.b_arrow_col_elim[i] = b.arrow_col[i]
+            # Left-hand elimination factors shared by all fused updates.
+            w = mm(s, b.diag[i], counter)
+            sb = mm(w, s, counter, tb=True)
+            factors.s_b[i] = sb
+            f = mm(a.lower[i], s, counter)
+            g = mm(a.arrow_row[i], s, counter)
+            p = mm(g, b.diag[i], counter)
+            k = mm(b.diag[i], g, counter, tb=True)
+            ad -= mm(f, a.upper[i], counter)
+            ar -= mm(g, a.upper[i], counter)
+            ac -= mm(f, a.arrow_col[i], counter)
+            tip_a -= mm(g, a.arrow_col[i], counter)
+            v = mm(a.lower[i], sb, counter)
+            factors.l_sb[i] = v
+            bd, br, bc = b.diag[i + 1], b.arrow_row[i + 1], b.arrow_col[i + 1]
+            bd += mm(v, a.lower[i], counter, tb=True)
+            bd -= mm(b.lower[i], f, counter, tb=True)
+            bd -= mm(f, b.upper[i], counter)
+            br -= mm(g, b.upper[i], counter)
+            br += mm(p - b.arrow_row[i], f, counter, tb=True)
+            bc -= mm(f, b.arrow_col[i], counter)
+            bc -= mm(b.lower[i], g, counter, tb=True)
+            bc += mm(f, k, counter)
+            tip_b -= mm(g, b.arrow_col[i], counter)
+            tip_b -= mm(b.arrow_row[i], g, counter, tb=True)
+            tip_b += mm(p, g, counter, tb=True)
+        else:
+            # Right-hand temporaries reach the minimal mixed-shape count.
+            t1 = mm(s, a.upper[i], counter)
+            t2 = mm(s, a.arrow_col[i], counter)
+            ad -= mm(a.lower[i], t1, counter)
+            ar -= mm(a.arrow_row[i], t1, counter)
+            ac -= mm(a.lower[i], t2, counter)
+            tip_a -= mm(a.arrow_row[i], t2, counter)
+
+
 def bta_forward(
     a: BtaMatrix, b: BtaMatrix | None = None, counter: OpCounter | None = None
 ) -> RgfFactors:
@@ -235,60 +307,8 @@ def bta_forward(
         raise ShapeMismatchError("right-hand side shape differs from system shape")
     n = a.n
     fused = b is not None
-    factors = RgfFactors(n=n, b=a.b, a=a.a, mode="siq" if fused else "si")
-    factors.s_a = [None] * n
-    factors.arrow_row_elim = [None] * n
-    factors.arrow_col_elim = [None] * n
-    if fused:
-        factors.s_b = [None] * max(n - 1, 0)
-        factors.l_sb = [None] * max(n - 1, 0)
-        factors.b_arrow_row_elim = [None] * n
-        factors.b_arrow_col_elim = [None] * n
-
-    for i in range(n - 1):
-        s = _invert_pivot(a.diag[i], i, counter)
-        factors.s_a[i] = s
-        factors.arrow_row_elim[i] = a.arrow_row[i]
-        factors.arrow_col_elim[i] = a.arrow_col[i]
-        # Next-block slots, updated in place; slot i stays as retained.
-        ad, ar, ac = a.diag[i + 1], a.arrow_row[i + 1], a.arrow_col[i + 1]
-        if fused:
-            factors.b_arrow_row_elim[i] = b.arrow_row[i]
-            factors.b_arrow_col_elim[i] = b.arrow_col[i]
-            # Left-hand elimination factors shared by all fused updates.
-            w = mm(s, b.diag[i], counter)
-            sb = mm(w, s, counter, tb=True)
-            factors.s_b[i] = sb
-            f = mm(a.lower[i], s, counter)
-            g = mm(a.arrow_row[i], s, counter)
-            p = mm(g, b.diag[i], counter)
-            k = mm(b.diag[i], g, counter, tb=True)
-            ad -= mm(f, a.upper[i], counter)
-            ar -= mm(g, a.upper[i], counter)
-            ac -= mm(f, a.arrow_col[i], counter)
-            a.tip -= mm(g, a.arrow_col[i], counter)
-            v = mm(a.lower[i], sb, counter)
-            factors.l_sb[i] = v
-            bd, br, bc = b.diag[i + 1], b.arrow_row[i + 1], b.arrow_col[i + 1]
-            bd += mm(v, a.lower[i], counter, tb=True)
-            bd -= mm(b.lower[i], f, counter, tb=True)
-            bd -= mm(f, b.upper[i], counter)
-            br -= mm(g, b.upper[i], counter)
-            br += mm(p - b.arrow_row[i], f, counter, tb=True)
-            bc -= mm(f, b.arrow_col[i], counter)
-            bc -= mm(b.lower[i], g, counter, tb=True)
-            bc += mm(f, k, counter)
-            b.tip -= mm(g, b.arrow_col[i], counter)
-            b.tip -= mm(b.arrow_row[i], g, counter, tb=True)
-            b.tip += mm(p, g, counter, tb=True)
-        else:
-            # Right-hand temporaries reach the minimal mixed-shape count.
-            t1 = mm(s, a.upper[i], counter)
-            t2 = mm(s, a.arrow_col[i], counter)
-            ad -= mm(a.lower[i], t1, counter)
-            ar -= mm(a.arrow_row[i], t1, counter)
-            ac -= mm(a.lower[i], t2, counter)
-            a.tip -= mm(a.arrow_row[i], t2, counter)
+    factors = _new_factors(n, a.b, a.a, fused)
+    _forward_sweep(a, b, factors, n - 1, a.tip, b.tip if fused else None, counter, range(n))
 
     # Epilogue: eliminate the last diagonal block into the tip, invert it.
     i = n - 1
@@ -433,6 +453,39 @@ def _clear_off_diagonals(*containers):
             x.upper[...] = 0.0
 
 
+def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
+    """Backward steps at blocks ``stop-1`` down to 0 of an arrowhead system.
+
+    Each step has two trailing couplings, the next block and the tip.
+    The sweep is seeded with block ``stop``'s diagonal and arrow solution
+    blocks, read from their slots of ``x_a`` (``x_b``), and the tip
+    solution ``ytt`` (``ztt``); it writes every block it solves into its
+    slot.  ``a`` and ``b`` supply the off-diagonal couplings.
+    """
+    fused = x_b is not None
+    y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
+    if fused:
+        z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
+    ss = ws = yb = sc = qsb = None
+    for i in range(stop - 1, -1, -1):
+        rs = [a.upper[i], factors.arrow_col_elim[i]]
+        qs = [a.lower[i], factors.arrow_row_elim[i]]
+        ya = [[y_dd, y_dt], [y_td, ytt]]
+        if fused:
+            ss = [b.upper[i], factors.b_arrow_col_elim[i]]
+            ws = [b.lower[i], factors.b_arrow_row_elim[i]]
+            yb = [[z_dd, z_dt], [z_td, ztt]]
+            sc = factors.s_b[i]
+            qsb = [factors.l_sb[i], None]
+        out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
+        xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
+            factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
+        )
+        y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
+        if fused:
+            z_dd, z_dt, z_td = xb_diag, xb_row[-1], xb_col[-1]
+
+
 def bta_backward(
     factors: RgfFactors,
     a: BtaMatrix,
@@ -463,51 +516,21 @@ def bta_backward(
 
     ytt = factors.tip_schur_inv
     x_a.tip[...] = ytt
-    ztt = None
+    ztt = ss = ws = yb = sc = None
+    # The last block's step has the tip as its only trailing coupling.
+    i = n - 1
     if fused:
         w = mm(ytt, factors.b_tip, counter)
         ztt = mm(w, ytt, counter, tb=True)
         x_b.tip[...] = ztt
-
-    # Trailing state: the previously computed diagonal row/column blocks.
-    y_dd = y_dt = y_td = None
-    z_dd = z_dt = z_td = None
-
-    for i in range(n - 1, -1, -1):
-        ss = ws = yb = sc = qsb = None
-        if i == n - 1:
-            rs = [factors.arrow_col_elim[i]]
-            qs = [factors.arrow_row_elim[i]]
-            ya = [[ytt]]
-            if fused:
-                ss = [factors.b_arrow_col_elim[i]]
-                ws = [factors.b_arrow_row_elim[i]]
-                yb = [[ztt]]
-                sc = mm(
-                    mm(factors.s_a[i], factors.b_diag_last, counter),
-                    factors.s_a[i],
-                    counter,
-                    tb=True,
-                )
-        else:
-            rs = [a.upper[i], factors.arrow_col_elim[i]]
-            qs = [a.lower[i], factors.arrow_row_elim[i]]
-            ya = [[y_dd, y_dt], [y_td, ytt]]
-            if fused:
-                ss = [b.upper[i], factors.b_arrow_col_elim[i]]
-                ws = [b.lower[i], factors.b_arrow_row_elim[i]]
-                yb = [[z_dd, z_dt], [z_td, ztt]]
-                sc = factors.s_b[i]
-                qsb = [factors.l_sb[i], None]
-
-        k = len(rs)
-        out = _out_slots(x_a, i, k) + (_out_slots(x_b, i, k) if fused else (None,) * 3)
-        xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
-        )
-        y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
-        if fused:
-            z_dd, z_dt, z_td = xb_diag, xb_row[-1], xb_col[-1]
+        ss = [factors.b_arrow_col_elim[i]]
+        ws = [factors.b_arrow_row_elim[i]]
+        yb = [[ztt]]
+        sc = mm(mm(factors.s_a[i], factors.b_diag_last, counter), factors.s_a[i], counter, tb=True)
+    out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
+    rs, qs = [factors.arrow_col_elim[i]], [factors.arrow_row_elim[i]]
+    _backstep(factors.s_a[i], rs, qs, [[ytt]], sc, ss, ws, yb, counter, out=out)
+    _backward_sweep(factors, a, b, x_a, x_b, i, ytt, ztt, counter)
 
     if diagonal_only:
         _clear_off_diagonals(x_a, x_b)

@@ -16,8 +16,11 @@ from btasel import (
     plan_partitions,
     solve_selected,
 )
+from btasel import dist
 from btasel.collectives import SocketCollectives
 from btasel.dist import assemble_reduced, local_forward, solve_reduced
+from btasel.errors import ProtocolError
+from btasel.matrix import stack_shapes
 
 
 def _dist_vs_seq(n, b, a_sz, parts, mode, seed=0, tol=1e-9):
@@ -495,3 +498,91 @@ def test_identity_system_all_partitions():
     a = BtaMatrix.identity(12, 2, 2)
     sol = dist_solve(a, num_parts=3, mode="si")
     assert max_block_rel_err(sol.x_a, BtaMatrix.identity(12, 2, 2)) <= 1e-14
+
+
+def test_single_part_fills_rank_counters():
+    # One partition is one rank: its tally is the sequential solve's.
+    a, rhs = random_system(6, 3, 2, seed=1)
+    counter, per_rank = OpCounter(b=3, a=2), []
+    dist_solve(a, rhs, num_parts=1, mode="siq", counter=counter, rank_counters=per_rank)
+    alone = OpCounter(b=3, a=2)
+    solve_selected(a, rhs, "siq", counter=alone)
+    assert [c.as_dict() for c in per_rank] == [alone.as_dict()]
+    assert counter.as_dict() == alone.as_dict()
+
+
+@pytest.mark.parametrize(
+    "n, parts, rank, kind", [(8, 2, 0, "first"), (16, 3, 1, "middle"), (8, 2, 1, "last")]
+)
+def test_singular_pivot_reports_global_block(n, parts, rank, kind):
+    # A zeroed diagonal block that is a partition's first pivot stays
+    # singular; the error names it by its global index, whichever way
+    # the partition sweeps.
+    a, _ = random_system(n, 2, 1, seed=14)
+    plan = plan_partitions(n, parts, "si")
+    lo, hi = plan.ranges[rank]
+    assert plan.kinds[rank] == kind
+    block = {"first": lo, "middle": lo + 1, "last": hi - 1}[kind]
+    a.diag[block][:] = 0.0
+    with pytest.raises(WorkerError) as info:
+        dist_solve(a, num_parts=parts, mode="si")
+    assert info.value.rank == rank
+    assert info.value.cause.index == block
+
+
+@pytest.mark.parametrize("n", [8, 20])  # degenerate and interior middles
+@pytest.mark.parametrize("parts", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["si", "siq"])
+@pytest.mark.parametrize("a_sz", [0, 2])
+def test_every_partition_slot_is_written(monkeypatch, n, parts, mode, a_sz):
+    # Partition and merged output stacks start as NaN: a slot the
+    # backward pass or the merge skipped would show in the solution.
+    def nan_stacks(m, b, a):
+        return BtaMatrix(m, b, a, *(np.full(s, np.nan, complex) for s in stack_shapes(m, b, a)))
+
+    monkeypatch.setattr(dist, "_empty_stacks", nan_stacks)
+    a, rhs = random_system(n, 3, a_sz, seed=n + parts)
+    rhs = rhs if mode == "siq" else None
+    seq = solve_selected(a, rhs, mode)
+    got = dist_solve(a, rhs, num_parts=parts, mode=mode)
+    for x, ref in ((got.x_a, seq.x_a), (got.x_b, seq.x_b))[: 2 if rhs is not None else 1]:
+        # The error below is blind to NaN: max() keeps 0.0 over a NaN.
+        assert all(np.isfinite(s).all() for s in x.stacks)
+        assert max_block_rel_err(x, ref) <= 1e-12
+
+
+def test_socket_slice_with_wrong_block_count(monkeypatch):
+    # Rank 1 sends one block fewer than its partition holds: the root
+    # refuses to merge it.
+    real = dist.local_backward
+
+    def short(a, b, plan, rank, *args):
+        x_a, x_b = real(a, b, plan, rank, *args)
+        if rank == 1:
+            x_a = BtaMatrix(x_a.n - 1, x_a.b, x_a.a, *(s[:-1] for s in x_a.stacks[:-1]))
+        return x_a, x_b
+
+    monkeypatch.setattr(dist, "local_backward", short)
+    a, _ = random_system(8, 2, 1, seed=19)
+    port = _free_port()
+    outcome, errors = {}, []
+
+    def run(rank):
+        try:
+            coll = SocketCollectives(2, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                outcome[rank] = dist_solve(a, num_parts=2, mode="si", transport=coll)
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - checked below
+            errors.append((rank, exc))
+
+    threads = [threading.Thread(target=run, args=(rank,)) for rank in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert outcome == {1: None}
+    assert [(rank, type(exc)) for rank, exc in errors] == [(0, ProtocolError)]
+    assert "rank 1" in str(errors[0][1])
