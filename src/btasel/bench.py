@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
+import numpy as np
+
 from .baselines import batched_solve, dense_solve
 from .dist import dist_solve
 from .kernels import OpCounter
 from .matrix import BtaMatrix
 from .rgf import solve_selected
 
-__all__ = ["BenchReport", "run_benchmark", "weak_scaling_sweep", "PHASES"]
+__all__ = ["BenchReport", "run_benchmark", "weak_scaling_sweep", "block_errors", "PHASES"]
 
 PHASES = ("forward", "reduced", "backward", "communication")
 
@@ -165,20 +167,29 @@ def run_benchmark(
     return report
 
 
-def max_relative_error(candidate, reference) -> float:
-    """Worst per-block relative Frobenius error between two solutions."""
-    import numpy as np
+def block_errors(candidate: BtaMatrix, reference: BtaMatrix) -> tuple[dict, tuple]:
+    """Per-block relative Frobenius errors of ``candidate`` against
+    ``reference`` (absolute where the reference block is zero): the worst
+    per block kind, and the worst block as ``(kind, index, error)``.  An
+    error that is not finite (a NaN on either side) counts as ``inf``."""
+    errors, worst = {}, ("", -1, 0.0)
+    for (kind, idx, blk_c), (_, _, blk_r) in zip(
+        candidate.pattern_blocks(), reference.pattern_blocks()
+    ):
+        denom = np.linalg.norm(blk_r)
+        err = np.linalg.norm(blk_c - blk_r)
+        rel = err / denom if denom > 0 else err
+        rel = rel if np.isfinite(rel) else math.inf
+        errors[kind] = max(errors.get(kind, 0.0), rel)
+        if rel > worst[2]:
+            worst = (kind, idx, rel)
+    return errors, worst
 
-    worst = 0.0
-    pairs = [(candidate.x_a, reference.x_a)]
-    if candidate.x_b is not None and reference.x_b is not None:
-        pairs.append((candidate.x_b, reference.x_b))
-    for cand, ref in pairs:
-        for (_, _, blk_c), (_, _, blk_r) in zip(cand.pattern_blocks(), ref.pattern_blocks()):
-            denom = np.linalg.norm(blk_r)
-            err = np.linalg.norm(blk_c - blk_r)
-            worst = max(worst, err / denom if denom > 0 else err)
-    return worst
+
+def max_relative_error(candidate, reference) -> float:
+    """Worst :func:`block_errors` error between two solutions."""
+    pairs = [(candidate.x_a, reference.x_a), (candidate.x_b, reference.x_b)]
+    return max(block_errors(c, r)[1][2] for c, r in pairs if c is not None and r is not None)
 
 
 def weak_scaling_sweep(

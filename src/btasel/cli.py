@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .baselines import batched_solve, dense_solve
-from .bench import BenchReport, run_benchmark, weak_scaling_sweep
+from .bench import BenchReport, block_errors, run_benchmark, weak_scaling_sweep
 from .collectives import SocketCollectives
 from .dist import dist_solve
 from .errors import (
@@ -178,21 +177,6 @@ def cmd_solve(algo, mode, parts, a_file, b_file, out, out_b, counts, transport, 
             click.echo(f"count_{key}: {value}")
 
 
-def _per_class_errors(candidate, reference):
-    errors = {}
-    worst = ("", -1, 0.0)
-    for (kind, idx, blk_c), (_, _, blk_r) in zip(
-        candidate.pattern_blocks(), reference.pattern_blocks()
-    ):
-        denom = np.linalg.norm(blk_r)
-        err = np.linalg.norm(blk_c - blk_r)
-        rel = err / denom if denom > 0 else err
-        errors[kind] = max(errors.get(kind, 0.0), rel)
-        if rel > worst[2]:
-            worst = (kind, idx, rel)
-    return errors, worst
-
-
 @main.command("verify")
 @click.option("--candidate", type=click.Path(path_type=Path), required=True)
 @click.option("--a-file", type=click.Path(path_type=Path), required=True)
@@ -219,7 +203,7 @@ def cmd_verify(candidate, a_file, b_file, reference, which, tol):
         raise ShapeMismatchError(
             f"candidate shape {cand.shape_params} != reference {ref.shape_params}"
         )
-    errors, worst = _per_class_errors(cand, ref)
+    errors, worst = block_errors(cand, ref)
     for kind in ("diag", "lower", "upper", "arrow_row", "arrow_col", "tip"):
         if kind in errors:
             click.echo(f"max_rel_fro_{kind}: {errors[kind]:.3e}")

@@ -5,12 +5,17 @@ the diagonal blocks (storing the inverted pivots), followed by a backward
 substitution sweep that produces exactly the pattern blocks of
 ``X = A^-1`` and, in fused mode, of ``X = A^-1 B A^-H``.
 
-Plain block-tridiagonal systems take the two-term recursion; arrowhead
-systems extend every step with arrow-strip and tip updates, keeping the
-coupling values seen at elimination time for the backward sweep.  The
-backward substitution at pivot ``i`` only ever reads trailing entries
-that lie on the sparsity pattern, which is what keeps the selected solve
-linear in the number of diagonal blocks.
+A plain block-tridiagonal (BT) system is an arrowhead system with an
+empty arrow (``a = 0``): both run the same two sweeps, and the arrow
+size picks the step.  With an arrow every elimination step adds
+arrow-strip and tip updates, keeping the coupling values seen at
+elimination time, and every backward step has two trailing couplings,
+the next block and the tip.  Without one the backward step has one
+trailing coupling and is written out by hand: the generic step at one
+coupling made the b=4 backward sweep 13-18% slower.  The backward
+substitution at pivot ``i`` only ever reads trailing entries that lie
+on the sparsity pattern, which is what keeps the selected solve linear
+in the number of diagonal blocks.
 """
 
 from __future__ import annotations
@@ -76,160 +81,29 @@ def _invert_pivot(block, index, counter):
 
 
 # ---------------------------------------------------------------------------
-# Block-tridiagonal path
-# ---------------------------------------------------------------------------
-
-
-def bt_forward(
-    a: BtaMatrix, b: BtaMatrix | None = None, counter: OpCounter | None = None
-) -> RgfFactors:
-    """Forward Schur-complement pass over a block-tridiagonal system.
-
-    ``a`` (and ``b``) are working copies updated in place; the
-    non-destructive entry point is :func:`solve_selected`.  Per step the
-    pivot is inverted explicitly and propagated into the next diagonal
-    block; in fused mode the quadratic Schur block is formed and the next
-    right-hand-side diagonal updated alongside.
-
-    Cost: exactly 2 (selected inversion) or 8 (fused) b-sized products
-    per step; off-diagonal blocks are never modified.
-    """
-    if a.a != 0:
-        raise ShapeMismatchError("bt_forward requires a plain BT matrix (a=0)")
-    if b is not None and b.shape_params != a.shape_params:
-        raise ShapeMismatchError("right-hand side shape differs from system shape")
-    n = a.n
-    fused = b is not None
-    factors = RgfFactors(n=n, b=a.b, a=0, mode="siq" if fused else "si")
-    factors.s_a = [None] * n
-    if fused:
-        factors.s_b = [None] * max(n - 1, 0)
-        factors.l_sb = [None] * max(n - 1, 0)
-
-    for i in range(n - 1):
-        s = _invert_pivot(a.diag[i], i, counter)
-        factors.s_a[i] = s
-        lo = a.lower[i]
-        t1 = mm(lo, s, counter)
-        if fused:
-            w = mm(s, b.diag[i], counter)
-            sb = mm(w, s, counter, tb=True)
-            factors.s_b[i] = sb
-            v = mm(lo, sb, counter)
-            factors.l_sb[i] = v
-            bd = b.diag[i + 1]  # updated in place, as are all next-block slots
-            bd += mm(v, lo, counter, tb=True)
-            bd -= mm(b.lower[i], t1, counter, tb=True)
-            bd -= mm(t1, b.upper[i], counter)
-        ad = a.diag[i + 1]
-        ad -= mm(t1, a.upper[i], counter)
-
-    factors.s_a[n - 1] = _invert_pivot(a.diag[n - 1], n - 1, counter)
-    if fused:
-        factors.b_diag_last = b.diag[n - 1]
-    return factors
-
-
-def bt_backward(
-    factors: RgfFactors,
-    a: BtaMatrix,
-    b: BtaMatrix | None = None,
-    counter: OpCounter | None = None,
-    *,
-    diagonal_only: bool = False,
-) -> SelectedSolution:
-    """Backward selected substitution over a block-tridiagonal system.
-
-    Consumes the inverted pivots and quadratic Schur blocks from
-    :func:`bt_forward` together with the original off-diagonal blocks of
-    ``a`` and ``b`` (the forward pass never modifies off-diagonals).
-    With ``diagonal_only`` the off-diagonal solution blocks are computed
-    but left zero in the output containers.
-
-    This is the ``k = 1`` case of the arrowhead step (``_backstep``),
-    written out by hand because it is the hot loop of small-block runs:
-    with ``S = s_a[i]``, ``Sb = s_b[i]``, ``U``/``L`` the upper/lower
-    couplings of ``a`` and ``Bu``/``Bl`` those of ``b``, ``F1 = S·U``,
-    ``F2 = L·S`` and ``Y``/``Z`` the trailing diagonals::
-
-        X(i+1,i) = -Y·F2    X(i,i+1) = -F1·Y    X_ii = S - F1·X(i+1,i)
-        Z(i+1,i) = Y·(Bl·S^H - L·Sb) - Z·F1^H
-        V = (S·Bu - Sb·L^H)·Y^H                 Z(i,i+1) = V - F1·Z
-        Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
-
-    ``L·Sb`` comes from the forward pass (``l_sb``), so a step costs 5
-    (selected inversion) or 14 (fused) b-sized products.
-    """
-    n = factors.n
-    if factors.a != 0:
-        raise ShapeMismatchError("bt_backward requires BT factors (a=0)")
-    if a.shape_params != (factors.n, factors.b, 0):
-        raise ShapeMismatchError("system shape disagrees with factors")
-    fused = factors.mode == "siq"
-    if fused and b is None:
-        raise ShapeMismatchError("fused factors require the right-hand side")
-    s_a = factors.s_a
-
-    x_a = BtaMatrix.zeros(n, factors.b, 0)
-    x_b = BtaMatrix.zeros(n, factors.b, 0) if fused else None
-
-    # Each solution block's last operation writes its output slot.
-    xd = x_a.diag[n - 1]
-    xd[...] = s_a[n - 1]
-    zd = None
-    if fused:
-        w = mm(s_a[n - 1], factors.b_diag_last, counter)
-        zd = x_b.diag[n - 1]
-        zd[...] = mm(w, s_a[n - 1], counter, tb=True)
-
-    for i in range(n - 2, -1, -1):
-        s = s_a[i]
-        y = xd
-        lo = a.lower[i]
-        f1 = mm(s, a.upper[i], counter)
-        f2 = mm(lo, s, counter)
-        x_lo = np.negative(mm(y, f2, counter), out=x_a.lower[i])
-        np.negative(mm(f1, y, counter), out=x_a.upper[i])
-        xd = np.subtract(s, mm(f1, x_lo, counter), out=x_a.diag[i])
-        if fused:
-            z = zd
-            sb = factors.s_b[i]
-            e = mm(b.lower[i], s, counter, tb=True)
-            e -= factors.l_sb[i]
-            xb_lo = np.subtract(mm(y, e, counter), mm(z, f1, counter, tb=True), out=x_b.lower[i])
-            g = mm(s, b.upper[i], counter)
-            g -= mm(sb, lo, counter, tb=True)
-            v = mm(g, y, counter, tb=True)
-            np.subtract(v, mm(f1, z, counter), out=x_b.upper[i])
-            zd = np.subtract(sb, mm(f1, xb_lo, counter), out=x_b.diag[i])
-            zd -= mm(v, f1, counter, tb=True)
-
-    if diagonal_only:
-        _clear_off_diagonals(x_a, x_b)
-    return SelectedSolution(x_a=x_a, x_b=x_b, mode=factors.mode)
-
-
-# ---------------------------------------------------------------------------
-# Arrowhead path
+# Sweeps
 # ---------------------------------------------------------------------------
 
 
 def _new_factors(n, b, a, fused) -> RgfFactors:
-    """Factors with one empty slot per block for every retained list."""
+    """Factors with one empty slot per block for every retained list;
+    the arrow lists only when the arrow is not empty."""
     factors = RgfFactors(n=n, b=b, a=a, mode="siq" if fused else "si")
     factors.s_a = [None] * n
-    factors.arrow_row_elim = [None] * n
-    factors.arrow_col_elim = [None] * n
     if fused:
         factors.s_b = [None] * max(n - 1, 0)
         factors.l_sb = [None] * max(n - 1, 0)
-        factors.b_arrow_row_elim = [None] * n
-        factors.b_arrow_col_elim = [None] * n
+    if a > 0:
+        factors.arrow_row_elim = [None] * n
+        factors.arrow_col_elim = [None] * n
+        if fused:
+            factors.b_arrow_row_elim = [None] * n
+            factors.b_arrow_col_elim = [None] * n
     return factors
 
 
 def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
-    """Eliminate blocks ``0..stop-1`` of an arrowhead system, top-down.
+    """Eliminate blocks ``0..stop-1`` of a BT or arrowhead system, top-down.
 
     ``a`` (and ``b``) are working stacks with the fields of a
     :class:`BtaMatrix` except the tip, updated in place: each step writes
@@ -237,37 +111,50 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     contribution from ``tip_a`` (``tip_b``).  The pivot inverses and the
     couplings as seen at elimination are retained in ``factors`` at the
     block's position.  ``index[i]`` is the number a singular pivot at
-    block ``i`` is reported under.
+    block ``i`` is reported under.  The arrow-strip and tip updates, and
+    the retained arrow couplings, are made only when the arrow is not
+    empty (``factors.a > 0``).
     """
     fused = b is not None
+    arrow = factors.a > 0
     for i in range(stop):
         s = _invert_pivot(a.diag[i], index[i], counter)
         factors.s_a[i] = s
-        factors.arrow_row_elim[i] = a.arrow_row[i]
-        factors.arrow_col_elim[i] = a.arrow_col[i]
+        lo = a.lower[i]
         # Next-block slots, updated in place; slot i stays as retained.
-        ad, ar, ac = a.diag[i + 1], a.arrow_row[i + 1], a.arrow_col[i + 1]
+        ad = a.diag[i + 1]
         if fused:
-            factors.b_arrow_row_elim[i] = b.arrow_row[i]
-            factors.b_arrow_col_elim[i] = b.arrow_col[i]
             # Left-hand elimination factors shared by all fused updates.
             w = mm(s, b.diag[i], counter)
             sb = mm(w, s, counter, tb=True)
             factors.s_b[i] = sb
-            f = mm(a.lower[i], s, counter)
+            f = mm(lo, s, counter)
+            ad -= mm(f, a.upper[i], counter)
+            v = mm(lo, sb, counter)
+            factors.l_sb[i] = v
+            bd = b.diag[i + 1]
+            bd += mm(v, lo, counter, tb=True)
+            bd -= mm(b.lower[i], f, counter, tb=True)
+            bd -= mm(f, b.upper[i], counter)
+        else:
+            # Right-hand temporaries reach the minimal mixed-shape count.
+            t1 = mm(s, a.upper[i], counter)
+            ad -= mm(lo, t1, counter)
+        if not arrow:
+            continue
+        factors.arrow_row_elim[i] = a.arrow_row[i]
+        factors.arrow_col_elim[i] = a.arrow_col[i]
+        ar, ac = a.arrow_row[i + 1], a.arrow_col[i + 1]
+        if fused:
+            factors.b_arrow_row_elim[i] = b.arrow_row[i]
+            factors.b_arrow_col_elim[i] = b.arrow_col[i]
             g = mm(a.arrow_row[i], s, counter)
             p = mm(g, b.diag[i], counter)
             k = mm(b.diag[i], g, counter, tb=True)
-            ad -= mm(f, a.upper[i], counter)
             ar -= mm(g, a.upper[i], counter)
             ac -= mm(f, a.arrow_col[i], counter)
             tip_a -= mm(g, a.arrow_col[i], counter)
-            v = mm(a.lower[i], sb, counter)
-            factors.l_sb[i] = v
-            bd, br, bc = b.diag[i + 1], b.arrow_row[i + 1], b.arrow_col[i + 1]
-            bd += mm(v, a.lower[i], counter, tb=True)
-            bd -= mm(b.lower[i], f, counter, tb=True)
-            bd -= mm(f, b.upper[i], counter)
+            br, bc = b.arrow_row[i + 1], b.arrow_col[i + 1]
             br -= mm(g, b.upper[i], counter)
             br += mm(p - b.arrow_row[i], f, counter, tb=True)
             bc -= mm(f, b.arrow_col[i], counter)
@@ -277,32 +164,31 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             tip_b -= mm(b.arrow_row[i], g, counter, tb=True)
             tip_b += mm(p, g, counter, tb=True)
         else:
-            # Right-hand temporaries reach the minimal mixed-shape count.
-            t1 = mm(s, a.upper[i], counter)
             t2 = mm(s, a.arrow_col[i], counter)
-            ad -= mm(a.lower[i], t1, counter)
             ar -= mm(a.arrow_row[i], t1, counter)
-            ac -= mm(a.lower[i], t2, counter)
+            ac -= mm(lo, t2, counter)
             tip_a -= mm(a.arrow_row[i], t2, counter)
 
 
 def bta_forward(
     a: BtaMatrix, b: BtaMatrix | None = None, counter: OpCounter | None = None
 ) -> RgfFactors:
-    """Forward Schur-complement pass over an arrowhead system.
+    """Forward Schur-complement pass over a BT or arrowhead system.
 
-    Eliminates diagonal blocks top-down, propagating updates into the
-    next diagonal block, the next arrow strips, and the tip, all
-    restricted to the a-priori nonzero positions.  After the loop the
-    final diagonal block is eliminated into the tip and the updated tip
-    is inverted.  ``a = 0`` inputs delegate to :func:`bt_forward`
-    bit-for-bit.
+    ``a`` (and ``b``) are working copies updated in place; the
+    non-destructive entry point is :func:`solve_selected`.  Eliminates
+    diagonal blocks top-down with :func:`_forward_sweep`, propagating
+    updates into the next diagonal block and, with an arrow, the next
+    arrow strips and the tip, all restricted to the a-priori nonzero
+    positions.  With an arrow the final diagonal block is then
+    eliminated into the tip and the updated tip is inverted; without one
+    (``a = 0``) the last pivot's inverse ends the pass, so a plain BT
+    system takes exactly ``n`` inversions.
 
     Cost per interior step: 2/1/2/1 (selected inversion) or 8/5/5/4
-    (fused) products of shape classes bbb/abb/bba/aba.
+    (fused) products of shape classes bbb/abb/bba/aba, the last three
+    absent at ``a = 0``.  Off-diagonal blocks are never modified.
     """
-    if a.a == 0:
-        return bt_forward(a, b, counter)
     if b is not None and b.shape_params != a.shape_params:
         raise ShapeMismatchError("right-hand side shape differs from system shape")
     n = a.n
@@ -314,12 +200,15 @@ def bta_forward(
     i = n - 1
     s = _invert_pivot(a.diag[i], i, counter)
     factors.s_a[i] = s
+    if fused:
+        factors.b_diag_last = b.diag[i]
+    if a.a == 0:
+        return factors
     factors.arrow_row_elim[i] = a.arrow_row[i]
     factors.arrow_col_elim[i] = a.arrow_col[i]
     if fused:
         factors.b_arrow_row_elim[i] = b.arrow_row[i]
         factors.b_arrow_col_elim[i] = b.arrow_col[i]
-        factors.b_diag_last = b.diag[i]
         g = mm(a.arrow_row[i], s, counter)
         p = mm(g, b.diag[i], counter)
         a.tip -= mm(g, a.arrow_col[i], counter)
@@ -446,28 +335,58 @@ def _out_slots(x, i, k):
     return row, col, x.diag[i]
 
 
-def _clear_off_diagonals(*containers):
-    for x in containers:
-        if x is not None:
-            x.lower[...] = 0.0
-            x.upper[...] = 0.0
-
-
 def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
-    """Backward steps at blocks ``stop-1`` down to 0 of an arrowhead system.
+    """Backward steps at blocks ``stop-1`` down to 0.
 
-    Each step has two trailing couplings, the next block and the tip.
     The sweep is seeded with block ``stop``'s diagonal and arrow solution
     blocks, read from their slots of ``x_a`` (``x_b``), and the tip
     solution ``ytt`` (``ztt``); it writes every block it solves into its
-    slot.  ``a`` and ``b`` supply the off-diagonal couplings.
+    slot.  ``a`` and ``b`` supply the off-diagonal couplings.  With an
+    arrow each step has two trailing couplings, the next block and the
+    tip, and runs :func:`_backstep`.
+
+    Without one (``factors.a == 0``) a step has the next block as its
+    only coupling.  That is the ``k = 1`` case of :func:`_backstep`,
+    written out by hand because it is the hot loop of small-block runs:
+    the generic step made the b=4 sweep 13-18% slower.  With
+    ``S = s_a[i]``, ``Sb = s_b[i]``, ``U``/``L`` the upper/lower
+    couplings of ``a`` and ``Bu``/``Bl`` those of ``b``, ``F1 = S·U``,
+    ``F2 = L·S`` and ``Y``/``Z`` the trailing diagonals::
+
+        X(i+1,i) = -Y·F2    X(i,i+1) = -F1·Y    X_ii = S - F1·X(i+1,i)
+        Z(i+1,i) = Y·(Bl·S^H - L·Sb) - Z·F1^H
+        V = (S·Bu - Sb·L^H)·Y^H                 Z(i,i+1) = V - F1·Z
+        Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
+
+    ``L·Sb`` comes from the forward pass (``l_sb``), so a step costs 5
+    (selected inversion) or 14 (fused) b-sized products.
     """
-    fused = x_b is not None
+    fused, arrow = x_b is not None, factors.a > 0
     y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
     if fused:
         z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
     ss = ws = yb = sc = qsb = None
     for i in range(stop - 1, -1, -1):
+        s = factors.s_a[i]
+        if not arrow:
+            y, lo = y_dd, a.lower[i]
+            f1 = mm(s, a.upper[i], counter)
+            f2 = mm(lo, s, counter)
+            xl = np.negative(mm(y, f2, counter), out=x_a.lower[i])
+            np.negative(mm(f1, y, counter), out=x_a.upper[i])
+            y_dd = np.subtract(s, mm(f1, xl, counter), out=x_a.diag[i])
+            if fused:
+                z, sb = z_dd, factors.s_b[i]
+                e = mm(b.lower[i], s, counter, tb=True)
+                e -= factors.l_sb[i]
+                zl = np.subtract(mm(y, e, counter), mm(z, f1, counter, tb=True), out=x_b.lower[i])
+                g = mm(s, b.upper[i], counter)
+                g -= mm(sb, lo, counter, tb=True)
+                v = mm(g, y, counter, tb=True)
+                np.subtract(v, mm(f1, z, counter), out=x_b.upper[i])
+                z_dd = np.subtract(sb, mm(f1, zl, counter), out=x_b.diag[i])
+                z_dd -= mm(v, f1, counter, tb=True)
+            continue
         rs = [a.upper[i], factors.arrow_col_elim[i]]
         qs = [a.lower[i], factors.arrow_row_elim[i]]
         ya = [[y_dd, y_dt], [y_td, ytt]]
@@ -479,7 +398,7 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             qsb = [factors.l_sb[i], None]
         out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            factors.s_a[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
+            s, rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
         )
         y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
         if fused:
@@ -494,16 +413,18 @@ def bta_backward(
     *,
     diagonal_only: bool = False,
 ) -> SelectedSolution:
-    """Backward selected substitution over an arrowhead system.
+    """Backward selected substitution over a BT or arrowhead system.
 
-    Starts from the inverted reduced tip and steps backward through the
-    diagonal blocks, producing every pattern block of the solution(s):
-    diagonal, first off-diagonals, arrow strips, and tip.  Each block is
-    written into its output slot by its last operation.  ``a = 0``
-    factors delegate to :func:`bt_backward`.
+    Consumes the factors of :func:`bta_forward` and the original
+    off-diagonal blocks of ``a`` and ``b`` (the forward pass never
+    modifies them).  Starts from the last block (with an arrow, from the
+    inverted reduced tip) and steps backward with :func:`_backward_sweep`,
+    which at ``a = 0`` takes its hand-written one-coupling step (the
+    generic step was 13-18% slower at b=4).  Every pattern block of the
+    solution(s) is written into its output slot by its last operation;
+    with ``diagonal_only`` the off-diagonal ones are computed but left
+    zero.
     """
-    if factors.a == 0:
-        return bt_backward(factors, a, b, counter, diagonal_only=diagonal_only)
     n = factors.n
     if a.shape_params != (factors.n, factors.b, factors.a):
         raise ShapeMismatchError("system shape disagrees with factors")
@@ -514,27 +435,50 @@ def bta_backward(
     x_a = BtaMatrix.zeros(n, factors.b, factors.a)
     x_b = BtaMatrix.zeros(n, factors.b, factors.a) if fused else None
 
-    ytt = factors.tip_schur_inv
-    x_a.tip[...] = ytt
-    ztt = ss = ws = yb = sc = None
-    # The last block's step has the tip as its only trailing coupling.
     i = n - 1
-    if fused:
-        w = mm(ytt, factors.b_tip, counter)
-        ztt = mm(w, ytt, counter, tb=True)
-        x_b.tip[...] = ztt
-        ss = [factors.b_arrow_col_elim[i]]
-        ws = [factors.b_arrow_row_elim[i]]
-        yb = [[ztt]]
-        sc = mm(mm(factors.s_a[i], factors.b_diag_last, counter), factors.s_a[i], counter, tb=True)
-    out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
-    rs, qs = [factors.arrow_col_elim[i]], [factors.arrow_row_elim[i]]
-    _backstep(factors.s_a[i], rs, qs, [[ytt]], sc, ss, ws, yb, counter, out=out)
+    s = factors.s_a[i]
+    sc = mm(mm(s, factors.b_diag_last, counter), s, counter, tb=True) if fused else None
+    ytt, ztt = factors.tip_schur_inv, None
+    if factors.a == 0:
+        # The last block has no trailing coupling: X_ii = S, Z_ii = Sb.
+        x_a.diag[i] = s
+        if fused:
+            x_b.diag[i] = sc
+    else:
+        # The last block's step has the tip as its only trailing coupling.
+        x_a.tip[...] = ytt
+        ss = ws = yb = None
+        if fused:
+            ztt = mm(mm(ytt, factors.b_tip, counter), ytt, counter, tb=True)
+            x_b.tip[...] = ztt
+            ss, ws, yb = [factors.b_arrow_col_elim[i]], [factors.b_arrow_row_elim[i]], [[ztt]]
+        out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
+        rs, qs = [factors.arrow_col_elim[i]], [factors.arrow_row_elim[i]]
+        _backstep(s, rs, qs, [[ytt]], sc, ss, ws, yb, counter, out=out)
     _backward_sweep(factors, a, b, x_a, x_b, i, ytt, ztt, counter)
 
     if diagonal_only:
-        _clear_off_diagonals(x_a, x_b)
+        for x in (x_a, x_b) if fused else (x_a,):
+            x.lower[...] = x.upper[...] = 0.0
     return SelectedSolution(x_a=x_a, x_b=x_b, mode=factors.mode)
+
+
+def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
+    """:func:`bta_forward` of a plain BT matrix (``a = 0``), which it
+    requires; the empty arrow skips every arrow and tip update: 2 (or 8
+    fused) b-sized products per step and ``n`` inversions."""
+    if a.a != 0:
+        raise ShapeMismatchError("bt_forward requires a plain BT matrix (a=0)")
+    return bta_forward(a, *args, **kwargs)
+
+
+def bt_backward(factors: RgfFactors, *args, **kwargs) -> SelectedSolution:
+    """:func:`bta_backward` of BT factors (``a = 0``), which it requires:
+    the hand-written one-coupling step of :func:`_backward_sweep`, 5
+    (selected inversion) or 14 (fused) b-sized products per step."""
+    if factors.a != 0:
+        raise ShapeMismatchError("bt_backward requires BT factors (a=0)")
+    return bta_backward(factors, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

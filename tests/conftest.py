@@ -22,6 +22,8 @@ def dense_selected_quadratic(a: BtaMatrix, b: BtaMatrix) -> BtaMatrix:
 
 
 def max_block_rel_err(candidate: BtaMatrix, reference: BtaMatrix) -> float:
+    """Worst per-block relative error; ``inf`` if a block holds a NaN or
+    an infinity on either side, so that no bound passes it."""
     worst = 0.0
     for (_, _, blk_c), (_, _, blk_r) in zip(
         candidate.pattern_blocks(), reference.pattern_blocks()
@@ -30,7 +32,8 @@ def max_block_rel_err(candidate: BtaMatrix, reference: BtaMatrix) -> float:
             continue
         denom = np.linalg.norm(blk_r)
         err = np.linalg.norm(blk_c - blk_r)
-        worst = max(worst, err / denom if denom > 0 else err)
+        rel = err / denom if denom > 0 else err
+        worst = max(worst, rel if np.isfinite(rel) else np.inf)
     return worst
 
 

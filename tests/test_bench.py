@@ -1,7 +1,15 @@
 import pytest
+from conftest import max_block_rel_err
 
-from btasel import OpCounter, generate_dd_bta, run_benchmark, weak_scaling_sweep
-from btasel.bench import BenchReport, PHASES
+from btasel import (
+    OpCounter,
+    generate_dd_bta,
+    hermitianize,
+    run_benchmark,
+    solve_selected,
+    weak_scaling_sweep,
+)
+from btasel.bench import PHASES, BenchReport, block_errors, max_relative_error
 
 
 def test_report_format_fields():
@@ -105,3 +113,19 @@ def test_weak_scaling_reports():
     assert 0 < reports[1].parallel_efficiency
     text = reports[1].to_text()
     assert "parallel_efficiency:" in text
+
+
+@pytest.mark.parametrize("field", ["x_a", "x_b"])
+@pytest.mark.parametrize("side", ["candidate", "reference"])
+def test_nan_block_is_an_infinite_error(side, field):
+    # worst = max(worst, nan) keeps worst: a NaN block must not read as 0.
+    a = generate_dd_bta(6, 3, 1, seed=6)
+    b = hermitianize(generate_dd_bta(6, 3, 1, seed=7))
+    sols = {"candidate": solve_selected(a, b), "reference": solve_selected(a, b)}
+    assert max_relative_error(sols["candidate"], sols["reference"]) == 0.0
+    getattr(sols[side], field).diag[2][:] = float("nan")
+    cand, ref = sols["candidate"], sols["reference"]
+    assert max_relative_error(cand, ref) == float("inf")
+    errors, worst = block_errors(getattr(cand, field), getattr(ref, field))
+    assert worst == ("diag", 2, float("inf")) and errors["diag"] == float("inf")
+    assert max_block_rel_err(getattr(cand, field), getattr(ref, field)) == float("inf")

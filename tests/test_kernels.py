@@ -353,3 +353,31 @@ def test_sweeps_resolve_kernels_at_call_time(monkeypatch, solver):
     want_invs = counter.inv_count + extra * (counter.inv_count - local_invs)
     assert gemms and invs
     assert (len(gemms), len(invs)) == (want_gemms, want_invs)
+
+
+@pytest.mark.parametrize("mode", ["si", "siq"])
+@pytest.mark.parametrize("solver", ["rgf", "dist"])
+def test_bt_systems_do_no_empty_work(monkeypatch, solver, mode):
+    # A plain BT system (a=0) has an empty arrow: no sweep may multiply a
+    # zero-size operand or invert the 0x0 tip.  (The middle partition
+    # kind keeps its arrow products at a=0, hence P=2.)
+    empty = []
+
+    def spy(fn, operands):
+        def wrapper(*args, **kwargs):
+            empty.extend(x.shape for x in args[:operands] if x.size == 0)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(btasel.rgf, "mm", spy(btasel.rgf.mm, 2))
+    monkeypatch.setattr(btasel.dist, "mm", spy(btasel.dist.mm, 2))
+    monkeypatch.setattr(btasel.rgf, "block_inverse", spy(btasel.rgf.block_inverse, 1))
+    a, b = _system(a=0)
+    counter = OpCounter(b=a.b)
+    if solver == "rgf":
+        solve_selected(a, b, mode, counter=counter)
+    else:
+        dist_solve(a, b, num_parts=2, mode=mode, counter=counter)
+    assert counter.total_gemms() > 0
+    assert empty == []

@@ -218,6 +218,27 @@ class TestStackedStorage:
         }
         assert got == self.SOLVED
 
+    # The plain BT path (a=0) of the fused solve, pinned at the shapes of
+    # a small case and of the negf-bt-small workload.
+    SOLVED_BT = {
+        (7, 3, 0): (
+            "2f0de39c14f1240cdae05ca2721ab2fffd4b1bc9a08fea0251bb0a43bf090d0d",
+            "5623480b48aceb6bf8133f88c7ca262e7a8a20c39728fbe39fa87e2e362ecf23",
+        ),
+        (256, 4, 0): (
+            "2ed37f2004410c0db046643c3b475799de2c50da9ded42577e45772e14901ba9",
+            "6a2442c86bc302ff4bcedbfb8eff6ee251cab8ac92ff18f51f81cd5eea06dd1e",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SOLVED_BT))
+    def test_bt_solver_bits_pinned(self, tmp_path, shape):
+        a = generate_dd_bta(*shape, seed=11)
+        rhs = hermitianize(generate_dd_bta(*shape, seed=12))
+        siq = solve_selected(a, rhs)
+        got = (_sha256(siq.x_a, tmp_path), _sha256(siq.x_b, tmp_path))
+        assert got == self.SOLVED_BT[shape]
+
     @pytest.mark.parametrize("shape", [(1, 3, 0), (1, 2, 2), (4, 3, 0), (5, 2, 3)])
     def test_fields_are_contiguous_stacks(self, tmp_path, shape):
         m = generate_dd_bta(*shape, seed=3)
