@@ -34,12 +34,13 @@ from .collectives import Collectives, SocketCollectives, ThreadHub
 from .errors import ProtocolError, WorkerError
 from .fileio import decode_bta, encode_bta
 from .kernels import COMPLEX, OpCounter, mm
-from .matrix import BtaMatrix, SelectedSolution, stack_shapes
+from .matrix import BtaMatrix, SelectedSolution
 from .partition import PartitionPlan, plan_partitions
 from .rgf import (
     RgfFactors,
     _backstep,
     _backward_sweep,
+    _bupdate,
     _forward_sweep,
     _invert_pivot,
     _new_factors,
@@ -188,14 +189,6 @@ def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
     )
 
 
-def _empty_stacks(n: int, b: int, a: int) -> BtaMatrix:
-    """Output stacks left uninitialised but the tip, which is zero: a
-    partition's, where :func:`local_backward` writes every other slot,
-    and the merged solution's, where the merge writes every slot."""
-    shapes = stack_shapes(n, b, a)[:-1]
-    return BtaMatrix(n, b, a, *(np.empty(shape, COMPLEX) for shape in shapes))
-
-
 @dataclass
 class ReducedSystem:
     """The boundary-coupling system, replicated on every rank.
@@ -236,7 +229,7 @@ def local_forward(
     kind = plan.kinds[rank]
     fused = b is not None
     m, bs, asz = hi - lo, a.b, a.a
-    reverse = kind == "last"
+    reverse, arrow = kind == "last", asz > 0
     wa = _working(a, lo, hi, reverse)
     wb = _working(b, lo, hi, reverse) if fused else None
     tip_delta = np.zeros((2 if fused else 1, asz, asz), dtype=COMPLEX)
@@ -270,18 +263,19 @@ def local_forward(
             factors.fill_col.append(fill_c)
             fn = mm(al[i], s, counter)
             fr = mm(fill_r, s, counter)
-            g = mm(ar[i], s, counter)
-            # System-side updates: next diagonal, fill pair, top boundary,
-            # both arrow strips, tip.
-            new_fill_r = -mm(fr, au[i], counter)
-            new_fill_c = -mm(fn, fill_c, counter)
-            ad[i + 1] -= mm(fn, au[i], counter)
-            ad[0] -= mm(fr, fill_c, counter)
-            ar[i + 1] -= mm(g, au[i], counter)
-            ar[0] -= mm(g, fill_c, counter)
-            ac[i + 1] -= mm(fn, ac[i], counter)
-            ac[0] -= mm(fr, ac[i], counter)
-            tip_a -= mm(g, ac[i], counter)
+            # System-side updates: fill pair, next diagonal, top boundary
+            # and, with an arrow, both arrow strips and the tip.
+            new_fill_r = mm(fr, au[i], counter, alpha=-1)
+            new_fill_c = mm(fn, fill_c, counter, alpha=-1)
+            mm(fn, au[i], counter, out=ad[i + 1], alpha=-1, beta=1)
+            mm(fr, fill_c, counter, out=ad[0], alpha=-1, beta=1)
+            if arrow:
+                g = mm(ar[i], s, counter)
+                mm(g, au[i], counter, out=ar[i + 1], alpha=-1, beta=1)
+                mm(g, fill_c, counter, out=ar[0], alpha=-1, beta=1)
+                mm(fn, ac[i], counter, out=ac[i + 1], alpha=-1, beta=1)
+                mm(fr, ac[i], counter, out=ac[0], alpha=-1, beta=1)
+                mm(g, ac[i], counter, out=tip_a, alpha=-1, beta=1)
             if fused:
                 factors.b_arrow_row_elim.append(br[i])
                 factors.b_arrow_col_elim.append(bc[i])
@@ -294,40 +288,18 @@ def local_forward(
                 vn = mm(al[i], sb, counter)
                 factors.fill_sb.append(v0)
                 factors.l_sb.append(vn)
-                p = mm(g, bd[i], counter)
-                bd[i + 1] -= mm(fn, bu[i], counter)
-                bd[i + 1] -= mm(bl[i], fn, counter, tb=True)
-                bd[i + 1] += mm(vn, al[i], counter, tb=True)
-                new_bfill_c = (
-                    -mm(fn, bfill_c, counter)
-                    - mm(bl[i], fr, counter, tb=True)
-                    + mm(vn, fill_r, counter, tb=True)
-                )
-                new_bfill_r = (
-                    -mm(fr, bu[i], counter)
-                    - mm(bfill_r, fn, counter, tb=True)
-                    + mm(v0, al[i], counter, tb=True)
-                )
-                bd[0] -= mm(fr, bfill_c, counter)
-                bd[0] -= mm(bfill_r, fr, counter, tb=True)
-                bd[0] += mm(v0, fill_r, counter, tb=True)
-                bc[i + 1] -= mm(fn, bc[i], counter)
-                bc[i + 1] -= mm(bl[i], g, counter, tb=True)
-                bc[i + 1] += mm(vn, ar[i], counter, tb=True)
-                bc[0] -= mm(fr, bc[i], counter)
-                bc[0] -= mm(bfill_r, g, counter, tb=True)
-                bc[0] += mm(v0, ar[i], counter, tb=True)
-                br[i + 1] -= mm(g, bu[i], counter)
-                br[i + 1] -= mm(br[i], fn, counter, tb=True)
-                br[i + 1] += mm(p, fn, counter, tb=True)
-                br[0] -= mm(g, bfill_c, counter)
-                br[0] -= mm(br[i], fr, counter, tb=True)
-                br[0] += mm(p, fr, counter, tb=True)
-                tip_b += (
-                    -mm(g, bc[i], counter)
-                    - mm(br[i], g, counter, tb=True)
-                    + mm(p, g, counter, tb=True)
-                )
+                _bupdate(counter, bd[i + 1], fn, bu[i], bl[i], fn, vn, al[i])
+                new_bfill_c = _bupdate(counter, None, fn, bfill_c, bl[i], fr, vn, fill_r)
+                new_bfill_r = _bupdate(counter, None, fr, bu[i], bfill_r, fn, v0, al[i])
+                _bupdate(counter, bd[0], fr, bfill_c, bfill_r, fr, v0, fill_r)
+                if arrow:
+                    p = mm(g, bd[i], counter)
+                    _bupdate(counter, bc[i + 1], fn, bc[i], bl[i], g, vn, ar[i])
+                    _bupdate(counter, bc[0], fr, bc[i], bfill_r, g, v0, ar[i])
+                    _bupdate(counter, br[i + 1], g, bu[i], br[i], fn, p, fn)
+                    _bupdate(counter, br[0], g, bfill_c, br[i], fr, p, fr)
+                    # The tip's three terms are summed before they meet it.
+                    tip_b += _bupdate(counter, None, g, bc[i], br[i], g, p, g)
                 bfill_r, bfill_c = new_bfill_r, new_bfill_c
             fill_r, fill_c = new_fill_r, new_fill_c
         bnd = [0, m - 1]
@@ -473,8 +445,8 @@ def local_backward(
     if red_sol.x_a.shape_params != reduced.matrix_a.shape_params:
         raise ProtocolError("reduced solution shape disagrees with reduced system")
     m = hi - lo
-    x_a = _empty_stacks(m, a.b, a.a)
-    x_b = _empty_stacks(m, a.b, a.a) if fused else None
+    x_a = BtaMatrix.empty(m, a.b, a.a)
+    x_b = BtaMatrix.empty(m, a.b, a.a) if fused else None
     pairs = [(x_a, red_sol.x_a)] + ([(x_b, red_sol.x_b)] if fused else [])
     ytt = red_sol.x_a.tip
     ztt = red_sol.x_b.tip if fused else None
@@ -501,44 +473,41 @@ def local_backward(
         # off-diagonal, solved entirely inside the reduced system.
         for x, r in pairs:
             x.upper[0], x.lower[0] = r.upper[k_top], r.lower[k_top]
-    y00, y0t, yt0 = x_a.diag[0], x_a.arrow_col[0], x_a.arrow_row[0]
-    y_dd, y_dt, y_td = x_a.diag[m - 1], x_a.arrow_col[m - 1], x_a.arrow_row[m - 1]
-    y_fr, y_fc = red_sol.x_a.upper[k_top], red_sol.x_a.lower[k_top]  # X(lo, i+1), X(i+1, lo)
+    k = 3 if a.a > 0 else 2  # the tip is a trailing coupling only with an arrow
+    # Trailing solution blocks over (top boundary, next block, tip), with
+    # the fill pair X(lo, i+1), X(i+1, lo) starting as the top coupling.
+    ys = []
+    for x, r in pairs:
+        top = [x.diag[0], r.upper[k_top], x.arrow_col[0]]
+        nxt = [r.lower[k_top], x.diag[m - 1], x.arrow_col[m - 1]]
+        tip = [x.arrow_row[0], x.arrow_row[m - 1], r.tip]
+        ys.append([row[:k] for row in (top, nxt, tip)[:k]])
     al, au = a.lower[lo : hi - 1], a.upper[lo : hi - 1]
     if fused:
-        z00, z0t, zt0 = x_b.diag[0], x_b.arrow_col[0], x_b.arrow_row[0]
-        z_dd, z_dt, z_td = x_b.diag[m - 1], x_b.arrow_col[m - 1], x_b.arrow_row[m - 1]
-        z_fr, z_fc = red_sol.x_b.upper[k_top], red_sol.x_b.lower[k_top]
         bl, bu = b.lower[lo : hi - 1], b.upper[lo : hi - 1]
     ss = ws = yb = sc = qsb = None
     for i in range(m - 2, 0, -1):
         t = i - 1  # elimination order
-        rs = [factors.fill_col[t], au[i], factors.arrow_col_elim[t]]
-        qs = [factors.fill_row[t], al[i], factors.arrow_row_elim[t]]
-        ya = [[y00, y_fr, y0t], [y_fc, y_dd, y_dt], [yt0, y_td, ytt]]
+        rs = [factors.fill_col[t], au[i], factors.arrow_col_elim[t]][:k]
+        qs = [factors.fill_row[t], al[i], factors.arrow_row_elim[t]][:k]
         if fused:
-            ss = [factors.b_fill_col[t], bu[i], factors.b_arrow_col_elim[t]]
-            ws = [factors.b_fill_row[t], bl[i], factors.b_arrow_row_elim[t]]
-            yb = [[z00, z_fr, z0t], [z_fc, z_dd, z_dt], [zt0, z_td, ztt]]
-            sc = factors.s_b[t]
-            qsb = [factors.fill_sb[t], factors.l_sb[t], None]
+            ss = [factors.b_fill_col[t], bu[i], factors.b_arrow_col_elim[t]][:k]
+            ws = [factors.b_fill_row[t], bl[i], factors.b_arrow_row_elim[t]][:k]
+            yb, sc = ys[1], factors.s_b[t]
+            qsb = [factors.fill_sb[t], factors.l_sb[t], None][:k]
         out = ()
-        for x in (x_a, x_b):
-            if x is None:
-                out += (None,) * 3
-                continue
+        for x, _ in pairs:
             row, col, diag = _out_slots(x, i, 2)
             # The fill blocks are pattern blocks only next to the top boundary.
             fill_row, fill_col = (x.lower[0], x.upper[0]) if i == 1 else (None, None)
-            out += ([fill_row, *row], [fill_col, *col], diag)
-        xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            factors.s_a[t], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
-        )
-        y_dd, y_dt, y_td = xa_diag, xa_row[2], xa_col[2]
-        y_fr, y_fc = xa_col[0], xa_row[0]
-        if fused:
-            z_dd, z_dt, z_td = xb_diag, xb_row[2], xb_col[2]
-            z_fr, z_fc = xb_col[0], xb_row[0]
+            out += ([fill_row, *row][:k], [fill_col, *col][:k], diag)
+        out += (None,) * (6 - len(out))  # no quadratic slots in "si" mode
+        res = _backstep(factors.s_a[t], rs, qs, ys[0], sc, ss, ws, yb, counter, qsb=qsb, out=out)
+        # Block i is the next step's trailing block; the top and tip stay.
+        for y, (row, col, diag) in zip(ys, (res[:3], res[3:])):
+            for l in range(0, k, 2):
+                y[1][l], y[l][1] = row[l], col[l]
+            y[1][1] = diag
     return x_a, x_b
 
 
@@ -558,7 +527,7 @@ def _merge_slices(
     separator and the tip from the reduced solution."""
     n, bs, asz = a.shape_params
     reds = [x for x in (red_sol.x_a, red_sol.x_b) if x is not None]
-    xs = [_empty_stacks(n, bs, asz) for _ in reds]
+    xs = [BtaMatrix.empty(n, bs, asz) for _ in reds]
     if len(slices) != plan.num_parts:
         raise ProtocolError(f"expected {plan.num_parts} solution slices, got {len(slices)}")
     for p, ((lo, hi), sl) in enumerate(zip(plan.ranges, slices)):

@@ -106,6 +106,11 @@ class BtaMatrix:
         return cls(n, b, a, *(np.zeros(shape, COMPLEX) for shape in stack_shapes(n, b, a)))
 
     @classmethod
+    def empty(cls, n: int, b: int, a: int = 0) -> "BtaMatrix":
+        """Stacks for a solver to fill: uninitialised but for a zero tip."""
+        return cls(n, b, a, *(np.empty(s, COMPLEX) for s in stack_shapes(n, b, a)[:-1]))
+
+    @classmethod
     def identity(cls, n: int, b: int, a: int = 0) -> "BtaMatrix":
         m = cls.zeros(n, b, a)
         idx = np.arange(b)

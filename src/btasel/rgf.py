@@ -102,6 +102,14 @@ def _new_factors(n, b, a, fused) -> RgfFactors:
     return factors
 
 
+def _bupdate(counter, out, x1, y1, x2, y2, x3, y3):
+    """A fused step's right-hand-side update ``out - x1·y1 - x2·y2^H +
+    x3·y3^H``, left to right, in ``out`` (or a new block from ``-x1·y1``)."""
+    out = mm(x1, y1, counter, out=out, alpha=-1, beta=0 if out is None else 1)
+    mm(x2, y2, counter, tb=True, out=out, alpha=-1, beta=1)
+    return mm(x3, y3, counter, tb=True, out=out, beta=1)
+
+
 def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     """Eliminate blocks ``0..stop-1`` of a BT or arrowhead system, top-down.
 
@@ -129,17 +137,17 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             sb = mm(w, s, counter, tb=True)
             factors.s_b[i] = sb
             f = mm(lo, s, counter)
-            ad -= mm(f, a.upper[i], counter)
+            mm(f, a.upper[i], counter, out=ad, alpha=-1, beta=1)
             v = mm(lo, sb, counter)
             factors.l_sb[i] = v
             bd = b.diag[i + 1]
-            bd += mm(v, lo, counter, tb=True)
-            bd -= mm(b.lower[i], f, counter, tb=True)
-            bd -= mm(f, b.upper[i], counter)
+            mm(v, lo, counter, tb=True, out=bd, beta=1)
+            mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
+            mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
         else:
             # Right-hand temporaries reach the minimal mixed-shape count.
             t1 = mm(s, a.upper[i], counter)
-            ad -= mm(lo, t1, counter)
+            mm(lo, t1, counter, out=ad, alpha=-1, beta=1)
         if not arrow:
             continue
         factors.arrow_row_elim[i] = a.arrow_row[i]
@@ -151,23 +159,21 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             g = mm(a.arrow_row[i], s, counter)
             p = mm(g, b.diag[i], counter)
             k = mm(b.diag[i], g, counter, tb=True)
-            ar -= mm(g, a.upper[i], counter)
-            ac -= mm(f, a.arrow_col[i], counter)
-            tip_a -= mm(g, a.arrow_col[i], counter)
+            mm(g, a.upper[i], counter, out=ar, alpha=-1, beta=1)
+            mm(f, a.arrow_col[i], counter, out=ac, alpha=-1, beta=1)
+            mm(g, a.arrow_col[i], counter, out=tip_a, alpha=-1, beta=1)
             br, bc = b.arrow_row[i + 1], b.arrow_col[i + 1]
-            br -= mm(g, b.upper[i], counter)
-            br += mm(p - b.arrow_row[i], f, counter, tb=True)
-            bc -= mm(f, b.arrow_col[i], counter)
-            bc -= mm(b.lower[i], g, counter, tb=True)
-            bc += mm(f, k, counter)
-            tip_b -= mm(g, b.arrow_col[i], counter)
-            tip_b -= mm(b.arrow_row[i], g, counter, tb=True)
-            tip_b += mm(p, g, counter, tb=True)
+            mm(g, b.upper[i], counter, out=br, alpha=-1, beta=1)
+            mm(p - b.arrow_row[i], f, counter, tb=True, out=br, beta=1)
+            mm(f, b.arrow_col[i], counter, out=bc, alpha=-1, beta=1)
+            mm(b.lower[i], g, counter, tb=True, out=bc, alpha=-1, beta=1)
+            mm(f, k, counter, out=bc, beta=1)
+            _bupdate(counter, tip_b, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
         else:
             t2 = mm(s, a.arrow_col[i], counter)
-            ar -= mm(a.arrow_row[i], t1, counter)
-            ac -= mm(lo, t2, counter)
-            tip_a -= mm(a.arrow_row[i], t2, counter)
+            mm(a.arrow_row[i], t1, counter, out=ar, alpha=-1, beta=1)
+            mm(lo, t2, counter, out=ac, alpha=-1, beta=1)
+            mm(a.arrow_row[i], t2, counter, out=tip_a, alpha=-1, beta=1)
 
 
 def bta_forward(
@@ -211,14 +217,12 @@ def bta_forward(
         factors.b_arrow_col_elim[i] = b.arrow_col[i]
         g = mm(a.arrow_row[i], s, counter)
         p = mm(g, b.diag[i], counter)
-        a.tip -= mm(g, a.arrow_col[i], counter)
-        b.tip -= mm(g, b.arrow_col[i], counter)
-        b.tip -= mm(b.arrow_row[i], g, counter, tb=True)
-        b.tip += mm(p, g, counter, tb=True)
+        mm(g, a.arrow_col[i], counter, out=a.tip, alpha=-1, beta=1)
+        _bupdate(counter, b.tip, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
         factors.b_tip = b.tip
     else:
         t2 = mm(s, a.arrow_col[i], counter)
-        a.tip -= mm(a.arrow_row[i], t2, counter)
+        mm(a.arrow_row[i], t2, counter, out=a.tip, alpha=-1, beta=1)
     try:
         factors.tip_schur_inv = block_inverse(a.tip, counter)
     except SingularBlockError as exc:
@@ -228,29 +232,24 @@ def bta_forward(
     return factors
 
 
-def _sum(k, term, out=None):
-    """``sum_{l<k} term(l)`` of fresh blocks, accumulated in place into
-    ``term(0)``; with ``out`` the last addition (or the copy of a single
-    term) lands there."""
-    acc = term(0)
-    for l in range(1, k - 1):
-        acc += term(l)
-    if k > 1:
-        return np.add(acc, term(k - 1), out=acc if out is None else out)
-    if out is None:
-        return acc
-    out[...] = acc
+def _sum_mm(xs, ys, counter, *, tb=False, out=None, alpha=1):
+    """``alpha·sum_l xs[l]·op(ys[l])``, accumulated in ``out`` (a new block
+    when None) by one :func:`mm` call per term."""
+    out = mm(xs[0], ys[0], counter, tb=tb, out=out, alpha=alpha)
+    for x, y in zip(xs[1:], ys[1:]):
+        mm(x, y, counter, tb=tb, out=out, alpha=alpha, beta=1)
     return out
 
 
-def _minus(k, term, base=None, out=None):
-    """``base - sum_l term(l)``, or ``-sum_l term(l)`` without ``base``,
-    written into ``out`` when given and in place otherwise."""
-    acc = _sum(k, term)
-    out = acc if out is None else out
-    if base is None:
-        return np.negative(acc, out=out)
-    return np.subtract(base, acc, out=out)
+def _sum_pairs(terms, alpha, counter, out=None):
+    """``sum_l (x_l·y_l + alpha·u_l·v_l^H)`` over ``terms`` (x, y, u, v), each
+    term formed before it is added, the first in ``out`` (or a new block)."""
+    acc = None
+    for x, y, u, v in terms:
+        t = mm(x, y, counter, out=out if acc is None else None)
+        mm(u, v, counter, tb=True, out=t, alpha=alpha, beta=1)
+        acc = t if acc is None else np.add(acc, t, out=acc)
+    return acc
 
 
 def _backstep(
@@ -267,9 +266,9 @@ def _backstep(
     (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
     ``yb`` is given, for the quadratic solution.  ``qsb[l]``, when not
     None, is the forward's product ``Q_l·Sb``, reused instead of formed.
-    ``out``, when given, names an output slot for every block of the
-    result, in its shape; each block is written into its slot by its last
-    operation.
+    ``out``, when given, names an output slot (or None, for a new block)
+    for every block of the result, in its shape; each block is written
+    into its slot by its last operation.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -291,37 +290,32 @@ def _backstep(
     c = counter
     none = [None] * k
     ra, ca, da, rb, cb, db = out or (none, none, None, none, none, None)
-    # Ordered, with sums formed in place, so that few temporary blocks
-    # are alive at once: at large b each one shows in peak memory.
+    # Ordered so that few temporary blocks are alive at once: at large b
+    # each one shows in peak memory.  A negated sum accumulates in its
+    # output slot, -x - y being -(x + y) bit for bit; a sum subtracted
+    # from a base block, or a sum of differences, is formed first.
     f2 = [mm(q, g, c) for q in qs]
-    xa_col = [_minus(k, lambda l: mm(ya[j][l], f2[l], c), out=ca[j]) for j in range(k)]
+    xa_col = [_sum_mm(ya[j], f2, c, out=ca[j], alpha=-1) for j in range(k)]
     del f2
     f1 = [mm(g, r, c) for r in rs]
-    xa_diag = _minus(k, lambda l: mm(f1[l], xa_col[l], c), g, out=da)
-    xa_row = [_minus(k, lambda l: mm(f1[l], ya[l][j], c), out=ra[j]) for j in range(k)]
+    xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
+    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=ra[j], alpha=-1) for j in range(k)]
 
     if yb is None:
         return xa_row, xa_col, xa_diag, None, None, None
 
-    es, gs = [], []
-    for l in range(k):
-        e = mm(ws[l], g, c, tb=True)
-        e -= mm(qs[l], sc, c) if qsb is None or qsb[l] is None else qsb[l]
-        gl = mm(g, ss[l], c)
-        gl -= mm(sc, qs[l], c, tb=True)
-        es.append(e)
-        gs.append(gl)
-    xb_col = [
-        _sum(k, lambda l: mm(ya[j][l], es[l], c) - mm(yb[j][l], f1[l], c, tb=True), cb[j])
-        for j in range(k)
-    ]
-    vs = [_sum(k, lambda l: mm(gs[l], ya[j][l], c, tb=True)) for j in range(k)]
-    xb_diag = _minus(
-        k, lambda l: mm(f1[l], xb_col[l], c) + mm(vs[l], f1[l], c, tb=True), sc, out=db
-    )
-    xb_row = [
-        _minus(k, lambda l: mm(f1[l], yb[l][j], c), vs[j], out=rb[j]) for j in range(k)
-    ]
+    es = [mm(w, g, c, tb=True) for w in ws]
+    for e, q, reused in zip(es, qs, qsb or none):
+        if reused is None:
+            mm(q, sc, c, out=e, alpha=-1, beta=1)
+        else:
+            e -= reused
+    gs = [_sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
+    xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
+    vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
+    xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
+    sums = [_sum_mm(f1, [y[j] for y in yb], c) for j in range(k)]
+    xb_row = [np.subtract(v, t, out=t if o is None else o) for v, t, o in zip(vs, sums, rb)]
     return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
 
 
@@ -369,23 +363,28 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     for i in range(stop - 1, -1, -1):
         s = factors.s_a[i]
         if not arrow:
+            # A difference from a base block starts as a copy of the base.
             y, lo = y_dd, a.lower[i]
             f1 = mm(s, a.upper[i], counter)
             f2 = mm(lo, s, counter)
-            xl = np.negative(mm(y, f2, counter), out=x_a.lower[i])
-            np.negative(mm(f1, y, counter), out=x_a.upper[i])
-            y_dd = np.subtract(s, mm(f1, xl, counter), out=x_a.diag[i])
+            xl = mm(y, f2, counter, out=x_a.lower[i], alpha=-1)
+            mm(f1, y, counter, out=x_a.upper[i], alpha=-1)
+            x_a.diag[i] = s
+            y_dd = mm(f1, xl, counter, out=x_a.diag[i], alpha=-1, beta=1)
             if fused:
                 z, sb = z_dd, factors.s_b[i]
                 e = mm(b.lower[i], s, counter, tb=True)
                 e -= factors.l_sb[i]
-                zl = np.subtract(mm(y, e, counter), mm(z, f1, counter, tb=True), out=x_b.lower[i])
+                zl = mm(y, e, counter, out=x_b.lower[i])
+                mm(z, f1, counter, tb=True, out=zl, alpha=-1, beta=1)
                 g = mm(s, b.upper[i], counter)
-                g -= mm(sb, lo, counter, tb=True)
+                mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
                 v = mm(g, y, counter, tb=True)
-                np.subtract(v, mm(f1, z, counter), out=x_b.upper[i])
-                z_dd = np.subtract(sb, mm(f1, zl, counter), out=x_b.diag[i])
-                z_dd -= mm(v, f1, counter, tb=True)
+                x_b.upper[i] = v
+                mm(f1, z, counter, out=x_b.upper[i], alpha=-1, beta=1)
+                x_b.diag[i] = sb
+                mm(f1, zl, counter, out=x_b.diag[i], alpha=-1, beta=1)
+                z_dd = mm(v, f1, counter, tb=True, out=x_b.diag[i], alpha=-1, beta=1)
             continue
         rs = [a.upper[i], factors.arrow_col_elim[i]]
         qs = [a.lower[i], factors.arrow_row_elim[i]]
@@ -432,8 +431,8 @@ def bta_backward(
     if fused and b is None:
         raise ShapeMismatchError("fused factors require the right-hand side")
 
-    x_a = BtaMatrix.zeros(n, factors.b, factors.a)
-    x_b = BtaMatrix.zeros(n, factors.b, factors.a) if fused else None
+    x_a = BtaMatrix.empty(n, factors.b, factors.a)
+    x_b = BtaMatrix.empty(n, factors.b, factors.a) if fused else None
 
     i = n - 1
     s = factors.s_a[i]
@@ -449,8 +448,7 @@ def bta_backward(
         x_a.tip[...] = ytt
         ss = ws = yb = None
         if fused:
-            ztt = mm(mm(ytt, factors.b_tip, counter), ytt, counter, tb=True)
-            x_b.tip[...] = ztt
+            ztt = mm(mm(ytt, factors.b_tip, counter), ytt, counter, tb=True, out=x_b.tip)
             ss, ws, yb = [factors.b_arrow_col_elim[i]], [factors.b_arrow_row_elim[i]], [[ztt]]
         out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
         rs, qs = [factors.arrow_col_elim[i]], [factors.arrow_row_elim[i]]

@@ -537,10 +537,10 @@ def test_singular_pivot_reports_global_block(n, parts, rank, kind):
 def test_every_partition_slot_is_written(monkeypatch, n, parts, mode, a_sz):
     # Partition and merged output stacks start as NaN: a slot the
     # backward pass or the merge skipped would show in the solution.
-    def nan_stacks(m, b, a):
+    def nan_stacks(cls, m, b, a=0):
         return BtaMatrix(m, b, a, *(np.full(s, np.nan, complex) for s in stack_shapes(m, b, a)))
 
-    monkeypatch.setattr(dist, "_empty_stacks", nan_stacks)
+    monkeypatch.setattr(BtaMatrix, "empty", classmethod(nan_stacks))
     a, rhs = random_system(n, 3, a_sz, seed=n + parts)
     rhs = rhs if mode == "siq" else None
     seq = solve_selected(a, rhs, mode)

@@ -109,6 +109,60 @@ class TestUncheckedMm:
         assert counter.total_gemms() == 0
 
 
+def _draw(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# (m, k, n) of op(a)·op(b).  b-sized products at b=4 and b=16 take the BLAS
+# path, those at b=24 and b=128 numpy's; with a-sized sides (a = 1, 2, 16)
+# they fall on either side, a side of 1 always on numpy's.
+_PRODUCT_SHAPES = [
+    (4, 4, 4), (2, 4, 4), (4, 4, 2), (2, 4, 2), (1, 4, 4), (4, 4, 1), (4, 1, 4),
+    (16, 16, 16), (2, 16, 16), (16, 16, 2), (16, 2, 16),
+    (24, 24, 24), (2, 24, 24), (24, 24, 2), (16, 24, 16),
+    (128, 128, 128), (16, 128, 128), (128, 128, 16), (16, 128, 16),
+]
+
+
+class TestMmForms:
+    @pytest.mark.parametrize("shape", _PRODUCT_SHAPES, ids=str)
+    def test_every_form_equals_the_numpy_expression_bitwise(self, rng, shape):
+        m, k, n = shape
+        for ta, tb in ((False, False), (False, True), (True, False), (True, True)):
+            x = _draw(rng, k, m) if ta else _draw(rng, m, k)
+            y = _draw(rng, n, k) if tb else _draw(rng, k, n)
+            prod = (x.conj().T if ta else x) @ (y.conj().T if tb else y)
+            c = _draw(rng, m, n)
+            want = {
+                (1, 0): prod,
+                (-1, 0): np.negative(prod),
+                (1, 1): np.add(c, prod),
+                (-1, 1): np.subtract(c, prod),
+            }
+            for (alpha, beta), w in want.items():
+                # Without beta, out is written and never read: NaN stays out.
+                out = c.copy() if beta else np.full((m, n), np.nan, dtype=complex)
+                assert mm(x, y, ta=ta, tb=tb, out=out, alpha=alpha, beta=beta) is out
+                assert out.tobytes() == w.tobytes(), (ta, tb, alpha, beta)
+                new = mm(x, y, ta=ta, tb=tb, alpha=alpha)
+                assert new.flags.c_contiguous
+                assert new.tobytes() == want[alpha, 0].tobytes(), (ta, tb, alpha)
+
+    @pytest.mark.parametrize("size", [4, 16])  # numpy writes any out it accepts
+    def test_refuses_an_out_blas_cannot_write_in_place(self, rng, size):
+        x, y = _draw(rng, size, size), _draw(rng, size, size)
+        unwritable = [
+            np.zeros((size, 2 * size), dtype=complex)[:, ::2],  # strided
+            np.zeros((size, size), dtype=np.complex64),
+            np.zeros((size, size), dtype=complex, order="F"),
+            np.zeros((size, size + 1), dtype=complex),
+        ]
+        for out in unwritable:
+            with pytest.raises(ShapeMismatchError, match="C-contiguous complex128"):
+                mm(x, y, out=out, alpha=-1, beta=1)
+            assert not out.any()
+
+
 class TestBlockLu:
     def test_one_by_one(self):
         lower, upper, perm = block_lu(np.array([[2.0]]))
@@ -356,11 +410,11 @@ def test_sweeps_resolve_kernels_at_call_time(monkeypatch, solver):
 
 
 @pytest.mark.parametrize("mode", ["si", "siq"])
-@pytest.mark.parametrize("solver", ["rgf", "dist"])
+@pytest.mark.parametrize("solver", ["rgf", "dist", "dist3"])
 def test_bt_systems_do_no_empty_work(monkeypatch, solver, mode):
     # A plain BT system (a=0) has an empty arrow: no sweep may multiply a
-    # zero-size operand or invert the 0x0 tip.  (The middle partition
-    # kind keeps its arrow products at a=0, hence P=2.)
+    # zero-size operand or invert the 0x0 tip, in any partition kind: at
+    # n=20, P=3 has a middle partition with interior blocks.
     empty = []
 
     def spy(fn, operands):
@@ -373,11 +427,11 @@ def test_bt_systems_do_no_empty_work(monkeypatch, solver, mode):
     monkeypatch.setattr(btasel.rgf, "mm", spy(btasel.rgf.mm, 2))
     monkeypatch.setattr(btasel.dist, "mm", spy(btasel.dist.mm, 2))
     monkeypatch.setattr(btasel.rgf, "block_inverse", spy(btasel.rgf.block_inverse, 1))
-    a, b = _system(a=0)
+    a, b = _system(n=20, a=0)
     counter = OpCounter(b=a.b)
     if solver == "rgf":
         solve_selected(a, b, mode, counter=counter)
     else:
-        dist_solve(a, b, num_parts=2, mode=mode, counter=counter)
+        dist_solve(a, b, num_parts=2 if solver == "dist" else 3, mode=mode, counter=counter)
     assert counter.total_gemms() > 0
     assert empty == []

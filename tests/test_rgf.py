@@ -285,6 +285,33 @@ class TestSolveFacade:
         assert all(np.all(blk == 0) for blk in diag.x_a.lower)
         assert all(np.all(blk == 0) for blk in diag.x_b.upper)
 
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    def test_output_stacks_need_no_initial_values(self, monkeypatch, mode, a_sz):
+        # The backward pass allocates its output stacks uninitialised: every
+        # slot is written by its last operation (diagonal_only clears the
+        # off-diagonals).  Stacks that start as NaN give the bytes of
+        # zero-filled ones.
+        def filled(value):
+            def empty(cls, n, b, a=0):
+                x = BtaMatrix.zeros(n, b, a)
+                for stack in x.stacks:
+                    stack[...] = value
+                return x
+
+            return classmethod(empty)
+
+        a, rhs = random_system(9, 3, a_sz, seed=31)
+        rhs = rhs if mode == "siq" else None
+        for diagonal_only in (False, True):
+            monkeypatch.setattr(BtaMatrix, "empty", filled(0.0))
+            want = solve_selected(a, rhs, mode, diagonal_only=diagonal_only)
+            monkeypatch.setattr(BtaMatrix, "empty", filled(np.nan))
+            got = solve_selected(a, rhs, mode, diagonal_only=diagonal_only)
+            for x, w in ((got.x_a, want.x_a), (got.x_b, want.x_b))[: 2 if rhs is not None else 1]:
+                assert all(np.isfinite(s).all() for s in x.stacks)
+                assert [s.tobytes() for s in x.stacks] == [s.tobytes() for s in w.stacks]
+
     def test_timings_populated(self):
         a = generate_dd_bta(4, 4, 0, seed=14)
         timings = {}
