@@ -188,8 +188,9 @@ class SocketCollectives(Collectives):
     """TCP star transport: rank 0 is the hub, everyone else connects to it.
 
     Gather payloads must provide ``to_bytes()`` and a ``from_bytes``
-    classmethod; reduce payloads are raw complex arrays.  The wire
-    carries length-prefixed frames tagged with rank and round.
+    classmethod; reduce payloads are raw complex arrays, sent as their
+    little-endian ``complex128`` entries with no header.  The wire
+    carries only length-prefixed frames tagged with rank and round.
     """
 
     def __init__(self, world_size: int, rank: int, rendezvous: str, timeout: float = 60.0):
@@ -275,33 +276,32 @@ class SocketCollectives(Collectives):
             raise ProtocolError(f"round mismatch: got {frame_round}, expected {round_id}")
         return payload
 
-    def _round_trip(self, blob: bytes) -> list[bytes]:
-        """Send this rank's blob, receive everyone's, ordered by rank."""
+    def _collect(self, blob: bytes) -> tuple[int, list[bytes] | None]:
+        """Open a round: rank 0 receives every peer's frame and returns the
+        round id and all blobs in rank order; any other rank sends its
+        blob and returns the round id and None."""
         round_id = self._round
         self._round += 1
-        if self.rank == 0:
-            blobs = [None] * self.world_size
-            blobs[0] = blob
-            for peer, sock in self._peers.items():
-                blobs[peer] = self._recv_from(peer, sock, round_id)
-            bundle = b"".join(
-                _FRAME_HEADER.pack(r, round_id, len(p)) + p for r, p in enumerate(blobs)
-            )
-            for sock in self._peers.values():
-                sock.sendall(struct.pack("<Q", len(bundle)) + bundle)
-            return blobs
-        _send_frame(self._hub, self.rank, round_id, blob)
-        (size,) = struct.unpack("<Q", _recv_exact(self._hub, 8))
-        bundle = _recv_exact(self._hub, size)
-        blobs = [None] * self.world_size
-        offset = 0
-        while offset < len(bundle):
-            r, _, length = _FRAME_HEADER.unpack(
-                bundle[offset : offset + _FRAME_HEADER.size]
-            )
-            offset += _FRAME_HEADER.size
-            blobs[r] = bundle[offset : offset + length]
-            offset += length
+        if self.rank != 0:
+            _send_frame(self._hub, self.rank, round_id, blob)
+            return round_id, None
+        blobs = [blob] + [None] * (self.world_size - 1)
+        for peer, sock in self._peers.items():
+            blobs[peer] = self._recv_from(peer, sock, round_id)
+        return round_id, blobs
+
+    def _round_trip(self, blob: bytes) -> list[bytes]:
+        """Send this rank's blob, receive everyone's, ordered by rank.
+
+        Rank 0 relays the round's frames to every peer with their rank
+        and round tags unchanged, and the peers check both tags.
+        """
+        round_id, blobs = self._collect(blob)
+        if blobs is None:
+            return [self._recv_from(r, self._hub, round_id) for r in range(self.world_size)]
+        frames = b"".join(_FRAME_HEADER.pack(r, round_id, len(p)) + p for r, p in enumerate(blobs))
+        for sock in self._peers.values():
+            sock.sendall(frames)
         return blobs
 
     def all_gather(self, payload) -> list:
@@ -317,18 +317,17 @@ class SocketCollectives(Collectives):
         return results
 
     def all_reduce_sum(self, array: np.ndarray) -> np.ndarray:
+        # Parts travel as their raw entries: every rank must send as many
+        # as this one holds, and they take this rank's shape.
         array = np.ascontiguousarray(array, dtype=np.complex128)
-        header = struct.pack("<I", array.ndim) + b"".join(
-            struct.pack("<Q", d) for d in array.shape
-        )
-        blobs = self._round_trip(header + array.astype("<c16").tobytes())
+        blobs = self._round_trip(array.astype("<c16").tobytes())
         total = None
-        for blob in blobs:
-            (ndim,) = struct.unpack("<I", blob[:4])
-            shape = struct.unpack(
-                "<" + "Q" * ndim, blob[4 : 4 + 8 * ndim]
-            )
-            part = np.frombuffer(blob[4 + 8 * ndim :], dtype="<c16").reshape(shape)
+        for r, blob in enumerate(blobs):
+            if len(blob) != array.nbytes:
+                raise ProtocolError(
+                    f"all_reduce part of rank {r} has {len(blob)} bytes, expected {array.nbytes}"
+                )
+            part = np.frombuffer(blob, dtype="<c16").reshape(array.shape)
             total = part.copy() if total is None else total + part
         self.trace.append(
             TraceEvent(
@@ -346,16 +345,7 @@ class SocketCollectives(Collectives):
         AllGather plus one AllReduce); only the multi-process runner uses
         it to hand the partition slices to rank 0.
         """
-        round_id = self._round
-        self._round += 1
-        if self.rank == 0:
-            blobs = [None] * self.world_size
-            blobs[0] = blob
-            for peer, sock in self._peers.items():
-                blobs[peer] = self._recv_from(peer, sock, round_id)
-            return blobs
-        _send_frame(self._hub, self.rank, round_id, blob)
-        return None
+        return self._collect(blob)[1]
 
     def close(self) -> None:
         if self.rank == 0:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collectives import Collectives, SocketCollectives, ThreadHub
-from .errors import ProtocolError, WorkerError
+from .errors import FormatError, ProtocolError, WorkerError
 from .fileio import decode_bta, encode_bta
 from .kernels import COMPLEX, OpCounter, mm
 from .matrix import BtaMatrix, SelectedSolution
@@ -61,89 +61,70 @@ __all__ = [
 
 _KIND_CODES = {"first": 0, "middle": 1, "last": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_HEAD = struct.Struct("<IB")  # rank, kind code
 
-
-def _pack_blocks(blocks) -> bytes:
-    out = [struct.pack("<I", len(blocks))]
-    for blk in blocks:
-        out.append(struct.pack("<QQ", blk.shape[0], blk.shape[1]))
-        out.append(np.ascontiguousarray(blk, dtype="<c16").tobytes())
-    return b"".join(out)
-
-
-def _unpack_blocks(buf: bytes, offset: int):
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    blocks = []
-    for _ in range(count):
-        rows, cols = struct.unpack_from("<QQ", buf, offset)
-        offset += 16
-        nbytes = 16 * rows * cols
-        blk = np.frombuffer(buf, dtype="<c16", count=rows * cols, offset=offset)
-        blocks.append(blk.reshape(rows, cols).astype(COMPLEX))
-        offset += nbytes
-    return blocks, offset
+# The boundaries each partition kind sends, top before bottom.  In the
+# reduced system rank p's top boundary is block 2p-1, its bottom 2p.
+_SIDES = {"first": ("bottom",), "middle": ("top", "bottom"), "last": ("top",)}
 
 
 @dataclass
 class BoundaryPayload:
-    """One rank's AllGather contribution.
+    """One rank's AllGather contribution: one container per matrix side.
 
-    First and last partitions contribute one updated boundary diagonal
-    block and its arrow strips; middle partitions contribute two boundary
-    diagonal blocks, the fill-in coupling pair between them, and the four
-    arrow strips of both boundaries.  Fused mode mirrors every block on
-    the right-hand-side matrix.  Separator blocks never travel: they are
-    untouched original data, read from each rank's input view.
+    ``a`` (and ``b`` in fused mode) holds the rank's updated boundary
+    diagonal blocks, one for a first or last partition and two (top,
+    bottom) for a middle one, with their arrow strips and a zero tip; a
+    middle partition's fill-in coupling pair is its ``upper``/``lower``.
+    Separator blocks never travel: they are untouched original data,
+    read from each rank's input view.
     """
 
     rank: int
     kind: str
-    diag: list = field(default_factory=list)
-    coupling: list = field(default_factory=list)  # [upper(top,bottom), lower(bottom,top)]
-    arrow_row: list = field(default_factory=list)
-    arrow_col: list = field(default_factory=list)
-    b_diag: list = field(default_factory=list)
-    b_coupling: list = field(default_factory=list)
-    b_arrow_row: list = field(default_factory=list)
-    b_arrow_col: list = field(default_factory=list)
+    a: BtaMatrix
+    b: BtaMatrix | None = None
 
-    _FIELDS = (
-        "diag",
-        "coupling",
-        "arrow_row",
-        "arrow_col",
-        "b_diag",
-        "b_coupling",
-        "b_arrow_row",
-        "b_arrow_col",
-    )
+    @property
+    def sides(self) -> list:
+        return [m for m in (self.a, self.b) if m is not None]
 
     def nbytes(self) -> int:
-        return sum(
-            blk.nbytes for name in self._FIELDS for blk in getattr(self, name)
-        )
+        # The tips are zero and carry nothing.
+        return sum(s.nbytes for m in self.sides for s in m.stacks[:-1])
 
     def summary(self) -> dict:
-        blocks = {
-            name: [blk.shape for blk in getattr(self, name)]
-            for name in self._FIELDS
-            if getattr(self, name)
-        }
+        """The trace record: each field's block shapes, ``coupling`` for a
+        middle partition's fill pair, ``b_``-prefixed on the right-hand side."""
+        blocks = {}
+        for prefix, m in zip(("", "b_"), self.sides):
+            fields = {"diag": m.diag, "coupling": [*m.upper, *m.lower],
+                      "arrow_row": m.arrow_row, "arrow_col": m.arrow_col}
+            blocks.update(
+                (prefix + name, [blk.shape for blk in stack])
+                for name, stack in fields.items()
+                if len(stack)
+            )
         return {"rank": self.rank, "kind": self.kind, "nbytes": self.nbytes(), "blocks": blocks}
 
     def to_bytes(self) -> bytes:
-        head = struct.pack("<IB", self.rank, _KIND_CODES[self.kind])
-        return head + b"".join(_pack_blocks(getattr(self, name)) for name in self._FIELDS)
+        head = _HEAD.pack(self.rank, _KIND_CODES[self.kind])
+        return b"".join([head, *map(encode_bta, self.sides)])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BoundaryPayload":
-        rank, code = struct.unpack_from("<IB", buf, 0)
-        offset = 5
-        fields = {}
-        for name in cls._FIELDS:
-            fields[name], offset = _unpack_blocks(buf, offset)
-        return cls(rank=rank, kind=_KIND_NAMES[code], **fields)
+        try:
+            rank, code = _HEAD.unpack_from(buf)
+            kind = _KIND_NAMES[code]
+            a, offset = decode_bta(buf, _HEAD.size)
+            b = None
+            if offset < len(buf):
+                b, offset = decode_bta(buf, offset)
+        except (struct.error, KeyError, FormatError) as exc:
+            raise ProtocolError(f"malformed boundary payload: {exc!r}") from exc
+        if offset != len(buf):
+            raise ProtocolError(f"{len(buf) - offset} bytes past the payload's containers")
+        return cls(rank, kind, a, b)
 
 
 @dataclass
@@ -189,6 +170,16 @@ def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
     )
 
 
+def _boundary(w: _Stacks, bnd: list, fill: tuple | None) -> BtaMatrix:
+    """A payload container: blocks ``bnd`` of the working stacks ``w``
+    and, for a middle partition, its fill pair ``(upper, lower)``.
+    Indexing by a list copies, so the payload does not keep the working
+    stacks alive."""
+    upper, lower = (f[None] for f in fill) if fill else (None, None)
+    b, a = w.diag.shape[1], w.arrow_row.shape[1]
+    return BtaMatrix(len(bnd), b, a, w.diag[bnd], lower, upper, w.arrow_row[bnd], w.arrow_col[bnd])
+
+
 @dataclass
 class ReducedSystem:
     """The boundary-coupling system, replicated on every rank.
@@ -203,7 +194,6 @@ class ReducedSystem:
 
     matrix_a: BtaMatrix
     matrix_b: BtaMatrix | None
-    provenance: list  # reduced diagonal index -> (rank, side)
     index: dict  # (rank, side) -> reduced diagonal index
 
 
@@ -239,7 +229,7 @@ def local_forward(
         factors = _new_factors(m, bs, asz, fused)
         index = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         _forward_sweep(wa, wb, factors, m - 1, tip_a, tip_b, counter, index)
-        bnd = [m - 1]
+        bnd, fill_a, fill_b = [m - 1], None, None
     else:
         # Interior blocks 1..m-2 downward, keeping fill-in couplings to
         # the top boundary, block 0; factors in elimination order.
@@ -302,22 +292,11 @@ def local_forward(
                     tip_b += _bupdate(counter, None, g, bc[i], br[i], g, p, g)
                 bfill_r, bfill_c = new_bfill_r, new_bfill_c
             fill_r, fill_c = new_fill_r, new_fill_c
-        bnd = [0, m - 1]
+        bnd, fill_a = [0, m - 1], (fill_r, fill_c)
+        fill_b = (bfill_r, bfill_c) if fused else None
 
-    # Copies, so that the payload does not keep the working stacks alive.
-    payload = BoundaryPayload(rank=rank, kind=kind)
-    payload.diag = [wa.diag[j].copy() for j in bnd]
-    payload.arrow_row = [wa.arrow_row[j].copy() for j in bnd]
-    payload.arrow_col = [wa.arrow_col[j].copy() for j in bnd]
-    if kind == "middle":
-        payload.coupling = [fill_r, fill_c]
-    if fused:
-        payload.b_diag = [wb.diag[j].copy() for j in bnd]
-        payload.b_arrow_row = [wb.arrow_row[j].copy() for j in bnd]
-        payload.b_arrow_col = [wb.arrow_col[j].copy() for j in bnd]
-        if kind == "middle":
-            payload.b_coupling = [bfill_r, bfill_c]
-    return payload, tip_delta, factors
+    pay_b = _boundary(wb, bnd, fill_b) if fused else None
+    return BoundaryPayload(rank, kind, _boundary(wa, bnd, fill_a), pay_b), tip_delta, factors
 
 
 def assemble_reduced(
@@ -340,72 +319,42 @@ def assemble_reduced(
     gathered = coll.all_gather(payload)
     if len(gathered) != num_parts:
         raise ProtocolError(f"expected {num_parts} payloads, got {len(gathered)}")
-
-    provenance = []
-    diag, arrow_row, arrow_col = [], [], []
-    b_diag, b_arrow_row, b_arrow_col = [], [], []
     for p, pay in enumerate(gathered):
         if pay.rank != p or pay.kind != plan.kinds[p]:
             raise ProtocolError(f"payload {p} carries rank {pay.rank} kind {pay.kind!r}")
-        expected = 2 if pay.kind == "middle" else 1
-        if len(pay.diag) != expected or (fused and len(pay.b_diag) != expected):
-            raise ProtocolError(f"payload {p} has malformed boundary blocks")
-        if pay.kind == "middle" and (
-            len(pay.coupling) != 2 or (fused and len(pay.b_coupling) != 2)
-        ):
-            raise ProtocolError(f"payload {p} lacks its fill-in coupling pair")
-        sides = ("top", "bottom") if pay.kind == "middle" else (
-            ("bottom",) if pay.kind == "first" else ("top",)
-        )
-        for j, side in enumerate(sides):
-            provenance.append((p, side))
-            diag.append(pay.diag[j])
-            arrow_row.append(pay.arrow_row[j])
-            arrow_col.append(pay.arrow_col[j])
-            if fused:
-                b_diag.append(pay.b_diag[j])
-                b_arrow_row.append(pay.b_arrow_row[j])
-                b_arrow_col.append(pay.b_arrow_col[j])
+        want = (len(_SIDES[pay.kind]), a.b, a.a)
+        shapes = [getattr(m, "shape_params", None) for m in (pay.a, pay.b)[: 1 + fused]]
+        if any(shape != want for shape in shapes):
+            raise ProtocolError(f"payload {p} has containers of shapes {shapes}, not {want}")
 
-    nr = len(diag)
-    upper, lower = [], []
-    b_upper, b_lower = [], []
-    for k in range(nr - 1):
-        (p1, side1) = provenance[k]
-        (p2, _) = provenance[k + 1]
-        if p1 == p2:
-            # Fill-in coupling between a middle partition's own boundaries.
-            upper.append(gathered[p1].coupling[0])
-            lower.append(gathered[p1].coupling[1])
-            if fused:
-                b_upper.append(gathered[p1].b_coupling[0])
-                b_lower.append(gathered[p1].b_coupling[1])
-        else:
-            # Original separator, owned by the upper-side rank p1.
-            g = plan.ranges[p1][1] - 1
-            upper.append(a.upper[g].copy())
-            lower.append(a.lower[g].copy())
-            if fused:
-                b_upper.append(b.upper[g].copy())
-                b_lower.append(b.lower[g].copy())
-
-    asz = a.a
-    if asz > 0:
+    if a.a > 0:
         delta = coll.all_reduce_sum(tip_delta)
-        tip = a.tip + delta[0]
-        b_tip = b.tip + delta[1] if fused else None
+        tips = [a.tip + delta[0], b.tip + delta[1] if fused else None]
     else:
-        tip = np.zeros((0, 0), dtype=COMPLEX)
-        b_tip = np.zeros((0, 0), dtype=COMPLEX) if fused else None
+        tips = [None, None]
+    seps = [lo - 1 for lo, _ in plan.ranges[1:]]
+    matrix_a = _concatenate(a, [pay.a for pay in gathered], seps, tips[0])
+    matrix_b = _concatenate(b, [pay.b for pay in gathered], seps, tips[1]) if fused else None
+    index = {
+        (p, side): 2 * p - (side == "top")
+        for p, kind in enumerate(plan.kinds)
+        for side in _SIDES[kind]
+    }
+    return ReducedSystem(matrix_a=matrix_a, matrix_b=matrix_b, index=index)
 
-    matrix_a = BtaMatrix(nr, a.b, asz, diag, lower, upper, arrow_row, arrow_col, tip)
-    matrix_b = (
-        BtaMatrix(nr, a.b, asz, b_diag, b_lower, b_upper, b_arrow_row, b_arrow_col, b_tip)
-        if fused
-        else None
-    )
-    index = {key: k for k, key in enumerate(provenance)}
-    return ReducedSystem(matrix_a=matrix_a, matrix_b=matrix_b, provenance=provenance, index=index)
+
+def _concatenate(m: BtaMatrix, containers: list, seps: list, tip) -> BtaMatrix:
+    """One side of the reduced system: the payload containers' stacks in
+    rank order, with rank p's original separator, block ``seps[p-1]`` of
+    ``m``, in front of its own couplings."""
+    stacks = []
+    for name in BtaMatrix.FIELDS[:-1]:
+        parts = [getattr(c, name) for c in containers]
+        if name in ("lower", "upper"):
+            src = getattr(m, name)
+            parts[1:] = [x for g, own in zip(seps, parts[1:]) for x in (src[g : g + 1], own)]
+        stacks.append(np.concatenate(parts))
+    return BtaMatrix(len(stacks[0]), m.b, m.a, *stacks, tip)
 
 
 def solve_reduced(
@@ -452,9 +401,8 @@ def local_backward(
     ztt = red_sol.x_b.tip if fused else None
 
     # Boundary blocks are solved in the reduced system.
-    top, bottom = ("top", 0), ("bottom", m - 1)
-    for side, j in {"first": [bottom], "middle": [top, bottom], "last": [top]}[kind]:
-        k = reduced.index[(rank, side)]
+    for side in _SIDES[kind]:
+        k, j = reduced.index[(rank, side)], 0 if side == "top" else m - 1
         for x, r in pairs:
             x.diag[j], x.arrow_row[j], x.arrow_col[j] = r.diag[k], r.arrow_row[k], r.arrow_col[k]
 

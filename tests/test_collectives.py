@@ -1,14 +1,16 @@
 import multiprocessing
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from btasel import ProtocolError, ThreadHub
+from btasel import BtaMatrix, ProtocolError, ThreadHub
 from btasel.collectives import _FRAME_HEADER, SocketCollectives
 from btasel.dist import BoundaryPayload
+from btasel.errors import TruncatedPayloadError
 
 
 def _free_port():
@@ -88,20 +90,46 @@ class TestThreadHub:
 
 
 def _payload(rank, kind, b=2, a=1):
-    pay = BoundaryPayload(rank=rank, kind=kind)
-    pay.diag = [np.full((b, b), rank + 1, dtype=complex)]
-    pay.arrow_row = [np.full((a, b), 1j * rank, dtype=complex)]
-    pay.arrow_col = [np.zeros((b, a), dtype=complex)]
-    return pay
+    side = BtaMatrix.zeros(1, b, a)
+    side.diag[0] = rank + 1
+    side.arrow_row[0] = 1j * rank
+    return BoundaryPayload(rank=rank, kind=kind, a=side)
 
 
 def test_payload_roundtrip_bytes():
     pay = _payload(3, "first")
     again = BoundaryPayload.from_bytes(pay.to_bytes())
     assert again.rank == 3 and again.kind == "first"
-    np.testing.assert_array_equal(again.diag[0], pay.diag[0])
-    np.testing.assert_array_equal(again.arrow_row[0], pay.arrow_row[0])
+    np.testing.assert_array_equal(again.a.diag[0], pay.a.diag[0])
+    np.testing.assert_array_equal(again.a.arrow_row[0], pay.a.arrow_row[0])
     assert again.nbytes() == pay.nbytes()
+
+
+def _fused_middle_payload():
+    # A middle payload in fused mode: two containers of two blocks each.
+    a, b = (BtaMatrix.zeros(2, 2, 1) for _ in range(2))
+    a.upper[0], b.lower[0] = 1.0, 2j
+    return BoundaryPayload(rank=1, kind="middle", a=a, b=b).to_bytes()
+
+
+@pytest.mark.parametrize(
+    "mangle, cause",
+    [
+        (lambda buf: buf[:4], struct.error),  # short head
+        (lambda buf: buf[:4] + b"\x07" + buf[5:], KeyError),  # unknown kind code
+        (lambda buf: buf[:-1], TruncatedPayloadError),  # truncated container
+        (lambda buf: buf + buf[5:], None),  # extra containers
+        (lambda buf: buf + b"\x00", None),  # trailing bytes
+    ],
+    ids=["short-head", "unknown-kind", "truncated", "extra-container", "trailing-bytes"],
+)
+def test_malformed_payload_is_a_protocol_error(mangle, cause):
+    buf = _fused_middle_payload()
+    again = BoundaryPayload.from_bytes(buf)
+    assert again.a.upper[0][0, 0] == 1.0 and again.b.lower[0][0, 0] == 2j
+    with pytest.raises(ProtocolError) as info:
+        BoundaryPayload.from_bytes(mangle(buf))
+    assert type(info.value.__cause__) is (cause or type(None))
 
 
 def _socket_worker(rank, world, port, queue):
@@ -112,7 +140,7 @@ def _socket_worker(rank, world, port, queue):
         queue.put(
             (
                 rank,
-                [p.diag[0][0, 0].real for p in gathered],
+                [p.a.diag[0][0, 0].real for p in gathered],
                 reduced[0, 0].real,
             )
         )
@@ -162,6 +190,31 @@ def test_thread_hub_world_size_validation():
     hub = ThreadHub(2)
     with pytest.raises(ValueError):
         hub.endpoint(5)
+
+
+def test_socket_reduce_size_mismatch_raises():
+    # Parts travel without a shape: a part of another size is refused on
+    # every rank, as on the thread transport.
+    port = _free_port()
+    errors = []
+
+    def run(rank):
+        try:
+            coll = SocketCollectives(2, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                coll.all_reduce_sum(np.ones((rank + 1, 2, 2), dtype=complex))
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - checked below
+            errors.append((rank, type(exc)))
+
+    threads = [threading.Thread(target=run, args=(rank,)) for rank in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(errors) == [(0, ProtocolError), (1, ProtocolError)]
 
 
 def test_reduce_shape_mismatch_raises():

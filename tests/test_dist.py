@@ -144,8 +144,8 @@ class TestLocalForward:
         plan = plan_partitions(8, 2, "si")
         for rank in range(2):
             payload, _, _ = local_forward(a, None, plan, rank)
-            assert payload.coupling == []
-            assert len(payload.diag) == 1
+            assert payload.a.upper.shape[0] == payload.a.lower.shape[0] == 0
+            assert payload.a.diag.shape[0] == 1
 
     def test_degenerate_middle_payload_is_raw(self):
         # A middle partition of length 2 does no elimination: its payload
@@ -156,10 +156,10 @@ class TestLocalForward:
         lo, hi = plan.ranges[rank]
         assert hi - lo == 2
         payload, tip_delta, factors = local_forward(a, None, plan, rank)
-        np.testing.assert_array_equal(payload.diag[0], a.diag[lo])
-        np.testing.assert_array_equal(payload.diag[1], a.diag[lo + 1])
-        np.testing.assert_array_equal(payload.coupling[0], a.upper[lo])
-        np.testing.assert_array_equal(payload.coupling[1], a.lower[lo])
+        np.testing.assert_array_equal(payload.a.diag[0], a.diag[lo])
+        np.testing.assert_array_equal(payload.a.diag[1], a.diag[lo + 1])
+        np.testing.assert_array_equal(payload.a.upper[0], a.upper[lo])
+        np.testing.assert_array_equal(payload.a.lower[0], a.lower[lo])
         assert not factors.s_a
         assert np.all(tip_delta == 0)
 
@@ -492,6 +492,42 @@ def test_dist_solve_over_sockets():
         p.join(timeout=120)
         assert p.exitcode == 0
     assert err <= 1e-9
+
+
+@pytest.mark.parametrize("parts", [3, 4])
+@pytest.mark.parametrize("mode", ["si", "siq"])
+@pytest.mark.parametrize("a_sz", [0, 2])
+def test_socket_ranks_match_threads(parts, mode, a_sz):
+    # Every rank of a socket run in a thread of this process, with middle
+    # partitions and plain BT systems on the wire: rank 0 returns the
+    # thread transport's solution bit for bit, the others None.
+    a, rhs = random_system(20, 3, a_sz, seed=23)  # middles with interior blocks
+    rhs = rhs if mode == "siq" else None
+    port = _free_port()
+    got, errors = {}, []
+
+    def run(rank):
+        try:
+            coll = SocketCollectives(parts, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                got[rank] = dist_solve(a, rhs, num_parts=parts, mode=mode, transport=coll)
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append((rank, exc))
+
+    threads = [threading.Thread(target=run, args=(rank,)) for rank in range(parts)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert [got[rank] for rank in range(1, parts)] == [None] * (parts - 1)
+    ref = dist_solve(a, rhs, num_parts=parts, mode=mode)
+    assert got[0].x_a.equals_exact(ref.x_a)
+    if mode == "siq":
+        assert got[0].x_b.equals_exact(ref.x_b)
 
 
 def test_identity_system_all_partitions():
