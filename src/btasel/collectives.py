@@ -22,6 +22,7 @@ payload summary) for communication-contract assertions.
 from __future__ import annotations
 
 import copy
+import math
 import os
 import socket
 import struct
@@ -184,13 +185,32 @@ def _recv_frame(sock: socket.socket) -> tuple[int, int, bytes]:
     return rank, round_id, _recv_exact(sock, length)
 
 
+_NDIM = struct.Struct("<I")  # an all_reduce part's number of axes
+
+
+def _unpack_part(rank: int, blob: bytes) -> np.ndarray:
+    """One rank's all_reduce part, from its shape header and entries."""
+    malformed = ProtocolError(f"all_reduce part of rank {rank} is malformed ({len(blob)} bytes)")
+    if len(blob) < _NDIM.size:
+        raise malformed
+    (ndim,) = _NDIM.unpack_from(blob)
+    offset = _NDIM.size + 8 * ndim
+    if offset > len(blob):
+        raise malformed
+    shape = struct.unpack_from(f"<{ndim}Q", blob, _NDIM.size)
+    if len(blob) - offset != 16 * math.prod(shape):
+        raise malformed
+    return np.frombuffer(blob, dtype="<c16", offset=offset).reshape(shape)
+
+
 class SocketCollectives(Collectives):
     """TCP star transport: rank 0 is the hub, everyone else connects to it.
 
     Gather payloads must provide ``to_bytes()`` and a ``from_bytes``
-    classmethod; reduce payloads are raw complex arrays, sent as their
-    little-endian ``complex128`` entries with no header.  The wire
-    carries only length-prefixed frames tagged with rank and round.
+    classmethod; reduce payloads are complex arrays, sent as their shape
+    (a u32 number of axes, then one u64 extent per axis) and their
+    little-endian ``complex128`` entries.  The wire carries only
+    length-prefixed frames tagged with rank and round.
     """
 
     def __init__(self, world_size: int, rank: int, rendezvous: str, timeout: float = 60.0):
@@ -317,18 +337,15 @@ class SocketCollectives(Collectives):
         return results
 
     def all_reduce_sum(self, array: np.ndarray) -> np.ndarray:
-        # Parts travel as their raw entries: every rank must send as many
-        # as this one holds, and they take this rank's shape.
         array = np.ascontiguousarray(array, dtype=np.complex128)
-        blobs = self._round_trip(array.astype("<c16").tobytes())
-        total = None
-        for r, blob in enumerate(blobs):
-            if len(blob) != array.nbytes:
-                raise ProtocolError(
-                    f"all_reduce part of rank {r} has {len(blob)} bytes, expected {array.nbytes}"
-                )
-            part = np.frombuffer(blob, dtype="<c16").reshape(array.shape)
-            total = part.copy() if total is None else total + part
+        head = struct.pack(f"<I{array.ndim}Q", array.ndim, *array.shape)
+        blobs = self._round_trip(head + array.astype("<c16").tobytes())
+        parts = [_unpack_part(r, blob) for r, blob in enumerate(blobs)]
+        total = parts[0].copy()
+        for part in parts[1:]:
+            if part.shape != total.shape:
+                raise ProtocolError(f"all_reduce shape mismatch: {part.shape} vs {total.shape}")
+            total += part
         self.trace.append(
             TraceEvent(
                 kind="all_reduce",

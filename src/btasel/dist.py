@@ -23,6 +23,7 @@ rank-ordered reduction.
 from __future__ import annotations
 
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -594,16 +595,24 @@ def dist_solve(
         raise ProtocolError(f"transport world size {hub.world_size} != num_parts {num_parts}")
 
     results: list = [None] * num_parts
+    # The pool starts its threads one at a time, so without a common start
+    # a later rank begins up to about 1 ms after rank 0 at b=4.
+    start = threading.Barrier(num_parts)
 
     def run(rank: int):
         try:
+            start.wait()
             return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting)
         except BaseException:
             hub.abort()  # release peers blocked inside a collective round
             raise
 
     with ThreadPoolExecutor(max_workers=num_parts) as pool:
-        futures = {rank: pool.submit(run, rank) for rank in range(num_parts)}
+        try:
+            futures = {rank: pool.submit(run, rank) for rank in range(num_parts)}
+        except BaseException:
+            start.abort()  # a thread that did not start leaves its peers waiting
+            raise
         errors = []
         for rank, fut in futures.items():
             try:

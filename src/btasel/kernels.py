@@ -16,11 +16,13 @@ transposes and the accumulation as its flags: on 2 shared vCPUs 1.0-1.4
 Larger products stay on numpy: the f2py ``zgemm`` wrapper holds the GIL
 while BLAS runs and numpy releases it, so only numpy lets the rank
 threads of ``dist_solve`` overlap at large blocks.  LU and inversion
-call LAPACK ``zgetrf``/``zgetrs`` directly and read exact singularity
-from ``info``, without SciPy's wrappers or any change to the
-process-wide warning filters.  Their pivot arrays stay per call: two
-threads' ``zgetrs`` sharing one have aborted with "double free or
-corruption".
+call LAPACK directly and read exact singularity from ``info``, without
+SciPy's wrappers or any change to the process-wide warning filters.
+Inversion is ``zgetrf`` and then ``zgetri``, which forms the inverse in
+place from the LU factors (Du Croz & Higham, IMA J. Numer. Anal. 1992),
+with no identity right-hand side; the sweeps invert each pivot in its
+working slot.  Pivot arrays stay per call: two threads' LAPACK calls
+sharing one have aborted with "double free or corruption".
 
 Operation counting happens inside the kernels: passing an
 :class:`OpCounter` attributes every multiply, factorization, and solve to
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import zgetrf, zgetri, zgetri_lwork
 
 from .errors import ShapeMismatchError, SingularBlockError
 
@@ -257,39 +259,77 @@ def block_lu(
     return lower, upper, perm
 
 
-# F-ordered identities by order, read-only: ``zgetrs`` overwrites a copy.
-# ``setdefault`` keeps one entry per order when rank threads race to fill it.
-_EYE: dict[int, np.ndarray] = {}
+# ``zgetri``'s optimal workspace by order.  With SciPy's default, a
+# minimal one, it is slower at b=128 than ``zgetrf`` plus ``zgetrs``
+# against the identity.  ``setdefault`` keeps one entry per order when
+# rank threads race to fill it.
+_LWORK: dict[int, int] = {}
 
 
-def _identity(n: int) -> np.ndarray:
-    eye = _EYE.get(n)
-    if eye is None:
-        eye = _EYE.setdefault(n, np.eye(n, dtype=COMPLEX, order="F"))
-    return eye.copy(order="F")
+def _getri_lwork(n: int) -> int:
+    lwork = _LWORK.get(n)
+    if lwork is None:
+        lwork = _LWORK.setdefault(n, int(zgetri_lwork(n)[0].real))
+    return lwork
 
 
-def block_inverse(a: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Invert a square block: LAPACK ``zgetrf``, then ``zgetrs`` against identity.
+def block_inverse(
+    a: np.ndarray, counter: OpCounter | None = None, *, overwrite_a: bool = False
+) -> np.ndarray:
+    """Invert a square block: LAPACK ``zgetrf``, then ``zgetri`` in place.
 
-    ``zgetrs`` is the routine under ``scipy.linalg.lu_solve``, so the
-    result equals ``lu_solve(lu_factor(a), eye)`` bit for bit; it is
-    counted as one LU, two triangular solves and one inversion.
+    A C-ordered block ``x`` is the F-ordered array ``x.T``, and
+    inv(xᵀ) = inv(x)ᵀ: factoring and inverting ``x.T`` in place leaves
+    inv(x) in ``x``, with no copy.  With ``overwrite_a`` that block is
+    ``a`` itself, which must be a C-contiguous, writeable ``complex128``
+    block (else :class:`ShapeMismatchError`: f2py would invert a copy, or
+    write a read-only block); ``a`` is returned holding its inverse.
+    Without it the block is a C-ordered copy of ``a``, so both modes give
+    the same bits.  Counted as one LU, two triangular solves and one
+    inversion.
 
     Raises
     ------
     SingularBlockError
-        If ``a`` is exactly singular; carries the pivot index.
+        If ``a`` is exactly singular.  Without ``overwrite_a`` the index
+        is ``a``'s own pivot row.  With it, ``a`` is left partly factored
+        and the index is its transpose's pivot row.
     """
-    lu, piv = _getrf(a, counter)
-    n = lu.shape[0]
+    if overwrite_a:
+        if not (
+            isinstance(a, np.ndarray)
+            and a.dtype == COMPLEX
+            and a.ndim == 2
+            and a.flags.c_contiguous
+            and a.flags.writeable
+        ):
+            raise ShapeMismatchError(
+                "overwrite_a needs a C-contiguous, writeable complex128 block"
+            )
+        x = a
+    else:
+        x = np.array(a, dtype=COMPLEX, order="C")
+        if x.ndim != 2:
+            raise ShapeMismatchError(f"expected a 2-d block, got ndim={x.ndim}")
+    m, n = x.shape
+    if m != n:
+        raise ShapeMismatchError(f"inversion requires a square block, got {x.shape}")
+    if counter is not None:
+        counter.lu_count += 1
+    if n:
+        xt = x.T
+        lu, piv, info = zgetrf(xt, overwrite_a=1)
+        if info > 0:
+            if not overwrite_a:
+                _getrf(a)  # raises with the index of ``a``'s own pivot row
+            raise SingularBlockError(f"exactly singular pivot at row {info - 1}", index=info - 1)
+        inv, _ = zgetri(lu, piv, lwork=_getri_lwork(n), overwrite_lu=1)
+        if inv is not xt:  # f2py wrote a copy
+            raise ShapeMismatchError("LAPACK did not invert the block in place")
     if counter is not None:
         counter.inv_count += 1
         counter.trsm_count += 2
-    if n == 0:
-        return np.empty((0, 0), dtype=COMPLEX)
-    inv, _ = zgetrs(lu, piv, _identity(n), overwrite_b=1)
-    return inv
+    return x
 
 
 def triangular_solve(

@@ -43,15 +43,17 @@ __all__ = [
 class RgfFactors:
     """Per-block Schur data retained between the forward and backward passes.
 
-    ``s_a[i]`` is the exact inverse of the i-th updated pivot.  In fused
-    mode ``s_b[i]`` holds the quadratic Schur block for ``i < n-1`` and
-    ``l_sb[i]`` the forward's product ``lower[i]·s_b[i]``, which the
-    backward step reuses; the last diagonal's quadratic block is formed
-    at the start of the backward pass from the forward-updated
-    ``b_diag_last``.  For arrowhead systems the arrow couplings as seen
-    when block ``i`` was eliminated are retained, together with the
-    inverted reduced tip.  Retained blocks may be views of the working
-    copies' slots, which the forward pass writes no more once retained.
+    ``s_a[i]`` is the inverse of the i-th updated pivot: a view of the
+    working diagonal slot in which the pivot was formed and then
+    inverted in place.  In fused mode ``s_b[i]`` holds the quadratic
+    Schur block for ``i < n-1`` and ``l_sb[i]`` the forward's product
+    ``lower[i]·s_b[i]``, which the backward step reuses; the last
+    diagonal's quadratic block is formed at the start of the backward
+    pass from the forward-updated ``b_diag_last``.  For arrowhead systems
+    the arrow couplings as seen when block ``i`` was eliminated are
+    retained, together with the reduced tip, inverted in its working
+    slot.  Retained blocks may be views of the working copies' slots,
+    which the forward pass writes no more once retained.
     """
 
     n: int
@@ -71,8 +73,10 @@ class RgfFactors:
 
 
 def _invert_pivot(block, index, counter):
+    """Invert a working diagonal slot in place and return it; a singular
+    pivot is reported as diagonal block ``index``."""
     try:
-        return block_inverse(block, counter)
+        return block_inverse(block, counter, overwrite_a=True)
     except SingularBlockError as exc:
         raise SingularBlockError(
             f"singular pivot at diagonal block {index} (input not diagonally dominant?)",
@@ -224,7 +228,7 @@ def bta_forward(
         t2 = mm(s, a.arrow_col[i], counter)
         mm(a.arrow_row[i], t2, counter, out=a.tip, alpha=-1, beta=1)
     try:
-        factors.tip_schur_inv = block_inverse(a.tip, counter)
+        factors.tip_schur_inv = block_inverse(a.tip, counter, overwrite_a=True)
     except SingularBlockError as exc:
         raise SingularBlockError(
             "singular updated arrow tip (input not diagonally dominant?)", index=n

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from btasel import BtaMatrix, ProtocolError, ThreadHub
-from btasel.collectives import _FRAME_HEADER, SocketCollectives
+from btasel.collectives import _FRAME_HEADER, SocketCollectives, _unpack_part
 from btasel.dist import BoundaryPayload
 from btasel.errors import TruncatedPayloadError
 
@@ -192,9 +192,9 @@ def test_thread_hub_world_size_validation():
         hub.endpoint(5)
 
 
-def test_socket_reduce_size_mismatch_raises():
-    # Parts travel without a shape: a part of another size is refused on
-    # every rank, as on the thread transport.
+def _socket_reduce_errors(shapes):
+    """Two socket ranks in threads all-reduce parts of ``shapes``; returns
+    the (rank, exception type) pairs they raised."""
     port = _free_port()
     errors = []
 
@@ -202,10 +202,10 @@ def test_socket_reduce_size_mismatch_raises():
         try:
             coll = SocketCollectives(2, rank, f"127.0.0.1:{port}", timeout=30.0)
             try:
-                coll.all_reduce_sum(np.ones((rank + 1, 2, 2), dtype=complex))
+                coll.all_reduce_sum(np.ones(shapes[rank], dtype=complex))
             finally:
                 coll.close()
-        except Exception as exc:  # noqa: BLE001 - checked below
+        except Exception as exc:  # noqa: BLE001 - checked by the caller
             errors.append((rank, type(exc)))
 
     threads = [threading.Thread(target=run, args=(rank,)) for rank in range(2)]
@@ -214,7 +214,31 @@ def test_socket_reduce_size_mismatch_raises():
     for t in threads:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
-    assert sorted(errors) == [(0, ProtocolError), (1, ProtocolError)]
+    return sorted(errors)
+
+
+def test_socket_reduce_size_mismatch_raises():
+    # A part of another size is refused on every rank, as on the thread
+    # transport.
+    errors = _socket_reduce_errors([(1, 2, 2), (2, 2, 2)])
+    assert errors == [(0, ProtocolError), (1, ProtocolError)]
+
+
+def test_socket_reduce_shape_mismatch_raises():
+    # Parts travel with their shape: one of the same size but another
+    # shape is refused on every rank too.
+    assert _socket_reduce_errors([(2, 2), (4,)]) == [(0, ProtocolError), (1, ProtocolError)]
+    assert _socket_reduce_errors([(2, 2), (2, 2)]) == []
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"", struct.pack("<I", 2), struct.pack("<IQ", 1, 2) + bytes(16)],
+    ids=["empty", "short-shape", "short-entries"],
+)
+def test_socket_reduce_malformed_part_is_a_protocol_error(blob):
+    with pytest.raises(ProtocolError, match="part of rank 1 is malformed"):
+        _unpack_part(1, blob)
 
 
 def test_reduce_shape_mismatch_raises():

@@ -587,6 +587,35 @@ def test_every_partition_slot_is_written(monkeypatch, n, parts, mode, a_sz):
         assert max_block_rel_err(x, ref) <= 1e-12
 
 
+def test_rank_thread_that_cannot_start_does_not_hang(monkeypatch):
+    # The rank threads wait for each other before they start: when the
+    # pool cannot start the second, the first must not wait forever.
+    real = dist.ThreadPoolExecutor.submit
+    calls = []
+
+    def submit(self, fn, *args):
+        calls.append(fn)
+        if len(calls) == 2:
+            raise RuntimeError("can't start new thread")
+        return real(self, fn, *args)
+
+    monkeypatch.setattr(dist.ThreadPoolExecutor, "submit", submit)
+    a, _ = random_system(8, 2, 1, seed=3)
+    errors = []
+
+    def solve():
+        try:
+            dist_solve(a, num_parts=2, mode="si")
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    caller = threading.Thread(target=solve, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert errors == ["can't start new thread"]
+
+
 def test_socket_slice_with_wrong_block_count(monkeypatch):
     # Rank 1 sends one block fewer than its partition holds: the root
     # refuses to merge it.

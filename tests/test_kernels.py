@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg.lapack import zgetrf, zgetri, zgetri_lwork
 
 import btasel.dist
 import btasel.kernels
@@ -16,6 +16,7 @@ from btasel import (
     block_inverse,
     block_lu,
     block_multiply_acc,
+    bta_forward,
     dist_solve,
     hermitianize,
     solve_selected,
@@ -35,6 +36,17 @@ def _zero_column(size, k):
     blk = _dd_block(np.random.default_rng(size + k), size)
     blk[:, k] = 0.0
     return blk
+
+
+def _getri_inverse(a):
+    """inv(a) as inv(aᵀ)ᵀ: SciPy's ``zgetrf`` and ``zgetri`` on the
+    F-ordered ``aᵀ``, with ``zgetri``'s optimal workspace."""
+    at = np.array(a, dtype=complex, order="C").T
+    lu, piv, info = zgetrf(at)
+    assert info == 0
+    inv, info = zgetri(lu, piv, lwork=int(zgetri_lwork(len(at))[0].real))
+    assert info == 0
+    return inv.T
 
 
 class TestMultiplyAcc:
@@ -233,23 +245,19 @@ class TestBlockInverse:
             block_inverse(_zero_column(4, k))
         assert info.value.index == k
 
+    # The name predates zgetri: the reference is SciPy's zgetrf and zgetri.
     @pytest.mark.parametrize("size", [1, 4, 16, 64])
     def test_equals_scipy_lu_solve_bitwise(self, rng, size):
         a = _dd_block(rng, size)
-        eye = np.eye(size, dtype=complex)
-        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), eye)
-        assert block_inverse(a).tobytes() == want.tobytes()
+        assert block_inverse(a).tobytes() == _getri_inverse(a).tobytes()
 
     def test_identity_cache_filled_from_threads(self, rng, monkeypatch):
-        # Rank threads invert blocks at the same time.  Each inversion must
-        # get its own copy of the cached identity, which zgetrs overwrites.
-        monkeypatch.setattr(btasel.kernels, "_EYE", {})
+        # Rank threads invert blocks at the same time and race to fill the
+        # cache of zgetri workspace sizes; every inversion keeps its bits.
+        monkeypatch.setattr(btasel.kernels, "_LWORK", {})
         sizes = [1, 2, 3, 4, 5, 8, 16]
         blocks = {n: [_dd_block(rng, n) for _ in range(3)] for n in sizes}
-        want = {
-            n: [scipy.linalg.lu_solve(scipy.linalg.lu_factor(x), np.eye(n)).tobytes() for x in xs]
-            for n, xs in blocks.items()
-        }
+        want = {n: [_getri_inverse(x).tobytes() for x in xs] for n, xs in blocks.items()}
         mismatches = []
 
         def work(seed):
@@ -270,18 +278,44 @@ class TestBlockInverse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
-        assert sorted(btasel.kernels._EYE) == sizes
-        for n, eye in btasel.kernels._EYE.items():
-            assert eye.flags.f_contiguous
-            assert np.array_equal(eye, np.eye(n))
+        assert sorted(btasel.kernels._LWORK) == sizes
+        for n, lwork in btasel.kernels._LWORK.items():
+            assert type(lwork) is int
+            assert lwork == int(zgetri_lwork(n)[0].real) >= n
 
     def test_real_input(self, rng):
         a = _dd_block(rng, 6).real
         inv = block_inverse(a)
         assert inv.dtype == np.complex128
-        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a + 0j), np.eye(6, dtype=complex))
-        assert inv.tobytes() == want.tobytes()
+        assert inv.tobytes() == _getri_inverse(a + 0j).tobytes()
         np.testing.assert_allclose(inv, np.linalg.inv(a), atol=1e-14)
+
+    @pytest.mark.parametrize("size", [1, 4, 64])
+    def test_overwrite_inverts_the_block_itself(self, rng, size):
+        a = _dd_block(rng, size)
+        orig = a.copy()
+        copied = block_inverse(a)
+        assert np.array_equal(a, orig)  # without overwrite_a, a is left alone
+        got = block_inverse(a, overwrite_a=True)
+        assert got is a
+        assert got.tobytes() == copied.tobytes()
+
+    def test_overwrite_refuses_a_block_it_cannot_invert_in_place(self, rng):
+        # f2py would invert a copy of each of these, or write a read-only one.
+        def fresh():
+            return _dd_block(rng, 4)
+
+        readonly = fresh()
+        readonly.flags.writeable = False
+        strided = np.zeros((4, 8), dtype=complex)[:, ::2]
+        strided[...] = fresh()
+        refused = [np.asfortranarray(fresh()), strided, readonly, fresh().real.copy()]
+        refused.append(fresh()[None])  # 3-d
+        for blk in refused:
+            orig = blk.copy()
+            with pytest.raises(ShapeMismatchError, match="C-contiguous, writeable complex128"):
+                block_inverse(blk, overwrite_a=True)
+            assert np.array_equal(blk, orig)
 
 
 class TestTriangularSolve:
@@ -435,3 +469,33 @@ def test_bt_systems_do_no_empty_work(monkeypatch, solver, mode):
         dist_solve(a, b, num_parts=2 if solver == "dist" else 3, mode=mode, counter=counter)
     assert counter.total_gemms() > 0
     assert empty == []
+
+
+class TestPivotsInPlace:
+    # The sweeps invert every pivot, and the tip, in its working slot.
+
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    def test_factors_are_views_of_the_working_stacks(self, a_sz):
+        a, b = _system(n=6, a=a_sz)
+        work_a, work_b = a.copy(), b.copy()
+        factors = bta_forward(work_a, work_b)
+        assert all(np.shares_memory(s, work_a.diag) for s in factors.s_a)
+        if a_sz:
+            assert np.shares_memory(factors.tip_schur_inv, work_a.tip)
+        # The first pivot takes no update: its slot holds its inverse.
+        assert factors.s_a[0].tobytes() == block_inverse(a.diag[0]).tobytes()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    def test_inputs_left_bit_identical(self, parts, mode, a_sz):
+        # n=20 gives a P=3 run a middle partition with interior pivots.
+        a, b = _system(n=20, a=a_sz)
+        a_ref, b_ref = a.copy(), b.copy()
+        rhs = b if mode == "siq" else None
+        if parts == 1:
+            solve_selected(a, rhs, mode)
+        else:
+            dist_solve(a, rhs, num_parts=parts, mode=mode)
+        assert a.equals_exact(a_ref)
+        assert b.equals_exact(b_ref)
