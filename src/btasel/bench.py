@@ -44,6 +44,7 @@ class BenchReport:
     total_mean: float = 0.0
     total_ci95: float = 0.0
     counts: dict = field(default_factory=dict)
+    counts_b: int | None = None  # the block order the counts call "b"
     counts_forward: dict = field(default_factory=dict)
     residual: float | None = None
     parallel_efficiency: float | None = None
@@ -63,6 +64,8 @@ class BenchReport:
             lines.append(f"phase_{phase}_ci95_s: {self.phase_ci95.get(phase, 0.0):.9f}")
         lines.append(f"total_mean_s: {self.total_mean:.9f}")
         lines.append(f"total_ci95_s: {self.total_ci95:.9f}")
+        if self.counts_b is not None:
+            lines.append(f"counts_b: {self.counts_b}")
         for key, value in sorted(self.counts.items()):
             lines.append(f"count_{key}: {value}")
         for key, value in sorted(self.counts_forward.items()):
@@ -148,14 +151,17 @@ def run_benchmark(
         mode=mode,
         repeats=repeat,
         counts=counter.as_dict(),
+        counts_b=counter.b,
     )
     if algo == "rgf":
         # Forward-pass counts broken out: these are the per-step table
-        # figures (e.g. 2(n-1) b-products for the BT selected inversion).
-        from .rgf import bta_forward
+        # figures (e.g. 2(n-1) b-products for the BT selected inversion)
+        # of the system the solve swept, so at the orders of ``counts``.
+        from .rgf import _working_system, bta_forward
 
-        fwd_counter = OpCounter(b=a.b, a=a.a)
-        bta_forward(a.copy(), b.copy() if (b is not None and mode == "siq") else None, fwd_counter)
+        work, rhs, _ = _working_system(a, b if mode == "siq" else None, reblock=True)
+        fwd_counter = OpCounter(b=work.b, a=work.a)
+        bta_forward(work, rhs, fwd_counter)
         report.counts_forward = fwd_counter.as_dict()
     for phase in PHASES:
         report.phase_mean[phase], report.phase_ci95[phase] = _mean_ci(phase_samples[phase])

@@ -173,6 +173,7 @@ def cmd_solve(algo, mode, parts, a_file, b_file, out, out_b, counts, transport, 
     for phase, seconds in timings.items():
         click.echo(f"phase_{phase}_s: {seconds:.6f}")
     if counts:
+        click.echo(f"counts_b: {counter.b}")
         for key, value in counter.as_dict().items():
             click.echo(f"count_{key}: {value}")
 

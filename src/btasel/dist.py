@@ -362,8 +362,14 @@ def solve_reduced(
     reduced: ReducedSystem, mode: str, counter: OpCounter | None = None
 ) -> SelectedSolution:
     """Solve the replicated reduced system locally on every rank with the
-    sequential arrowhead solver."""
-    return solve_selected(reduced.matrix_a, reduced.matrix_b, mode, counter=counter)
+    sequential arrowhead solver.
+
+    It runs without re-blocking: ``dist_solve`` tallies every rank's
+    sweeps and this solve in one counter, at the orders of the
+    partitions' blocks."""
+    return solve_selected(
+        reduced.matrix_a, reduced.matrix_b, mode, counter=counter, reblock=False
+    )
 
 
 def local_backward(
@@ -533,7 +539,9 @@ def dist_solve(
 
     With the default in-process transport this spawns ``num_parts``
     worker threads and returns the complete solution; ``num_parts=1``
-    delegates to the sequential solver bit-for-bit.  With a
+    delegates to the sequential solver bit-for-bit, re-blocking small
+    blocks as it does (the partitions of a larger ``num_parts`` never
+    are, so payloads keep their shapes).  With a
     :class:`SocketCollectives` endpoint this process acts as one rank of
     a multi-process run: rank 0 returns the gathered solution, other
     ranks return None.
@@ -541,11 +549,11 @@ def dist_solve(
     The aggregated ``counter`` receives every rank's local operations
     plus the (replicated, counted once) reduced solve; ``rank_counters``
     receives the per-rank local tallies (on a socket rank, its own; with
-    ``num_parts=1``, the sequential solve's).  Operations are counted
-    only when ``counter`` or ``rank_counters`` is passed; without
-    either, no rank builds a tally.  Raises :class:`NonFiniteInputError`
-    if ``a`` (or, in ``"siq"`` mode, ``b``) holds a NaN or infinite
-    entry.
+    ``num_parts=1``, the sequential solve's, at its orders).  Operations
+    are counted only when ``counter`` or ``rank_counters`` is passed;
+    without either, no rank builds a tally.  Raises
+    :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
+    holds a NaN or infinite entry.
     """
     if mode is None:
         mode = "si" if b is None else "siq"

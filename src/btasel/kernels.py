@@ -68,6 +68,11 @@ class OpCounter:
     LU/TRSM decomposition they are built from, so both accounting
     conventions (one inverse vs. one LU plus two triangular solves) can
     be reported.
+
+    A counter holds tallies at one pair of orders only: one that holds
+    none takes the orders of the solve or tally it is handed
+    (:meth:`adopt`, :meth:`merge`), and tallies at other orders raise
+    ``ValueError`` instead of being added under the wrong letters.
     """
 
     b: int
@@ -95,8 +100,25 @@ class OpCounter:
     def copy(self) -> "OpCounter":
         return replace(self, gemm_by_shape=Counter(self.gemm_by_shape))
 
+    def is_empty(self) -> bool:
+        return not (self.gemm_by_shape or self.lu_count or self.trsm_count or self.inv_count)
+
+    def adopt(self, b: int, a: int) -> None:
+        """Count at orders ``(b, a)`` from now on: taken when this counter
+        holds no tally, else they must be its own (``ValueError``)."""
+        if self.is_empty():
+            self.b, self.a = b, a
+        elif (self.b, self.a) != (b, a):
+            raise ValueError(
+                f"counter holds tallies at orders (b={self.b}, a={self.a}), not (b={b}, a={a})"
+            )
+
     def merge(self, other: "OpCounter") -> None:
-        """Accumulate another tally into this one (shape params unchanged)."""
+        """Accumulate another tally into this one, which takes the other's
+        orders if it holds no tally; tallies at other orders raise
+        ``ValueError``."""
+        if not other.is_empty() or self.is_empty():
+            self.adopt(other.b, other.a)
         self.gemm_by_shape.update(other.gemm_by_shape)
         self.lu_count += other.lu_count
         self.trsm_count += other.trsm_count

@@ -42,7 +42,9 @@ def test_counts_match_opcounter():
 
     solve_selected(a, counter=counter)
     assert report.counts == counter.as_dict()
-    assert report.counts["gemm_bbb"] == 2 * (6 - 1) + 5 * (6 - 1)  # forward + backward
+    # Re-blocked into 2 blocks of order 16 (4 + 2 padding): forward + backward.
+    assert report.counts_b == counter.b == 16
+    assert report.counts["gemm_bbb"] == 2 * (2 - 1) + 5 * (2 - 1)
 
 
 @pytest.mark.parametrize("algo, parts", [("rgf", 1), ("dist", 2)])
@@ -73,11 +75,16 @@ def test_counts_in_one_untimed_warmup(monkeypatch, algo, parts):
 
 def test_forward_counts_column():
     # The forward-pass count column reproduces the per-step table figure
-    # for the BT selected inversion: 2(n-1) b-sized products.
+    # for the BT selected inversion, 2(n-1) b-sized products, of the
+    # system the solve swept: 32 blocks of order 8 re-blocked into 16 of
+    # order 16, the order of the total counts.
     a = generate_dd_bta(32, 8, 0, seed=6)
     report = run_benchmark("rgf", a, repeat=1)
-    assert report.counts_forward["gemm_bbb"] == 2 * (32 - 1)
-    assert "count_forward_gemm_bbb: 62" in report.to_text()
+    assert report.counts_forward["gemm_bbb"] == 2 * (16 - 1)
+    assert report.counts["gemm_bbb"] == (2 + 5) * (16 - 1)
+    text = report.to_text()
+    assert "count_forward_gemm_bbb: 30" in text
+    assert "counts_b: 16" in text
 
 
 def test_residual_oracle_field():

@@ -93,6 +93,9 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert out.exists() and (tmp_path / "x.bta.xb").exists()
         assert "count_gemm_bbb" in result.output
+        # The counts classify products against the order solved at: 6
+        # blocks of order 3 are re-blocked into 2 of order 15.
+        assert "counts_b: 15" in result.output
         got = read_bta(out)
         expected = solve_selected(read_bta(a_path), read_bta(b_path), "siq")
         assert got.equals_exact(expected.x_a)
@@ -145,8 +148,10 @@ class TestSolve:
         assert "guard" in result.output
 
     def test_singular_input_is_numerical_error(self, tmp_path, runner):
+        # Block row and column 0 are zero: the matrix itself is singular.
         m = generate_dd_bta(3, 2, 0, seed=1)
         m.diag[0][:] = 0.0
+        m.lower[0][:] = m.upper[0][:] = 0.0
         a_path = tmp_path / "singular.bta"
         write_bta(m, a_path)
         result = runner.invoke(

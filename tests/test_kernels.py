@@ -366,6 +366,35 @@ def test_counter_merge_and_dict():
     assert c1.as_dict()["gemm_bbb"] == 2
 
 
+def test_counter_merge_keeps_one_order():
+    fine, coarse = OpCounter(b=4), OpCounter(b=8)
+    fine.record_gemm(4, 4, 4)
+    coarse.record_gemm(8, 8, 8)
+    with pytest.raises(ValueError, match="orders"):
+        coarse.merge(fine)
+    assert coarse.as_dict() == {"gemm_bbb": 1, "lu": 0, "trsm": 0, "inv": 0}
+    # A counter without tallies takes the orders of the one merged in;
+    # an empty tally merges into any counter.
+    fresh = OpCounter(b=3, a=1)
+    fresh.merge(coarse)
+    assert (fresh.b, fresh.a) == (8, 0) and fresh.as_dict() == coarse.as_dict()
+    coarse.merge(OpCounter(b=5, a=2))
+    assert (coarse.b, coarse.a) == (8, 0)
+
+
+@pytest.mark.parametrize("rank_counters", [None, []])
+def test_single_part_counts_at_the_solved_orders(rank_counters):
+    # dist_solve with one part is the re-blocked sequential solve: its
+    # tallies are at the coarse orders, with no "?" class.
+    a, b = _system(n=12, b=4, a=2)
+    counter = OpCounter(b=4, a=2)
+    dist_solve(a, b, num_parts=1, mode="siq", counter=counter, rank_counters=rank_counters)
+    for c in [counter] + (rank_counters or []):
+        assert (c.b, c.a) == (16, 2)
+        assert "?" not in "".join(c.gemm_by_shape)
+    assert counter.inv_count == 3 + 1  # 3 blocks of order 16 and the tip
+
+
 def test_counter_in_forward_pass_classifies_against_declared_shape():
     # (a x b)(b x b) products increment exactly 'abb'.
     a = generate_dd_bta(3, 4, 2, seed=9)

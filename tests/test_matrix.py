@@ -184,8 +184,10 @@ def _sha256(m, tmp_path):
 class TestStackedStorage:
     # SHA-256 of the BTA1 bytes.  The generator and ``hermitianize`` pins
     # were written by the list-of-blocks storage this layout replaced; the
-    # solver pins by the pivot kernel that inverts with zgetrf + zgetri.
-    # Neither storage nor a refactor may change a bit.
+    # solver pins by the pivot kernel that inverts with zgetrf + zgetri,
+    # on the input's own blocks (``reblock=False``).  Neither storage nor
+    # a refactor may change a bit.  The ``REBLOCKED`` pins are the
+    # default, re-blocked solve of the same inputs.
     GENERATED = {
         (1, 1, 0): "b4764d7070cd06a65263e2dc5d45d2c67a9b81a16b2b54ba3d7095c1fa8db291",
         (7, 3, 2): "da7460034a799df8886dd73ca2ac9c9d3272f30a8d28c7455bdadd6685c5ab22",
@@ -211,13 +213,33 @@ class TestStackedStorage:
     def test_solver_bits_pinned(self, tmp_path):
         a = generate_dd_bta(7, 3, 2, seed=11)
         rhs = hermitianize(generate_dd_bta(7, 3, 2, seed=12))
-        si, siq = solve_selected(a), solve_selected(a, rhs)
+        si, siq = solve_selected(a, reblock=False), solve_selected(a, rhs, reblock=False)
         got = {
             "si x_a": _sha256(si.x_a, tmp_path),
             "siq x_a": _sha256(siq.x_a, tmp_path),
             "siq x_b": _sha256(siq.x_b, tmp_path),
         }
         assert got == self.SOLVED
+
+    # Two blocks of order 15, the second holding two padding blocks.
+    # Dense-oracle max block relative error: si x_a 5.07e-16, siq x_a
+    # 5.07e-16, siq x_b 7.57e-16 (5.28e-16, 5.27e-16, 6.50e-16 above).
+    REBLOCKED = {
+        "si x_a": "decf8e435dcf48725d48c290e8abf32e2e3d8be411a81d36932328dd6b0c9949",
+        "siq x_a": "a99c0f0c8b16f2b89a2f441f7c41c93e93e1888772c7337a0830a7540e9ed9df",
+        "siq x_b": "933e155f35c7f6c8b436aa6aaa1b1585b5affb22baba8a72ee342f70cb647753",
+    }
+
+    def test_reblocked_solver_bits_pinned(self, tmp_path):
+        a = generate_dd_bta(7, 3, 2, seed=11)
+        rhs = hermitianize(generate_dd_bta(7, 3, 2, seed=12))
+        si, siq = solve_selected(a), solve_selected(a, rhs)
+        got = {
+            "si x_a": _sha256(si.x_a, tmp_path),
+            "siq x_a": _sha256(siq.x_a, tmp_path),
+            "siq x_b": _sha256(siq.x_b, tmp_path),
+        }
+        assert got == self.REBLOCKED
 
     # The plain BT path (a=0) of the fused solve, pinned at the shapes of
     # a small case and of the negf-bt-small workload.
@@ -236,9 +258,32 @@ class TestStackedStorage:
     def test_bt_solver_bits_pinned(self, tmp_path, shape):
         a = generate_dd_bta(*shape, seed=11)
         rhs = hermitianize(generate_dd_bta(*shape, seed=12))
-        siq = solve_selected(a, rhs)
+        siq = solve_selected(a, rhs, reblock=False)
         got = (_sha256(siq.x_a, tmp_path), _sha256(siq.x_b, tmp_path))
         assert got == self.SOLVED_BT[shape]
+
+    # Re-blocked: (7, 3, 0) into 2 blocks of order 15, (256, 4, 0) into 64
+    # of order 16.  Dense-oracle max block relative error x_a / x_b:
+    # 3.27e-16 / 5.03e-16 and 3.91e-16 / 9.42e-16 (4.11e-16 / 5.03e-16 and
+    # 4.03e-16 / 1.14e-15 above).
+    REBLOCKED_BT = {
+        (7, 3, 0): (
+            "3085b2408aa65cf9921ebac5e441f840783a1faf2e26d482ad0af365444c97bc",
+            "2654d84ef2c96cf9d38b011dc19dec81ffb789c51ef35d0a490f5d4d75fe89c0",
+        ),
+        (256, 4, 0): (
+            "bdee499183d6fc8c10becfbf846fc4947f4b135074e15555669e5d7beb00223f",
+            "24914fa631e4b6c55eb32c45c527f717dd5507bcbb55f9c7e4d62d360218b467",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(REBLOCKED_BT))
+    def test_reblocked_bt_solver_bits_pinned(self, tmp_path, shape):
+        a = generate_dd_bta(*shape, seed=11)
+        rhs = hermitianize(generate_dd_bta(*shape, seed=12))
+        siq = solve_selected(a, rhs)
+        got = (_sha256(siq.x_a, tmp_path), _sha256(siq.x_b, tmp_path))
+        assert got == self.REBLOCKED_BT[shape]
 
     @pytest.mark.parametrize("shape", [(1, 3, 0), (1, 2, 2), (4, 3, 0), (5, 2, 3)])
     def test_fields_are_contiguous_stacks(self, tmp_path, shape):

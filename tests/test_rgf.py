@@ -21,6 +21,7 @@ from btasel import (
     solve_selected,
     to_dense,
 )
+from btasel.matrix import stack_shapes
 from btasel.rgf import _backstep
 
 
@@ -355,3 +356,118 @@ def test_non_finite_input_rejected(entry, operand, field):
             solve_selected(a, rhs, "siq")
         else:
             dist_solve(a, rhs, num_parts=2, mode="siq")
+
+
+def _grid(b):
+    # n = 1, 2, c-1, c, c+1 and 2c+1 blocks for c = 16 // b blocks merged
+    # into one (c = 1 from b = 9 on: nothing is merged there).
+    c = max(16 // b, 1)
+    return sorted({1, 2, max(c - 1, 1), c, c + 1, 2 * c + 1})
+
+
+class TestReblock:
+    """``solve_selected`` merges ``c = min(16 // b, n)`` consecutive
+    diagonal blocks into one and solves that coarse system."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 8, 9, 16])
+    @pytest.mark.parametrize("a_sz", [0, 1, 3])
+    def test_matches_oracle_and_sweeps(self, monkeypatch, b, a_sz):
+        # Output stacks start as NaN: a slot the slicing back to the
+        # input's blocks skipped would show.
+        def nan_stacks(cls, n, b, a=0):
+            stacks = (np.full(s, np.nan, complex) for s in stack_shapes(n, b, a))
+            return BtaMatrix(n, b, a, *stacks)
+
+        monkeypatch.setattr(BtaMatrix, "empty", classmethod(nan_stacks))
+        for n in _grid(b):
+            a, rhs = random_system(n, b, a_sz, seed=1000 * b + 10 * n + a_sz)
+            a_ref, rhs_ref = a.copy(), rhs.copy()
+            oracle = (dense_selected_inverse(a), dense_selected_quadratic(a, rhs))
+            for mode in ("si", "siq"):
+                used = rhs if mode == "siq" else None
+                for diagonal_only in (False, True):
+                    got = solve_selected(a, used, mode, diagonal_only=diagonal_only)
+                    swept = solve_selected(
+                        a, used, mode, diagonal_only=diagonal_only, reblock=False
+                    )
+                    pairs = [(got.x_a, swept.x_a, oracle[0])]
+                    if mode == "siq":
+                        pairs.append((got.x_b, swept.x_b, oracle[1]))
+                    for x, ref, dense in pairs:
+                        assert all(np.isfinite(s).all() for s in x.stacks)
+                        if diagonal_only:
+                            assert not x.lower.any() and not x.upper.any()
+                            dense = BtaMatrix(n, b, a_sz, dense.diag, x.lower, x.upper,
+                                              dense.arrow_row, dense.arrow_col, dense.tip)
+                        assert max_block_rel_err(x, ref) <= 1e-12, (n, mode)
+                        assert max_block_rel_err(x, dense) <= 1e-12, (n, mode)
+            assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
+
+    # Re-blocked counts at (n, b) = (256, 4): 64 blocks of order 16, so
+    # the sweeps' per-step tables at n = 64 and b = 16.
+    COUNTS = {
+        (0, "si"): {"gemm_bbb": 441, "lu": 64, "trsm": 128, "inv": 64},
+        (0, "siq"): {"gemm_bbb": 1388, "lu": 64, "trsm": 128, "inv": 64},
+        (2, "siq"): {
+            "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 256, "gemm_abb": 698,
+            "gemm_baa": 192, "gemm_bab": 570, "gemm_bba": 696, "gemm_bbb": 1388,
+            "lu": 65, "trsm": 130, "inv": 65,
+        },
+    }
+
+    @pytest.mark.parametrize("a_sz, mode", sorted(COUNTS))
+    def test_counts_pinned(self, a_sz, mode):
+        a, rhs = random_system(256, 4, a_sz, seed=3)
+        counter = OpCounter(b=4, a=a_sz)
+        solve_selected(a, rhs if mode == "siq" else None, mode, counter=counter)
+        assert (counter.b, counter.a) == (16, a_sz)
+        assert counter.as_dict() == self.COUNTS[(a_sz, mode)]
+
+    def test_counter_with_tallies_at_other_orders_raises(self):
+        a = generate_dd_bta(8, 4, 0, seed=4)
+        fine = OpCounter(b=4)
+        solve_selected(a, counter=fine, reblock=False)
+        with pytest.raises(ValueError, match="orders"):
+            solve_selected(a, counter=fine)
+        coarse = OpCounter(b=4)
+        solve_selected(a, counter=coarse)
+        once = coarse.as_dict()
+        solve_selected(a, counter=coarse)  # same orders: the tallies add up
+        assert coarse.as_dict() == {k: 2 * v for k, v in once.items()}
+        assert "?" not in "".join(coarse.gemm_by_shape)
+
+    def test_singular_fine_pivot_of_a_nonsingular_matrix_solves(self):
+        # Block 0 is zero but its couplings are not: the matrix is
+        # invertible, and the coarse pivot pivots across blocks.
+        a = generate_dd_bta(3, 2, 0, seed=1)
+        a.diag[0][:] = 0.0
+        with pytest.raises(SingularBlockError) as info:
+            solve_selected(a, reblock=False)
+        assert info.value.index == 0
+        got, want = to_dense(solve_selected(a).x_a), to_dense(dense_selected_inverse(a))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    @pytest.mark.parametrize("k", [0, 3, 4, 9])  # 0, c-1, c, n-1 at c = 4
+    def test_zero_block_row_reports_its_block(self, a_sz, k):
+        n = 10  # 3 blocks of order 16, the last with 2 padding blocks
+        a = generate_dd_bta(n, 4, a_sz, seed=5)
+        a.diag[k][:] = 0.0
+        a.arrow_col[k][:] = 0.0
+        if k > 0:
+            a.lower[k - 1][:] = 0.0
+        if k < n - 1:
+            a.upper[k][:] = 0.0
+        for reblock in (True, False):
+            with pytest.raises(SingularBlockError) as info:
+                solve_selected(a, reblock=reblock)
+            assert info.value.index == k
+            assert f"block {k} " in str(info.value)
+
+    def test_singular_tip_reports_the_block_count(self):
+        a = generate_dd_bta(6, 4, 2, seed=6)
+        a.tip[:] = 0.0
+        a.arrow_row[:] = 0.0
+        with pytest.raises(SingularBlockError) as info:
+            solve_selected(a)
+        assert info.value.index == 6
