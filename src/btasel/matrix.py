@@ -118,12 +118,9 @@ class BtaMatrix:
         np.fill_diagonal(m.tip, 1.0)
         return m
 
-    def copy(self, share: tuple[str, ...] = ()) -> "BtaMatrix":
-        """A copy whose fields share no memory with this container's,
-        except the fields named in ``share``, which it holds as they are."""
-        return BtaMatrix(self.n, self.b, self.a, *(
-            x if name in share else x.copy() for name, x in zip(self.FIELDS, self.stacks)
-        ))
+    def copy(self) -> "BtaMatrix":
+        """A copy whose fields share no memory with this container's."""
+        return BtaMatrix(self.n, self.b, self.a, *(x.copy() for x in self.stacks))
 
     def pattern_blocks(self):
         """Yield ``(kind, index, block)`` over all pattern blocks."""

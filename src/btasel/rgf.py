@@ -16,6 +16,12 @@ coupling made the b=4 backward sweep 13-18% slower.  The backward
 substitution at pivot ``i`` only ever reads trailing entries that lie
 on the sparsity pattern, which is what keeps the selected solve linear
 in the number of diagonal blocks.
+
+One set of block storage serves the whole solve.  The facade's private
+working copies are updated in place by the forward sweep, and the
+backward sweep writes each solution block into the slot of the same
+block, so the working copies become the solution.  A backward step
+therefore reads every input slot before it writes any output slot.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ class RgfFactors:
     the arrow couplings as seen when block ``i`` was eliminated are
     retained, together with the reduced tip, inverted in its working
     slot.  Retained blocks may be views of the working copies' slots,
-    which the forward pass writes no more once retained.
+    which the forward pass writes no more once retained.  A backward
+    pass that solves in place writes solution blocks into those slots,
+    so after it the retained views hold solution blocks.
     """
 
     n: int
@@ -272,7 +280,9 @@ def _backstep(
     None, is the forward's product ``Q_l·Sb``, reused instead of formed.
     ``out``, when given, names an output slot (or None, for a new block)
     for every block of the result, in its shape; each block is written
-    into its slot by its last operation.
+    into its slot by its last operation.  The slots may be those of the
+    step's own inputs (``g``, ``rs``, ``qs``, ``ss``, ``ws``): every input
+    is read before the first output slot is written.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -297,7 +307,18 @@ def _backstep(
     # Ordered so that few temporary blocks are alive at once: at large b
     # each one shows in peak memory.  A negated sum accumulates in its
     # output slot, -x - y being -(x + y) bit for bit; a sum subtracted
-    # from a base block, or a sum of differences, is formed first.
+    # from a base block, or a sum of differences, is formed first.  The
+    # quadratic factors read g and qs, whose slots xa_diag and xa_col may
+    # be, so they are formed first.
+    fused = yb is not None
+    if fused:
+        es = [mm(w, g, c, tb=True) for w in ws]
+        for e, q, reused in zip(es, qs, qsb or none):
+            if reused is None:
+                mm(q, sc, c, out=e, alpha=-1, beta=1)
+            else:
+                e -= reused
+        gs = [_sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
     f2 = [mm(q, g, c) for q in qs]
     xa_col = [_sum_mm(ya[j], f2, c, out=ca[j], alpha=-1) for j in range(k)]
     del f2
@@ -305,16 +326,9 @@ def _backstep(
     xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
     xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=ra[j], alpha=-1) for j in range(k)]
 
-    if yb is None:
+    if not fused:
         return xa_row, xa_col, xa_diag, None, None, None
 
-    es = [mm(w, g, c, tb=True) for w in ws]
-    for e, q, reused in zip(es, qs, qsb or none):
-        if reused is None:
-            mm(q, sc, c, out=e, alpha=-1, beta=1)
-        else:
-            e -= reused
-    gs = [_sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
     xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
     vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
     xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
@@ -339,9 +353,12 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     The sweep is seeded with block ``stop``'s diagonal and arrow solution
     blocks, read from their slots of ``x_a`` (``x_b``), and the tip
     solution ``ytt`` (``ztt``); it writes every block it solves into its
-    slot.  ``a`` and ``b`` supply the off-diagonal couplings.  With an
-    arrow each step has two trailing couplings, the next block and the
-    tip, and runs :func:`_backstep`.
+    slot.  ``a`` and ``b`` supply the off-diagonal couplings.  ``x_a``
+    (``x_b``) may be ``a`` (``b``) itself: a step reads its pivot and
+    coupling slots before it writes its own solution slots, and later
+    steps read only solved slots.  With an arrow each step has two
+    trailing couplings, the next block and the tip, and runs
+    :func:`_backstep`.
 
     Without one (``factors.a == 0``) a step has the next block as its
     only coupling.  That is the ``k = 1`` case of :func:`_backstep`,
@@ -368,21 +385,24 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
         s = factors.s_a[i]
         if not arrow:
             # A difference from a base block starts as a copy of the base.
+            # Every product that reads s or a coupling is formed before
+            # the first write: the outputs may be those very slots.
             y, lo = y_dd, a.lower[i]
             f1 = mm(s, a.upper[i], counter)
             f2 = mm(lo, s, counter)
+            if fused:
+                z, sb = z_dd, factors.s_b[i]
+                e = mm(b.lower[i], s, counter, tb=True)
+                e -= factors.l_sb[i]
+                g = mm(s, b.upper[i], counter)
+                mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
             xl = mm(y, f2, counter, out=x_a.lower[i], alpha=-1)
             mm(f1, y, counter, out=x_a.upper[i], alpha=-1)
             x_a.diag[i] = s
             y_dd = mm(f1, xl, counter, out=x_a.diag[i], alpha=-1, beta=1)
             if fused:
-                z, sb = z_dd, factors.s_b[i]
-                e = mm(b.lower[i], s, counter, tb=True)
-                e -= factors.l_sb[i]
                 zl = mm(y, e, counter, out=x_b.lower[i])
                 mm(z, f1, counter, tb=True, out=zl, alpha=-1, beta=1)
-                g = mm(s, b.upper[i], counter)
-                mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
                 v = mm(g, y, counter, tb=True)
                 x_b.upper[i] = v
                 mm(f1, z, counter, out=x_b.upper[i], alpha=-1, beta=1)
@@ -415,6 +435,7 @@ def bta_backward(
     counter: OpCounter | None = None,
     *,
     diagonal_only: bool = False,
+    _out: tuple[BtaMatrix, BtaMatrix | None] | None = None,
 ) -> SelectedSolution:
     """Backward selected substitution over a BT or arrowhead system.
 
@@ -424,9 +445,15 @@ def bta_backward(
     inverted reduced tip) and steps backward with :func:`_backward_sweep`,
     which at ``a = 0`` takes its hand-written one-coupling step (the
     generic step was 13-18% slower at b=4).  Every pattern block of the
-    solution(s) is written into its output slot by its last operation;
-    with ``diagonal_only`` the off-diagonal ones are computed but left
-    zero.
+    solution(s) is written into its slot of new output stacks by its
+    last operation, and ``a`` and ``b`` are not written; with
+    ``diagonal_only`` the off-diagonal blocks are computed but left zero.
+
+    ``_out`` is :func:`solve_selected`'s: the working copies ``(a, b)``
+    the forward pass updated, into which the solution is written instead,
+    each block into the slot of the same block.  The facade runs its
+    backward pass through this name, which ``perfbench/tracer.py`` wraps
+    to time it.
     """
     n = factors.n
     if a.shape_params != (factors.n, factors.b, factors.a):
@@ -435,8 +462,11 @@ def bta_backward(
     if fused and b is None:
         raise ShapeMismatchError("fused factors require the right-hand side")
 
-    x_a = BtaMatrix.empty(n, factors.b, factors.a)
-    x_b = BtaMatrix.empty(n, factors.b, factors.a) if fused else None
+    if _out is None:
+        x_a = BtaMatrix.empty(n, factors.b, factors.a)
+        x_b = BtaMatrix.empty(n, factors.b, factors.a) if fused else None
+    else:
+        x_a, x_b = _out
 
     i = n - 1
     s = factors.s_a[i]
@@ -536,7 +566,8 @@ def _coarsen(m: BtaMatrix, c: int, pad: float) -> BtaMatrix:
 
 
 def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool) -> BtaMatrix:
-    """The ``n``-block solution held in the re-blocked solution ``x``."""
+    """The ``n``-block solution held in the re-blocked solution ``x``,
+    with zero off-diagonal blocks under ``diagonal_only``."""
     nc, cb, a = x.shape_params
     f = BtaMatrix.empty(n, cb // c, a)
     for name, k, view in _block_map(x, n, c):
@@ -548,9 +579,10 @@ def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool) -> BtaMatrix:
 
 
 def _working_system(a: BtaMatrix, b: BtaMatrix | None, reblock: bool):
-    """``(work, rhs, c)``: the containers the sweeps update in place, for
-    ``a`` (and ``b``), and the number ``c`` of diagonal blocks merged into
-    one of theirs.
+    """``(work, rhs, c)``: the containers the sweeps update in place and
+    then turn into the solution, for ``a`` (and ``b``), and the number
+    ``c`` of diagonal blocks merged into one of theirs.  They share no
+    memory with ``a`` and ``b``.
 
     With ``reblock``, ``c = min(16 // b, n)``: blocks of order below 9 are
     merged into blocks of order at most 16, the largest that
@@ -560,11 +592,7 @@ def _working_system(a: BtaMatrix, b: BtaMatrix | None, reblock: bool):
     """
     c = max(1, min(_SMALL // a.b, a.n)) if reblock else 1
     if c == 1:
-        # The sweeps never write the off-diagonal stacks: the working
-        # copies share them with the inputs instead of copying them.
-        share = ("lower", "upper")
-        return a.copy(share=share), b.copy(share=share) if b is not None else None, 1
-    # The coarse stacks are new, so the sweeps work on them directly.
+        return a.copy(), b.copy() if b is not None else None, 1
     return _coarsen(a, c, 1.0), _coarsen(b, c, 0.0) if b is not None else None, c
 
 
@@ -582,7 +610,10 @@ def solve_selected(
     selected quadratic solution for the right-hand side ``b``.
 
     Dispatches on the arrow size (plain BT vs. arrowhead) and never
-    mutates its inputs.  ``mode`` defaults to ``"siq"`` when ``b`` is
+    mutates its inputs: the sweeps run on private working copies, which
+    the backward pass turns into the solution in place, so no stacks are
+    allocated for the sweeps' output.  The result shares no memory with
+    ``a`` or ``b``.  ``mode`` defaults to ``"siq"`` when ``b`` is
     given and ``"si"`` otherwise; ``timings``, when provided, receives
     the wall-clock seconds of the forward and backward sweeps.  Raises
     :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
@@ -630,7 +661,11 @@ def solve_selected(
             f"singular pivot at diagonal block {k} (input not diagonally dominant?)", index=k
         ) from exc
     t1 = perf_counter()
-    sol = bta_backward(factors, work, rhs, counter, diagonal_only=diagonal_only)
+    # A coarse solution is sliced back by _refine, which clears the
+    # off-diagonals itself under diagonal_only.
+    sol = bta_backward(
+        factors, work, rhs, counter, diagonal_only=diagonal_only and c == 1, _out=(work, rhs)
+    )
     t2 = perf_counter()
     if timings is not None:
         timings["forward"] = t1 - t0

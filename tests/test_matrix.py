@@ -313,14 +313,6 @@ class TestStackedStorage:
         for name in BtaMatrix.FIELDS:
             assert not np.shares_memory(getattr(c, name), getattr(m, name)), name
 
-    def test_copy_shares_only_the_named_fields(self):
-        m = generate_dd_bta(4, 3, 2, seed=5)
-        c = m.copy(share=("lower", "upper"))
-        assert c.equals_exact(m)
-        for name in BtaMatrix.FIELDS:
-            shared = getattr(c, name) is getattr(m, name)
-            assert shared == (name in ("lower", "upper")), name
-
     def test_mask_to_pattern_copies(self):
         # A single-entry tip or arrow strip of a 1x1-block dense array is
         # contiguous; it must still be copied out.

@@ -321,6 +321,62 @@ class TestSolveFacade:
         assert all(t >= 0 for t in timings.values())
 
 
+class TestSolveInPlace:
+    """The facade's working copies become its solution: the backward pass
+    writes each block into the slot of the same block of the copies."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    @pytest.mark.parametrize("reblock", [False, True])  # c = 1, and c = min(4, n) at b = 4
+    def test_facade_never_writes_or_aliases_its_inputs(self, n, a_sz, reblock):
+        a, rhs = random_system(n, 4, a_sz, seed=40 + n + a_sz)
+        a_ref, rhs_ref = a.copy(), rhs.copy()
+        oracle = (dense_selected_inverse(a), dense_selected_quadratic(a, rhs))
+        inputs = a.stacks + rhs.stacks
+        for mode in ("si", "siq"):
+            for diagonal_only in (False, True):
+                sol = solve_selected(
+                    a, rhs if mode == "siq" else None, mode,
+                    diagonal_only=diagonal_only, reblock=reblock,
+                )
+                assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
+                xs = [sol.x_a] + ([sol.x_b] if mode == "siq" else [])
+                for x in xs:
+                    for s in x.stacks:
+                        assert not any(np.shares_memory(s, t) for t in inputs)
+                if mode == "siq":
+                    for s in sol.x_a.stacks:
+                        assert not any(np.shares_memory(s, t) for t in sol.x_b.stacks)
+                for x, dense in zip(xs, oracle):
+                    if diagonal_only:
+                        assert not x.lower.any() and not x.upper.any()
+                        dense = BtaMatrix(n, 4, a_sz, dense.diag, x.lower, x.upper,
+                                          dense.arrow_row, dense.arrow_col, dense.tip)
+                    assert max_block_rel_err(x, dense) <= 1e-12, (mode, diagonal_only)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("a_sz", [0, 2])  # BT, and BTA with the tip-only step at n-1
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    def test_in_place_equals_fresh_outputs_bit_for_bit(self, n, a_sz, mode):
+        # Pins the step order: every input slot is read before any output
+        # slot is written, in the BT step and in _backstep.
+        a, rhs = random_system(n, 3, a_sz, seed=50 + n + a_sz)
+        rhs = rhs if mode == "siq" else None
+        runs = []
+        for in_place in (False, True):
+            wa, wb = a.copy(), rhs.copy() if rhs is not None else None
+            factors = bta_forward(wa, wb)
+            sol = bta_backward(factors, wa, wb, _out=(wa, wb) if in_place else None)
+            assert (sol.x_a is wa and sol.x_b is wb) == in_place
+            runs.append(sol)
+        fresh, solved = runs
+        for got, want in ((solved.x_a, fresh.x_a), (solved.x_b, fresh.x_b)):
+            if want is None:
+                assert got is None
+                continue
+            assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in want.stacks]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 @pytest.mark.parametrize("b", [1, 3])
 @pytest.mark.parametrize("a_sz", [0, 1, 4])
