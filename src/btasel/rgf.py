@@ -59,9 +59,9 @@ class RgfFactors:
     the arrow couplings as seen when block ``i`` was eliminated are
     retained, together with the reduced tip, inverted in its working
     slot.  Retained blocks may be views of the working copies' slots,
-    which the forward pass writes no more once retained.  A backward
-    pass that solves in place writes solution blocks into those slots,
-    so after it the retained views hold solution blocks.
+    which the forward pass writes no more once retained.  The backward
+    pass writes solution blocks into those slots, so after it the
+    retained views hold solution blocks.
     """
 
     n: int
@@ -435,25 +435,21 @@ def bta_backward(
     counter: OpCounter | None = None,
     *,
     diagonal_only: bool = False,
-    _out: tuple[BtaMatrix, BtaMatrix | None] | None = None,
 ) -> SelectedSolution:
     """Backward selected substitution over a BT or arrowhead system.
 
-    Consumes the factors of :func:`bta_forward` and the original
-    off-diagonal blocks of ``a`` and ``b`` (the forward pass never
-    modifies them).  Starts from the last block (with an arrow, from the
-    inverted reduced tip) and steps backward with :func:`_backward_sweep`,
-    which at ``a = 0`` takes its hand-written one-coupling step (the
-    generic step was 13-18% slower at b=4).  Every pattern block of the
-    solution(s) is written into its slot of new output stacks by its
-    last operation, and ``a`` and ``b`` are not written; with
-    ``diagonal_only`` the off-diagonal blocks are computed but left zero.
-
-    ``_out`` is :func:`solve_selected`'s: the working copies ``(a, b)``
-    the forward pass updated, into which the solution is written instead,
-    each block into the slot of the same block.  The facade runs its
-    backward pass through this name, which ``perfbench/tracer.py`` wraps
-    to time it.
+    ``a`` (and ``b``) are the working copies :func:`bta_forward` updated,
+    which become the solution in place: each solution block is written
+    into the slot of the same block.  The non-destructive entry point is
+    :func:`solve_selected`.  Consumes the factors and the off-diagonal
+    blocks of ``a`` and ``b``, which the forward pass never modifies,
+    before it overwrites them.  Starts from the last block (with an
+    arrow, from the inverted reduced tip) and steps backward with
+    :func:`_backward_sweep`, which at ``a = 0`` takes its hand-written
+    one-coupling step (the generic step was 13-18% slower at b=4).
+    Every pattern block of the solution(s) is written into its slot by
+    its last operation; with ``diagonal_only`` the off-diagonal blocks
+    are computed but left zero.
     """
     n = factors.n
     if a.shape_params != (factors.n, factors.b, factors.a):
@@ -462,12 +458,7 @@ def bta_backward(
     if fused and b is None:
         raise ShapeMismatchError("fused factors require the right-hand side")
 
-    if _out is None:
-        x_a = BtaMatrix.empty(n, factors.b, factors.a)
-        x_b = BtaMatrix.empty(n, factors.b, factors.a) if fused else None
-    else:
-        x_a, x_b = _out
-
+    x_a, x_b = a, b if fused else None
     i = n - 1
     s = factors.s_a[i]
     sc = mm(mm(s, factors.b_diag_last, counter), s, counter, tb=True) if fused else None
@@ -663,9 +654,7 @@ def solve_selected(
     t1 = perf_counter()
     # A coarse solution is sliced back by _refine, which clears the
     # off-diagonals itself under diagonal_only.
-    sol = bta_backward(
-        factors, work, rhs, counter, diagonal_only=diagonal_only and c == 1, _out=(work, rhs)
-    )
+    sol = bta_backward(factors, work, rhs, counter, diagonal_only=diagonal_only and c == 1)
     t2 = perf_counter()
     if timings is not None:
         timings["forward"] = t1 - t0

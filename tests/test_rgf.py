@@ -289,10 +289,10 @@ class TestSolveFacade:
     @pytest.mark.parametrize("mode", ["si", "siq"])
     @pytest.mark.parametrize("a_sz", [0, 2])
     def test_output_stacks_need_no_initial_values(self, monkeypatch, mode, a_sz):
-        # The backward pass allocates its output stacks uninitialised: every
-        # slot is written by its last operation (diagonal_only clears the
-        # off-diagonals).  Stacks that start as NaN give the bytes of
-        # zero-filled ones.
+        # A re-blocked solve (b=3, c=5) slices its coarse solution into
+        # uninitialised stacks: every fine slot is written (diagonal_only
+        # clears the off-diagonals).  Stacks that start as NaN give the
+        # bytes of zero-filled ones.
         def filled(value):
             def empty(cls, n, b, a=0):
                 x = BtaMatrix.zeros(n, b, a)
@@ -353,28 +353,6 @@ class TestSolveInPlace:
                         dense = BtaMatrix(n, 4, a_sz, dense.diag, x.lower, x.upper,
                                           dense.arrow_row, dense.arrow_col, dense.tip)
                     assert max_block_rel_err(x, dense) <= 1e-12, (mode, diagonal_only)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
-    @pytest.mark.parametrize("a_sz", [0, 2])  # BT, and BTA with the tip-only step at n-1
-    @pytest.mark.parametrize("mode", ["si", "siq"])
-    def test_in_place_equals_fresh_outputs_bit_for_bit(self, n, a_sz, mode):
-        # Pins the step order: every input slot is read before any output
-        # slot is written, in the BT step and in _backstep.
-        a, rhs = random_system(n, 3, a_sz, seed=50 + n + a_sz)
-        rhs = rhs if mode == "siq" else None
-        runs = []
-        for in_place in (False, True):
-            wa, wb = a.copy(), rhs.copy() if rhs is not None else None
-            factors = bta_forward(wa, wb)
-            sol = bta_backward(factors, wa, wb, _out=(wa, wb) if in_place else None)
-            assert (sol.x_a is wa and sol.x_b is wb) == in_place
-            runs.append(sol)
-        fresh, solved = runs
-        for got, want in ((solved.x_a, fresh.x_a), (solved.x_b, fresh.x_b)):
-            if want is None:
-                assert got is None
-                continue
-            assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in want.stacks]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
