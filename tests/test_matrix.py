@@ -6,6 +6,7 @@ import pytest
 from btasel import (
     BtaMatrix,
     ShapeMismatchError,
+    dist_solve,
     generate_dd_bta,
     hermitianize,
     mask_to_pattern,
@@ -284,6 +285,37 @@ class TestStackedStorage:
         siq = solve_selected(a, rhs)
         got = (_sha256(siq.x_a, tmp_path), _sha256(siq.x_b, tmp_path))
         assert got == self.REBLOCKED_BT[shape]
+
+    # The fused solve of a right-hand side that is not Hermitian, on the
+    # input's blocks and re-blocked, and partitioned (20 blocks of order 3,
+    # arrow 2, on P = 2 and 3 threads).  A B = ±B^H takes a path of its
+    # own; these pins show the general path keeps every bit.
+    GENERAL_RHS = {
+        ((7, 3, 2), False): "ea34f5d10014531e14670c4773d21dfae92a373cc2fd7f1ff40c1783cf78fe2a",
+        ((7, 3, 2), True): "f9564ba41408b68ae7876fd0a8d9dcd9dd9a39fc02843d4772872cb50d0974cc",
+        ((7, 3, 0), False): "ba3ef85f1f2813f6d256cf2cac9a0104723534f6a09ed0341fe1d461f80fbac3",
+        ((7, 3, 0), True): "33b86f2c696f344775c05e57013701d15982622d27d44698ca6e930d6577e9df",
+        ((256, 4, 0), False): "43501be2981d3913ef4c86766f61ddc249b45c1859e9935a59950018727ba4d5",
+        ((256, 4, 0), True): "a8df5856177705aba4659c0e3ecf73824556581635b38fc65e357c1112d6e49a",
+    }
+    GENERAL_RHS_DIST = {
+        2: "9424df3e9909be40c36b17b858118d8a4b7eb5974b8574d804bf42563ec83ef8",
+        3: "59db3c192143c00042f46856306602c9d5201a1a33b08a167f84a84edf97cfcd",
+    }
+
+    @pytest.mark.parametrize("shape, reblock", sorted(GENERAL_RHS))
+    def test_general_rhs_solver_bits_pinned(self, tmp_path, shape, reblock):
+        a = generate_dd_bta(*shape, seed=11)
+        rhs = generate_dd_bta(*shape, seed=12)
+        siq = solve_selected(a, rhs, reblock=reblock)
+        assert _sha256(siq.x_b, tmp_path) == self.GENERAL_RHS[(shape, reblock)]
+
+    @pytest.mark.parametrize("parts", sorted(GENERAL_RHS_DIST))
+    def test_general_rhs_dist_bits_pinned(self, tmp_path, parts):
+        a = generate_dd_bta(20, 3, 2, seed=11)
+        rhs = generate_dd_bta(20, 3, 2, seed=12)
+        siq = dist_solve(a, rhs, num_parts=parts)
+        assert _sha256(siq.x_b, tmp_path) == self.GENERAL_RHS_DIST[parts]
 
     @pytest.mark.parametrize("shape", [(1, 3, 0), (1, 2, 2), (4, 3, 0), (5, 2, 3)])
     def test_fields_are_contiguous_stacks(self, tmp_path, shape):
