@@ -35,7 +35,7 @@ from .collectives import Collectives, SocketCollectives, ThreadHub
 from .errors import FormatError, ProtocolError, WorkerError
 from .fileio import decode_bta, encode_bta
 from .kernels import COMPLEX, OpCounter, mm
-from .matrix import BtaMatrix, SelectedSolution
+from .matrix import BtaMatrix, SelectedSolution, _signed_part
 from .partition import PartitionPlan, plan_partitions
 from .rgf import (
     RgfFactors,
@@ -43,6 +43,7 @@ from .rgf import (
     _backward_sweep,
     _bupdate,
     _forward_sweep,
+    _hermitian_sign,
     _invert_pivot,
     _new_factors,
     _out_slots,
@@ -204,6 +205,7 @@ def local_forward(
     plan: PartitionPlan,
     rank: int,
     counter: OpCounter | None = None,
+    sigma: int = 0,
 ):
     """Eliminate one partition's interior blocks.
 
@@ -214,7 +216,10 @@ def local_forward(
     bottom boundary, the last runs it on its block-reversed blocks up to
     its top boundary; their factors are indexed by block position in
     sweep order.  The inputs are never mutated; boundary updates
-    accumulate in local copies.
+    accumulate in local copies.  ``sigma`` is ±1 when ``b`` is exactly
+    σ-Hermitian (:func:`dist_solve` finds it once for all ranks), else 0.
+    It is kept in the factors: the first and last partitions run both
+    sweeps' σ path, a middle one only its backward step's.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -227,14 +232,14 @@ def local_forward(
     tip_a, tip_b = tip_delta[0], tip_delta[1] if fused else None
 
     if kind != "middle":
-        factors = _new_factors(m, bs, asz, fused)
+        factors = _new_factors(m, bs, asz, fused, sigma)
         index = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         _forward_sweep(wa, wb, factors, m - 1, tip_a, tip_b, counter, index)
         bnd, fill_a, fill_b = [m - 1], None, None
     else:
         # Interior blocks 1..m-2 downward, keeping fill-in couplings to
         # the top boundary, block 0; factors in elimination order.
-        factors = LocalFactors(n=m, b=bs, a=asz, mode="siq" if fused else "si")
+        factors = LocalFactors(n=m, b=bs, a=asz, mode="siq" if fused else "si", sigma=sigma)
         factors.arrow_row_elim, factors.arrow_col_elim = [], []
         ad, al, au, ar, ac = wa
         fill_r = au[0].copy()  # A'(lo, j), starts at the original coupling
@@ -359,17 +364,19 @@ def _concatenate(m: BtaMatrix, containers: list, seps: list, tip) -> BtaMatrix:
 
 
 def solve_reduced(
-    reduced: ReducedSystem, mode: str, counter: OpCounter | None = None
+    reduced: ReducedSystem, mode: str, counter: OpCounter | None = None, sigma: int = 0
 ) -> SelectedSolution:
     """Solve the replicated reduced system locally on every rank with the
     sequential arrowhead solver.
 
     It runs without re-blocking: ``dist_solve`` tallies every rank's
     sweeps and this solve in one counter, at the orders of the
-    partitions' blocks."""
-    return solve_selected(
-        reduced.matrix_a, reduced.matrix_b, mode, counter=counter, reblock=False
-    )
+    partitions' blocks.  The reduced right-hand side of a σ-Hermitian
+    ``b`` (``sigma`` = ±1) is σ-Hermitian only up to the partitions'
+    rounding; its σ-Hermitian part, ``(B + σ·B^H)/2``, is solved instead,
+    so that the solver finds σ in it."""
+    matrix_b = _signed_part(reduced.matrix_b, sigma) if sigma else reduced.matrix_b
+    return solve_selected(reduced.matrix_a, matrix_b, mode, counter=counter, reblock=False)
 
 
 def local_backward(
@@ -457,7 +464,10 @@ def local_backward(
             fill_row, fill_col = (x.lower[0], x.upper[0]) if i == 1 else (None, None)
             out += ([fill_row, *row][:k], [fill_col, *col][:k], diag)
         out += (None,) * (6 - len(out))  # no quadratic slots in "si" mode
-        res = _backstep(factors.s_a[t], rs, qs, ys[0], sc, ss, ws, yb, counter, qsb=qsb, out=out)
+        res = _backstep(
+            factors.s_a[t], rs, qs, ys[0], sc, ss, ws, yb, counter, qsb=qsb, out=out,
+            sigma=factors.sigma,
+        )
         # Block i is the next step's trailing block; the top and tip stay.
         for y, (row, col, diag) in zip(ys, (res[:3], res[3:])):
             for l in range(0, k, 2):
@@ -501,17 +511,17 @@ def _merge_slices(
     return SelectedSolution(xs[0], xs[1] if len(xs) > 1 else None, red_sol.mode)
 
 
-def _run_rank(a, b, plan, rank, coll, mode, counting):
+def _run_rank(a, b, plan, rank, coll, mode, counting, sigma):
     # Every rank solves the same reduced system; only rank 0's tally of it
     # is kept, so the other ranks do not count it.
     counter = OpCounter(b=a.b, a=a.a) if counting else None
     reduced_counter = OpCounter(b=a.b, a=a.a) if counting and rank == 0 else None
     t0 = perf_counter()
-    payload, tip_delta, factors = local_forward(a, b, plan, rank, counter)
+    payload, tip_delta, factors = local_forward(a, b, plan, rank, counter, sigma)
     t1 = perf_counter()
     reduced = assemble_reduced(coll, a, b, plan, payload, tip_delta)
     t2 = perf_counter()
-    red_sol = solve_reduced(reduced, mode, reduced_counter)
+    red_sol = solve_reduced(reduced, mode, reduced_counter, sigma)
     t3 = perf_counter()
     sl = local_backward(a, b, plan, rank, factors, reduced, red_sol, counter)
     t4 = perf_counter()
@@ -572,6 +582,8 @@ def dist_solve(
     a.require_finite("a")
     if b is not None:
         b.require_finite("b")
+    # Found once for every rank; on sockets each rank finds it in its own b.
+    sigma = _hermitian_sign(b) if b is not None else 0
 
     plan = plan_partitions(a.n, num_parts, mode)
     counting = counter is not None or rank_counters is not None
@@ -582,7 +594,7 @@ def dist_solve(
                 f"transport world size {transport.world_size} != num_parts {num_parts}"
             )
         sl, cnt, red_cnt, phases, reduced = _run_rank(
-            a, b, plan, transport.rank, transport, mode, counting
+            a, b, plan, transport.rank, transport, mode, counting, sigma
         )
         if timings is not None:
             timings.update(phases)
@@ -610,7 +622,7 @@ def dist_solve(
     def run(rank: int):
         try:
             start.wait()
-            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting)
+            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting, sigma)
         except BaseException:
             hub.abort()  # release peers blocked inside a collective round
             raise

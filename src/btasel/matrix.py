@@ -328,9 +328,16 @@ def hermitianize(m: BtaMatrix) -> BtaMatrix:
     ``arrow_col[i] == arrow_row[i]^H``, and Hermitian diag and tip
     blocks, making it a structurally Hermitian right-hand side.
     """
+    return _signed_part(m, 1)
 
-    def mean_h(x, y):  # (x + y^H) / 2, block by block
-        return (x + y.conj().swapaxes(-1, -2)) / 2.0
+
+def _signed_part(m: BtaMatrix, sigma: int) -> BtaMatrix:
+    """``(m + sigma·m^H) / 2`` restricted to the pattern, for ``sigma`` = ±1:
+    exactly ``sigma`` times its own conjugate transpose, bit for bit."""
+    op = np.add if sigma > 0 else np.subtract
+
+    def mean_h(x, y):  # (x + sigma·y^H) / 2, block by block
+        return op(x, y.conj().swapaxes(-1, -2)) / 2.0
 
     return BtaMatrix(
         m.n, m.b, m.a,

@@ -22,6 +22,14 @@ working copies are updated in place by the forward sweep, and the
 backward sweep writes each solution block into the slot of the same
 block, so the working copies become the solution.  A backward step
 therefore reads every input slot before it writes any output slot.
+
+A right-hand side with ``B = σ·B^H`` for σ = 1 or -1 (Hermitian, or
+skew-Hermitian like the lesser self-energy of NEGF transport) has a
+σ-Hermitian quadratic solution, and so do the Schur updates of ``B``.
+:func:`bta_forward` finds σ by comparing ``B`` with its mirror exactly
+(:func:`_hermitian_sign`; any other ``B`` gives σ = 0), keeps it in the
+factors, and both sweeps then form only one half of each mirrored pair
+of products: the other half is a conjugate transpose, copied.
 """
 
 from __future__ import annotations
@@ -61,13 +69,16 @@ class RgfFactors:
     slot.  Retained blocks may be views of the working copies' slots,
     which the forward pass writes no more once retained.  The backward
     pass writes solution blocks into those slots, so after it the
-    retained views hold solution blocks.
+    retained views hold solution blocks.  ``sigma`` is 1 or -1 when the
+    right-hand side is exactly ``sigma`` times its conjugate transpose,
+    else 0; the sweeps read it to skip the mirrored products.
     """
 
     n: int
     b: int
     a: int
     mode: str
+    sigma: int = 0
     s_a: list = field(default_factory=list)
     s_b: list | None = None
     l_sb: list | None = None
@@ -92,15 +103,51 @@ def _invert_pivot(block, index, counter):
         ) from exc
 
 
+def _hermitian_sign(m: BtaMatrix) -> int:
+    """σ (1 or -1) when ``m == σ·m^H`` holds exactly, else 0.
+
+    Compares the diagonal blocks and the tip with their own mirrors,
+    ``upper`` with ``lower`` and ``arrow_col`` with ``arrow_row``, one
+    stack at a time, so that no copy of all of ``m`` is alive at once.
+    A matrix that is σ-Hermitian only up to rounding gives 0.
+    """
+    pairs = ((m.diag, m.diag), (m.upper, m.lower), (m.arrow_col, m.arrow_row), (m.tip, m.tip))
+    f64 = np.float64  # compared as float pairs: 4x faster, and -0.0 == 0.0 still
+    for sigma in (1, -1):
+        if all(np.array_equal(x.view(f64), _mirror(y, sigma).view(f64)) for x, y in pairs):
+            return sigma
+    return 0
+
+
+def _mirror(x, sigma, out=None):
+    """``sigma·x^H`` of a block, or of each block of a stack, in ``out``
+    (a new C-ordered array when None)."""
+    # A transposing copy and then a conjugation in place: at b=16 a ufunc
+    # reading the transposed view takes twice as long.
+    xh = x.swapaxes(-1, -2)
+    if out is None:
+        out = xh.copy()
+    else:
+        out[...] = xh
+    np.conjugate(out, out=out)
+    return np.negative(out, out=out) if sigma < 0 else out
+
+
+def _sub_mirrored(out, t, sigma):
+    """``out - t - sigma·t^H``, in ``out``."""
+    np.subtract(out, t, out=out)
+    return np.subtract(out, _mirror(t, sigma), out=out)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
 
-def _new_factors(n, b, a, fused) -> RgfFactors:
+def _new_factors(n, b, a, fused, sigma) -> RgfFactors:
     """Factors with one empty slot per block for every retained list;
     the arrow lists only when the arrow is not empty."""
-    factors = RgfFactors(n=n, b=b, a=a, mode="siq" if fused else "si")
+    factors = RgfFactors(n=n, b=b, a=a, mode="siq" if fused else "si", sigma=sigma)
     factors.s_a = [None] * n
     if fused:
         factors.s_b = [None] * max(n - 1, 0)
@@ -134,9 +181,18 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     block ``i`` is reported under.  The arrow-strip and tip updates, and
     the retained arrow couplings, are made only when the arrow is not
     empty (``factors.a > 0``).
+
+    With ``factors.sigma`` nonzero, ``b`` is σ-Hermitian and stays so
+    under the updates: ``Bl·F^H`` is formed once for the diagonal update
+    and its mirror stands in for ``F·Bu``, and the next block's arrow
+    column is set to the mirror of its updated arrow row.  The tip's
+    ``g·Bc`` terms are summed over the steps, and the mirror of the sum
+    stands in for every ``Br·g^H``.
     """
     fused = b is not None
     arrow = factors.a > 0
+    sigma = factors.sigma
+    tip_gc = np.zeros_like(tip_b) if sigma and arrow else None
     for i in range(stop):
         s = _invert_pivot(a.diag[i], index[i], counter)
         factors.s_a[i] = s
@@ -154,8 +210,11 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             factors.l_sb[i] = v
             bd = b.diag[i + 1]
             mm(v, lo, counter, tb=True, out=bd, beta=1)
-            mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
-            mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
+            if sigma:
+                _sub_mirrored(bd, mm(b.lower[i], f, counter, tb=True), sigma)
+            else:
+                mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
+                mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
         else:
             # Right-hand temporaries reach the minimal mixed-shape count.
             t1 = mm(s, a.upper[i], counter)
@@ -170,22 +229,29 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             factors.b_arrow_col_elim[i] = b.arrow_col[i]
             g = mm(a.arrow_row[i], s, counter)
             p = mm(g, b.diag[i], counter)
-            k = mm(b.diag[i], g, counter, tb=True)
+            k = None if sigma else mm(b.diag[i], g, counter, tb=True)
             mm(g, a.upper[i], counter, out=ar, alpha=-1, beta=1)
             mm(f, a.arrow_col[i], counter, out=ac, alpha=-1, beta=1)
             mm(g, a.arrow_col[i], counter, out=tip_a, alpha=-1, beta=1)
             br, bc = b.arrow_row[i + 1], b.arrow_col[i + 1]
             mm(g, b.upper[i], counter, out=br, alpha=-1, beta=1)
             mm(p - b.arrow_row[i], f, counter, tb=True, out=br, beta=1)
-            mm(f, b.arrow_col[i], counter, out=bc, alpha=-1, beta=1)
-            mm(b.lower[i], g, counter, tb=True, out=bc, alpha=-1, beta=1)
-            mm(f, k, counter, out=bc, beta=1)
-            _bupdate(counter, tip_b, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
+            if sigma:
+                _mirror(br, sigma, out=bc)
+                mm(g, b.arrow_col[i], counter, out=tip_gc, beta=1)
+                mm(p, g, counter, tb=True, out=tip_b, beta=1)
+            else:
+                mm(f, b.arrow_col[i], counter, out=bc, alpha=-1, beta=1)
+                mm(b.lower[i], g, counter, tb=True, out=bc, alpha=-1, beta=1)
+                mm(f, k, counter, out=bc, beta=1)
+                _bupdate(counter, tip_b, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
         else:
             t2 = mm(s, a.arrow_col[i], counter)
             mm(a.arrow_row[i], t1, counter, out=ar, alpha=-1, beta=1)
             mm(lo, t2, counter, out=ac, alpha=-1, beta=1)
             mm(a.arrow_row[i], t2, counter, out=tip_a, alpha=-1, beta=1)
+    if tip_gc is not None:
+        _sub_mirrored(tip_b, tip_gc, sigma)
 
 
 def bta_forward(
@@ -205,13 +271,15 @@ def bta_forward(
 
     Cost per interior step: 2/1/2/1 (selected inversion) or 8/5/5/4
     (fused) products of shape classes bbb/abb/bba/aba, the last three
-    absent at ``a = 0``.  Off-diagonal blocks are never modified.
+    absent at ``a = 0``; 7/5/1/3 (fused) when ``b`` is exactly
+    σ-Hermitian (σ = ±1, found here by :func:`_hermitian_sign` and kept
+    in the factors).  Off-diagonal blocks are never modified.
     """
     if b is not None and b.shape_params != a.shape_params:
         raise ShapeMismatchError("right-hand side shape differs from system shape")
     n = a.n
     fused = b is not None
-    factors = _new_factors(n, a.b, a.a, fused)
+    factors = _new_factors(n, a.b, a.a, fused, _hermitian_sign(b) if fused else 0)
     _forward_sweep(a, b, factors, n - 1, a.tip, b.tip if fused else None, counter, range(n))
 
     # Epilogue: eliminate the last diagonal block into the tip, invert it.
@@ -230,7 +298,11 @@ def bta_forward(
         g = mm(a.arrow_row[i], s, counter)
         p = mm(g, b.diag[i], counter)
         mm(g, a.arrow_col[i], counter, out=a.tip, alpha=-1, beta=1)
-        _bupdate(counter, b.tip, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
+        if factors.sigma:
+            _sub_mirrored(b.tip, mm(g, b.arrow_col[i], counter), factors.sigma)
+            mm(p, g, counter, tb=True, out=b.tip, beta=1)
+        else:
+            _bupdate(counter, b.tip, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
         factors.b_tip = b.tip
     else:
         t2 = mm(s, a.arrow_col[i], counter)
@@ -265,7 +337,8 @@ def _sum_pairs(terms, alpha, counter, out=None):
 
 
 def _backstep(
-    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, out=None
+    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, out=None,
+    sigma=0,
 ):
     """One backward substitution step at a pivot with trailing couplings.
 
@@ -296,9 +369,20 @@ def _backstep(
     which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
     the quadratic solution at ``k`` trailing couplings, less one per
     reused ``Q_l·Sb`` (the standard RGF recursion, Svizhenko et al.,
-    J. Appl. Phys. 2002).  Nothing assumes ``B = B^H``.  All products are
-    pattern-restricted: the trailing blocks touched are exactly those on
-    the BT(A) pattern of the (possibly permuted) system.
+    J. Appl. Phys. 2002).  All products are pattern-restricted: the
+    trailing blocks touched are exactly those on the BT(A) pattern of the
+    (possibly permuted) system.
+
+    Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
+    come from a ``B = sigma·B^H``, so the quadratic solution is
+    σ-Hermitian too: ``Z(i,j) = sigma·Z(j,i)^H`` is copied, not formed.
+    With ``P_j = sum_l Z_jl·F1_l^H`` and ``T = sum_l F1_l·Z(l,i)``::
+
+        Z(j,i) = sum_l Y_jl·E_l - P_j
+        Z_ii   = Sb - T - sigma·T^H - sum_m F1_m·P_m
+
+    ``2k^2+4k`` quadratic products, less the reused ``Q_l·Sb``; ``ss`` is
+    not read (``G_l`` and ``V_j`` are not formed).
     """
     k = len(rs)
     c = counter
@@ -318,7 +402,8 @@ def _backstep(
                 mm(q, sc, c, out=e, alpha=-1, beta=1)
             else:
                 e -= reused
-        gs = [_sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
+        if not sigma:
+            gs = [_sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
     f2 = [mm(q, g, c) for q in qs]
     xa_col = [_sum_mm(ya[j], f2, c, out=ca[j], alpha=-1) for j in range(k)]
     del f2
@@ -328,6 +413,16 @@ def _backstep(
 
     if not fused:
         return xa_row, xa_col, xa_diag, None, None, None
+
+    if sigma:
+        ps = [_sum_mm(z, f1, c, tb=True) for z in yb]
+        xb_col = [_sum_mm(y, es, c, out=o) for y, o in zip(ya, cb)]
+        for col, p in zip(xb_col, ps):
+            col -= p
+        xb_row = [_mirror(col, sigma, out=o) for col, o in zip(xb_col, rb)]
+        t = _sum_mm(f1, xb_col, c)
+        xb_diag = _sub_mirrored(np.subtract(sc, _sum_mm(f1, ps, c), out=db), t, sigma)
+        return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
 
     xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
     vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
@@ -374,9 +469,16 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
         Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
 
     ``L·Sb`` comes from the forward pass (``l_sb``), so a step costs 5
-    (selected inversion) or 14 (fused) b-sized products.
+    (selected inversion) or 14 (fused) b-sized products.  With
+    ``factors.sigma`` = ±1 it costs 10 (:func:`_backstep` at ``k = 1``)::
+
+        P = Z·F1^H          Z(i+1,i) = Y·(Bl·S^H - L·Sb) - P
+        T = F1·Z(i+1,i)     Z_ii = Sb - T - σ·T^H - F1·P
+
+    and ``Z(i,i+1)``, the mirror of ``Z(i+1,i)``, is written for every
+    step at once when the sweep ends.
     """
-    fused, arrow = x_b is not None, factors.a > 0
+    fused, arrow, sigma = x_b is not None, factors.a > 0, factors.sigma
     y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
     if fused:
         z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
@@ -394,13 +496,22 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                 z, sb = z_dd, factors.s_b[i]
                 e = mm(b.lower[i], s, counter, tb=True)
                 e -= factors.l_sb[i]
-                g = mm(s, b.upper[i], counter)
-                mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
+                if not sigma:
+                    g = mm(s, b.upper[i], counter)
+                    mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
             xl = mm(y, f2, counter, out=x_a.lower[i], alpha=-1)
             mm(f1, y, counter, out=x_a.upper[i], alpha=-1)
             x_a.diag[i] = s
             y_dd = mm(f1, xl, counter, out=x_a.diag[i], alpha=-1, beta=1)
-            if fused:
+            if sigma:
+                p = mm(z, f1, counter, tb=True)
+                zl = mm(y, e, counter, out=x_b.lower[i])
+                zl -= p
+                t = mm(f1, zl, counter)
+                x_b.diag[i] = sb
+                mm(f1, p, counter, out=x_b.diag[i], alpha=-1, beta=1)
+                z_dd = _sub_mirrored(x_b.diag[i], t, sigma)
+            elif fused:
                 zl = mm(y, e, counter, out=x_b.lower[i])
                 mm(z, f1, counter, tb=True, out=zl, alpha=-1, beta=1)
                 v = mm(g, y, counter, tb=True)
@@ -421,11 +532,13 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             qsb = [factors.l_sb[i], None]
         out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            s, rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out
+            s, rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out, sigma=sigma
         )
         y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
         if fused:
             z_dd, z_dt, z_td = xb_diag, xb_row[-1], xb_col[-1]
+    if sigma and not arrow:
+        _mirror(x_b.lower[:stop], sigma, out=x_b.upper[:stop])
 
 
 def bta_backward(
@@ -477,7 +590,7 @@ def bta_backward(
             ss, ws, yb = [factors.b_arrow_col_elim[i]], [factors.b_arrow_row_elim[i]], [[ztt]]
         out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
         rs, qs = [factors.arrow_col_elim[i]], [factors.arrow_row_elim[i]]
-        _backstep(s, rs, qs, [[ytt]], sc, ss, ws, yb, counter, out=out)
+        _backstep(s, rs, qs, [[ytt]], sc, ss, ws, yb, counter, out=out, sigma=factors.sigma)
     _backward_sweep(factors, a, b, x_a, x_b, i, ytt, ztt, counter)
 
     if diagonal_only:
@@ -489,7 +602,8 @@ def bta_backward(
 def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
     """:func:`bta_forward` of a plain BT matrix (``a = 0``), which it
     requires; the empty arrow skips every arrow and tip update: 2 (or 8
-    fused) b-sized products per step and ``n`` inversions."""
+    fused, 7 for a σ-Hermitian right-hand side) b-sized products per step
+    and ``n`` inversions."""
     if a.a != 0:
         raise ShapeMismatchError("bt_forward requires a plain BT matrix (a=0)")
     return bta_forward(a, *args, **kwargs)
@@ -498,7 +612,8 @@ def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
 def bt_backward(factors: RgfFactors, *args, **kwargs) -> SelectedSolution:
     """:func:`bta_backward` of BT factors (``a = 0``), which it requires:
     the hand-written one-coupling step of :func:`_backward_sweep`, 5
-    (selected inversion) or 14 (fused) b-sized products per step."""
+    (selected inversion) or 14 (fused, 10 for a σ-Hermitian right-hand
+    side) b-sized products per step."""
     if factors.a != 0:
         raise ShapeMismatchError("bt_backward requires BT factors (a=0)")
     return bta_backward(factors, *args, **kwargs)
@@ -556,9 +671,12 @@ def _coarsen(m: BtaMatrix, c: int, pad: float) -> BtaMatrix:
     return x
 
 
-def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool) -> BtaMatrix:
+def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool, sigma: int = 0) -> BtaMatrix:
     """The ``n``-block solution held in the re-blocked solution ``x``,
-    with zero off-diagonal blocks under ``diagonal_only``."""
+    with zero off-diagonal blocks under ``diagonal_only``.  A σ-Hermitian
+    ``x`` (``sigma`` = ±1) gets its upper couplings as the mirrors of the
+    lower ones: most sit in coarse diagonal blocks, which are σ-Hermitian
+    only up to rounding."""
     nc, cb, a = x.shape_params
     f = BtaMatrix.empty(n, cb // c, a)
     for name, k, view in _block_map(x, n, c):
@@ -566,6 +684,8 @@ def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool) -> BtaMatrix:
     f.tip[...] = x.tip
     if diagonal_only:
         f.lower[...] = f.upper[...] = 0.0
+    elif sigma:
+        _mirror(f.lower, sigma, out=f.upper)
     return f
 
 
@@ -660,8 +780,7 @@ def solve_selected(
         timings["forward"] = t1 - t0
         timings["backward"] = t2 - t1
     if c > 1:
-        x_a, x_b = (
-            None if x is None else _refine(x, a.n, c, diagonal_only) for x in (sol.x_a, sol.x_b)
-        )
+        x_a = _refine(sol.x_a, a.n, c, diagonal_only)
+        x_b = None if sol.x_b is None else _refine(sol.x_b, a.n, c, diagonal_only, factors.sigma)
         sol = SelectedSolution(x_a, x_b, sol.mode)
     return sol

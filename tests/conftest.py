@@ -75,6 +75,29 @@ def random_system(n, b, a, seed, hermitian_rhs=False):
     return system, rhs
 
 
+def signed_system(n, b, a, seed, sigma):
+    """A system and a right-hand side with ``B == sigma·B^H`` bit for bit:
+    Hermitian for ``sigma = 1``, and ``1j`` times that for ``sigma = -1``
+    (skew-Hermitian, like the lesser self-energy of NEGF transport)."""
+    system, rhs = random_system(n, b, a, seed, hermitian_rhs=True)
+    if sigma < 0:
+        rhs = BtaMatrix(n, b, a, *(1j * s for s in rhs.stacks))
+    return system, rhs
+
+
+def mirror(x, sigma):
+    """``sigma·x^H`` of every block of a stack."""
+    m = x.conj().swapaxes(-1, -2)
+    return m if sigma > 0 else -m
+
+
+def assert_mirrored(x: BtaMatrix, sigma):
+    """The upper couplings and arrow columns of ``x`` are exactly ``sigma``
+    times the conjugate transposes of its lower couplings and arrow rows."""
+    assert np.array_equal(x.upper, mirror(x.lower, sigma))
+    assert np.array_equal(x.arrow_col, mirror(x.arrow_row, sigma))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

@@ -5,7 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import max_block_rel_err, random_system
+from conftest import (
+    assert_mirrored,
+    dense_selected_inverse,
+    dense_selected_quadratic,
+    max_block_rel_err,
+    random_system,
+    signed_system,
+)
 
 from btasel import (
     BtaMatrix,
@@ -311,6 +318,49 @@ def test_middle_backward_per_step_counts():
         }
 
 
+def test_middle_backward_per_step_counts_signed_rhs():
+    # B = sigma·B^H: the middle step's quadratic half takes 2k^2+4k = 30
+    # products less the two reused coupling·Sb (28, against 52); its
+    # forward is the general one, whose lower-side factors it reads.
+    def middle_backward(n, sigma):
+        a, rhs = signed_system(n, 4, 2, seed=10, sigma=sigma)
+        plan = plan_partitions(n, 3, "siq")
+        lo, hi = plan.ranges[1]
+        per_rank = []
+        dist_solve(a, rhs, num_parts=3, mode="siq", rank_counters=per_rank)
+        forward = OpCounter(b=4, a=2)
+        local_forward(a, rhs, plan, 1, forward, sigma)
+        counts = per_rank[1].gemm_by_shape.copy()
+        counts.subtract(forward.gemm_by_shape)
+        return hi - lo - 2, counts
+
+    step = {"bbb": 28, "abb": 9, "bba": 3, "bab": 11, "aab": 3, "baa": 1}
+    for sigma in (1, -1):
+        steps1, c1 = middle_backward(16, sigma)
+        steps2, c2 = middle_backward(24, sigma)
+        assert {k: v for k, v in c1.items() if v} == {k: v * steps1 for k, v in step.items()}
+        assert {k: c2[k] - c1[k] for k in c2 if c2[k] != c1[k]} == {
+            k: v * (steps2 - steps1) for k, v in step.items()
+        }
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("a_sz", [0, 2])
+def test_signed_rhs_matches_dense_oracle(sigma, parts, a_sz):
+    # The first and last partitions run both sweeps' mirrored path, a
+    # middle one its backward step's, and the reduced solve takes the
+    # path too: every upper coupling and arrow column of X_B is the
+    # exact mirror of its lower counterpart.
+    a, rhs = signed_system(14, 3, a_sz, seed=60 + a_sz, sigma=sigma)
+    a_ref, rhs_ref = a.copy(), rhs.copy()
+    sol = dist_solve(a, rhs, num_parts=parts)
+    assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
+    assert max_block_rel_err(sol.x_a, dense_selected_inverse(a)) <= 1e-10
+    assert max_block_rel_err(sol.x_b, dense_selected_quadratic(a, rhs)) <= 1e-10
+    assert_mirrored(sol.x_b, sigma)
+
+
 def test_counters_aggregate():
     a, rhs = random_system(12, 3, 2, seed=16)
     counter = OpCounter(b=3, a=2)
@@ -528,6 +578,35 @@ def test_socket_ranks_match_threads(parts, mode, a_sz):
     assert got[0].x_a.equals_exact(ref.x_a)
     if mode == "siq":
         assert got[0].x_b.equals_exact(ref.x_b)
+
+
+def test_socket_ranks_find_the_sign_themselves():
+    # Each socket rank finds sigma in its own b; rank 0 returns the
+    # thread transport's solution bit for bit.
+    a, rhs = signed_system(20, 3, 2, seed=24, sigma=-1)
+    port = _free_port()
+    got, errors = {}, []
+
+    def run(rank):
+        try:
+            coll = SocketCollectives(3, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                got[rank] = dist_solve(a, rhs, num_parts=3, transport=coll)
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append((rank, exc))
+
+    threads = [threading.Thread(target=run, args=(rank,)) for rank in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    ref = dist_solve(a, rhs, num_parts=3)
+    assert got[0].x_a.equals_exact(ref.x_a) and got[0].x_b.equals_exact(ref.x_b)
+    assert_mirrored(got[0].x_b, -1)
 
 
 def test_identity_system_all_partitions():

@@ -188,7 +188,9 @@ class TestStackedStorage:
     # solver pins by the pivot kernel that inverts with zgetrf + zgetri,
     # on the input's own blocks (``reblock=False``).  Neither storage nor
     # a refactor may change a bit.  The ``REBLOCKED`` pins are the
-    # default, re-blocked solve of the same inputs.
+    # default, re-blocked solve of the same inputs.  The ``x_b`` pins of
+    # these Hermitian right-hand sides are those of the sweeps' mirrored
+    # path, which forms each mirrored pair of products once.
     GENERATED = {
         (1, 1, 0): "b4764d7070cd06a65263e2dc5d45d2c67a9b81a16b2b54ba3d7095c1fa8db291",
         (7, 3, 2): "da7460034a799df8886dd73ca2ac9c9d3272f30a8d28c7455bdadd6685c5ab22",
@@ -202,7 +204,7 @@ class TestStackedStorage:
     SOLVED = {
         "si x_a": "a7c5531fe80b5da7a6c1f1b517673240f394f5c4da6cae16afdf6cd74c9b0ddb",
         "siq x_a": "654f6752ae12831dfdf5dff7364ffe062812b1624b3a9c9103707fcbe7d4ba93",
-        "siq x_b": "a2bf5ad10acedb7ce32b8be67cca677e8a98683fc27279c841cd120a775ffa08",
+        "siq x_b": "4e8d362de2d675ca9741357465e7948932a018f46e0f817c1145741cd69e264e",
     }
 
     @pytest.mark.parametrize("shape", sorted(GENERATED))
@@ -224,11 +226,11 @@ class TestStackedStorage:
 
     # Two blocks of order 15, the second holding two padding blocks.
     # Dense-oracle max block relative error: si x_a 5.07e-16, siq x_a
-    # 5.07e-16, siq x_b 7.57e-16 (5.28e-16, 5.27e-16, 6.50e-16 above).
+    # 5.07e-16, siq x_b 7.46e-16 (5.28e-16, 5.27e-16, 6.19e-16 above).
     REBLOCKED = {
         "si x_a": "decf8e435dcf48725d48c290e8abf32e2e3d8be411a81d36932328dd6b0c9949",
         "siq x_a": "a99c0f0c8b16f2b89a2f441f7c41c93e93e1888772c7337a0830a7540e9ed9df",
-        "siq x_b": "933e155f35c7f6c8b436aa6aaa1b1585b5affb22baba8a72ee342f70cb647753",
+        "siq x_b": "3736b0e5cc9d0261925848e9c0bd590407c3e8e6783f0835a8a8c6b14c30e91d",
     }
 
     def test_reblocked_solver_bits_pinned(self, tmp_path):
@@ -247,11 +249,11 @@ class TestStackedStorage:
     SOLVED_BT = {
         (7, 3, 0): (
             "6713bdbf51ca2799bf1d345be6c4456a6c190da1035ad4f21c89812a1108b138",
-            "32165c5c04c5ce3fa21cd23542abd86c1d2dd9f369a3761b5e9d15984adcebff",
+            "62c0a61e254584f859bf824156a1b6321438784d0994f38106990e54281ab30e",
         ),
         (256, 4, 0): (
             "d703d0d46cd5c8e7732c57ed029e4a56fb4f045bd7282928f18c78884291dca9",
-            "aaf1c879f553c8fd0fba9bdda646fee966d58c62a8253f416d3a46b6f8b65565",
+            "7cd62800e215ab86811f3d1d6c167aa3debc615d37ceb0e1ed053b157ddbb793",
         ),
     }
 
@@ -265,16 +267,16 @@ class TestStackedStorage:
 
     # Re-blocked: (7, 3, 0) into 2 blocks of order 15, (256, 4, 0) into 64
     # of order 16.  Dense-oracle max block relative error x_a / x_b:
-    # 3.27e-16 / 5.03e-16 and 3.91e-16 / 9.42e-16 (4.11e-16 / 5.03e-16 and
+    # 3.27e-16 / 5.83e-16 and 3.91e-16 / 9.00e-16 (4.11e-16 / 5.51e-16 and
     # 4.03e-16 / 1.14e-15 above).
     REBLOCKED_BT = {
         (7, 3, 0): (
             "3085b2408aa65cf9921ebac5e441f840783a1faf2e26d482ad0af365444c97bc",
-            "2654d84ef2c96cf9d38b011dc19dec81ffb789c51ef35d0a490f5d4d75fe89c0",
+            "2f235dc219cbbd435d24fc37ccc76ea55cca60f979b2c7aeed5ee3714e5e7991",
         ),
         (256, 4, 0): (
             "bdee499183d6fc8c10becfbf846fc4947f4b135074e15555669e5d7beb00223f",
-            "24914fa631e4b6c55eb32c45c527f717dd5507bcbb55f9c7e4d62d360218b467",
+            "f60073f11f5cc8f7f350e1c35c023dc1560f06bac951c4c59eb0ee8b1e26132f",
         ),
     }
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from conftest import (
+    assert_mirrored,
     dense_selected_inverse,
     dense_selected_quadratic,
     max_block_rel_err,
+    mirror,
     random_system,
+    signed_system,
 )
 
 from btasel import (
@@ -22,7 +25,7 @@ from btasel import (
     to_dense,
 )
 from btasel.matrix import stack_shapes
-from btasel.rgf import _backstep
+from btasel.rgf import _backstep, _hermitian_sign
 
 
 class TestBtForward:
@@ -150,6 +153,21 @@ class TestBtaPaths:
         step = {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
         assert step == {"bbb": 2, "abb": 1, "bba": 2, "aba": 1}
 
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_signed_rhs_step_counts(self, sigma):
+        # B = sigma·B^H: Bl·F^H is formed once for the diagonal, the next
+        # arrow column is the mirror of the arrow row, and the tip's
+        # g·Bc terms are mirrored once per sweep.
+        def forward_counts(n, a_sz):
+            a, b = signed_system(n, 8, a_sz, seed=6, sigma=sigma)
+            counter = OpCounter(b=8, a=a_sz)
+            assert bta_forward(a.copy(), b.copy(), counter).sigma == sigma
+            return counter.gemm_by_shape
+
+        for a_sz, want in ((4, {"bbb": 7, "abb": 5, "bba": 1, "aba": 3}), (0, {"bbb": 7})):
+            c5, c6 = forward_counts(5, a_sz), forward_counts(6, a_sz)
+            assert {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]} == want
+
     def test_oracle_equivalence(self):
         a, b = random_system(6, 8, 4, seed=7, hermitian_rhs=True)
         wa, wb = a.copy(), b.copy()
@@ -168,10 +186,13 @@ class TestBackwardStep:
     """The backward step forms each product once (``rgf._backstep``)."""
 
     @staticmethod
-    def _step_counts(b, a_sz, fused):
+    def _step_counts(b, a_sz, fused, sigma=0):
         # Backward products per step, by differencing two lengths.
         def backward_counts(n):
-            a, rhs = random_system(n, b, a_sz, seed=6)
+            if sigma:
+                a, rhs = signed_system(n, b, a_sz, seed=6, sigma=sigma)
+            else:
+                a, rhs = random_system(n, b, a_sz, seed=6)
             wa, wb = a.copy(), (rhs.copy() if fused else None)
             factors = bta_forward(wa, wb)
             counter = OpCounter(b=b, a=a_sz)
@@ -193,6 +214,15 @@ class TestBackwardStep:
         }
         assert self._step_counts(8, 4, fused=True) == {
             "bbb": 14, "bba": 6, "abb": 6, "bab": 9, "aab": 3, "baa": 3,
+        }
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_signed_rhs_step_counts(self, sigma):
+        # The quadratic half takes 2k^2+4k products instead of 4k^2+6k,
+        # less the reused L·Sb: 14 to 10 at k = 1, 41 to 29 at k = 2.
+        assert self._step_counts(4, 0, fused=True, sigma=sigma) == {"bbb": 10}
+        assert self._step_counts(8, 4, fused=True, sigma=sigma) == {
+            "bbb": 10, "bba": 2, "abb": 6, "bab": 7, "aab": 3, "baa": 1,
         }
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -234,6 +264,41 @@ class TestBackwardStep:
             for j in t:
                 close(row[j - 1], blk(full, 0, j))
                 close(col[j - 1], blk(full, j, 0))
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_signed_step_matches_dense_oracle(self, k, sigma, rng):
+        # B = sigma·B^H: the step reads no pivot-to-trailing block of B
+        # (ss is None here) and copies the row as the column's mirror.
+        sizes = [3, 3, 2, 3][: k + 1]
+        off = np.concatenate([[0], np.cumsum(sizes)])
+        dim = off[-1]
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = cplx(dim, dim) + 4 * dim * np.eye(dim)
+        b = cplx(dim, dim)
+        b = (b + sigma * b.conj().T) / 2
+        x = np.linalg.inv(a)
+        z = x @ b @ x.conj().T
+
+        def blk(m, r, c):
+            return np.ascontiguousarray(m[off[r] : off[r + 1], off[c] : off[c + 1]])
+
+        t = range(1, k + 1)
+        s = np.linalg.inv(blk(a, 0, 0))
+        sb = s @ blk(b, 0, 0) @ s.conj().T
+        rs, qs = [blk(a, 0, l) for l in t], [blk(a, l, 0) for l in t]
+        ws = [blk(b, l, 0) for l in t]
+        ya = [[blk(x, l, m) for m in t] for l in t]
+        yb = [[blk(z, l, m) for m in t] for l in t]
+        row, col, diag = _backstep(s, rs, qs, ya, sb, None, ws, yb, sigma=sigma)[3:]
+        assert np.linalg.norm(diag - blk(z, 0, 0)) <= 1e-12 * np.linalg.norm(blk(z, 0, 0))
+        for j in t:
+            want = blk(z, j, 0)
+            assert np.linalg.norm(col[j - 1] - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(row[j - 1], mirror(col[j - 1], sigma))
 
 
 class TestSolveFacade:
@@ -505,3 +570,86 @@ class TestReblock:
         with pytest.raises(SingularBlockError) as info:
             solve_selected(a)
         assert info.value.index == 6
+
+
+class TestSignedRhs:
+    """A right-hand side with ``B == sigma·B^H`` bit for bit (sigma = ±1)
+    takes the sweeps' mirrored path; any other takes the general one."""
+
+    def test_sign_is_found_from_the_data(self):
+        for sigma in (1, -1):
+            _, rhs = signed_system(5, 3, 2, seed=1, sigma=sigma)
+            assert _hermitian_sign(rhs) == sigma
+        assert _hermitian_sign(random_system(5, 3, 2, seed=1)[1]) == 0
+        assert _hermitian_sign(BtaMatrix.zeros(5, 3, 2)) == 1  # both signs hold
+        _, rhs = signed_system(5, 3, 2, seed=1, sigma=1)
+        for name, index in (("upper", (2, 0, 1)), ("diag", (4, 0, 1)), ("arrow_col", (0, 2, 1)),
+                            ("tip", (1, 0))):
+            off = rhs.copy()
+            stack = getattr(off, name)
+            stack[index] = np.nextafter(stack[index].real, np.inf) + 1j * stack[index].imag
+            assert _hermitian_sign(off) == 0, name
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    @pytest.mark.parametrize("reblock", [False, True])  # c = 5 at b = 3: padded
+    def test_matches_dense_oracle(self, sigma, a_sz, reblock):
+        n = 9
+        a, rhs = signed_system(n, 3, a_sz, seed=50 + a_sz, sigma=sigma)
+        a_ref, rhs_ref = a.copy(), rhs.copy()
+        oracle = (dense_selected_inverse(a), dense_selected_quadratic(a, rhs))
+        for diagonal_only in (False, True):
+            sol = solve_selected(a, rhs, diagonal_only=diagonal_only, reblock=reblock)
+            assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
+            x_b = sol.x_b
+            if diagonal_only:
+                assert not x_b.lower.any() and not x_b.upper.any()
+            else:
+                assert_mirrored(x_b, sigma)
+            for x, dense in zip((sol.x_a, x_b), oracle):
+                if diagonal_only:
+                    dense = BtaMatrix(n, 3, a_sz, dense.diag, x.lower, x.upper,
+                                      dense.arrow_row, dense.arrow_col, dense.tip)
+                assert max_block_rel_err(x, dense) <= 1e-10
+
+    def test_inverse_bits_do_not_depend_on_the_sign(self):
+        a, herm = signed_system(7, 3, 2, seed=9, sigma=1)
+        general = random_system(7, 3, 2, seed=9)[1]
+        for reblock in (False, True):
+            want = solve_selected(a, general, reblock=reblock).x_a
+            assert solve_selected(a, herm, reblock=reblock).x_a.equals_exact(want)
+
+    # Re-blocked counts at (n, b) = (256, 4), 64 blocks of order 16, for a
+    # sigma-Hermitian B: 1,073 products against TestReblock's 1,388.
+    COUNTS = {
+        0: {"gemm_bbb": 1073, "lu": 64, "trsm": 128, "inv": 64},
+        2: {
+            "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 192, "gemm_abb": 698,
+            "gemm_baa": 64, "gemm_bab": 444, "gemm_bba": 190, "gemm_bbb": 1073,
+            "lu": 65, "trsm": 130, "inv": 65,
+        },
+    }
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("a_sz", sorted(COUNTS))
+    def test_counts_pinned(self, sigma, a_sz):
+        a, rhs = signed_system(256, 4, a_sz, seed=3, sigma=sigma)
+        counter = OpCounter(b=4, a=a_sz)
+        solve_selected(a, rhs, counter=counter)
+        assert counter.as_dict() == self.COUNTS[a_sz]
+
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    @pytest.mark.parametrize("defect", ["one ulp in upper", "non-Hermitian diagonal block"])
+    def test_near_hermitian_takes_the_general_path(self, a_sz, defect):
+        # Counts do not depend on the values: the general path's tallies
+        # are TestReblock's, taken with a B that is not Hermitian at all.
+        a, rhs = signed_system(256, 4, a_sz, seed=3, sigma=1)
+        if defect == "one ulp in upper":
+            u = rhs.upper[100, 1, 2]
+            rhs.upper[100, 1, 2] = np.nextafter(u.real, np.inf) + 1j * u.imag
+        else:
+            rhs.diag[50, 0, 1] += 1.0
+        counter = OpCounter(b=4, a=a_sz)
+        sol = solve_selected(a, rhs, counter=counter)
+        assert counter.as_dict() == TestReblock.COUNTS[(a_sz, "siq")]
+        assert max_block_rel_err(sol.x_b, dense_selected_quadratic(a, rhs)) <= 1e-10
