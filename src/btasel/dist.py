@@ -205,7 +205,6 @@ def local_forward(
     plan: PartitionPlan,
     rank: int,
     counter: OpCounter | None = None,
-    sigma: int = 0,
 ):
     """Eliminate one partition's interior blocks.
 
@@ -216,10 +215,10 @@ def local_forward(
     bottom boundary, the last runs it on its block-reversed blocks up to
     its top boundary; their factors are indexed by block position in
     sweep order.  The inputs are never mutated; boundary updates
-    accumulate in local copies.  ``sigma`` is ±1 when ``b`` is exactly
-    σ-Hermitian (:func:`dist_solve` finds it once for all ranks), else 0.
-    It is kept in the factors: the first and last partitions run both
-    sweeps' σ path, a middle one only its backward step's.
+    accumulate in local copies.  Every rank holds all of ``b`` and finds
+    in it whether ``b = σ·B^H`` (:func:`rgf._hermitian_sign`); σ is kept
+    in the factors: the first and last partitions run both sweeps' σ
+    path, a middle one only its backward step's.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -230,6 +229,7 @@ def local_forward(
     wb = _working(b, lo, hi, reverse) if fused else None
     tip_delta = np.zeros((2 if fused else 1, asz, asz), dtype=COMPLEX)
     tip_a, tip_b = tip_delta[0], tip_delta[1] if fused else None
+    sigma = _hermitian_sign(b) if fused else 0
 
     if kind != "middle":
         factors = _new_factors(m, bs, asz, fused, sigma)
@@ -364,19 +364,17 @@ def _concatenate(m: BtaMatrix, containers: list, seps: list, tip) -> BtaMatrix:
 
 
 def solve_reduced(
-    reduced: ReducedSystem, mode: str, counter: OpCounter | None = None, sigma: int = 0
+    reduced: ReducedSystem, mode: str, counter: OpCounter | None = None
 ) -> SelectedSolution:
     """Solve the replicated reduced system locally on every rank with the
     sequential arrowhead solver.
 
     It runs without re-blocking: ``dist_solve`` tallies every rank's
     sweeps and this solve in one counter, at the orders of the
-    partitions' blocks.  The reduced right-hand side of a σ-Hermitian
-    ``b`` (``sigma`` = ±1) is σ-Hermitian only up to the partitions'
-    rounding; its σ-Hermitian part, ``(B + σ·B^H)/2``, is solved instead,
-    so that the solver finds σ in it."""
-    matrix_b = _signed_part(reduced.matrix_b, sigma) if sigma else reduced.matrix_b
-    return solve_selected(reduced.matrix_a, matrix_b, mode, counter=counter, reblock=False)
+    partitions' blocks."""
+    return solve_selected(
+        reduced.matrix_a, reduced.matrix_b, mode, counter=counter, reblock=False
+    )
 
 
 def local_backward(
@@ -511,17 +509,23 @@ def _merge_slices(
     return SelectedSolution(xs[0], xs[1] if len(xs) > 1 else None, red_sol.mode)
 
 
-def _run_rank(a, b, plan, rank, coll, mode, counting, sigma):
+def _run_rank(a, b, plan, rank, coll, mode, counting):
     # Every rank solves the same reduced system; only rank 0's tally of it
     # is kept, so the other ranks do not count it.
     counter = OpCounter(b=a.b, a=a.a) if counting else None
     reduced_counter = OpCounter(b=a.b, a=a.a) if counting and rank == 0 else None
     t0 = perf_counter()
-    payload, tip_delta, factors = local_forward(a, b, plan, rank, counter, sigma)
+    payload, tip_delta, factors = local_forward(a, b, plan, rank, counter)
     t1 = perf_counter()
     reduced = assemble_reduced(coll, a, b, plan, payload, tip_delta)
     t2 = perf_counter()
-    red_sol = solve_reduced(reduced, mode, reduced_counter, sigma)
+    if factors.sigma:
+        # The reduced right-hand side of a σ-Hermitian b is σ-Hermitian
+        # only up to the partitions' rounding; its σ-Hermitian part,
+        # (B + σ·B^H)/2, is solved instead, so that the solver finds σ in
+        # it and every coupling of X_B is an exact mirror.
+        reduced.matrix_b = _signed_part(reduced.matrix_b, factors.sigma)
+    red_sol = solve_reduced(reduced, mode, reduced_counter)
     t3 = perf_counter()
     sl = local_backward(a, b, plan, rank, factors, reduced, red_sol, counter)
     t4 = perf_counter()
@@ -582,8 +586,6 @@ def dist_solve(
     a.require_finite("a")
     if b is not None:
         b.require_finite("b")
-    # Found once for every rank; on sockets each rank finds it in its own b.
-    sigma = _hermitian_sign(b) if b is not None else 0
 
     plan = plan_partitions(a.n, num_parts, mode)
     counting = counter is not None or rank_counters is not None
@@ -594,7 +596,7 @@ def dist_solve(
                 f"transport world size {transport.world_size} != num_parts {num_parts}"
             )
         sl, cnt, red_cnt, phases, reduced = _run_rank(
-            a, b, plan, transport.rank, transport, mode, counting, sigma
+            a, b, plan, transport.rank, transport, mode, counting
         )
         if timings is not None:
             timings.update(phases)
@@ -622,7 +624,7 @@ def dist_solve(
     def run(rank: int):
         try:
             start.wait()
-            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting, sigma)
+            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting)
         except BaseException:
             hub.abort()  # release peers blocked inside a collective round
             raise

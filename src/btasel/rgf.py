@@ -27,9 +27,10 @@ A right-hand side with ``B = σ·B^H`` for σ = 1 or -1 (Hermitian, or
 skew-Hermitian like the lesser self-energy of NEGF transport) has a
 σ-Hermitian quadratic solution, and so do the Schur updates of ``B``.
 :func:`bta_forward` finds σ by comparing ``B`` with its mirror exactly
-(:func:`_hermitian_sign`; any other ``B`` gives σ = 0), keeps it in the
-factors, and both sweeps then form only one half of each mirrored pair
-of products: the other half is a conjugate transpose, copied.
+(:func:`_hermitian_sign`; any other ``B`` gives σ = 0) and keeps it in
+the factors.  The sweeps then copy, as conjugate transposes, blocks they
+would otherwise form a second time: the backward step's mirrored half,
+and the forward's arrow-column and tip updates.
 """
 
 from __future__ import annotations
@@ -113,8 +114,15 @@ def _hermitian_sign(m: BtaMatrix) -> int:
     """
     pairs = ((m.diag, m.diag), (m.upper, m.lower), (m.arrow_col, m.arrow_row), (m.tip, m.tip))
     f64 = np.float64  # compared as float pairs: 4x faster, and -0.0 == 0.0 still
+
+    def mirrored(x, y, sigma):
+        return np.array_equal(x.view(f64), _mirror(y, sigma).view(f64))
+
+    # The first diagonal block rules a sign out before any stack is
+    # mirrored, so a general ``m`` costs two b-by-b mirrors.
+    first = m.diag[:1]
     for sigma in (1, -1):
-        if all(np.array_equal(x.view(f64), _mirror(y, sigma).view(f64)) for x, y in pairs):
+        if mirrored(first, first, sigma) and all(mirrored(x, y, sigma) for x, y in pairs):
             return sigma
     return 0
 
@@ -183,11 +191,11 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     empty (``factors.a > 0``).
 
     With ``factors.sigma`` nonzero, ``b`` is σ-Hermitian and stays so
-    under the updates: ``Bl·F^H`` is formed once for the diagonal update
-    and its mirror stands in for ``F·Bu``, and the next block's arrow
-    column is set to the mirror of its updated arrow row.  The tip's
-    ``g·Bc`` terms are summed over the steps, and the mirror of the sum
-    stands in for every ``Br·g^H``.
+    under the updates: the next block's arrow column is set to the
+    mirror of its updated arrow row, and the tip's ``g·Bc`` terms are
+    summed over the steps, the mirror of the sum standing in for every
+    ``Br·g^H``.  The diagonal update keeps its two products: at b ≤ 16 a
+    mirror costs about as much as the product it would replace.
     """
     fused = b is not None
     arrow = factors.a > 0
@@ -210,11 +218,8 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             factors.l_sb[i] = v
             bd = b.diag[i + 1]
             mm(v, lo, counter, tb=True, out=bd, beta=1)
-            if sigma:
-                _sub_mirrored(bd, mm(b.lower[i], f, counter, tb=True), sigma)
-            else:
-                mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
-                mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
+            mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
+            mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
         else:
             # Right-hand temporaries reach the minimal mixed-shape count.
             t1 = mm(s, a.upper[i], counter)
@@ -271,7 +276,7 @@ def bta_forward(
 
     Cost per interior step: 2/1/2/1 (selected inversion) or 8/5/5/4
     (fused) products of shape classes bbb/abb/bba/aba, the last three
-    absent at ``a = 0``; 7/5/1/3 (fused) when ``b`` is exactly
+    absent at ``a = 0``; 8/5/1/3 (fused) when ``b`` is exactly
     σ-Hermitian (σ = ±1, found here by :func:`_hermitian_sign` and kept
     in the factors).  Off-diagonal blocks are never modified.
     """
@@ -602,8 +607,7 @@ def bta_backward(
 def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
     """:func:`bta_forward` of a plain BT matrix (``a = 0``), which it
     requires; the empty arrow skips every arrow and tip update: 2 (or 8
-    fused, 7 for a σ-Hermitian right-hand side) b-sized products per step
-    and ``n`` inversions."""
+    fused) b-sized products per step and ``n`` inversions."""
     if a.a != 0:
         raise ShapeMismatchError("bt_forward requires a plain BT matrix (a=0)")
     return bta_forward(a, *args, **kwargs)
@@ -680,7 +684,8 @@ def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool, sigma: int = 0) -
     nc, cb, a = x.shape_params
     f = BtaMatrix.empty(n, cb // c, a)
     for name, k, view in _block_map(x, n, c):
-        getattr(f, name)[k] = view
+        if not (sigma and name == "upper"):  # mirrored from the lower below
+            getattr(f, name)[k] = view
     f.tip[...] = x.tip
     if diagonal_only:
         f.lower[...] = f.upper[...] = 0.0

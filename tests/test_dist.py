@@ -329,7 +329,7 @@ def test_middle_backward_per_step_counts_signed_rhs():
         per_rank = []
         dist_solve(a, rhs, num_parts=3, mode="siq", rank_counters=per_rank)
         forward = OpCounter(b=4, a=2)
-        local_forward(a, rhs, plan, 1, forward, sigma)
+        local_forward(a, rhs, plan, 1, forward)
         counts = per_rank[1].gemm_by_shape.copy()
         counts.subtract(forward.gemm_by_shape)
         return hi - lo - 2, counts

@@ -190,7 +190,7 @@ class TestStackedStorage:
     # a refactor may change a bit.  The ``REBLOCKED`` pins are the
     # default, re-blocked solve of the same inputs.  The ``x_b`` pins of
     # these Hermitian right-hand sides are those of the sweeps' mirrored
-    # path, which forms each mirrored pair of products once.
+    # path, which copies the mirrored half of the backward products.
     GENERATED = {
         (1, 1, 0): "b4764d7070cd06a65263e2dc5d45d2c67a9b81a16b2b54ba3d7095c1fa8db291",
         (7, 3, 2): "da7460034a799df8886dd73ca2ac9c9d3272f30a8d28c7455bdadd6685c5ab22",
@@ -204,7 +204,7 @@ class TestStackedStorage:
     SOLVED = {
         "si x_a": "a7c5531fe80b5da7a6c1f1b517673240f394f5c4da6cae16afdf6cd74c9b0ddb",
         "siq x_a": "654f6752ae12831dfdf5dff7364ffe062812b1624b3a9c9103707fcbe7d4ba93",
-        "siq x_b": "4e8d362de2d675ca9741357465e7948932a018f46e0f817c1145741cd69e264e",
+        "siq x_b": "4bb4bfeaa755be3da4b7959e6d7a35bf8f201c910262df0250df9abcd75ff62b",
     }
 
     @pytest.mark.parametrize("shape", sorted(GENERATED))
@@ -249,7 +249,7 @@ class TestStackedStorage:
     SOLVED_BT = {
         (7, 3, 0): (
             "6713bdbf51ca2799bf1d345be6c4456a6c190da1035ad4f21c89812a1108b138",
-            "62c0a61e254584f859bf824156a1b6321438784d0994f38106990e54281ab30e",
+            "ecd69f141e1367fc4a0e8b14cb15e90a6a990fd8ac9c2adae34e66a61e0306e9",
         ),
         (256, 4, 0): (
             "d703d0d46cd5c8e7732c57ed029e4a56fb4f045bd7282928f18c78884291dca9",

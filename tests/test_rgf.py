@@ -155,16 +155,16 @@ class TestBtaPaths:
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_signed_rhs_step_counts(self, sigma):
-        # B = sigma·B^H: Bl·F^H is formed once for the diagonal, the next
-        # arrow column is the mirror of the arrow row, and the tip's
-        # g·Bc terms are mirrored once per sweep.
+        # B = sigma·B^H: the next arrow column is the mirror of the arrow
+        # row, and the tip's g·Bc terms are mirrored once per sweep; the
+        # diagonal update keeps its two products.
         def forward_counts(n, a_sz):
             a, b = signed_system(n, 8, a_sz, seed=6, sigma=sigma)
             counter = OpCounter(b=8, a=a_sz)
             assert bta_forward(a.copy(), b.copy(), counter).sigma == sigma
             return counter.gemm_by_shape
 
-        for a_sz, want in ((4, {"bbb": 7, "abb": 5, "bba": 1, "aba": 3}), (0, {"bbb": 7})):
+        for a_sz, want in ((4, {"bbb": 8, "abb": 5, "bba": 1, "aba": 3}), (0, {"bbb": 8})):
             c5, c6 = forward_counts(5, a_sz), forward_counts(6, a_sz)
             assert {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]} == want
 
@@ -583,12 +583,17 @@ class TestSignedRhs:
         assert _hermitian_sign(random_system(5, 3, 2, seed=1)[1]) == 0
         assert _hermitian_sign(BtaMatrix.zeros(5, 3, 2)) == 1  # both signs hold
         _, rhs = signed_system(5, 3, 2, seed=1, sigma=1)
-        for name, index in (("upper", (2, 0, 1)), ("diag", (4, 0, 1)), ("arrow_col", (0, 2, 1)),
-                            ("tip", (1, 0))):
+        for name, index in (("upper", (2, 0, 1)), ("diag", (4, 0, 1)), ("diag", (0, 0, 1)),
+                            ("arrow_col", (0, 2, 1)), ("tip", (1, 0))):
             off = rhs.copy()
             stack = getattr(off, name)
             stack[index] = np.nextafter(stack[index].real, np.inf) + 1j * stack[index].imag
             assert _hermitian_sign(off) == 0, name
+        # A first diagonal block that fits both signs leaves the whole
+        # comparison to decide.
+        _, rhs = signed_system(5, 3, 2, seed=1, sigma=-1)
+        rhs.diag[0] = 0.0
+        assert _hermitian_sign(rhs) == -1
 
     @pytest.mark.parametrize("sigma", [1, -1])
     @pytest.mark.parametrize("a_sz", [0, 2])
@@ -620,12 +625,12 @@ class TestSignedRhs:
             assert solve_selected(a, herm, reblock=reblock).x_a.equals_exact(want)
 
     # Re-blocked counts at (n, b) = (256, 4), 64 blocks of order 16, for a
-    # sigma-Hermitian B: 1,073 products against TestReblock's 1,388.
+    # sigma-Hermitian B: 1,136 products against TestReblock's 1,388.
     COUNTS = {
-        0: {"gemm_bbb": 1073, "lu": 64, "trsm": 128, "inv": 64},
+        0: {"gemm_bbb": 1136, "lu": 64, "trsm": 128, "inv": 64},
         2: {
             "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 192, "gemm_abb": 698,
-            "gemm_baa": 64, "gemm_bab": 444, "gemm_bba": 190, "gemm_bbb": 1073,
+            "gemm_baa": 64, "gemm_bab": 444, "gemm_bba": 190, "gemm_bbb": 1136,
             "lu": 65, "trsm": 130, "inv": 65,
         },
     }
