@@ -144,7 +144,8 @@ def cmd_solve(algo, mode, parts, a_file, b_file, out, out_b, counts, transport, 
     a = read_bta(a_file)
     b = read_bta(b_file) if b_file is not None else None
 
-    counter = OpCounter(b=a.b, a=a.a)
+    # A tally costs about a fifth of a small-block solve: only on request.
+    counter = OpCounter(b=a.b, a=a.a) if counts else None
     timings: dict = {}
     if algo == "rgf":
         sol = solve_selected(a, b, mode, counter=counter, timings=timings)

@@ -215,7 +215,9 @@ def local_forward(
     bottom boundary, the last runs it on its block-reversed blocks up to
     its top boundary; their factors are indexed by block position in
     sweep order.  The inputs are never mutated; boundary updates
-    accumulate in local copies.  Every rank holds all of ``b`` and finds
+    accumulate in local copies, and in ``"si"`` mode those partitions
+    leave their forward products ``S·U`` in a copy of the upper
+    couplings of their own.  Every rank holds all of ``b`` and finds
     in it whether ``b = σ·B^H`` (:func:`rgf._hermitian_sign`); σ is kept
     in the factors: the first and last partitions run both sweeps' σ
     path, a middle one only its backward step's.
@@ -232,6 +234,9 @@ def local_forward(
     sigma = _hermitian_sign(b) if fused else 0
 
     if kind != "middle":
+        if not fused:
+            # The sweep leaves S·U in the upper slots: they must be our own.
+            wa = wa._replace(upper=wa.upper.copy())
         factors = _new_factors(m, bs, asz, fused, sigma)
         index = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         _forward_sweep(wa, wb, factors, m - 1, tip_a, tip_b, counter, index)

@@ -60,17 +60,22 @@ class RgfFactors:
 
     ``s_a[i]`` is the inverse of the i-th updated pivot: a view of the
     working diagonal slot in which the pivot was formed and then
-    inverted in place.  In fused mode ``s_b[i]`` holds the quadratic
+    inverted in place.  In selected-inversion mode ``s_u[i]`` is the
+    forward's product ``s_a[i]·upper[i]`` for ``i < n-1``, a view of the
+    working upper slot it was formed from and written into, which the
+    backward step reuses.  In fused mode ``s_b[i]`` holds the quadratic
     Schur block for ``i < n-1`` and ``l_sb[i]`` the forward's product
     ``lower[i]·s_b[i]``, which the backward step reuses; the last
     diagonal's quadratic block is formed at the start of the backward
     pass from the forward-updated ``b_diag_last``.  For arrowhead systems
     the arrow couplings as seen when block ``i`` was eliminated are
     retained, together with the reduced tip, inverted in its working
-    slot.  Retained blocks may be views of the working copies' slots,
-    which the forward pass writes no more once retained.  The backward
-    pass writes solution blocks into those slots, so after it the
-    retained views hold solution blocks.  ``sigma`` is 1 or -1 when the
+    slot; in selected-inversion mode ``arrow_col_elim[i]`` holds the
+    forward's product ``s_a[i]·arrow_col[i]`` in that coupling's slot,
+    like ``s_u``.  Retained blocks may be views of the working copies'
+    slots, which the forward pass writes no more once retained.  The
+    backward pass writes solution blocks into those slots, so after it
+    the retained views hold solution blocks.  ``sigma`` is 1 or -1 when the
     right-hand side is exactly ``sigma`` times its conjugate transpose,
     else 0; the sweeps read it to skip the mirrored products.
     """
@@ -81,6 +86,7 @@ class RgfFactors:
     mode: str
     sigma: int = 0
     s_a: list = field(default_factory=list)
+    s_u: list | None = None
     s_b: list | None = None
     l_sb: list | None = None
     b_diag_last: np.ndarray | None = None
@@ -160,6 +166,8 @@ def _new_factors(n, b, a, fused, sigma) -> RgfFactors:
     if fused:
         factors.s_b = [None] * max(n - 1, 0)
         factors.l_sb = [None] * max(n - 1, 0)
+    else:
+        factors.s_u = [None] * max(n - 1, 0)
     if a > 0:
         factors.arrow_row_elim = [None] * n
         factors.arrow_col_elim = [None] * n
@@ -185,10 +193,12 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     the next block's diagonal and arrow slots and subtracts its tip
     contribution from ``tip_a`` (``tip_b``).  The pivot inverses and the
     couplings as seen at elimination are retained in ``factors`` at the
-    block's position.  ``index[i]`` is the number a singular pivot at
-    block ``i`` is reported under.  The arrow-strip and tip updates, and
-    the retained arrow couplings, are made only when the arrow is not
-    empty (``factors.a > 0``).
+    block's position.  In selected inversion ``S·U`` and ``S·Ac`` are
+    left in the slots of the couplings they were formed from (so
+    ``a.upper`` must be the caller's own).  ``index[i]`` is the number a
+    singular pivot at block ``i`` is reported under.  The arrow-strip and
+    tip updates, and the retained arrow couplings, are made only when
+    the arrow is not empty (``factors.a > 0``).
 
     With ``factors.sigma`` nonzero, ``b`` is σ-Hermitian and stays so
     under the updates: the next block's arrow column is set to the
@@ -222,8 +232,12 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
         else:
             # Right-hand temporaries reach the minimal mixed-shape count.
+            # Each goes into the slot of the coupling it was formed from,
+            # which nothing reads again, for the backward step to reuse.
             t1 = mm(s, a.upper[i], counter)
             mm(lo, t1, counter, out=ad, alpha=-1, beta=1)
+            a.upper[i] = t1
+            factors.s_u[i] = a.upper[i]
         if not arrow:
             continue
         factors.arrow_row_elim[i] = a.arrow_row[i]
@@ -252,6 +266,7 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
                 _bupdate(counter, tip_b, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
         else:
             t2 = mm(s, a.arrow_col[i], counter)
+            a.arrow_col[i] = t2
             mm(a.arrow_row[i], t1, counter, out=ar, alpha=-1, beta=1)
             mm(lo, t2, counter, out=ac, alpha=-1, beta=1)
             mm(a.arrow_row[i], t2, counter, out=tip_a, alpha=-1, beta=1)
@@ -278,7 +293,9 @@ def bta_forward(
     (fused) products of shape classes bbb/abb/bba/aba, the last three
     absent at ``a = 0``; 8/5/1/3 (fused) when ``b`` is exactly
     σ-Hermitian (σ = ±1, found here by :func:`_hermitian_sign` and kept
-    in the factors).  Off-diagonal blocks are never modified.
+    in the factors).  Off-diagonal blocks are never modified but, in
+    selected inversion, the upper couplings, each replaced by its
+    product with the pivot inverse (``s_u`` in the factors).
     """
     if b is not None and b.shape_params != a.shape_params:
         raise ShapeMismatchError("right-hand side shape differs from system shape")
@@ -311,6 +328,7 @@ def bta_forward(
         factors.b_tip = b.tip
     else:
         t2 = mm(s, a.arrow_col[i], counter)
+        a.arrow_col[i] = t2
         mm(a.arrow_row[i], t2, counter, out=a.tip, alpha=-1, beta=1)
     try:
         factors.tip_schur_inv = block_inverse(a.tip, counter, overwrite_a=True)
@@ -342,8 +360,8 @@ def _sum_pairs(terms, alpha, counter, out=None):
 
 
 def _backstep(
-    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, out=None,
-    sigma=0,
+    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, sr=None,
+    out=None, sigma=0,
 ):
     """One backward substitution step at a pivot with trailing couplings.
 
@@ -355,12 +373,15 @@ def _backstep(
     for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
     (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
     ``yb`` is given, for the quadratic solution.  ``qsb[l]``, when not
-    None, is the forward's product ``Q_l·Sb``, reused instead of formed.
-    ``out``, when given, names an output slot (or None, for a new block)
-    for every block of the result, in its shape; each block is written
-    into its slot by its last operation.  The slots may be those of the
-    step's own inputs (``g``, ``rs``, ``qs``, ``ss``, ``ws``): every input
-    is read before the first output slot is written.
+    None, is the forward's product ``Q_l·Sb``, reused instead of formed;
+    ``sr``, when given, holds the forward's products ``S·R_l``, and
+    ``rs`` is not read.  ``out``, when given, names an output slot (or
+    None, for a new block) for every block of the result, in its shape;
+    each block is written into its slot by its last operation.  The slots
+    may be those of the step's own inputs (``g``, ``rs``, ``qs``, ``ss``,
+    ``ws``, ``sr``): every input is read before the first output slot is
+    written, except that the row is written last when ``sr`` is given,
+    after every read of ``sr``.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -373,10 +394,10 @@ def _backstep(
 
     which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
     the quadratic solution at ``k`` trailing couplings, less one per
-    reused ``Q_l·Sb`` (the standard RGF recursion, Svizhenko et al.,
-    J. Appl. Phys. 2002).  All products are pattern-restricted: the
-    trailing blocks touched are exactly those on the BT(A) pattern of the
-    (possibly permuted) system.
+    reused ``Q_l·Sb`` and ``k`` fewer with ``sr`` (the standard RGF
+    recursion, Svizhenko et al., J. Appl. Phys. 2002).  All products are
+    pattern-restricted: the trailing blocks touched are exactly those on
+    the BT(A) pattern of the (possibly permuted) system.
 
     Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
     come from a ``B = sigma·B^H``, so the quadratic solution is
@@ -389,7 +410,7 @@ def _backstep(
     ``2k^2+4k`` quadratic products, less the reused ``Q_l·Sb``; ``ss`` is
     not read (``G_l`` and ``V_j`` are not formed).
     """
-    k = len(rs)
+    k = len(qs)
     c = counter
     none = [None] * k
     ra, ca, da, rb, cb, db = out or (none, none, None, none, none, None)
@@ -412,14 +433,15 @@ def _backstep(
     f2 = [mm(q, g, c) for q in qs]
     xa_col = [_sum_mm(ya[j], f2, c, out=ca[j], alpha=-1) for j in range(k)]
     del f2
-    f1 = [mm(g, r, c) for r in rs]
+    f1 = sr or [mm(g, r, c) for r in rs]
     xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
-    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=ra[j], alpha=-1) for j in range(k)]
+    # The forward's S·R_l may sit in the row's slots: the row then goes
+    # there from new blocks, once nothing reads F1 again.
+    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=None if sr else ra[j], alpha=-1)
+              for j in range(k)]
+    xb_row = xb_col = xb_diag = None
 
-    if not fused:
-        return xa_row, xa_col, xa_diag, None, None, None
-
-    if sigma:
+    if fused and sigma:
         ps = [_sum_mm(z, f1, c, tb=True) for z in yb]
         xb_col = [_sum_mm(y, es, c, out=o) for y, o in zip(ya, cb)]
         for col, p in zip(xb_col, ps):
@@ -427,14 +449,21 @@ def _backstep(
         xb_row = [_mirror(col, sigma, out=o) for col, o in zip(xb_col, rb)]
         t = _sum_mm(f1, xb_col, c)
         xb_diag = _sub_mirrored(np.subtract(sc, _sum_mm(f1, ps, c), out=db), t, sigma)
-        return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
-
-    xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
-    vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
-    xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
-    sums = [_sum_mm(f1, [y[j] for y in yb], c) for j in range(k)]
-    xb_row = [np.subtract(v, t, out=t if o is None else o) for v, t, o in zip(vs, sums, rb)]
+    elif fused:
+        xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
+        vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
+        xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
+        sums = [_sum_mm(f1, [y[j] for y in yb], c) for j in range(k)]
+        xb_row = [np.subtract(v, t, out=t if o is None else o) for v, t, o in zip(vs, sums, rb)]
+    if sr:
+        xa_row = [r if o is None else _put(o, r) for r, o in zip(xa_row, ra)]
     return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
+
+
+def _put(slot, block):
+    """``block`` copied into ``slot``, which is returned."""
+    slot[...] = block
+    return slot
 
 
 def _out_slots(x, i, k):
@@ -453,12 +482,13 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     The sweep is seeded with block ``stop``'s diagonal and arrow solution
     blocks, read from their slots of ``x_a`` (``x_b``), and the tip
     solution ``ytt`` (``ztt``); it writes every block it solves into its
-    slot.  ``a`` and ``b`` supply the off-diagonal couplings.  ``x_a``
-    (``x_b``) may be ``a`` (``b``) itself: a step reads its pivot and
-    coupling slots before it writes its own solution slots, and later
-    steps read only solved slots.  With an arrow each step has two
-    trailing couplings, the next block and the tip, and runs
-    :func:`_backstep`.
+    slot.  ``a`` and ``b`` supply the off-diagonal couplings; in
+    selected inversion only ``a``'s lower ones, the forward's ``S·U`` and
+    ``S·Ac`` coming from the factors.  ``x_a`` (``x_b``) may be ``a``
+    (``b``) itself: a step reads its pivot and coupling slots before it
+    writes its own solution slots, and later steps read only solved
+    slots.  With an arrow each step has two trailing couplings, the next
+    block and the tip, and runs :func:`_backstep`.
 
     Without one (``factors.a == 0``) a step has the next block as its
     only coupling.  That is the ``k = 1`` case of :func:`_backstep`,
@@ -473,9 +503,10 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
         V = (S·Bu - Sb·L^H)·Y^H                 Z(i,i+1) = V - F1·Z
         Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
 
-    ``L·Sb`` comes from the forward pass (``l_sb``), so a step costs 5
-    (selected inversion) or 14 (fused) b-sized products.  With
-    ``factors.sigma`` = ±1 it costs 10 (:func:`_backstep` at ``k = 1``)::
+    ``F1`` (selected inversion, ``s_u``) or ``L·Sb`` (fused, ``l_sb``)
+    comes from the forward pass, so a step costs 4 (selected inversion)
+    or 14 (fused) b-sized products.  With ``factors.sigma`` = ±1 it costs
+    10 (:func:`_backstep` at ``k = 1``)::
 
         P = Z·F1^H          Z(i+1,i) = Y·(Bl·S^H - L·Sb) - P
         T = F1·Z(i+1,i)     Z_ii = Sb - T - σ·T^H - F1·P
@@ -495,7 +526,7 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             # Every product that reads s or a coupling is formed before
             # the first write: the outputs may be those very slots.
             y, lo = y_dd, a.lower[i]
-            f1 = mm(s, a.upper[i], counter)
+            f1 = mm(s, a.upper[i], counter) if fused else factors.s_u[i]
             f2 = mm(lo, s, counter)
             if fused:
                 z, sb = z_dd, factors.s_b[i]
@@ -505,10 +536,14 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                     g = mm(s, b.upper[i], counter)
                     mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
             xl = mm(y, f2, counter, out=x_a.lower[i], alpha=-1)
-            mm(f1, y, counter, out=x_a.upper[i], alpha=-1)
+            # The forward's F1 may sit in the upper slot: the row goes
+            # there from a new block, after the last read of F1.
+            xu = mm(f1, y, counter, out=x_a.upper[i] if fused else None, alpha=-1)
             x_a.diag[i] = s
             y_dd = mm(f1, xl, counter, out=x_a.diag[i], alpha=-1, beta=1)
-            if sigma:
+            if not fused:
+                x_a.upper[i] = xu
+            elif sigma:
                 p = mm(z, f1, counter, tb=True)
                 zl = mm(y, e, counter, out=x_b.lower[i])
                 zl -= p
@@ -516,7 +551,7 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                 x_b.diag[i] = sb
                 mm(f1, p, counter, out=x_b.diag[i], alpha=-1, beta=1)
                 z_dd = _sub_mirrored(x_b.diag[i], t, sigma)
-            elif fused:
+            else:
                 zl = mm(y, e, counter, out=x_b.lower[i])
                 mm(z, f1, counter, tb=True, out=zl, alpha=-1, beta=1)
                 v = mm(g, y, counter, tb=True)
@@ -526,10 +561,14 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                 mm(f1, zl, counter, out=x_b.diag[i], alpha=-1, beta=1)
                 z_dd = mm(v, f1, counter, tb=True, out=x_b.diag[i], alpha=-1, beta=1)
             continue
-        rs = [a.upper[i], factors.arrow_col_elim[i]]
         qs = [a.lower[i], factors.arrow_row_elim[i]]
         ya = [[y_dd, y_dt], [y_td, ytt]]
-        if fused:
+        if not fused:
+            # The forward's S·U and S·Ac, never ``a``'s upper couplings,
+            # which may be another copy's raw blocks.
+            rs, sr = None, [factors.s_u[i], factors.arrow_col_elim[i]]
+        else:
+            rs, sr = [a.upper[i], factors.arrow_col_elim[i]], None
             ss = [b.upper[i], factors.b_arrow_col_elim[i]]
             ws = [b.lower[i], factors.b_arrow_row_elim[i]]
             yb = [[z_dd, z_dt], [z_td, ztt]]
@@ -537,7 +576,7 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             qsb = [factors.l_sb[i], None]
         out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            s, rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, out=out, sigma=sigma
+            s, rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, sr=sr, out=out, sigma=sigma
         )
         y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
         if fused:
@@ -560,11 +599,12 @@ def bta_backward(
     which become the solution in place: each solution block is written
     into the slot of the same block.  The non-destructive entry point is
     :func:`solve_selected`.  Consumes the factors and the off-diagonal
-    blocks of ``a`` and ``b``, which the forward pass never modifies,
-    before it overwrites them.  Starts from the last block (with an
-    arrow, from the inverted reduced tip) and steps backward with
-    :func:`_backward_sweep`, which at ``a = 0`` takes its hand-written
-    one-coupling step (the generic step was 13-18% slower at b=4).
+    blocks of ``a`` and ``b`` (in selected inversion the forward's
+    ``S·U`` in place of ``a``'s upper ones) before it overwrites them.
+    Starts from the last block (with an arrow, from the inverted reduced
+    tip) and steps backward with :func:`_backward_sweep`, which at
+    ``a = 0`` takes its hand-written one-coupling step (the generic step
+    was 13-18% slower at b=4).
     Every pattern block of the solution(s) is written into its slot by
     its last operation; with ``diagonal_only`` the off-diagonal blocks
     are computed but left zero.
@@ -594,8 +634,11 @@ def bta_backward(
             ztt = mm(mm(ytt, factors.b_tip, counter), ytt, counter, tb=True, out=x_b.tip)
             ss, ws, yb = [factors.b_arrow_col_elim[i]], [factors.b_arrow_row_elim[i]], [[ztt]]
         out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
-        rs, qs = [factors.arrow_col_elim[i]], [factors.arrow_row_elim[i]]
-        _backstep(s, rs, qs, [[ytt]], sc, ss, ws, yb, counter, out=out, sigma=factors.sigma)
+        # In selected inversion the retained arrow column is S·Ac.
+        col = [factors.arrow_col_elim[i]]
+        rs, sr = (col, None) if fused else (None, col)
+        _backstep(s, rs, [factors.arrow_row_elim[i]], [[ytt]], sc, ss, ws, yb, counter,
+                  sr=sr, out=out, sigma=factors.sigma)
     _backward_sweep(factors, a, b, x_a, x_b, i, ytt, ztt, counter)
 
     if diagonal_only:
@@ -615,7 +658,7 @@ def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
 
 def bt_backward(factors: RgfFactors, *args, **kwargs) -> SelectedSolution:
     """:func:`bta_backward` of BT factors (``a = 0``), which it requires:
-    the hand-written one-coupling step of :func:`_backward_sweep`, 5
+    the hand-written one-coupling step of :func:`_backward_sweep`, 4
     (selected inversion) or 14 (fused, 10 for a σ-Hermitian right-hand
     side) b-sized products per step."""
     if factors.a != 0:

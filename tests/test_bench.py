@@ -42,9 +42,10 @@ def test_counts_match_opcounter():
 
     solve_selected(a, counter=counter)
     assert report.counts == counter.as_dict()
-    # Re-blocked into 2 blocks of order 16 (4 + 2 padding): forward + backward.
+    # Re-blocked into 2 blocks of order 16 (4 + 2 padding): forward +
+    # backward, which reuses the forward's S·U.
     assert report.counts_b == counter.b == 16
-    assert report.counts["gemm_bbb"] == 2 * (2 - 1) + 5 * (2 - 1)
+    assert report.counts["gemm_bbb"] == 2 * (2 - 1) + 4 * (2 - 1)
 
 
 @pytest.mark.parametrize("algo, parts", [("rgf", 1), ("dist", 2)])
@@ -77,11 +78,12 @@ def test_forward_counts_column():
     # The forward-pass count column reproduces the per-step table figure
     # for the BT selected inversion, 2(n-1) b-sized products, of the
     # system the solve swept: 32 blocks of order 8 re-blocked into 16 of
-    # order 16, the order of the total counts.
+    # order 16, the order of the total counts (the backward step reuses
+    # the forward's S·U: 4 products).
     a = generate_dd_bta(32, 8, 0, seed=6)
     report = run_benchmark("rgf", a, repeat=1)
     assert report.counts_forward["gemm_bbb"] == 2 * (16 - 1)
-    assert report.counts["gemm_bbb"] == (2 + 5) * (16 - 1)
+    assert report.counts["gemm_bbb"] == (2 + 4) * (16 - 1)
     text = report.to_text()
     assert "count_forward_gemm_bbb: 30" in text
     assert "counts_b: 16" in text

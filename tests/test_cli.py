@@ -100,6 +100,38 @@ class TestSolve:
         expected = solve_selected(read_bta(a_path), read_bta(b_path), "siq")
         assert got.equals_exact(expected.x_a)
 
+    @pytest.mark.parametrize("algo, solver, extra", [
+        ("rgf", "solve_selected", []),
+        ("dist", "dist_solve", ["--parts", "2"]),
+        ("dense", "dense_solve", []),
+        ("batched", "batched_solve", []),
+    ])
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_solver_gets_a_counter_only_with_counts(
+        self, monkeypatch, tmp_path, runner, algo, solver, extra, counts
+    ):
+        # A tally costs about a fifth of a small-block solve.
+        import btasel.cli as cli
+
+        real, seen = getattr(cli, solver), []
+
+        def spy(*args, counter=None, **kwargs):
+            seen.append(counter)
+            return real(*args, counter=counter, **kwargs)
+
+        monkeypatch.setattr(cli, solver, spy)
+        a_path, b_path = _generate_files(tmp_path, runner)
+        result = runner.invoke(
+            main,
+            ["solve", "--algo", algo, "--mode", "siq", "--a-file", str(a_path),
+             "--b-file", str(b_path), "--out", str(tmp_path / "x.bta")]
+            + extra + (["--counts"] if counts else []),
+        )
+        assert result.exit_code == 0, result.output
+        assert len(seen) == 1
+        assert isinstance(seen[0], btasel.OpCounter) if counts else seen[0] is None
+        assert ("counts_b:" in result.output) == counts
+
     def test_dist_single_part_bitwise_equals_rgf(self, tmp_path, runner):
         a_path, _ = _generate_files(tmp_path, runner)
         out_rgf, out_dist = tmp_path / "rgf.bta", tmp_path / "dist.bta"

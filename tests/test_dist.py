@@ -361,6 +361,23 @@ def test_signed_rhs_matches_dense_oracle(sigma, parts, a_sz):
     assert_mirrored(sol.x_b, sigma)
 
 
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("a_sz", [0, 2])
+def test_si_local_forward_leaves_input_bit_identical(parts, a_sz):
+    # In si the first and last partitions' forward writes S·U into its
+    # upper slots, which begin as views of the input's couplings (the
+    # last partition's as its lower ones, reversed): each must own them.
+    # tests/test_kernels.py checks the same of a whole dist_solve.
+    a, _ = random_system(20, 3, a_sz, seed=70 + a_sz)
+    a_ref = a.copy()
+    plan = plan_partitions(a.n, parts, "si")
+    for rank in range(parts):
+        _, _, factors = local_forward(a, None, plan, rank)
+        assert a.equals_exact(a_ref), rank
+        for f in factors.s_u or []:
+            assert not any(np.shares_memory(f, s) for s in a.stacks), rank
+
+
 def test_counters_aggregate():
     a, rhs = random_system(12, 3, 2, seed=16)
     counter = OpCounter(b=3, a=2)
@@ -400,13 +417,16 @@ def _tally(gemms, inv):
 
 class TestCountingOnRequest:
     # random_system(16, 3, 2, seed=21): the aggregate tally, then each
-    # rank's, as counted before counting was made optional.  Gemm counts in
+    # rank's, as counted before counting was made optional, but for si:
+    # there the first and last partitions' and the reduced solve's
+    # backward steps reuse the forward's S·U and S·Ac (one bbb and one
+    # bba fewer per step; a middle rank keeps its count).  Gemm counts in
     # _GEMM_CLASSES order, then the inversions (one LU and two TRSM each).
     TALLIES = {
         (2, "si"): [
-            ((0, 16, 16, 46, 16, 46, 62, 105), 17),
-            ((0, 7, 7, 21, 7, 21, 28, 49), 7),
-            ((0, 7, 7, 21, 7, 21, 28, 49), 7),
+            ((0, 16, 16, 46, 16, 46, 46, 90), 17),
+            ((0, 7, 7, 21, 7, 21, 21, 42), 7),
+            ((0, 7, 7, 21, 7, 21, 21, 42), 7),
         ],
         (2, "siq"): [
             ((2, 48, 64, 170, 48, 138, 168, 332), 17),
@@ -414,10 +434,10 @@ class TestCountingOnRequest:
             ((0, 21, 28, 77, 21, 63, 77, 154), 7),
         ],
         (3, "si"): [
-            ((0, 16, 16, 49, 16, 48, 63, 118), 17),
-            ((0, 6, 6, 18, 6, 18, 24, 42), 6),
+            ((0, 16, 16, 49, 16, 48, 48, 104), 17),
+            ((0, 6, 6, 18, 6, 18, 18, 36), 6),
             ((0, 1, 1, 6, 1, 5, 5, 20), 1),
-            ((0, 5, 5, 15, 5, 15, 20, 35), 5),
+            ((0, 5, 5, 15, 5, 15, 15, 30), 5),
         ],
         (3, "siq"): [
             ((2, 48, 64, 178, 48, 144, 174, 372), 17),

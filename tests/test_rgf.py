@@ -203,17 +203,33 @@ class TestBackwardStep:
         return {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
 
     def test_bt_step_counts(self):
+        # k = 1: 2k^2+3k = 5 (si) less the forward's S·U, reused: 4.
         assert self._step_counts(4, 0, fused=True) == {"bbb": 14}
-        assert self._step_counts(4, 0, fused=False) == {"bbb": 5}
+        assert self._step_counts(4, 0, fused=False) == {"bbb": 4}
 
     def test_bta_step_counts(self):
-        # k = 2 trailing couplings: 2k^2+3k = 14 (si), 6k^2+9k = 42 (siq)
-        # less the forward's L·Sb, reused: 41.
+        # k = 2 trailing couplings: 2k^2+3k = 14 (si) less the forward's
+        # S·U and S·Ac, reused: 12; 6k^2+9k = 42 (siq) less the forward's
+        # L·Sb, reused: 41.
         assert self._step_counts(8, 4, fused=False) == {
-            "bbb": 5, "bba": 2, "abb": 2, "bab": 3, "aab": 1, "baa": 1,
+            "bbb": 4, "bba": 1, "abb": 2, "bab": 3, "aab": 1, "baa": 1,
         }
         assert self._step_counts(8, 4, fused=True) == {
             "bbb": 14, "bba": 6, "abb": 6, "bab": 9, "aab": 3, "baa": 3,
+        }
+
+    def test_si_counts_at_the_inla_shape(self):
+        # 16 blocks of order 128, arrow 16 (the inla-bta-large workload):
+        # 15 forward steps of 6, 15 backward steps of 12, the epilogue's
+        # 2 and the tip step's 4 products; 16 pivots and the tip inverted.
+        a = generate_dd_bta(16, 128, 16, seed=1)
+        counter = OpCounter(b=128, a=16)
+        solve_selected(a, counter=counter)
+        assert counter.total_gemms() == 276
+        assert counter.as_dict() == {
+            "gemm_aab": 16, "gemm_aba": 16, "gemm_abb": 46, "gemm_baa": 16,
+            "gemm_bab": 46, "gemm_bba": 46, "gemm_bbb": 90,
+            "lu": 17, "trsm": 34, "inv": 17,
         }
 
     @pytest.mark.parametrize("sigma", [1, -1])
@@ -257,8 +273,13 @@ class TestBackwardStep:
 
         si = _backstep(s, rs, qs, ya)
         assert si[3:] == (None, None, None)
+        # The forward's products S·R_l, given in the slots the row goes to.
+        sr = [s @ r for r in rs]
+        slots = (sr, [None] * k, None, None, None, None)
+        reused = _backstep(s, None, qs, ya, sr=list(sr), out=slots)
+        assert all(got is slot for got, slot in zip(reused[0], sr))
         out = _backstep(s, rs, qs, ya, sb, ss, ws, yb)
-        for got, full in ((si[:3], x), (out[:3], x), (out[3:], z)):
+        for got, full in ((si[:3], x), (reused[:3], x), (out[:3], x), (out[3:], z)):
             row, col, diag = got
             close(diag, blk(full, 0, 0))
             for j in t:
@@ -503,9 +524,10 @@ class TestReblock:
             assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
 
     # Re-blocked counts at (n, b) = (256, 4): 64 blocks of order 16, so
-    # the sweeps' per-step tables at n = 64 and b = 16.
+    # the sweeps' per-step tables at n = 64 and b = 16: 2 + 4 bbb per
+    # step in si.
     COUNTS = {
-        (0, "si"): {"gemm_bbb": 441, "lu": 64, "trsm": 128, "inv": 64},
+        (0, "si"): {"gemm_bbb": 378, "lu": 64, "trsm": 128, "inv": 64},
         (0, "siq"): {"gemm_bbb": 1388, "lu": 64, "trsm": 128, "inv": 64},
         (2, "siq"): {
             "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 256, "gemm_abb": 698,
