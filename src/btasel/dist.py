@@ -45,7 +45,6 @@ from .rgf import (
     _forward_sweep,
     _hermitian_sign,
     _invert_pivot,
-    _new_factors,
     _out_slots,
     solve_selected,
 )
@@ -129,19 +128,6 @@ class BoundaryPayload:
         return cls(rank, kind, a, b)
 
 
-@dataclass
-class LocalFactors(RgfFactors):
-    """A middle partition's elimination data, one entry per interior block
-    in elimination order: the :class:`RgfFactors` lists plus the fill-in
-    couplings to the top boundary as seen at each elimination."""
-
-    fill_row: list = field(default_factory=list)  # A'(top, j)
-    fill_col: list = field(default_factory=list)  # A'(j, top)
-    b_fill_row: list = field(default_factory=list)
-    b_fill_col: list = field(default_factory=list)
-    fill_sb: list = field(default_factory=list)  # fill_row·s_b
-
-
 class _Stacks(NamedTuple):
     """The stacks of a :class:`BtaMatrix` but the tip, as the sweeps read them."""
 
@@ -170,6 +156,24 @@ def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
     return v._replace(
         diag=v.diag.copy(), arrow_row=v.arrow_row.copy(), arrow_col=v.arrow_col.copy()
     )
+
+
+@dataclass
+class LocalFactors(RgfFactors):
+    """A partition's elimination data: the :class:`RgfFactors` fields and
+    the partition's working stacks ``wa`` (``wb``), whose slots hold the
+    pivot inverses and the couplings as seen at elimination, in sweep
+    order.  A middle partition adds its fill chain, one entry per
+    interior block in elimination order: the fill-in couplings to the top
+    boundary as seen at each elimination, and their products with ``Sb``."""
+
+    wa: _Stacks | None = None
+    wb: _Stacks | None = None
+    fill_row: list = field(default_factory=list)  # A'(top, j)
+    fill_col: list = field(default_factory=list)  # A'(j, top)
+    b_fill_row: list = field(default_factory=list)
+    b_fill_col: list = field(default_factory=list)
+    fill_sb: list = field(default_factory=list)  # fill_row·s_b
 
 
 def _boundary(w: _Stacks, bnd: list, fill: tuple | None) -> BtaMatrix:
@@ -210,17 +214,18 @@ def local_forward(
 
     Returns ``(payload, tip_delta, factors)``: the AllGather payload, the
     stacked tip contribution for the AllReduce (system side, and
-    right-hand side in fused mode), and the retained interior factors.
+    right-hand side in fused mode), and the :class:`LocalFactors` that
+    carry the partition's working stacks to :func:`local_backward`.
     The first partition runs the sequential forward sweep down to its
     bottom boundary, the last runs it on its block-reversed blocks up to
-    its top boundary; their factors are indexed by block position in
-    sweep order.  The inputs are never mutated; boundary updates
-    accumulate in local copies, and in ``"si"`` mode those partitions
-    leave their forward products ``S·U`` in a copy of the upper
-    couplings of their own.  Every rank holds all of ``b`` and finds
-    in it whether ``b = σ·B^H`` (:func:`rgf._hermitian_sign`); σ is kept
-    in the factors: the first and last partitions run both sweeps' σ
-    path, a middle one only its backward step's.
+    its top boundary.  The inputs are never mutated; the sweeps update
+    local copies of the diagonal and arrow slots, and in ``"si"`` mode
+    the first and last partitions write their forward products ``S·U``
+    into a copy of the upper couplings of their own.  Every rank holds
+    all of ``b`` and finds in it whether ``b = σ·B^H``
+    (:func:`rgf._hermitian_sign`); σ is kept in the factors: the first
+    and last partitions run both sweeps' σ path, a middle one only its
+    backward step's.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -232,34 +237,27 @@ def local_forward(
     tip_delta = np.zeros((2 if fused else 1, asz, asz), dtype=COMPLEX)
     tip_a, tip_b = tip_delta[0], tip_delta[1] if fused else None
     sigma = _hermitian_sign(b) if fused else 0
+    if kind != "middle" and not fused:
+        # The sweep leaves S·U in the upper slots: they must be our own.
+        wa = wa._replace(upper=wa.upper.copy())
+    factors = LocalFactors(m, bs, asz, "siq" if fused else "si", sigma, wa=wa, wb=wb)
 
     if kind != "middle":
-        if not fused:
-            # The sweep leaves S·U in the upper slots: they must be our own.
-            wa = wa._replace(upper=wa.upper.copy())
-        factors = _new_factors(m, bs, asz, fused, sigma)
         index = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         _forward_sweep(wa, wb, factors, m - 1, tip_a, tip_b, counter, index)
         bnd, fill_a, fill_b = [m - 1], None, None
     else:
         # Interior blocks 1..m-2 downward, keeping fill-in couplings to
-        # the top boundary, block 0; factors in elimination order.
-        factors = LocalFactors(n=m, b=bs, a=asz, mode="siq" if fused else "si", sigma=sigma)
-        factors.arrow_row_elim, factors.arrow_col_elim = [], []
+        # the top boundary, block 0; the fill chain in elimination order.
         ad, al, au, ar, ac = wa
         fill_r = au[0].copy()  # A'(lo, j), starts at the original coupling
         fill_c = al[0].copy()  # A'(j, lo)
         if fused:
-            factors.s_b, factors.l_sb = [], []
-            factors.b_arrow_row_elim, factors.b_arrow_col_elim = [], []
             bd, bl, bu, br, bc = wb
             bfill_r = bu[0].copy()
             bfill_c = bl[0].copy()
         for i in range(1, m - 1):
             s = _invert_pivot(ad[i], lo + i, counter)
-            factors.s_a.append(s)
-            factors.arrow_row_elim.append(ar[i])
-            factors.arrow_col_elim.append(ac[i])
             factors.fill_row.append(fill_r)
             factors.fill_col.append(fill_c)
             fn = mm(al[i], s, counter)
@@ -278,8 +276,6 @@ def local_forward(
                 mm(fr, ac[i], counter, out=ac[0], alpha=-1, beta=1)
                 mm(g, ac[i], counter, out=tip_a, alpha=-1, beta=1)
             if fused:
-                factors.b_arrow_row_elim.append(br[i])
-                factors.b_arrow_col_elim.append(bc[i])
                 factors.b_fill_row.append(bfill_r)
                 factors.b_fill_col.append(bfill_c)
                 w = mm(s, bd[i], counter)
@@ -387,7 +383,7 @@ def local_backward(
     b: BtaMatrix | None,
     plan: PartitionPlan,
     rank: int,
-    factors: RgfFactors,
+    factors: LocalFactors,
     reduced: ReducedSystem,
     red_sol: SelectedSolution,
     counter: OpCounter | None = None,
@@ -400,8 +396,9 @@ def local_backward(
     blocks, arrow strips and the couplings between its own blocks; their
     tips are zero.  The separator to the next partition and the tip are
     blocks of the reduced solution, which the merge reads from there.
-    The first and last partitions run the sequential backward sweep, the
-    last on its block-reversed blocks.
+    The first and last partitions run the sequential backward sweep on
+    the working stacks that ``factors`` carries from :func:`local_forward`,
+    the last on its block-reversed blocks.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -423,11 +420,11 @@ def local_backward(
         for x, r in pairs:
             x.diag[j], x.arrow_row[j], x.arrow_col[j] = r.diag[k], r.arrow_row[k], r.arrow_col[k]
 
+    wa, wb = factors.wa, factors.wb
     if kind != "middle":
         rev = kind == "last"
         va, vb = (_view(x, 0, m, rev) if x is not None else None for x in (x_a, x_b))
-        ab = _view(b, lo, hi, rev) if fused else None
-        _backward_sweep(factors, _view(a, lo, hi, rev), ab, va, vb, m - 1, ytt, ztt, counter)
+        _backward_sweep(factors, wa, wb, va, vb, m - 1, ytt, ztt, counter)
         return x_a, x_b
 
     # Middle: X values at the fill positions (top boundary <-> running
@@ -447,17 +444,14 @@ def local_backward(
         nxt = [r.lower[k_top], x.diag[m - 1], x.arrow_col[m - 1]]
         tip = [x.arrow_row[0], x.arrow_row[m - 1], r.tip]
         ys.append([row[:k] for row in (top, nxt, tip)[:k]])
-    al, au = a.lower[lo : hi - 1], a.upper[lo : hi - 1]
-    if fused:
-        bl, bu = b.lower[lo : hi - 1], b.upper[lo : hi - 1]
     ss = ws = yb = sc = qsb = None
     for i in range(m - 2, 0, -1):
         t = i - 1  # elimination order
-        rs = [factors.fill_col[t], au[i], factors.arrow_col_elim[t]][:k]
-        qs = [factors.fill_row[t], al[i], factors.arrow_row_elim[t]][:k]
+        rs = [factors.fill_col[t], wa.upper[i], wa.arrow_col[i]][:k]
+        qs = [factors.fill_row[t], wa.lower[i], wa.arrow_row[i]][:k]
         if fused:
-            ss = [factors.b_fill_col[t], bu[i], factors.b_arrow_col_elim[t]][:k]
-            ws = [factors.b_fill_row[t], bl[i], factors.b_arrow_row_elim[t]][:k]
+            ss = [factors.b_fill_col[t], wb.upper[i], wb.arrow_col[i]][:k]
+            ws = [factors.b_fill_row[t], wb.lower[i], wb.arrow_row[i]][:k]
             yb, sc = ys[1], factors.s_b[t]
             qsb = [factors.fill_sb[t], factors.l_sb[t], None][:k]
         out = ()
@@ -468,7 +462,7 @@ def local_backward(
             out += ([fill_row, *row][:k], [fill_col, *col][:k], diag)
         out += (None,) * (6 - len(out))  # no quadratic slots in "si" mode
         res = _backstep(
-            factors.s_a[t], rs, qs, ys[0], sc, ss, ws, yb, counter, qsb=qsb, out=out,
+            wa.diag[i], rs, qs, ys[0], sc, ss, ws, yb, counter, qsb=qsb, out=out,
             sigma=factors.sigma,
         )
         # Block i is the next step's trailing block; the top and tip stay.

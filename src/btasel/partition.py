@@ -36,7 +36,10 @@ class PartitionPlan:
     kinds: tuple
 
     def __post_init__(self):
-        assert len(self.ranges) == self.num_parts
+        if not len(self.ranges) == len(self.kinds) == self.num_parts:
+            raise ValueError(
+                f"{len(self.ranges)} ranges and {len(self.kinds)} kinds for {self.num_parts} parts"
+            )
         lo = 0
         for start, stop in self.ranges:
             if start != lo or stop - start < 2:

@@ -56,28 +56,20 @@ __all__ = [
 
 @dataclass
 class RgfFactors:
-    """Per-block Schur data retained between the forward and backward passes.
+    """What the backward pass needs of the forward pass beyond the
+    working copies it updated.
 
-    ``s_a[i]`` is the inverse of the i-th updated pivot: a view of the
-    working diagonal slot in which the pivot was formed and then
-    inverted in place.  In selected-inversion mode ``s_u[i]`` is the
-    forward's product ``s_a[i]·upper[i]`` for ``i < n-1``, a view of the
-    working upper slot it was formed from and written into, which the
-    backward step reuses.  In fused mode ``s_b[i]`` holds the quadratic
-    Schur block for ``i < n-1`` and ``l_sb[i]`` the forward's product
-    ``lower[i]·s_b[i]``, which the backward step reuses; the last
-    diagonal's quadratic block is formed at the start of the backward
-    pass from the forward-updated ``b_diag_last``.  For arrowhead systems
-    the arrow couplings as seen when block ``i`` was eliminated are
-    retained, together with the reduced tip, inverted in its working
-    slot; in selected-inversion mode ``arrow_col_elim[i]`` holds the
-    forward's product ``s_a[i]·arrow_col[i]`` in that coupling's slot,
-    like ``s_u``.  Retained blocks may be views of the working copies'
-    slots, which the forward pass writes no more once retained.  The
-    backward pass writes solution blocks into those slots, so after it
-    the retained views hold solution blocks.  ``sigma`` is 1 or -1 when the
-    right-hand side is exactly ``sigma`` times its conjugate transpose,
-    else 0; the sweeps read it to skip the mirrored products.
+    Those copies are the record of the elimination: each diagonal slot
+    holds its pivot's inverse ``S`` and each arrow slot the coupling as
+    seen when its block was eliminated; in selected-inversion mode the
+    upper and arrow-column slots hold the forward's products ``S·U`` and
+    ``S·Ac``, and with an arrow the tip slot holds the inverted reduced
+    tip.  In fused mode ``s_b[i]`` holds the quadratic Schur block of
+    pivot ``i < n-1`` and ``l_sb[i]`` the forward's product
+    ``lower[i]·s_b[i]``, which no slot holds; both lists are empty in
+    selected inversion.  ``sigma`` is 1 or -1 when the right-hand side
+    is exactly ``sigma`` times its conjugate transpose, else 0; the
+    sweeps read it to skip the mirrored products.
     """
 
     n: int
@@ -85,17 +77,8 @@ class RgfFactors:
     a: int
     mode: str
     sigma: int = 0
-    s_a: list = field(default_factory=list)
-    s_u: list | None = None
-    s_b: list | None = None
-    l_sb: list | None = None
-    b_diag_last: np.ndarray | None = None
-    arrow_row_elim: list | None = None
-    arrow_col_elim: list | None = None
-    b_arrow_row_elim: list | None = None
-    b_arrow_col_elim: list | None = None
-    tip_schur_inv: np.ndarray | None = None
-    b_tip: np.ndarray | None = None
+    s_b: list = field(default_factory=list)
+    l_sb: list = field(default_factory=list)
 
 
 def _invert_pivot(block, index, counter):
@@ -158,25 +141,6 @@ def _sub_mirrored(out, t, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _new_factors(n, b, a, fused, sigma) -> RgfFactors:
-    """Factors with one empty slot per block for every retained list;
-    the arrow lists only when the arrow is not empty."""
-    factors = RgfFactors(n=n, b=b, a=a, mode="siq" if fused else "si", sigma=sigma)
-    factors.s_a = [None] * n
-    if fused:
-        factors.s_b = [None] * max(n - 1, 0)
-        factors.l_sb = [None] * max(n - 1, 0)
-    else:
-        factors.s_u = [None] * max(n - 1, 0)
-    if a > 0:
-        factors.arrow_row_elim = [None] * n
-        factors.arrow_col_elim = [None] * n
-        if fused:
-            factors.b_arrow_row_elim = [None] * n
-            factors.b_arrow_col_elim = [None] * n
-    return factors
-
-
 def _bupdate(counter, out, x1, y1, x2, y2, x3, y3):
     """A fused step's right-hand-side update ``out - x1·y1 - x2·y2^H +
     x3·y3^H``, left to right, in ``out`` (or a new block from ``-x1·y1``)."""
@@ -189,16 +153,17 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     """Eliminate blocks ``0..stop-1`` of a BT or arrowhead system, top-down.
 
     ``a`` (and ``b``) are working stacks with the fields of a
-    :class:`BtaMatrix` except the tip, updated in place: each step writes
-    the next block's diagonal and arrow slots and subtracts its tip
-    contribution from ``tip_a`` (``tip_b``).  The pivot inverses and the
-    couplings as seen at elimination are retained in ``factors`` at the
-    block's position.  In selected inversion ``S·U`` and ``S·Ac`` are
-    left in the slots of the couplings they were formed from (so
-    ``a.upper`` must be the caller's own).  ``index[i]`` is the number a
+    :class:`BtaMatrix` except the tip, updated in place: each step
+    inverts its pivot in its slot, writes the next block's diagonal and
+    arrow slots and subtracts its tip contribution from ``tip_a``
+    (``tip_b``), so that slot ``i`` is left as block ``i`` was
+    eliminated.  In selected inversion ``S·U`` and ``S·Ac`` are written
+    into the slots of the couplings they were formed from (so
+    ``a.upper`` must be the caller's own); in fused mode ``Sb`` and
+    ``L·Sb`` are appended to ``factors``.  ``index[i]`` is the number a
     singular pivot at block ``i`` is reported under.  The arrow-strip and
-    tip updates, and the retained arrow couplings, are made only when
-    the arrow is not empty (``factors.a > 0``).
+    tip updates are made only when the arrow is not empty
+    (``factors.a > 0``).
 
     With ``factors.sigma`` nonzero, ``b`` is σ-Hermitian and stays so
     under the updates: the next block's arrow column is set to the
@@ -213,19 +178,18 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     tip_gc = np.zeros_like(tip_b) if sigma and arrow else None
     for i in range(stop):
         s = _invert_pivot(a.diag[i], index[i], counter)
-        factors.s_a[i] = s
         lo = a.lower[i]
-        # Next-block slots, updated in place; slot i stays as retained.
+        # Next-block slots, updated in place; slot i stays as eliminated.
         ad = a.diag[i + 1]
         if fused:
             # Left-hand elimination factors shared by all fused updates.
             w = mm(s, b.diag[i], counter)
             sb = mm(w, s, counter, tb=True)
-            factors.s_b[i] = sb
+            factors.s_b.append(sb)
             f = mm(lo, s, counter)
             mm(f, a.upper[i], counter, out=ad, alpha=-1, beta=1)
             v = mm(lo, sb, counter)
-            factors.l_sb[i] = v
+            factors.l_sb.append(v)
             bd = b.diag[i + 1]
             mm(v, lo, counter, tb=True, out=bd, beta=1)
             mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
@@ -237,15 +201,10 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
             t1 = mm(s, a.upper[i], counter)
             mm(lo, t1, counter, out=ad, alpha=-1, beta=1)
             a.upper[i] = t1
-            factors.s_u[i] = a.upper[i]
         if not arrow:
             continue
-        factors.arrow_row_elim[i] = a.arrow_row[i]
-        factors.arrow_col_elim[i] = a.arrow_col[i]
         ar, ac = a.arrow_row[i + 1], a.arrow_col[i + 1]
         if fused:
-            factors.b_arrow_row_elim[i] = b.arrow_row[i]
-            factors.b_arrow_col_elim[i] = b.arrow_col[i]
             g = mm(a.arrow_row[i], s, counter)
             p = mm(g, b.diag[i], counter)
             k = None if sigma else mm(b.diag[i], g, counter, tb=True)
@@ -295,43 +254,38 @@ def bta_forward(
     σ-Hermitian (σ = ±1, found here by :func:`_hermitian_sign` and kept
     in the factors).  Off-diagonal blocks are never modified but, in
     selected inversion, the upper couplings, each replaced by its
-    product with the pivot inverse (``s_u`` in the factors).
+    product with the pivot inverse.  The updated copies are what
+    :func:`bta_backward` reads; the factors add only ``σ``, ``Sb`` and
+    ``L·Sb``.
     """
     if b is not None and b.shape_params != a.shape_params:
         raise ShapeMismatchError("right-hand side shape differs from system shape")
     n = a.n
     fused = b is not None
-    factors = _new_factors(n, a.b, a.a, fused, _hermitian_sign(b) if fused else 0)
+    mode, sigma = ("siq", _hermitian_sign(b)) if fused else ("si", 0)
+    factors = RgfFactors(n, a.b, a.a, mode, sigma)
     _forward_sweep(a, b, factors, n - 1, a.tip, b.tip if fused else None, counter, range(n))
 
     # Epilogue: eliminate the last diagonal block into the tip, invert it.
     i = n - 1
     s = _invert_pivot(a.diag[i], i, counter)
-    factors.s_a[i] = s
-    if fused:
-        factors.b_diag_last = b.diag[i]
     if a.a == 0:
         return factors
-    factors.arrow_row_elim[i] = a.arrow_row[i]
-    factors.arrow_col_elim[i] = a.arrow_col[i]
     if fused:
-        factors.b_arrow_row_elim[i] = b.arrow_row[i]
-        factors.b_arrow_col_elim[i] = b.arrow_col[i]
         g = mm(a.arrow_row[i], s, counter)
         p = mm(g, b.diag[i], counter)
         mm(g, a.arrow_col[i], counter, out=a.tip, alpha=-1, beta=1)
-        if factors.sigma:
-            _sub_mirrored(b.tip, mm(g, b.arrow_col[i], counter), factors.sigma)
+        if sigma:
+            _sub_mirrored(b.tip, mm(g, b.arrow_col[i], counter), sigma)
             mm(p, g, counter, tb=True, out=b.tip, beta=1)
         else:
             _bupdate(counter, b.tip, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
-        factors.b_tip = b.tip
     else:
         t2 = mm(s, a.arrow_col[i], counter)
         a.arrow_col[i] = t2
         mm(a.arrow_row[i], t2, counter, out=a.tip, alpha=-1, beta=1)
     try:
-        factors.tip_schur_inv = block_inverse(a.tip, counter, overwrite_a=True)
+        block_inverse(a.tip, counter, overwrite_a=True)
     except SingularBlockError as exc:
         raise SingularBlockError(
             "singular updated arrow tip (input not diagonally dominant?)", index=n
@@ -482,19 +436,21 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     The sweep is seeded with block ``stop``'s diagonal and arrow solution
     blocks, read from their slots of ``x_a`` (``x_b``), and the tip
     solution ``ytt`` (``ztt``); it writes every block it solves into its
-    slot.  ``a`` and ``b`` supply the off-diagonal couplings; in
-    selected inversion only ``a``'s lower ones, the forward's ``S·U`` and
-    ``S·Ac`` coming from the factors.  ``x_a`` (``x_b``) may be ``a``
-    (``b``) itself: a step reads its pivot and coupling slots before it
-    writes its own solution slots, and later steps read only solved
-    slots.  With an arrow each step has two trailing couplings, the next
-    block and the tip, and runs :func:`_backstep`.
+    slot.  ``a`` and ``b`` are the working stacks :func:`_forward_sweep`
+    left: ``a.diag[i]`` is the pivot inverse ``S``, in selected inversion
+    ``a.upper[i]`` and ``a.arrow_col[i]`` are ``S·U`` and ``S·Ac``, and
+    every other coupling is as seen when block ``i`` was eliminated.
+    ``x_a`` (``x_b``) may be ``a`` (``b``) itself: a step reads its pivot
+    and coupling slots before it writes its own solution slots, and
+    later steps read only solved slots.  With an arrow each step has two
+    trailing couplings, the next block and the tip, and runs
+    :func:`_backstep`.
 
     Without one (``factors.a == 0``) a step has the next block as its
     only coupling.  That is the ``k = 1`` case of :func:`_backstep`,
     written out by hand because it is the hot loop of small-block runs:
     the generic step made the b=4 sweep 13-18% slower.  With
-    ``S = s_a[i]``, ``Sb = s_b[i]``, ``U``/``L`` the upper/lower
+    ``S = a.diag[i]``, ``Sb = s_b[i]``, ``U``/``L`` the upper/lower
     couplings of ``a`` and ``Bu``/``Bl`` those of ``b``, ``F1 = S·U``,
     ``F2 = L·S`` and ``Y``/``Z`` the trailing diagonals::
 
@@ -503,9 +459,9 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
         V = (S·Bu - Sb·L^H)·Y^H                 Z(i,i+1) = V - F1·Z
         Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
 
-    ``F1`` (selected inversion, ``s_u``) or ``L·Sb`` (fused, ``l_sb``)
-    comes from the forward pass, so a step costs 4 (selected inversion)
-    or 14 (fused) b-sized products.  With ``factors.sigma`` = ±1 it costs
+    ``F1`` (selected inversion, ``a.upper[i]``) or ``L·Sb`` (fused,
+    ``l_sb``) comes from the forward pass, so a step costs 4 (selected
+    inversion) or 14 (fused) b-sized products.  With ``factors.sigma`` = ±1 it costs
     10 (:func:`_backstep` at ``k = 1``)::
 
         P = Z·F1^H          Z(i+1,i) = Y·(Bl·S^H - L·Sb) - P
@@ -520,13 +476,13 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
         z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
     ss = ws = yb = sc = qsb = None
     for i in range(stop - 1, -1, -1):
-        s = factors.s_a[i]
+        s = a.diag[i]
         if not arrow:
             # A difference from a base block starts as a copy of the base.
             # Every product that reads s or a coupling is formed before
             # the first write: the outputs may be those very slots.
             y, lo = y_dd, a.lower[i]
-            f1 = mm(s, a.upper[i], counter) if fused else factors.s_u[i]
+            f1 = mm(s, a.upper[i], counter) if fused else a.upper[i]
             f2 = mm(lo, s, counter)
             if fused:
                 z, sb = z_dd, factors.s_b[i]
@@ -561,16 +517,13 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                 mm(f1, zl, counter, out=x_b.diag[i], alpha=-1, beta=1)
                 z_dd = mm(v, f1, counter, tb=True, out=x_b.diag[i], alpha=-1, beta=1)
             continue
-        qs = [a.lower[i], factors.arrow_row_elim[i]]
+        qs = [a.lower[i], a.arrow_row[i]]
         ya = [[y_dd, y_dt], [y_td, ytt]]
-        if not fused:
-            # The forward's S·U and S·Ac, never ``a``'s upper couplings,
-            # which may be another copy's raw blocks.
-            rs, sr = None, [factors.s_u[i], factors.arrow_col_elim[i]]
-        else:
-            rs, sr = [a.upper[i], factors.arrow_col_elim[i]], None
-            ss = [b.upper[i], factors.b_arrow_col_elim[i]]
-            ws = [b.lower[i], factors.b_arrow_row_elim[i]]
+        rs = [a.upper[i], a.arrow_col[i]]  # in selected inversion S·U and S·Ac
+        rs, sr = (rs, None) if fused else (None, rs)
+        if fused:
+            ss = [b.upper[i], b.arrow_col[i]]
+            ws = [b.lower[i], b.arrow_row[i]]
             yb = [[z_dd, z_dt], [z_td, ztt]]
             sc = factors.s_b[i]
             qsb = [factors.l_sb[i], None]
@@ -598,13 +551,13 @@ def bta_backward(
     ``a`` (and ``b``) are the working copies :func:`bta_forward` updated,
     which become the solution in place: each solution block is written
     into the slot of the same block.  The non-destructive entry point is
-    :func:`solve_selected`.  Consumes the factors and the off-diagonal
-    blocks of ``a`` and ``b`` (in selected inversion the forward's
-    ``S·U`` in place of ``a``'s upper ones) before it overwrites them.
-    Starts from the last block (with an arrow, from the inverted reduced
-    tip) and steps backward with :func:`_backward_sweep`, which at
-    ``a = 0`` takes its hand-written one-coupling step (the generic step
-    was 13-18% slower at b=4).
+    :func:`solve_selected`.  Reads the pivot inverses, the couplings and
+    the inverted tip from their slots, and ``Sb`` and ``L·Sb`` from the
+    factors, before it overwrites them; with selected-inversion factors
+    ``b`` is not read.  Starts from the last block (with an arrow, from
+    the inverted reduced tip) and steps backward with
+    :func:`_backward_sweep`, which at ``a = 0`` takes its hand-written
+    one-coupling step (the generic step was 13-18% slower at b=4).
     Every pattern block of the solution(s) is written into its slot by
     its last operation; with ``diagonal_only`` the off-diagonal blocks
     are computed but left zero.
@@ -616,35 +569,33 @@ def bta_backward(
     if fused and b is None:
         raise ShapeMismatchError("fused factors require the right-hand side")
 
-    x_a, x_b = a, b if fused else None
+    b = b if fused else None  # selected inversion leaves a given b alone
     i = n - 1
-    s = factors.s_a[i]
-    sc = mm(mm(s, factors.b_diag_last, counter), s, counter, tb=True) if fused else None
-    ytt, ztt = factors.tip_schur_inv, None
+    # The last pivot's and the tip's inverses sit in their slots, X_ii = S.
+    s, ytt, ztt = a.diag[i], a.tip, None
+    sc = mm(mm(s, b.diag[i], counter), s, counter, tb=True) if fused else None
     if factors.a == 0:
-        # The last block has no trailing coupling: X_ii = S, Z_ii = Sb.
-        x_a.diag[i] = s
+        # The last block has no trailing coupling: Z_ii = Sb.
         if fused:
-            x_b.diag[i] = sc
+            b.diag[i] = sc
     else:
         # The last block's step has the tip as its only trailing coupling.
-        x_a.tip[...] = ytt
         ss = ws = yb = None
         if fused:
-            ztt = mm(mm(ytt, factors.b_tip, counter), ytt, counter, tb=True, out=x_b.tip)
-            ss, ws, yb = [factors.b_arrow_col_elim[i]], [factors.b_arrow_row_elim[i]], [[ztt]]
-        out = _out_slots(x_a, i, 1) + (_out_slots(x_b, i, 1) if fused else (None,) * 3)
-        # In selected inversion the retained arrow column is S·Ac.
-        col = [factors.arrow_col_elim[i]]
+            ztt = mm(mm(ytt, b.tip, counter), ytt, counter, tb=True, out=b.tip)
+            ss, ws, yb = [b.arrow_col[i]], [b.arrow_row[i]], [[ztt]]
+        out = _out_slots(a, i, 1) + (_out_slots(b, i, 1) if fused else (None,) * 3)
+        # In selected inversion the arrow column slot holds S·Ac.
+        col = [a.arrow_col[i]]
         rs, sr = (col, None) if fused else (None, col)
-        _backstep(s, rs, [factors.arrow_row_elim[i]], [[ytt]], sc, ss, ws, yb, counter,
+        _backstep(s, rs, [a.arrow_row[i]], [[ytt]], sc, ss, ws, yb, counter,
                   sr=sr, out=out, sigma=factors.sigma)
-    _backward_sweep(factors, a, b, x_a, x_b, i, ytt, ztt, counter)
+    _backward_sweep(factors, a, b, a, b, i, ytt, ztt, counter)
 
     if diagonal_only:
-        for x in (x_a, x_b) if fused else (x_a,):
+        for x in (a, b) if fused else (a,):
             x.lower[...] = x.upper[...] = 0.0
-    return SelectedSolution(x_a=x_a, x_b=x_b, mode=factors.mode)
+    return SelectedSolution(x_a=a, x_b=b, mode=factors.mode)
 
 
 def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:

@@ -17,6 +17,7 @@ from conftest import (
 from btasel import (
     BtaMatrix,
     OpCounter,
+    SelectedSolution,
     ThreadHub,
     WorkerError,
     dist_solve,
@@ -162,12 +163,13 @@ class TestLocalForward:
         rank = 1
         lo, hi = plan.ranges[rank]
         assert hi - lo == 2
-        payload, tip_delta, factors = local_forward(a, None, plan, rank)
+        counter = OpCounter(b=2, a=1)
+        payload, tip_delta, _ = local_forward(a, None, plan, rank, counter)
         np.testing.assert_array_equal(payload.a.diag[0], a.diag[lo])
         np.testing.assert_array_equal(payload.a.diag[1], a.diag[lo + 1])
         np.testing.assert_array_equal(payload.a.upper[0], a.upper[lo])
         np.testing.assert_array_equal(payload.a.lower[0], a.lower[lo])
-        assert not factors.s_a
+        assert counter.inv_count == 0  # no pivot inverted
         assert np.all(tip_delta == 0)
 
     def test_middle_per_step_bbb_counts(self):
@@ -374,8 +376,41 @@ def test_si_local_forward_leaves_input_bit_identical(parts, a_sz):
     for rank in range(parts):
         _, _, factors = local_forward(a, None, plan, rank)
         assert a.equals_exact(a_ref), rank
-        for f in factors.s_u or []:
-            assert not any(np.shares_memory(f, s) for s in a.stacks), rank
+        if plan.kinds[rank] != "middle":
+            upper = factors.wa.upper
+            assert not any(np.shares_memory(upper, s) for s in a.stacks), rank
+
+
+def _local_backward_args(monkeypatch, a, rhs, parts):
+    """The arguments each rank's local_backward took in a threaded solve."""
+    real, calls = dist.local_backward, {}
+
+    def spy(*args):
+        calls[args[3]] = args
+        return real(*args)
+
+    monkeypatch.setattr(dist, "local_backward", spy)
+    dist_solve(a, rhs, num_parts=parts)
+    monkeypatch.setattr(dist, "local_backward", real)
+    return calls
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_local_backward_fused_factors_require_the_rhs(monkeypatch, rank):
+    a, rhs = random_system(16, 2, 1, seed=17)
+    args = _local_backward_args(monkeypatch, a, rhs, 3)[rank]
+    with pytest.raises(ProtocolError, match="require the right-hand side"):
+        dist.local_backward(a, None, *args[2:])
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_local_backward_reduced_solution_of_another_shape(monkeypatch, rank):
+    a, _ = random_system(16, 2, 1, seed=18)
+    args = _local_backward_args(monkeypatch, a, None, 3)[rank]
+    n, bs, asz = args[6].x_a.shape_params
+    short = SelectedSolution(BtaMatrix.zeros(n - 1, bs, asz), None, "si")
+    with pytest.raises(ProtocolError, match="disagrees with reduced system"):
+        dist.local_backward(*args[:6], short, *args[7:])
 
 
 def test_counters_aggregate():

@@ -1,6 +1,7 @@
 import pytest
 
 from btasel import plan_partitions
+from btasel.partition import PartitionPlan
 
 
 def test_two_parts_even_split():
@@ -56,3 +57,17 @@ def test_too_small_n_rejected():
         plan_partitions(7, 4)
     with pytest.raises(ValueError):
         plan_partitions(8, 1)
+
+
+@pytest.mark.parametrize(
+    "ranges,kinds",
+    [
+        (((0, 4),), ("first", "last")),  # one range short
+        (((0, 4), (4, 8)), ("first",)),  # one kind short
+        (((0, 4), (4, 8)), ("first", "middle", "last")),  # one kind too many
+    ],
+)
+def test_plan_of_another_part_count_rejected(ranges, kinds):
+    # A ValueError, not an assert that ``python -O`` would strip.
+    with pytest.raises(ValueError, match="for 2 parts"):
+        PartitionPlan(n=8, num_parts=2, ranges=ranges, kinds=kinds)

@@ -14,6 +14,7 @@ from btasel import (
     BtaMatrix,
     NonFiniteInputError,
     OpCounter,
+    ShapeMismatchError,
     SingularBlockError,
     bt_backward,
     bt_forward,
@@ -30,16 +31,16 @@ from btasel.rgf import _backstep, _hermitian_sign
 
 class TestBtForward:
     def test_block_identity_pivots(self):
-        a = BtaMatrix.identity(3, 2)
-        factors = bt_forward(a.copy())
-        for s in factors.s_a:
+        work = BtaMatrix.identity(3, 2)
+        bt_forward(work)
+        for s in work.diag:
             np.testing.assert_array_equal(s, np.eye(2))
 
     def test_hand_elimination_two_blocks(self):
-        a = BtaMatrix(2, 1, 0, [[[2.0]], [[2.0]]], [[[1.0]]], [[[1.0]]])
-        factors = bt_forward(a.copy())
-        np.testing.assert_allclose(factors.s_a[0], [[0.5]])
-        np.testing.assert_allclose(factors.s_a[1], [[1 / 1.5]])
+        work = BtaMatrix(2, 1, 0, [[[2.0]], [[2.0]]], [[[1.0]]], [[[1.0]]])
+        bt_forward(work)
+        np.testing.assert_allclose(work.diag[0], [[0.5]])
+        np.testing.assert_allclose(work.diag[1], [[1 / 1.5]])
 
     def test_si_gemm_count(self):
         a = generate_dd_bta(6, 8, 0, seed=1)
@@ -56,7 +57,7 @@ class TestBtForward:
 
     def test_requires_bt(self):
         a = generate_dd_bta(3, 2, 1, seed=1)
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeMismatchError, match="requires a plain BT matrix"):
             bt_forward(a.copy())
 
     def test_singular_pivot_reports_block(self):
@@ -116,8 +117,8 @@ class TestBtaPaths:
     def test_scalar_tip_schur(self):
         a = BtaMatrix(1, 1, 1, [[[2.0]]], [], [], [[[1.0]]], [[[1.0]]], [[3.0]])
         work = a.copy()
-        factors = bta_forward(work)
-        np.testing.assert_allclose(factors.tip_schur_inv, [[1 / 2.5]])
+        bta_forward(work)
+        np.testing.assert_allclose(work.tip, [[1 / 2.5]])
 
     def test_scalar_arrowhead_analytic_inverse(self):
         a = BtaMatrix(1, 1, 1, [[[2.0]]], [], [], [[[1.0]]], [[[1.0]]], [[3.0]])
@@ -180,6 +181,49 @@ class TestBtaPaths:
         a.tip[:] = 0.0
         with pytest.raises(SingularBlockError):
             bta_forward(a.copy())
+
+
+def _bits(m):
+    return [x.tobytes() for x in m.stacks]
+
+
+class TestSweepGuards:
+    def test_bt_backward_requires_bt_factors(self):
+        work = generate_dd_bta(3, 2, 1, seed=1)
+        factors = bta_forward(work)
+        with pytest.raises(ShapeMismatchError, match="requires BT factors"):
+            bt_backward(factors, work)
+
+    def test_forward_rhs_of_another_shape(self):
+        a = generate_dd_bta(4, 2, 1, seed=1)
+        for shape in ((5, 2, 1), (4, 3, 1), (4, 2, 2)):
+            with pytest.raises(ShapeMismatchError, match="right-hand side shape differs"):
+                bta_forward(a.copy(), generate_dd_bta(*shape, seed=2))
+
+    @pytest.mark.parametrize("shape", [(5, 2, 1), (3, 2, 1), (4, 3, 1), (4, 2, 2), (4, 2, 0)])
+    def test_backward_system_of_another_shape(self, shape):
+        # The only check between the factors and the slots they pair with.
+        factors = bta_forward(generate_dd_bta(4, 2, 1, seed=1))
+        with pytest.raises(ShapeMismatchError, match="disagrees with factors"):
+            bta_backward(factors, generate_dd_bta(*shape, seed=1))
+
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    def test_fused_factors_require_the_rhs(self, a_sz):
+        a, rhs = random_system(4, 2, a_sz, seed=1)
+        work = a.copy()
+        factors = bta_forward(work, rhs.copy())
+        with pytest.raises(ShapeMismatchError, match="require the right-hand side"):
+            bta_backward(factors, work)
+
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    def test_si_factors_leave_a_given_rhs_alone(self, a_sz):
+        a, rhs = random_system(6, 3, a_sz, seed=7)
+        wa, wb, ref = a.copy(), rhs.copy(), a.copy()
+        sol = bta_backward(bta_forward(wa), wa, wb)
+        want = bta_backward(bta_forward(ref), ref)
+        assert sol.x_b is None
+        assert _bits(sol.x_a) == _bits(want.x_a)
+        assert _bits(wb) == _bits(rhs)
 
 
 class TestBackwardStep:
