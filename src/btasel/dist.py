@@ -161,11 +161,12 @@ def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
 @dataclass
 class LocalFactors(RgfFactors):
     """A partition's elimination data: the :class:`RgfFactors` fields and
-    the partition's working stacks ``wa`` (``wb``), whose slots hold the
-    pivot inverses and the couplings as seen at elimination, in sweep
-    order.  A middle partition adds its fill chain, one entry per
-    interior block in elimination order: the fill-in couplings to the top
-    boundary as seen at each elimination, and their products with ``Sb``."""
+    the partition's working stacks ``wa`` (``wb``, less the diagonal that
+    no backward step reads), whose slots hold the pivot inverses and the
+    couplings as seen at elimination, in sweep order.  A middle partition
+    adds its fill chain, one entry per interior block in elimination
+    order: the fill-in couplings to the top boundary as seen at each
+    elimination, and their products with ``Sb``."""
 
     wa: _Stacks | None = None
     wb: _Stacks | None = None
@@ -303,6 +304,7 @@ def local_forward(
         fill_b = (bfill_r, bfill_c) if fused else None
 
     pay_b = _boundary(wb, bnd, fill_b) if fused else None
+    factors.wb = wb._replace(diag=None) if fused else None
     return BoundaryPayload(rank, kind, _boundary(wa, bnd, fill_a), pay_b), tip_delta, factors
 
 

@@ -562,7 +562,6 @@ def bta_backward(
     its last operation; with ``diagonal_only`` the off-diagonal blocks
     are computed but left zero.
     """
-    n = factors.n
     if a.shape_params != (factors.n, factors.b, factors.a):
         raise ShapeMismatchError("system shape disagrees with factors")
     fused = factors.mode == "siq"
@@ -570,7 +569,7 @@ def bta_backward(
         raise ShapeMismatchError("fused factors require the right-hand side")
 
     b = b if fused else None  # selected inversion leaves a given b alone
-    i = n - 1
+    i = factors.n - 1
     # The last pivot's and the tip's inverses sit in their slots, X_ii = S.
     s, ytt, ztt = a.diag[i], a.tip, None
     sc = mm(mm(s, b.diag[i], counter), s, counter, tb=True) if fused else None

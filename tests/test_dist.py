@@ -381,6 +381,14 @@ def test_si_local_forward_leaves_input_bit_identical(parts, a_sz):
             assert not any(np.shares_memory(upper, s) for s in a.stacks), rank
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_local_factors_keep_no_working_diagonal_of_b(rank):
+    # No backward step reads it, so it goes with the forward.
+    a, rhs = random_system(16, 2, 1, seed=19)
+    _, _, factors = local_forward(a, rhs, plan_partitions(16, 3, "siq"), rank)
+    assert factors.wb.diag is None and factors.wa.diag is not None
+
+
 def _local_backward_args(monkeypatch, a, rhs, parts):
     """The arguments each rank's local_backward took in a threaded solve."""
     real, calls = dist.local_backward, {}
