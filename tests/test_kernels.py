@@ -515,6 +515,10 @@ class TestPivotsInPlace:
         a, b = _system(n=6, a=a_sz)
         work_a, work_b = a.copy(), b.copy()
         bta_forward(work_a, work_b)
+        # One inversion per pivot, each of its own working slot.
+        assert len(inverted) == a.n + (a_sz > 0)
+        pivots = enumerate(inverted[: a.n])
+        assert all(np.shares_memory(slot, work_a.diag[i]) for i, (slot, _) in pivots)
         # The first pivot takes no update: its slot holds its inverse.
         assert work_a.diag[0].tobytes() == real(a.diag[0]).tobytes()
         if a_sz:
