@@ -128,6 +128,25 @@ class BoundaryPayload:
         return cls(rank, kind, a, b)
 
 
+@dataclass
+class LocalFactors(RgfFactors):
+    """A partition's elimination data: the :class:`RgfFactors` fields and
+    the partition's working stacks ``wa`` (``wb``, less the diagonal that
+    no backward step reads), whose slots hold the pivot inverses and the
+    couplings as seen at elimination, in sweep order.  A middle partition
+    adds its fill chain, one entry per interior block in elimination
+    order: the fill-in couplings to the top boundary as seen at each
+    elimination, and their products with ``Sb``."""
+
+    wa: _Stacks | None = None
+    wb: _Stacks | None = None
+    fill_row: list = field(default_factory=list)  # A'(top, j)
+    fill_col: list = field(default_factory=list)  # A'(j, top)
+    b_fill_row: list = field(default_factory=list)
+    b_fill_col: list = field(default_factory=list)
+    fill_sb: list = field(default_factory=list)  # fill_row·s_b
+
+
 class _Stacks(NamedTuple):
     """The stacks of a :class:`BtaMatrix` but the tip, as the sweeps read them."""
 
@@ -156,25 +175,6 @@ def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
     return v._replace(
         diag=v.diag.copy(), arrow_row=v.arrow_row.copy(), arrow_col=v.arrow_col.copy()
     )
-
-
-@dataclass
-class LocalFactors(RgfFactors):
-    """A partition's elimination data: the :class:`RgfFactors` fields and
-    the partition's working stacks ``wa`` (``wb``, less the diagonal that
-    no backward step reads), whose slots hold the pivot inverses and the
-    couplings as seen at elimination, in sweep order.  A middle partition
-    adds its fill chain, one entry per interior block in elimination
-    order: the fill-in couplings to the top boundary as seen at each
-    elimination, and their products with ``Sb``."""
-
-    wa: _Stacks | None = None
-    wb: _Stacks | None = None
-    fill_row: list = field(default_factory=list)  # A'(top, j)
-    fill_col: list = field(default_factory=list)  # A'(j, top)
-    b_fill_row: list = field(default_factory=list)
-    b_fill_col: list = field(default_factory=list)
-    fill_sb: list = field(default_factory=list)  # fill_row·s_b
 
 
 def _boundary(w: _Stacks, bnd: list, fill: tuple | None) -> BtaMatrix:
