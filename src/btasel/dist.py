@@ -11,9 +11,10 @@ strips are exchanged in a single AllGather; the tip contributions are
 summed in a single AllReduce.  Every rank then assembles and
 redundantly solves the same small reduced arrowhead system, seeds its
 partition boundaries with the reduced solution, and back-substitutes
-its interior blocks in embarrassingly parallel fashion, into stacks of
-its own blocks.  The separators between partitions and the tip are
-taken from the reduced solution when the slices are merged.
+its interior blocks in embarrassingly parallel fashion, in place in its
+slice of the solution (on threads a view of the merged solution), so
+that the merge writes only the separators between partitions and the
+tip, from the reduced solution.
 
 The communication contract is exactly one AllGather round plus (for
 arrowhead systems) one AllReduce round per solve, with deterministic,
@@ -131,12 +132,13 @@ class BoundaryPayload:
 @dataclass
 class LocalFactors(RgfFactors):
     """A partition's elimination data: the :class:`RgfFactors` fields and
-    the partition's working stacks ``wa`` (``wb``, less the diagonal that
-    no backward step reads), whose slots hold the pivot inverses and the
-    couplings as seen at elimination, in sweep order.  A middle partition
-    adds its fill chain, one entry per interior block in elimination
-    order: the fill-in couplings to the top boundary as seen at each
-    elimination, and their products with ``Sb``."""
+    the partition's working stacks ``wa`` (``wb``), views in sweep order
+    of its slice of the solution, whose slots hold the pivot inverses and
+    the couplings as seen at elimination until the backward sweep writes
+    the solution over them.  A middle partition adds its fill chain, one
+    entry per interior block in elimination order: the fill-in couplings
+    to the top boundary as seen at each elimination, and their products
+    with ``Sb``."""
 
     wa: _Stacks | None = None
     wb: _Stacks | None = None
@@ -168,20 +170,20 @@ def _view(m, lo: int, hi: int, reverse: bool) -> _Stacks:
     return _Stacks(d, lower, upper, r, c)
 
 
-def _working(m, lo: int, hi: int, reverse: bool) -> _Stacks:
-    """A partition's working stacks: copies of the slots the forward
-    sweep updates, the off-diagonals shared with ``m``."""
-    v = _view(m, lo, hi, reverse)
-    return v._replace(
-        diag=v.diag.copy(), arrow_row=v.arrow_row.copy(), arrow_col=v.arrow_col.copy()
-    )
+@dataclass(frozen=True, eq=False)
+class _SharedPlan(PartitionPlan):
+    """A thread solve's plan and what its ranks share: the merged ``solution``,
+    one container per side that each rank solves in, and ``sigma`` of ``b``."""
+
+    solution: tuple = ()
+    sigma: int = 0
 
 
 def _boundary(w: _Stacks, bnd: list, fill: tuple | None) -> BtaMatrix:
     """A payload container: blocks ``bnd`` of the working stacks ``w``
     and, for a middle partition, its fill pair ``(upper, lower)``.
-    Indexing by a list copies, so the payload does not keep the working
-    stacks alive."""
+    Indexing by a list copies: peers may still read the payload while
+    this rank's backward sweep overwrites its working stacks."""
     upper, lower = (f[None] for f in fill) if fill else (None, None)
     b, a = w.diag.shape[1], w.arrow_row.shape[1]
     return BtaMatrix(len(bnd), b, a, w.diag[bnd], lower, upper, w.arrow_row[bnd], w.arrow_col[bnd])
@@ -219,28 +221,32 @@ def local_forward(
     carry the partition's working stacks to :func:`local_backward`.
     The first partition runs the sequential forward sweep down to its
     bottom boundary, the last runs it on its block-reversed blocks up to
-    its top boundary.  The inputs are never mutated; the sweeps update
-    local copies of the diagonal and arrow slots, and in ``"si"`` mode
-    the first and last partitions write their forward products ``S·U``
-    into a copy of the upper couplings of their own.  Every rank holds
-    all of ``b`` and finds in it whether ``b = σ·B^H``
-    (:func:`rgf._hermitian_sign`); σ is kept in the factors: the first
-    and last partitions run both sweeps' σ path, a middle one only its
-    backward step's.
+    its top boundary.  The inputs are never mutated: the rank's blocks
+    and the couplings between them are copied into new stacks, its slice
+    of the solution, which the sweeps update in place.  The rank finds in
+    its ``b`` whether ``b = σ·B^H`` (:func:`rgf._hermitian_sign`) and
+    keeps σ in the factors: the first and last partitions run both
+    sweeps' σ path, a middle one only its backward step's.  On
+    :func:`dist_solve`'s threads the slice is a view of the merged
+    solution instead, and σ is found once for all ranks.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
     fused = b is not None
     m, bs, asz = hi - lo, a.b, a.a
     reverse, arrow = kind == "last", asz > 0
-    wa = _working(a, lo, hi, reverse)
-    wb = _working(b, lo, hi, reverse) if fused else None
+    if isinstance(plan, _SharedPlan):
+        xs, at, sigma = plan.solution, lo, plan.sigma
+    else:
+        xs, at = [BtaMatrix.empty(m, bs, asz) for _ in range(1 + fused)], 0
+        sigma = _hermitian_sign(b) if fused else 0
+    for x, src in zip(xs, (a, b)):
+        for dst, blocks in zip(_view(x, at, at + m, False), _view(src, lo, hi, False)):
+            dst[...] = blocks
+    wa = _view(xs[0], at, at + m, reverse)
+    wb = _view(xs[1], at, at + m, reverse) if fused else None
     tip_delta = np.zeros((2 if fused else 1, asz, asz), dtype=COMPLEX)
     tip_a, tip_b = tip_delta[0], tip_delta[1] if fused else None
-    sigma = _hermitian_sign(b) if fused else 0
-    if kind != "middle" and not fused:
-        # The sweep leaves S·U in the upper slots: they must be our own.
-        wa = wa._replace(upper=wa.upper.copy())
     factors = LocalFactors(m, bs, asz, "siq" if fused else "si", sigma, wa=wa, wb=wb)
 
     if kind != "middle":
@@ -251,7 +257,7 @@ def local_forward(
         # Interior blocks 1..m-2 downward, keeping fill-in couplings to
         # the top boundary, block 0; the fill chain in elimination order.
         ad, al, au, ar, ac = wa
-        fill_r = au[0].copy()  # A'(lo, j), starts at the original coupling
+        fill_r = au[0].copy()  # A'(lo, j); a copy, as a degenerate middle sends it
         fill_c = al[0].copy()  # A'(j, lo)
         if fused:
             bd, bl, bu, br, bc = wb
@@ -304,7 +310,6 @@ def local_forward(
         fill_b = (bfill_r, bfill_c) if fused else None
 
     pay_b = _boundary(wb, bnd, fill_b) if fused else None
-    factors.wb = wb._replace(diag=None) if fused else None
     return BoundaryPayload(rank, kind, _boundary(wa, bnd, fill_a), pay_b), tip_delta, factors
 
 
@@ -398,9 +403,11 @@ def local_backward(
     blocks, arrow strips and the couplings between its own blocks; their
     tips are zero.  The separator to the next partition and the tip are
     blocks of the reduced solution, which the merge reads from there.
-    The first and last partitions run the sequential backward sweep on
-    the working stacks that ``factors`` carries from :func:`local_forward`,
-    the last on its block-reversed blocks.
+    The containers' stacks are the working stacks ``factors`` carries
+    from :func:`local_forward`, in whose slots every block is solved in
+    place.  The first and last partitions run the sequential backward
+    sweep, the last on its block-reversed blocks.  Of ``a`` only the
+    block sizes are read, and of ``b`` only whether it is None.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -409,9 +416,10 @@ def local_backward(
         raise ProtocolError("fused factors require the right-hand side")
     if red_sol.x_a.shape_params != reduced.matrix_a.shape_params:
         raise ProtocolError("reduced solution shape disagrees with reduced system")
-    m = hi - lo
-    x_a = BtaMatrix.empty(m, a.b, a.a)
-    x_b = BtaMatrix.empty(m, a.b, a.a) if fused else None
+    m, rev = hi - lo, kind == "last"
+    wa, wb = factors.wa, factors.wb
+    x_a = BtaMatrix(m, a.b, a.a, *_view(wa, 0, m, rev))
+    x_b = BtaMatrix(m, a.b, a.a, *_view(wb, 0, m, rev)) if fused else None
     pairs = [(x_a, red_sol.x_a)] + ([(x_b, red_sol.x_b)] if fused else [])
     ytt = red_sol.x_a.tip
     ztt = red_sol.x_b.tip if fused else None
@@ -422,11 +430,8 @@ def local_backward(
         for x, r in pairs:
             x.diag[j], x.arrow_row[j], x.arrow_col[j] = r.diag[k], r.arrow_row[k], r.arrow_col[k]
 
-    wa, wb = factors.wa, factors.wb
     if kind != "middle":
-        rev = kind == "last"
-        va, vb = (_view(x, 0, m, rev) if x is not None else None for x in (x_a, x_b))
-        _backward_sweep(factors, wa, wb, va, vb, m - 1, ytt, ztt, counter)
+        _backward_sweep(factors, wa, wb, wa, wb, m - 1, ytt, ztt, counter)
         return x_a, x_b
 
     # Middle: X values at the fill positions (top boundary <-> running
@@ -480,32 +485,35 @@ def local_backward(
 # ---------------------------------------------------------------------------
 
 
-def _merge_slices(
-    a: BtaMatrix,
-    plan: PartitionPlan,
-    reduced: ReducedSystem,
-    red_sol: SelectedSolution,
-    slices: list,
-) -> SelectedSolution:
-    """The full solution: each rank's slice copied into place, then each
-    separator and the tip from the reduced solution."""
-    n, bs, asz = a.shape_params
-    reds = [x for x in (red_sol.x_a, red_sol.x_b) if x is not None]
-    xs = [BtaMatrix.empty(n, bs, asz) for _ in reds]
-    if len(slices) != plan.num_parts:
-        raise ProtocolError(f"expected {plan.num_parts} solution slices, got {len(slices)}")
-    for p, ((lo, hi), sl) in enumerate(zip(plan.ranges, slices)):
-        parts = [x for x in sl if x is not None]
-        if len(parts) != len(xs) or any(x.shape_params != (hi - lo, bs, asz) for x in parts):
-            shapes = [x.shape_params for x in parts]
+def _place_slices(xs: list, plan: PartitionPlan, blobs: list) -> None:
+    """Each socket rank's slice, its containers' BTA1 bytes back to back,
+    decoded into the solution stacks ``xs``, one container per side."""
+    n, bs, asz = xs[0].shape_params
+    if len(blobs) != plan.num_parts:
+        raise ProtocolError(f"expected {plan.num_parts} solution slices, got {len(blobs)}")
+    for p, ((lo, hi), blob) in enumerate(zip(plan.ranges, blobs)):
+        sl, offset = [], 0
+        while offset < len(blob):
+            x, offset = decode_bta(blob, offset)
+            sl.append(x)
+        if len(sl) != len(xs) or any(x.shape_params != (hi - lo, bs, asz) for x in sl):
+            shapes = [x.shape_params for x in sl]
             raise ProtocolError(f"rank {p} sent slices of shapes {shapes}, not {hi - lo} blocks")
-        for x, part, r in zip(xs, parts, reds):
+        for x, part in zip(xs, sl):
             for dst, src in zip(x.stacks[:-1], part.stacks[:-1]):
                 dst[lo : lo + len(src)] = src
-            if p < plan.num_parts - 1:
-                k = reduced.index[(p, "bottom")]
-                x.lower[hi - 1], x.upper[hi - 1] = r.lower[k], r.upper[k]
+
+
+def _merge_slices(
+    xs: list, plan: PartitionPlan, reduced: ReducedSystem, red_sol: SelectedSolution
+) -> SelectedSolution:
+    """The full solution in ``xs``, whose blocks hold the ranks' slices:
+    each separator and the tip from the reduced solution."""
+    reds = [x for x in (red_sol.x_a, red_sol.x_b) if x is not None]
     for x, r in zip(xs, reds):
+        for p, (_, hi) in enumerate(plan.ranges[:-1]):
+            k = reduced.index[(p, "bottom")]
+            x.lower[hi - 1], x.upper[hi - 1] = r.lower[k], r.upper[k]
         x.tip[...] = r.tip
     return SelectedSolution(xs[0], xs[1] if len(xs) > 1 else None, red_sol.mode)
 
@@ -553,13 +561,14 @@ def dist_solve(
     """Distributed selected solve.
 
     With the default in-process transport this spawns ``num_parts``
-    worker threads and returns the complete solution; ``num_parts=1``
-    delegates to the sequential solver bit-for-bit, re-blocking small
-    blocks as it does (the partitions of a larger ``num_parts`` never
-    are, so payloads keep their shapes).  With a
-    :class:`SocketCollectives` endpoint this process acts as one rank of
-    a multi-process run: rank 0 returns the gathered solution, other
-    ranks return None.
+    worker threads and returns the complete solution, allocated before
+    they start: each rank solves in place in its own blocks of it, with
+    σ of ``b`` found once for all.  ``num_parts=1`` delegates to the
+    sequential solver bit-for-bit, re-blocking small blocks as it does
+    (the partitions of a larger ``num_parts`` never are, so payloads keep
+    their shapes).  With a :class:`SocketCollectives` endpoint this
+    process acts as one rank of a multi-process run: rank 0 returns the
+    gathered solution, other ranks return None.
 
     The aggregated ``counter`` receives every rank's local operations
     plus the (replicated, counted once) reduced solve; ``rank_counters``
@@ -591,36 +600,45 @@ def dist_solve(
     plan = plan_partitions(a.n, num_parts, mode)
     counting = counter is not None or rank_counters is not None
 
-    if isinstance(transport, SocketCollectives):
-        if transport.world_size != num_parts:
-            raise ProtocolError(
-                f"transport world size {transport.world_size} != num_parts {num_parts}"
-            )
-        sl, cnt, red_cnt, phases, reduced = _run_rank(
-            a, b, plan, transport.rank, transport, mode, counting
-        )
-        if timings is not None:
-            timings.update(phases)
-        if counter is not None:
-            counter.merge(cnt)
-            if transport.rank == 0:
-                counter.merge(red_cnt)
-        if rank_counters is not None:
-            rank_counters.append(cnt)
-        # A slice travels as its containers' BTA1 bytes, back to back.
-        blobs = transport.gather_to_root(b"".join(encode_bta(x) for x in sl if x is not None))
-        if transport.rank != 0:
-            return None
-        return _merge_slices(a, plan, *reduced, [_decode_slice(blob) for blob in blobs])
-
     hub = transport if transport is not None else ThreadHub(num_parts)
     if hub.world_size != num_parts:
         raise ProtocolError(f"transport world size {hub.world_size} != num_parts {num_parts}")
+    sockets = isinstance(hub, SocketCollectives)
+    if sockets:
+        results = [_run_rank(a, b, plan, hub.rank, hub, mode, counting)]
+    else:
+        # The merged solution, allocated before the ranks start: each solves
+        # in place in its own blocks of it.
+        xs = [BtaMatrix.empty(*a.shape_params) for _ in range(1 + (b is not None))]
+        sigma = _hermitian_sign(b) if b is not None else 0
+        plan = _SharedPlan(plan.n, num_parts, plan.ranges, plan.kinds, tuple(xs), sigma)
+        results = _run_threads(a, b, plan, hub, mode, counting)
 
-    results: list = [None] * num_parts
+    if counter is not None:
+        for r in results:
+            counter.merge(r[1])
+        if results[0][2] is not None:  # rank 0's replicated reduced solve, counted once
+            counter.merge(results[0][2])
+    if rank_counters is not None:
+        rank_counters.extend(r[1] for r in results)
+    if timings is not None:
+        timings.update(results[0][3])
+    if sockets:
+        # A slice travels as its containers' BTA1 bytes, back to back.
+        blobs = hub.gather_to_root(b"".join(encode_bta(x) for x in results[0][0] if x is not None))
+        if hub.rank != 0:
+            return None
+        xs = [BtaMatrix.empty(*a.shape_params) for _ in range(1 + (b is not None))]
+        _place_slices(xs, plan, blobs)
+    return _merge_slices(xs, plan, *results[0][4])
+
+
+def _run_threads(a, b, plan, hub: ThreadHub, mode, counting) -> list:
+    """Every rank's :func:`_run_rank` result, each rank in a thread of its own."""
+    results: list = [None] * plan.num_parts
     # The pool starts its threads one at a time, so without a common start
     # a later rank begins up to about 1 ms after rank 0 at b=4.
-    start = threading.Barrier(num_parts)
+    start = threading.Barrier(plan.num_parts)
 
     def run(rank: int):
         try:
@@ -630,9 +648,9 @@ def dist_solve(
             hub.abort()  # release peers blocked inside a collective round
             raise
 
-    with ThreadPoolExecutor(max_workers=num_parts) as pool:
+    with ThreadPoolExecutor(max_workers=plan.num_parts) as pool:
         try:
-            futures = {rank: pool.submit(run, rank) for rank in range(num_parts)}
+            futures = {rank: pool.submit(run, rank) for rank in range(plan.num_parts)}
         except BaseException:
             start.abort()  # a thread that did not start leaves its peers waiting
             raise
@@ -647,22 +665,4 @@ def dist_solve(
             primary = [e for e in errors if not isinstance(e[1], ProtocolError)]
             rank, exc = min(primary or errors, key=lambda e: e[0])
             raise WorkerError(rank, exc) from exc
-
-    if counter is not None:
-        for r in results:
-            counter.merge(r[1])
-        counter.merge(results[0][2])  # replicated reduced solve, counted once
-    if rank_counters is not None:
-        rank_counters.extend(r[1] for r in results)
-    if timings is not None:
-        timings.update(results[0][3])
-    return _merge_slices(a, plan, *results[0][4], [r[0] for r in results])
-
-
-def _decode_slice(blob: bytes) -> list:
-    """The containers of one rank's slice, from their BTA1 bytes."""
-    xs, offset = [], 0
-    while offset < len(blob):
-        x, offset = decode_bta(blob, offset)
-        xs.append(x)
-    return xs
+    return results

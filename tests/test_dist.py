@@ -172,6 +172,21 @@ class TestLocalForward:
         assert counter.inv_count == 0  # no pivot inverted
         assert np.all(tip_delta == 0)
 
+    @pytest.mark.parametrize("n", [8, 20])  # degenerate and interior middles
+    @pytest.mark.parametrize("mode", ["si", "siq"])
+    def test_payload_shares_no_memory_with_the_working_stacks(self, n, mode):
+        # On threads peers read a payload while its rank's backward sweep
+        # overwrites the working stacks, its slice of the solution.
+        a, rhs = random_system(n, 2, 1, seed=29)
+        rhs = rhs if mode == "siq" else None
+        plan = plan_partitions(n, 4, mode)
+        for rank in range(4):
+            payload, _, factors = local_forward(a, rhs, plan, rank)
+            works = [w for w in (factors.wa, factors.wb) if w is not None]
+            for m in payload.sides:
+                for s in m.stacks:
+                    assert not any(np.shares_memory(s, x) for w in works for x in w), rank
+
     def test_middle_per_step_bbb_counts(self):
         # Permuted forward: 6 bbb per interior step (selected inversion),
         # 22 in fused mode, measured by differencing two middle lengths.
@@ -381,26 +396,50 @@ def test_si_local_forward_leaves_input_bit_identical(parts, a_sz):
             assert not any(np.shares_memory(upper, s) for s in a.stacks), rank
 
 
-@pytest.mark.parametrize("rank", [0, 1, 2])
-def test_local_factors_keep_no_working_diagonal_of_b(rank):
-    # No backward step reads it, so it goes with the forward.
-    a, rhs = random_system(16, 2, 1, seed=19)
-    _, _, factors = local_forward(a, rhs, plan_partitions(16, 3, "siq"), rank)
-    assert factors.wb.diag is None and factors.wa.diag is not None
+def _local_backward_calls(monkeypatch, a, rhs, parts, mode=None):
+    """Each rank's local_backward arguments and returned slice in a
+    threaded solve, and the solution."""
+    real, calls = dist.local_backward, {}
+
+    def spy(*args):
+        calls[args[3]] = args, real(*args)
+        return calls[args[3]][1]
+
+    monkeypatch.setattr(dist, "local_backward", spy)
+    sol = dist_solve(a, rhs, num_parts=parts, mode=mode)
+    monkeypatch.setattr(dist, "local_backward", real)
+    return calls, sol
 
 
 def _local_backward_args(monkeypatch, a, rhs, parts):
     """The arguments each rank's local_backward took in a threaded solve."""
-    real, calls = dist.local_backward, {}
+    calls, _ = _local_backward_calls(monkeypatch, a, rhs, parts)
+    return {rank: args for rank, (args, _) in calls.items()}
 
-    def spy(*args):
-        calls[args[3]] = args
-        return real(*args)
 
-    monkeypatch.setattr(dist, "local_backward", spy)
-    dist_solve(a, rhs, num_parts=parts)
-    monkeypatch.setattr(dist, "local_backward", real)
-    return calls
+def _same_view(x, y):
+    """Whether two arrays are the same view of the same memory."""
+    return x.shape == y.shape and x.strides == y.strides and x.ctypes.data == y.ctypes.data
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_local_factors_hold_only_views_of_the_solution(monkeypatch, rank):
+    # The working stacks are the rank's slice of the solution, in sweep
+    # order: all five stacks of each side, and no copy of their own.
+    a, rhs = random_system(16, 2, 1, seed=19)
+    for mode in ("si", "siq"):
+        calls, sol = _local_backward_calls(monkeypatch, a, rhs, 3, mode)
+        args, slices = calls[rank]
+        plan, factors = args[2], args[4]
+        lo, hi = plan.ranges[rank]
+        rev = plan.kinds[rank] == "last"
+        works = [factors.wa, factors.wb][: 1 + (mode == "siq")]
+        assert (factors.wb is None) == (mode == "si")
+        for w, x, merged in zip(works, slices, (sol.x_a, sol.x_b)):
+            assert all(s is not None for s in w)
+            for got, want, whole in zip(dist._view(w, 0, hi - lo, rev), x.stacks, merged.stacks):
+                assert _same_view(got, want), (mode, rank)
+                assert np.shares_memory(got, whole), (mode, rank)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
@@ -419,6 +458,98 @@ def test_local_backward_reduced_solution_of_another_shape(monkeypatch, rank):
     short = SelectedSolution(BtaMatrix.zeros(n - 1, bs, asz), None, "si")
     with pytest.raises(ProtocolError, match="disagrees with reduced system"):
         dist.local_backward(*args[:6], short, *args[7:])
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["si", "siq"])
+@pytest.mark.parametrize("a_sz", [0, 2])
+def test_rank_slices_are_views_of_the_merged_solution(monkeypatch, parts, mode, a_sz):
+    # On threads each rank solves in its own blocks of the merged solution,
+    # so the merge copies none of them.
+    a, rhs = random_system(20, 3, a_sz, seed=25)
+    calls, sol = _local_backward_calls(monkeypatch, a, rhs, parts, mode)
+    assert sorted(calls) == list(range(parts))
+    for rank, (args, slices) in calls.items():
+        lo, hi = args[2].ranges[rank]
+        assert len([x for x in slices if x is not None]) == 1 + (mode == "siq")
+        for x, merged in zip(slices, (sol.x_a, sol.x_b)):
+            if x is None:
+                continue
+            for got, whole in zip(x.stacks[:-1], merged.stacks[:-1]):
+                want = whole[lo : lo + len(got)]
+                assert got.size == 0 or _same_view(got, want), (rank, got.shape)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("mode", ["si", "siq"])
+def test_thread_solve_allocates_the_solution_once(monkeypatch, parts, mode):
+    # One set of block storage per matrix side, allocated by the facade
+    # before its ranks start: no rank allocates stacks of its own.
+    real, calls = BtaMatrix.empty.__func__, []
+
+    def spy(cls, *shape):
+        calls.append((shape, threading.current_thread()))
+        return real(cls, *shape)
+
+    monkeypatch.setattr(BtaMatrix, "empty", classmethod(spy))
+    a, rhs = random_system(20, 3, 2, seed=26)
+    dist_solve(a, rhs, num_parts=parts, mode=mode)
+    assert calls == [((20, 3, 2), threading.current_thread())] * (1 + (mode == "siq"))
+
+
+def _sign_tests(monkeypatch):
+    """The threads that called dist._hermitian_sign, once per call."""
+    real, threads = dist._hermitian_sign, []
+
+    def spy(m):
+        threads.append(threading.current_thread())
+        return real(m)
+
+    monkeypatch.setattr(dist, "_hermitian_sign", spy)
+    return threads
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("sigma", [1, -1, 0])
+def test_sign_found_once_per_thread_solve(monkeypatch, parts, sigma):
+    threads = _sign_tests(monkeypatch)
+    if sigma:
+        a, rhs = signed_system(20, 3, 2, seed=27, sigma=sigma)
+    else:
+        a, rhs = random_system(20, 3, 2, seed=27)
+    dist_solve(a, rhs, num_parts=parts)
+    assert threads == [threading.current_thread()]
+    threads.clear()
+    dist_solve(a, num_parts=parts)  # si: there is no b to test
+    assert threads == []
+
+
+def test_sign_found_once_per_socket_rank(monkeypatch):
+    # Each socket rank tests its own b, once.
+    threads = _sign_tests(monkeypatch)
+    a, rhs = signed_system(20, 3, 2, seed=28, sigma=1)
+    port = _free_port()
+    ranks, errors = {}, []
+
+    def run(rank):
+        ranks[threading.current_thread()] = rank
+        try:
+            coll = SocketCollectives(3, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                dist_solve(a, rhs, num_parts=3, transport=coll)
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append((rank, exc))
+
+    workers = [threading.Thread(target=run, args=(rank,)) for rank in range(3)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in workers)
+    assert not errors
+    assert sorted(ranks[t] for t in threads) == [0, 1, 2]
 
 
 def test_counters_aggregate():
@@ -607,13 +738,15 @@ def test_dist_solve_over_sockets():
     assert err <= 1e-9
 
 
-@pytest.mark.parametrize("parts", [3, 4])
+@pytest.mark.parametrize("parts", [2, 3, 4])
 @pytest.mark.parametrize("mode", ["si", "siq"])
 @pytest.mark.parametrize("a_sz", [0, 2])
 def test_socket_ranks_match_threads(parts, mode, a_sz):
     # Every rank of a socket run in a thread of this process, with middle
     # partitions and plain BT systems on the wire: rank 0 returns the
-    # thread transport's solution bit for bit, the others None.
+    # thread transport's solution bit for bit, the others None.  A socket
+    # rank solves in stacks of its own, a thread rank in views of the
+    # merged solution; the last partition in reverse order in both.
     a, rhs = random_system(20, 3, a_sz, seed=23)  # middles with interior blocks
     rhs = rhs if mode == "siq" else None
     port = _free_port()
@@ -713,8 +846,10 @@ def test_singular_pivot_reports_global_block(n, parts, rank, kind):
 @pytest.mark.parametrize("mode", ["si", "siq"])
 @pytest.mark.parametrize("a_sz", [0, 2])
 def test_every_partition_slot_is_written(monkeypatch, n, parts, mode, a_sz):
-    # Partition and merged output stacks start as NaN: a slot the
-    # backward pass or the merge skipped would show in the solution.
+    # The merged output stacks start as NaN, and each rank's blocks of
+    # them as copies of its input: a slot the backward pass skipped would
+    # keep its input block, and a separator or tip the merge skipped its
+    # NaN, and either would show in the solution.
     def nan_stacks(cls, m, b, a=0):
         return BtaMatrix(m, b, a, *(np.full(s, np.nan, complex) for s in stack_shapes(m, b, a)))
 
