@@ -12,9 +12,9 @@ summed in a single AllReduce.  Every rank then assembles and
 redundantly solves the same small reduced arrowhead system, seeds its
 partition boundaries with the reduced solution, and back-substitutes
 its interior blocks in embarrassingly parallel fashion, in place in its
-slice of the solution (on threads a view of the merged solution), so
-that the merge writes only the separators between partitions and the
-tip, from the reduced solution.
+slice of the solution (on threads, and on a socket run's rank 0, a view
+of the merged solution), so that the merge writes only the separators
+between partitions and the tip, from the reduced solution.
 
 The communication contract is exactly one AllGather round plus (for
 arrowhead systems) one AllReduce round per solve, with deterministic,
@@ -227,8 +227,9 @@ def local_forward(
     its ``b`` whether ``b = σ·B^H`` (:func:`rgf._hermitian_sign`) and
     keeps σ in the factors: the first and last partitions run both
     sweeps' σ path, a middle one only its backward step's.  On
-    :func:`dist_solve`'s threads the slice is a view of the merged
-    solution instead, and σ is found once for all ranks.
+    :func:`dist_solve`'s threads, and on a socket run's rank 0, the slice
+    is a view of the merged solution instead, and σ is found by
+    :func:`dist_solve`, once for the ranks that share it.
     """
     lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
@@ -486,12 +487,14 @@ def local_backward(
 
 
 def _place_slices(xs: list, plan: PartitionPlan, blobs: list) -> None:
-    """Each socket rank's slice, its containers' BTA1 bytes back to back,
-    decoded into the solution stacks ``xs``, one container per side."""
+    """The slice of each socket rank but the root, its containers' BTA1
+    bytes back to back, decoded into the solution stacks ``xs``, one
+    container per side; the root solved its own slice in place there."""
     n, bs, asz = xs[0].shape_params
     if len(blobs) != plan.num_parts:
         raise ProtocolError(f"expected {plan.num_parts} solution slices, got {len(blobs)}")
-    for p, ((lo, hi), blob) in enumerate(zip(plan.ranges, blobs)):
+    for p in range(1, plan.num_parts):
+        (lo, hi), blob = plan.ranges[p], blobs[p]
         sl, offset = [], 0
         while offset < len(blob):
             x, offset = decode_bta(blob, offset)
@@ -567,8 +570,9 @@ def dist_solve(
     sequential solver bit-for-bit, re-blocking small blocks as it does
     (the partitions of a larger ``num_parts`` never are, so payloads keep
     their shapes).  With a :class:`SocketCollectives` endpoint this
-    process acts as one rank of a multi-process run: rank 0 returns the
-    gathered solution, other ranks return None.
+    process acts as one rank of a multi-process run: rank 0 solves in
+    place in its blocks of the solution, into which it gathers the other
+    ranks' slices, and returns it; other ranks return None.
 
     The aggregated ``counter`` receives every rank's local operations
     plus the (replicated, counted once) reduced solve; ``rank_counters``
@@ -604,14 +608,15 @@ def dist_solve(
     if hub.world_size != num_parts:
         raise ProtocolError(f"transport world size {hub.world_size} != num_parts {num_parts}")
     sockets = isinstance(hub, SocketCollectives)
-    if sockets:
-        results = [_run_rank(a, b, plan, hub.rank, hub, mode, counting)]
-    else:
-        # The merged solution, allocated before the ranks start: each solves
-        # in place in its own blocks of it.
+    if not sockets or hub.rank == 0:
+        # The merged solution, allocated before the ranks start: each of
+        # them (on sockets, rank 0 alone) solves in place in its own blocks.
         xs = [BtaMatrix.empty(*a.shape_params) for _ in range(1 + (b is not None))]
         sigma = _hermitian_sign(b) if b is not None else 0
         plan = _SharedPlan(plan.n, num_parts, plan.ranges, plan.kinds, tuple(xs), sigma)
+    if sockets:
+        results = [_run_rank(a, b, plan, hub.rank, hub, mode, counting)]
+    else:
         results = _run_threads(a, b, plan, hub, mode, counting)
 
     if counter is not None:
@@ -624,11 +629,12 @@ def dist_solve(
     if timings is not None:
         timings.update(results[0][3])
     if sockets:
-        # A slice travels as its containers' BTA1 bytes, back to back.
-        blobs = hub.gather_to_root(b"".join(encode_bta(x) for x in results[0][0] if x is not None))
+        # A slice travels as its containers' BTA1 bytes, back to back;
+        # rank 0's is in place already and sends none.
+        own = results[0][0] if hub.rank else ()
+        blobs = hub.gather_to_root(b"".join(encode_bta(x) for x in own if x is not None))
         if hub.rank != 0:
             return None
-        xs = [BtaMatrix.empty(*a.shape_params) for _ in range(1 + (b is not None))]
         _place_slices(xs, plan, blobs)
     return _merge_slices(xs, plan, *results[0][4])
 

@@ -10,12 +10,13 @@ empty arrow (``a = 0``): both run the same two sweeps, and the arrow
 size picks the step.  With an arrow every elimination step adds
 arrow-strip and tip updates, keeping the coupling values seen at
 elimination time, and every backward step has two trailing couplings,
-the next block and the tip.  Without one the backward step has one
-trailing coupling and is written out by hand: the generic step at one
-coupling made the b=4 backward sweep 13-18% slower.  The backward
-substitution at pivot ``i`` only ever reads trailing entries that lie
-on the sparsity pattern, which is what keeps the selected solve linear
-in the number of diagonal blocks.
+the next block and the tip; without one it has one, the next block.
+Both steps are the generic k-coupling step (:func:`_backstep`) written
+out by hand, its products in its order, so they give its bits and
+counts at less per-call cost.  The backward substitution at pivot
+``i`` only ever reads trailing entries that lie on the sparsity
+pattern, which is what keeps the selected solve linear in the number
+of diagonal blocks.
 
 One set of block storage serves the whole solve.  The facade's private
 working copies are updated in place by the forward sweep, and the
@@ -319,6 +320,10 @@ def _backstep(
 ):
     """One backward substitution step at a pivot with trailing couplings.
 
+    It runs the last block's step of an arrowhead system (``k = 1``, the
+    tip) and the steps of ``dist``'s middle partitions (``k = 3``).
+    :func:`_backward_sweep` writes out its ``k = 1`` and ``k = 2`` cases.
+
     ``g`` is the pivot inverse ``S``; ``rs[l]``/``qs[l]`` are the
     pivot-to-trailing and trailing-to-pivot coupling blocks ``R_l``/``Q_l``
     as seen at elimination time; ``ya[l][m]`` (and ``yb``) are the
@@ -442,9 +447,15 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     every other coupling is as seen when block ``i`` was eliminated.
     ``x_a`` (``x_b``) may be ``a`` (``b``) itself: a step reads its pivot
     and coupling slots before it writes its own solution slots, and
-    later steps read only solved slots.  With an arrow each step has two
-    trailing couplings, the next block and the tip, and runs
-    :func:`_backstep`.
+    later steps read only solved slots.
+
+    With an arrow a step has two trailing couplings, the next block
+    (``d``) and the tip (``t``): the ``k = 2`` case of :func:`_backstep`
+    written out, each sum as its two products in its order and each
+    temporary freed where it frees it, so the bits, counts and peak
+    memory are its own; its per-call lists made the b=16 sweep 20-30%
+    slower.  A step costs 12 (selected inversion), 41 (fused) or 29
+    (σ = ±1) products.
 
     Without one (``factors.a == 0``) a step has the next block as its
     only coupling.  That is the ``k = 1`` case of :func:`_backstep`,
@@ -468,13 +479,13 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
         T = F1·Z(i+1,i)     Z_ii = Sb - T - σ·T^H - F1·P
 
     and ``Z(i,i+1)``, the mirror of ``Z(i+1,i)``, is written for every
-    step at once when the sweep ends.
+    step at once when the sweep ends, with an arrow too; the arrow
+    column ``Z(i,t)`` is mirrored in each step, whose successor reads it.
     """
     fused, arrow, sigma = x_b is not None, factors.a > 0, factors.sigma
     y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
     if fused:
         z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
-    ss = ws = yb = sc = qsb = None
     for i in range(stop - 1, -1, -1):
         s = a.diag[i]
         if not arrow:
@@ -517,24 +528,85 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                 mm(f1, zl, counter, out=x_b.diag[i], alpha=-1, beta=1)
                 z_dd = mm(v, f1, counter, tb=True, out=x_b.diag[i], alpha=-1, beta=1)
             continue
-        qs = [a.lower[i], a.arrow_row[i]]
-        ya = [[y_dd, y_dt], [y_td, ytt]]
-        rs = [a.upper[i], a.arrow_col[i]]  # in selected inversion S·U and S·Ac
-        rs, sr = (rs, None) if fused else (None, rs)
+        # With an arrow: the k = 2 step of _backstep, the next block (d)
+        # and the tip (t), with its products, operands and order.
+        y, ydt, ytd, lo, ar = y_dd, y_dt, y_td, a.lower[i], a.arrow_row[i]
         if fused:
-            ss = [b.upper[i], b.arrow_col[i]]
-            ws = [b.lower[i], b.arrow_row[i]]
-            yb = [[z_dd, z_dt], [z_td, ztt]]
-            sc = factors.s_b[i]
-            qsb = [factors.l_sb[i], None]
-        out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
-        xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            s, rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, sr=sr, out=out, sigma=sigma
-        )
-        y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
+            z, zdt, ztd, sb = z_dd, z_dt, z_td, factors.s_b[i]
+            ed = mm(b.lower[i], s, counter, tb=True)
+            et = mm(b.arrow_row[i], s, counter, tb=True)
+            ed -= factors.l_sb[i]
+            mm(ar, sb, counter, out=et, alpha=-1, beta=1)
+            if not sigma:
+                gd = mm(s, b.upper[i], counter)
+                mm(sb, lo, counter, tb=True, out=gd, alpha=-1, beta=1)
+                gt = mm(s, b.arrow_col[i], counter)
+                mm(sb, ar, counter, tb=True, out=gt, alpha=-1, beta=1)
+        f2d, f2t = mm(lo, s, counter), mm(ar, s, counter)
+        xl = mm(y, f2d, counter, out=x_a.lower[i], alpha=-1)
+        mm(ydt, f2t, counter, out=xl, alpha=-1, beta=1)
+        xr = mm(ytd, f2d, counter, out=x_a.arrow_row[i], alpha=-1)
+        mm(ytt, f2t, counter, out=xr, alpha=-1, beta=1)
+        del f2d, f2t  # as _backstep frees them: at b=256 each is 1 MB of peak
         if fused:
-            z_dd, z_dt, z_td = xb_diag, xb_row[-1], xb_col[-1]
-    if sigma and not arrow:
+            f1d, f1t = mm(s, a.upper[i], counter), mm(s, a.arrow_col[i], counter)
+        else:  # S·U and S·Ac, from the forward
+            f1d, f1t = a.upper[i], a.arrow_col[i]
+        t = mm(f1d, xl, counter)
+        mm(f1t, xr, counter, out=t, beta=1)
+        y_dd = np.subtract(s, t, out=x_a.diag[i])
+        del t
+        # The forward's F1 may sit in the row's slots: the row then goes
+        # there from new blocks, after the last read of F1.
+        xu = mm(f1d, y, counter, out=x_a.upper[i] if fused else None, alpha=-1)
+        mm(f1t, ytd, counter, out=xu, alpha=-1, beta=1)
+        xc = mm(f1d, ydt, counter, out=x_a.arrow_col[i] if fused else None, alpha=-1)
+        mm(f1t, ytt, counter, out=xc, alpha=-1, beta=1)
+        y_dt, y_td = x_a.arrow_col[i], xr
+        if not fused:
+            x_a.upper[i], x_a.arrow_col[i] = xu, xc
+            del xu, xc
+            continue
+        zl, zr = x_b.lower[i], x_b.arrow_row[i]
+        if sigma:
+            pd = mm(z, f1d, counter, tb=True)
+            mm(zdt, f1t, counter, tb=True, out=pd, beta=1)
+            pt = mm(ztd, f1d, counter, tb=True)
+            mm(ztt, f1t, counter, tb=True, out=pt, beta=1)
+            mm(y, ed, counter, out=zl)
+            mm(ydt, et, counter, out=zl, beta=1)
+            mm(ytd, ed, counter, out=zr)
+            mm(ytt, et, counter, out=zr, beta=1)
+            zl -= pd
+            zr -= pt
+            # The next step reads the arrow column; the upper coupling is
+            # mirrored for every step at once when the sweep ends.
+            z_dt = _mirror(zr, sigma, out=x_b.arrow_col[i])
+            t = mm(f1d, zl, counter)
+            mm(f1t, zr, counter, out=t, beta=1)
+            u = mm(f1d, pd, counter)
+            mm(f1t, pt, counter, out=u, beta=1)
+            z_dd = _sub_mirrored(np.subtract(sb, u, out=x_b.diag[i]), t, sigma)
+            del pd, pt, u
+        else:
+            _sum_pairs(((y, ed, z, f1d), (ydt, et, zdt, f1t)), -1, counter, zl)
+            _sum_pairs(((ytd, ed, ztd, f1d), (ytt, et, ztt, f1t)), -1, counter, zr)
+            vd = mm(gd, y, counter, tb=True)
+            mm(gt, ydt, counter, tb=True, out=vd, beta=1)
+            vt = mm(gd, ytd, counter, tb=True)
+            mm(gt, ytt, counter, tb=True, out=vt, beta=1)
+            t = _sum_pairs(((f1d, zl, vd, f1d), (f1t, zr, vt, f1t)), 1, counter)
+            z_dd = np.subtract(sb, t, out=x_b.diag[i])
+            t = mm(f1d, z, counter)
+            mm(f1t, ztd, counter, out=t, beta=1)
+            np.subtract(vd, t, out=x_b.upper[i])
+            t = mm(f1d, zdt, counter)
+            mm(f1t, ztt, counter, out=t, beta=1)
+            z_dt = np.subtract(vt, t, out=x_b.arrow_col[i])
+            del gd, gt, vd, vt
+        z_td = zr
+        del ed, et, f1d, f1t, t  # none outlives its step, as in _backstep
+    if sigma:
         _mirror(x_b.lower[:stop], sigma, out=x_b.upper[:stop])
 
 
@@ -555,12 +627,12 @@ def bta_backward(
     the inverted tip from their slots, and ``Sb`` and ``L·Sb`` from the
     factors, before it overwrites them; with selected-inversion factors
     ``b`` is not read.  Starts from the last block (with an arrow, from
-    the inverted reduced tip) and steps backward with
-    :func:`_backward_sweep`, which at ``a = 0`` takes its hand-written
-    one-coupling step (the generic step was 13-18% slower at b=4).
-    Every pattern block of the solution(s) is written into its slot by
-    its last operation; with ``diagonal_only`` the off-diagonal blocks
-    are computed but left zero.
+    the inverted reduced tip, with :func:`_backstep` at the tip as the
+    only coupling) and steps backward with :func:`_backward_sweep`, whose
+    one- and two-coupling steps are written out by hand.  Every pattern
+    block of the solution(s) is written into its slot by its last
+    operation; with ``diagonal_only`` the off-diagonal blocks are
+    computed but left zero.
     """
     if a.shape_params != (factors.n, factors.b, factors.a):
         raise ShapeMismatchError("system shape disagrees with factors")

@@ -776,6 +776,64 @@ def test_socket_ranks_match_threads(parts, mode, a_sz):
         assert got[0].x_b.equals_exact(ref.x_b)
 
 
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("mode", ["si", "siq"])
+def test_socket_root_solves_in_its_own_output(monkeypatch, parts, mode):
+    # Rank 0 solves in views of the solution it returns and sends no
+    # slice: of the solution slices it decodes only the other ranks'.
+    real_decode, real_backward = dist.decode_bta, dist.local_backward
+    decoded, slices, ranks = [], {}, {}
+
+    def decode(raw, offset=0):
+        x, end = real_decode(raw, offset)
+        decoded.append((ranks[threading.current_thread()], x.n))
+        return x, end
+
+    def backward(a, b, plan, rank, *args):
+        slices[rank] = real_backward(a, b, plan, rank, *args)
+        return slices[rank]
+
+    monkeypatch.setattr(dist, "decode_bta", decode)
+    monkeypatch.setattr(dist, "local_backward", backward)
+    a, rhs = random_system(21, 3, 2, seed=29)  # slices of more than two blocks
+    rhs = rhs if mode == "siq" else None
+    port = _free_port()
+    got, errors = {}, []
+
+    def run(rank):
+        ranks[threading.current_thread()] = rank
+        try:
+            coll = SocketCollectives(parts, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                got[rank] = dist_solve(a, rhs, num_parts=parts, mode=mode, transport=coll)
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append((rank, exc))
+
+    workers = [threading.Thread(target=run, args=(rank,)) for rank in range(parts)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in workers)
+    assert not errors
+    plan = plan_partitions(21, parts, mode)
+    sides = 1 + (mode == "siq")
+    # Boundary payloads hold one or two blocks; every slice here holds more.
+    assert [n for rank, n in decoded if rank == 0 and n > 2] == [
+        hi - lo for lo, hi in plan.ranges[1:] for _ in range(sides)
+    ]
+    for own, whole in zip(slices[0], (got[0].x_a, got[0].x_b)):
+        if own is not None:
+            for mine, merged in zip(own.stacks[:-1], whole.stacks[:-1]):
+                assert np.shares_memory(mine, merged)
+    ref = dist_solve(a, rhs, num_parts=parts, mode=mode)
+    assert got[0].x_a.equals_exact(ref.x_a)
+    if mode == "siq":
+        assert got[0].x_b.equals_exact(ref.x_b)
+
+
 def test_socket_ranks_find_the_sign_themselves():
     # Each socket rank finds sigma in its own b; rank 0 returns the
     # thread transport's solution bit for bit.

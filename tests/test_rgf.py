@@ -26,7 +26,8 @@ from btasel import (
     to_dense,
 )
 from btasel.matrix import stack_shapes
-from btasel.rgf import _backstep, _hermitian_sign
+from btasel import rgf
+from btasel.rgf import _backstep, _hermitian_sign, _out_slots
 
 
 class TestBtForward:
@@ -226,8 +227,60 @@ class TestSweepGuards:
         assert _bits(wb) == _bits(rhs)
 
 
+def _generic_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
+    """The arrowhead backward sweep with :func:`rgf._backstep` at k = 2
+    for its step, as it ran before the step was written out."""
+    fused, sigma = x_b is not None, factors.sigma
+    y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
+    if fused:
+        z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
+    ss = ws = yb = sc = qsb = None
+    for i in range(stop - 1, -1, -1):
+        qs = [a.lower[i], a.arrow_row[i]]
+        ya = [[y_dd, y_dt], [y_td, ytt]]
+        rs = [a.upper[i], a.arrow_col[i]]  # in selected inversion S·U and S·Ac
+        rs, sr = (rs, None) if fused else (None, rs)
+        if fused:
+            ss = [b.upper[i], b.arrow_col[i]]
+            ws = [b.lower[i], b.arrow_row[i]]
+            yb = [[z_dd, z_dt], [z_td, ztt]]
+            sc = factors.s_b[i]
+            qsb = [factors.l_sb[i], None]
+        out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
+        xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
+            a.diag[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, sr=sr, out=out, sigma=sigma
+        )
+        y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
+        if fused:
+            z_dd, z_dt, z_td = xb_diag, xb_row[-1], xb_col[-1]
+
+
 class TestBackwardStep:
     """The backward step forms each product once (``rgf._backstep``)."""
+
+    @pytest.mark.parametrize("shape", [(9, 4, 1), (12, 3, 2), (7, 16, 3), (6, 20, 4)])
+    @pytest.mark.parametrize("rhs", ["si", "general", "sigma=1", "sigma=-1"])
+    def test_arrow_step_is_the_generic_step(self, monkeypatch, shape, rhs):
+        # _backward_sweep's written-out arrowhead step against _backstep
+        # at k = 2 each step, on the same factors, both solving in place:
+        # the same bytes in every slot and the same tallies.  The shapes
+        # run small and large products, the latter on numpy's path.
+        n, b, a_sz = shape
+        if rhs.startswith("sigma"):
+            a, rb = signed_system(n, b, a_sz, seed=31, sigma=int(rhs[6:]))
+        else:
+            a, rb = random_system(n, b, a_sz, seed=31)
+        rb = None if rhs == "si" else rb
+        factors = bta_forward(a, rb)  # a and rb hold the elimination now
+        solved = []
+        for sweep in (rgf._backward_sweep, _generic_sweep):
+            monkeypatch.setattr(rgf, "_backward_sweep", sweep)
+            wa, wb = a.copy(), (rb.copy() if rb is not None else None)
+            counter = OpCounter(b=b, a=a_sz)
+            sol = bta_backward(factors, wa, wb, counter)
+            assert sol.x_a is wa and sol.x_b is wb
+            solved.append((_bits(wa), _bits(wb) if wb is not None else None, counter.as_dict()))
+        assert solved[0] == solved[1]
 
     @staticmethod
     def _step_counts(b, a_sz, fused, sigma=0):
