@@ -166,8 +166,16 @@ class ThreadCollectives(Collectives):
 _FRAME_HEADER = struct.Struct("<IIQ")  # rank, round, payload length
 
 
-def _send_frame(sock: socket.socket, rank: int, round_id: int, payload: bytes) -> None:
-    sock.sendall(_FRAME_HEADER.pack(rank, round_id, len(payload)) + payload)
+def _send_frame(sock: socket.socket, rank: int, round_id: int, *parts) -> None:
+    """Send a frame whose payload is ``parts`` back to back: one
+    ``sendmsg`` gathers them behind the header, so nothing is joined."""
+    head = _FRAME_HEADER.pack(rank, round_id, sum(map(len, parts)))
+    bufs = [memoryview(p).cast("B") for p in (head, *parts)]
+    sent = sock.sendmsg(bufs)
+    for buf in bufs:  # the rest of a send that a signal cut short
+        if sent < len(buf):
+            sock.sendall(buf[sent:])
+        sent = max(sent - len(buf), 0)
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes:
@@ -296,16 +304,16 @@ class SocketCollectives(Collectives):
             raise ProtocolError(f"round mismatch: got {frame_round}, expected {round_id}")
         return payload
 
-    def _collect(self, blob: bytes) -> tuple[int, list[bytes] | None]:
+    def _collect(self, *parts) -> tuple[int, list[bytes] | None]:
         """Open a round: rank 0 receives every peer's frame and returns the
         round id and all blobs in rank order; any other rank sends its
-        blob and returns the round id and None."""
+        blob, ``parts`` back to back, and returns the round id and None."""
         round_id = self._round
         self._round += 1
         if self.rank != 0:
-            _send_frame(self._hub, self.rank, round_id, blob)
+            _send_frame(self._hub, self.rank, round_id, *parts)
             return round_id, None
-        blobs = [blob] + [None] * (self.world_size - 1)
+        blobs = [b"".join(parts)] + [None] * (self.world_size - 1)
         for peer, sock in self._peers.items():
             blobs[peer] = self._recv_from(peer, sock, round_id)
         return round_id, blobs
@@ -355,14 +363,15 @@ class SocketCollectives(Collectives):
         )
         return total
 
-    def gather_to_root(self, blob: bytes) -> list[bytes] | None:
-        """Auxiliary root-only gather used for final output assembly.
+    def gather_to_root(self, *parts) -> list[bytes] | None:
+        """Auxiliary root-only gather used for final output assembly: this
+        rank's blob is ``parts`` back to back, sent without joining them.
 
         Not part of the solver's collective contract (which is one
         AllGather plus one AllReduce); only the multi-process runner uses
         it to hand the partition slices to rank 0.
         """
-        return self._collect(blob)[1]
+        return self._collect(*parts)[1]
 
     def close(self) -> None:
         if self.rank == 0:

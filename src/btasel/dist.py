@@ -42,7 +42,6 @@ from .rgf import (
     RgfFactors,
     _backstep,
     _backward_sweep,
-    _bupdate,
     _forward_sweep,
     _hermitian_sign,
     _invert_pivot,
@@ -147,6 +146,7 @@ class LocalFactors(RgfFactors):
     b_fill_row: list = field(default_factory=list)
     b_fill_col: list = field(default_factory=list)
     fill_sb: list = field(default_factory=list)  # fill_row·s_b
+    l_sb: list = field(default_factory=list)  # lower·s_b
 
 
 class _Stacks(NamedTuple):
@@ -204,6 +204,14 @@ class ReducedSystem:
     matrix_a: BtaMatrix
     matrix_b: BtaMatrix | None
     index: dict  # (rank, side) -> reduced diagonal index
+
+
+def _bupdate(counter, out, x1, y1, x2, y2, x3, y3):
+    """A middle partition's update ``out - x1·y1 - x2·y2^H + x3·y3^H`` of
+    ``B``, left to right, in ``out`` (or a new block from ``-x1·y1``)."""
+    out = mm(x1, y1, counter, out=out, alpha=-1, beta=0 if out is None else 1)
+    mm(x2, y2, counter, tb=True, out=out, alpha=-1, beta=1)
+    return mm(x3, y3, counter, tb=True, out=out, beta=1)
 
 
 def local_forward(
@@ -488,8 +496,9 @@ def local_backward(
 
 def _place_slices(xs: list, plan: PartitionPlan, blobs: list) -> None:
     """The slice of each socket rank but the root, its containers' BTA1
-    bytes back to back, decoded into the solution stacks ``xs``, one
-    container per side; the root solved its own slice in place there."""
+    bytes back to back, placed from views of its blob into the solution
+    stacks ``xs``, one container per side, so that each block is copied
+    once; the root solved its own slice in place there."""
     n, bs, asz = xs[0].shape_params
     if len(blobs) != plan.num_parts:
         raise ProtocolError(f"expected {plan.num_parts} solution slices, got {len(blobs)}")
@@ -497,7 +506,7 @@ def _place_slices(xs: list, plan: PartitionPlan, blobs: list) -> None:
         (lo, hi), blob = plan.ranges[p], blobs[p]
         sl, offset = [], 0
         while offset < len(blob):
-            x, offset = decode_bta(blob, offset)
+            x, offset = decode_bta(blob, offset, copy=False)
             sl.append(x)
         if len(sl) != len(xs) or any(x.shape_params != (hi - lo, bs, asz) for x in sl):
             shapes = [x.shape_params for x in sl]
@@ -629,10 +638,10 @@ def dist_solve(
     if timings is not None:
         timings.update(results[0][3])
     if sockets:
-        # A slice travels as its containers' BTA1 bytes, back to back;
-        # rank 0's is in place already and sends none.
+        # A slice travels as its containers' BTA1 bytes, back to back and
+        # not joined; rank 0's is in place already and sends none.
         own = results[0][0] if hub.rank else ()
-        blobs = hub.gather_to_root(b"".join(encode_bta(x) for x in own if x is not None))
+        blobs = hub.gather_to_root(*(encode_bta(x) for x in own if x is not None))
         if hub.rank != 0:
             return None
         _place_slices(xs, plan, blobs)

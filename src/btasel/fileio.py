@@ -83,10 +83,11 @@ def _parse_header(head: bytes) -> tuple[int, int, int]:
     return n, b, a
 
 
-def decode_bta(raw, offset: int = 0) -> tuple[BtaMatrix, int]:
+def decode_bta(raw, offset: int = 0, copy: bool = True) -> tuple[BtaMatrix, int]:
     """Decode the ``BTA1`` container at ``offset`` of ``raw``; returns it
     and the offset just past it.  Its fields are views of one decoded
-    array.  Entries are not checked for finiteness."""
+    array, or with ``copy=False`` of ``raw`` itself (read-only when
+    ``raw`` is ``bytes``).  Entries are not checked for finiteness."""
     n, b, a = _parse_header(raw[offset : offset + _HEADER_SIZE])
     start = offset + _HEADER_SIZE
     end = start + payload_size(n, b, a)
@@ -95,7 +96,8 @@ def decode_bta(raw, offset: int = 0) -> tuple[BtaMatrix, int]:
             f"payload has {len(raw) - start} bytes, header requires {end - start}"
         )
     data = np.frombuffer(raw, dtype="<c16", count=(end - start) // 16, offset=start)
-    data = data.astype(np.complex128)
+    if copy:
+        data = data.astype(np.complex128)
     shapes = stack_shapes(n, b, a)
     parts = np.split(data, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
     return BtaMatrix(n, b, a, *(p.reshape(shape) for p, shape in zip(parts, shapes))), end

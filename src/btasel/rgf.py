@@ -19,10 +19,11 @@ pattern, which is what keeps the selected solve linear in the number
 of diagonal blocks.
 
 One set of block storage serves the whole solve.  The facade's private
-working copies are updated in place by the forward sweep, and the
+working copies are updated in place by the forward sweep, which leaves
+in coupling slots the products the backward sweep reads, and the
 backward sweep writes each solution block into the slot of the same
 block, so the working copies become the solution.  A backward step
-therefore reads every input slot before it writes any output slot.
+therefore reads each slot before it writes its solution block there.
 
 A right-hand side with ``B = σ·B^H`` for σ = 1 or -1 (Hermitian, or
 skew-Hermitian like the lesser self-energy of NEGF transport) has a
@@ -30,8 +31,8 @@ skew-Hermitian like the lesser self-energy of NEGF transport) has a
 :func:`bta_forward` finds σ by comparing ``B`` with its mirror exactly
 (:func:`_hermitian_sign`; any other ``B`` gives σ = 0) and keeps it in
 the factors.  The sweeps then copy, as conjugate transposes, blocks they
-would otherwise form a second time: the backward step's mirrored half,
-and the forward's arrow-column and tip updates.
+would otherwise form a second time: the backward step's mirrored half
+and the forward's arrow-column update.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ class RgfFactors:
     working copies it updated.
 
     Those copies are the record of the elimination: each diagonal slot
-    holds its pivot's inverse ``S`` and each arrow slot the coupling as
-    seen when its block was eliminated; in selected-inversion mode the
-    upper and arrow-column slots hold the forward's products ``S·U`` and
-    ``S·Ac``, and with an arrow the tip slot holds the inverted reduced
-    tip.  In fused mode ``s_b[i]`` holds the quadratic Schur block of
-    pivot ``i < n-1`` and ``l_sb[i]`` the forward's product
-    ``lower[i]·s_b[i]``, which no slot holds; both lists are empty in
+    holds its pivot's inverse ``S``, each arrow slot the coupling as seen
+    when its block was eliminated, and with an arrow the tip slot the
+    inverted reduced tip.  The forward's products that the backward step
+    reads sit in the slots of the couplings they were formed from: in
+    selected inversion ``S·U`` and ``S·Ac`` in the upper and arrow-column
+    slots, in fused mode ``L·S`` and ``Ar·S`` in ``a``'s lower and
+    arrow-row slots and ``Bl - L·S·Bd`` and ``Br - Ar·S·Bd`` in ``b``'s.
+    In fused mode ``s_b[i]`` holds the quadratic Schur block ``Sb`` of
+    pivot ``i < n-1``, which no slot holds; the list is empty in
     selected inversion.  ``sigma`` is 1 or -1 when the right-hand side
     is exactly ``sigma`` times its conjugate transpose, else 0; the
     sweeps read it to skip the mirrored products.
@@ -79,7 +82,6 @@ class RgfFactors:
     mode: str
     sigma: int = 0
     s_b: list = field(default_factory=list)
-    l_sb: list = field(default_factory=list)
 
 
 def _invert_pivot(block, index, counter):
@@ -142,12 +144,22 @@ def _sub_mirrored(out, t, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _bupdate(counter, out, x1, y1, x2, y2, x3, y3):
-    """A fused step's right-hand-side update ``out - x1·y1 - x2·y2^H +
-    x3·y3^H``, left to right, in ``out`` (or a new block from ``-x1·y1``)."""
-    out = mm(x1, y1, counter, out=out, alpha=-1, beta=0 if out is None else 1)
-    mm(x2, y2, counter, tb=True, out=out, alpha=-1, beta=1)
-    return mm(x3, y3, counter, tb=True, out=out, beta=1)
+def _arrow_into_tip(a, b, i, s, tip_a, tip_b, counter):
+    """Eliminate block ``i``'s arrow strips into the tips ``tip_a`` (and
+    ``tip_b``), leaving in its slots what the backward step reads: ``S·Ac``
+    in ``a.arrow_col[i]`` (selected inversion), or ``g = Ar·S`` in
+    ``a.arrow_row[i]`` and ``r = Br - g·Bd`` in ``b.arrow_row[i]``
+    (fused).  Returns ``S·Ac``, or ``(g, r)``."""
+    if b is None:
+        t2 = _put(a.arrow_col[i], mm(s, a.arrow_col[i], counter))
+        mm(a.arrow_row[i], t2, counter, out=tip_a, alpha=-1, beta=1)
+        return t2
+    g = _put(a.arrow_row[i], mm(a.arrow_row[i], s, counter))
+    mm(g, a.arrow_col[i], counter, out=tip_a, alpha=-1, beta=1)
+    r = mm(g, b.diag[i], counter, out=b.arrow_row[i], alpha=-1, beta=1)
+    mm(r, g, counter, tb=True, out=tip_b, alpha=-1, beta=1)
+    mm(g, b.arrow_col[i], counter, out=tip_b, alpha=-1, beta=1)
+    return g, r
 
 
 def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
@@ -157,81 +169,57 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     :class:`BtaMatrix` except the tip, updated in place: each step
     inverts its pivot in its slot, writes the next block's diagonal and
     arrow slots and subtracts its tip contribution from ``tip_a``
-    (``tip_b``), so that slot ``i`` is left as block ``i`` was
-    eliminated.  In selected inversion ``S·U`` and ``S·Ac`` are written
-    into the slots of the couplings they were formed from (so
-    ``a.upper`` must be the caller's own); in fused mode ``Sb`` and
-    ``L·Sb`` are appended to ``factors``.  ``index[i]`` is the number a
-    singular pivot at block ``i`` is reported under.  The arrow-strip and
-    tip updates are made only when the arrow is not empty
-    (``factors.a > 0``).
+    (``tip_b``).  Slot ``i`` is left as block ``i`` was eliminated, but
+    for the coupling slots the caller must own, which get the products
+    the backward step reads: ``S·U`` and ``S·Ac`` in selected inversion;
+    in fused mode ``f = L·S`` and ``g = Ar·S`` in ``a``'s lower and
+    arrow-row slots and ``q = Bl - f·Bd`` and ``r = Br - g·Bd`` in
+    ``b``'s, with ``Sb`` appended to ``factors``.  ``B``'s updates are::
 
-    With ``factors.sigma`` nonzero, ``b`` is σ-Hermitian and stays so
-    under the updates: the next block's arrow column is set to the
-    mirror of its updated arrow row, and the tip's ``g·Bc`` terms are
-    summed over the steps, the mirror of the sum standing in for every
-    ``Br·g^H``.  The diagonal update keeps its two products: at b ≤ 16 a
-    mirror costs about as much as the product it would replace.
+        Bd' -= q·f^H + f·Bu     Br' -= g·Bu + r·f^H
+        Bc' -= f·Bc + q·g^H     Bt  -= r·g^H + g·Bc
+
+    ``index[i]`` is the number a singular pivot at block ``i`` is
+    reported under.  Arrow-strip and tip updates are made only when the
+    arrow is not empty (``factors.a > 0``).  With ``factors.sigma``
+    nonzero, ``b`` is σ-Hermitian and stays so: the next arrow column is
+    set to the mirror of the updated arrow row.
     """
     fused = b is not None
     arrow = factors.a > 0
-    sigma = factors.sigma
-    tip_gc = np.zeros_like(tip_b) if sigma and arrow else None
     for i in range(stop):
         s = _invert_pivot(a.diag[i], index[i], counter)
-        lo = a.lower[i]
-        # Next-block slots, updated in place; slot i stays as eliminated.
-        ad = a.diag[i + 1]
         if fused:
-            # Left-hand elimination factors shared by all fused updates.
-            w = mm(s, b.diag[i], counter)
-            sb = mm(w, s, counter, tb=True)
-            factors.s_b.append(sb)
-            f = mm(lo, s, counter)
-            mm(f, a.upper[i], counter, out=ad, alpha=-1, beta=1)
-            v = mm(lo, sb, counter)
-            factors.l_sb.append(v)
+            factors.s_b.append(mm(mm(s, b.diag[i], counter), s, counter, tb=True))
+            f = _put(a.lower[i], mm(a.lower[i], s, counter))
+            mm(f, a.upper[i], counter, out=a.diag[i + 1], alpha=-1, beta=1)
+            q = mm(f, b.diag[i], counter, out=b.lower[i], alpha=-1, beta=1)
             bd = b.diag[i + 1]
-            mm(v, lo, counter, tb=True, out=bd, beta=1)
-            mm(b.lower[i], f, counter, tb=True, out=bd, alpha=-1, beta=1)
+            mm(q, f, counter, tb=True, out=bd, alpha=-1, beta=1)
             mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
         else:
             # Right-hand temporaries reach the minimal mixed-shape count.
-            # Each goes into the slot of the coupling it was formed from,
-            # which nothing reads again, for the backward step to reuse.
-            t1 = mm(s, a.upper[i], counter)
-            mm(lo, t1, counter, out=ad, alpha=-1, beta=1)
-            a.upper[i] = t1
+            t1 = _put(a.upper[i], mm(s, a.upper[i], counter))
+            mm(a.lower[i], t1, counter, out=a.diag[i + 1], alpha=-1, beta=1)
         if not arrow:
             continue
         ar, ac = a.arrow_row[i + 1], a.arrow_col[i + 1]
-        if fused:
-            g = mm(a.arrow_row[i], s, counter)
-            p = mm(g, b.diag[i], counter)
-            k = None if sigma else mm(b.diag[i], g, counter, tb=True)
-            mm(g, a.upper[i], counter, out=ar, alpha=-1, beta=1)
-            mm(f, a.arrow_col[i], counter, out=ac, alpha=-1, beta=1)
-            mm(g, a.arrow_col[i], counter, out=tip_a, alpha=-1, beta=1)
-            br, bc = b.arrow_row[i + 1], b.arrow_col[i + 1]
-            mm(g, b.upper[i], counter, out=br, alpha=-1, beta=1)
-            mm(p - b.arrow_row[i], f, counter, tb=True, out=br, beta=1)
-            if sigma:
-                _mirror(br, sigma, out=bc)
-                mm(g, b.arrow_col[i], counter, out=tip_gc, beta=1)
-                mm(p, g, counter, tb=True, out=tip_b, beta=1)
-            else:
-                mm(f, b.arrow_col[i], counter, out=bc, alpha=-1, beta=1)
-                mm(b.lower[i], g, counter, tb=True, out=bc, alpha=-1, beta=1)
-                mm(f, k, counter, out=bc, beta=1)
-                _bupdate(counter, tip_b, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
-        else:
-            t2 = mm(s, a.arrow_col[i], counter)
-            a.arrow_col[i] = t2
+        if not fused:
+            t2 = _arrow_into_tip(a, b, i, s, tip_a, tip_b, counter)
             mm(a.arrow_row[i], t1, counter, out=ar, alpha=-1, beta=1)
-            mm(lo, t2, counter, out=ac, alpha=-1, beta=1)
-            mm(a.arrow_row[i], t2, counter, out=tip_a, alpha=-1, beta=1)
-    if tip_gc is not None:
-        _sub_mirrored(tip_b, tip_gc, sigma)
+            mm(a.lower[i], t2, counter, out=ac, alpha=-1, beta=1)
+            continue
+        g, r = _arrow_into_tip(a, b, i, s, tip_a, tip_b, counter)
+        mm(g, a.upper[i], counter, out=ar, alpha=-1, beta=1)
+        mm(f, a.arrow_col[i], counter, out=ac, alpha=-1, beta=1)
+        br, bc = b.arrow_row[i + 1], b.arrow_col[i + 1]
+        mm(g, b.upper[i], counter, out=br, alpha=-1, beta=1)
+        mm(r, f, counter, tb=True, out=br, alpha=-1, beta=1)
+        if factors.sigma:
+            _mirror(br, factors.sigma, out=bc)
+        else:
+            mm(f, b.arrow_col[i], counter, out=bc, alpha=-1, beta=1)
+            mm(q, g, counter, tb=True, out=bc, alpha=-1, beta=1)
 
 
 def bta_forward(
@@ -249,15 +237,14 @@ def bta_forward(
     (``a = 0``) the last pivot's inverse ends the pass, so a plain BT
     system takes exactly ``n`` inversions.
 
-    Cost per interior step: 2/1/2/1 (selected inversion) or 8/5/5/4
+    Cost per interior step: 2/1/2/1 (selected inversion) or 7/5/3/3
     (fused) products of shape classes bbb/abb/bba/aba, the last three
-    absent at ``a = 0``; 8/5/1/3 (fused) when ``b`` is exactly
+    absent at ``a = 0``; 7/5/1/3 (fused) when ``b`` is exactly
     σ-Hermitian (σ = ±1, found here by :func:`_hermitian_sign` and kept
-    in the factors).  Off-diagonal blocks are never modified but, in
-    selected inversion, the upper couplings, each replaced by its
-    product with the pivot inverse.  The updated copies are what
-    :func:`bta_backward` reads; the factors add only ``σ``, ``Sb`` and
-    ``L·Sb``.
+    in the factors).  The updated copies, whose coupling slots hold the
+    products :func:`_forward_sweep` names (the last block's arrow slots
+    too), are what :func:`bta_backward` reads; the factors add only
+    ``σ`` and ``Sb``.
     """
     if b is not None and b.shape_params != a.shape_params:
         raise ShapeMismatchError("right-hand side shape differs from system shape")
@@ -272,19 +259,7 @@ def bta_forward(
     s = _invert_pivot(a.diag[i], i, counter)
     if a.a == 0:
         return factors
-    if fused:
-        g = mm(a.arrow_row[i], s, counter)
-        p = mm(g, b.diag[i], counter)
-        mm(g, a.arrow_col[i], counter, out=a.tip, alpha=-1, beta=1)
-        if sigma:
-            _sub_mirrored(b.tip, mm(g, b.arrow_col[i], counter), sigma)
-            mm(p, g, counter, tb=True, out=b.tip, beta=1)
-        else:
-            _bupdate(counter, b.tip, g, b.arrow_col[i], b.arrow_row[i], g, p, g)
-    else:
-        t2 = mm(s, a.arrow_col[i], counter)
-        a.arrow_col[i] = t2
-        mm(a.arrow_row[i], t2, counter, out=a.tip, alpha=-1, beta=1)
+    _arrow_into_tip(a, b, i, s, a.tip, b.tip if fused else None, counter)
     try:
         block_inverse(a.tip, counter, overwrite_a=True)
     except SingularBlockError as exc:
@@ -316,7 +291,7 @@ def _sum_pairs(terms, alpha, counter, out=None):
 
 def _backstep(
     g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, sr=None,
-    out=None, sigma=0,
+    bd=None, out=None, sigma=0,
 ):
     """One backward substitution step at a pivot with trailing couplings.
 
@@ -334,13 +309,17 @@ def _backstep(
     ``yb`` is given, for the quadratic solution.  ``qsb[l]``, when not
     None, is the forward's product ``Q_l·Sb``, reused instead of formed;
     ``sr``, when given, holds the forward's products ``S·R_l``, and
-    ``rs`` is not read.  ``out``, when given, names an output slot (or
-    None, for a new block) for every block of the result, in its shape;
-    each block is written into its slot by its last operation.  The slots
-    may be those of the step's own inputs (``g``, ``rs``, ``qs``, ``ss``,
-    ``ws``, ``sr``): every input is read before the first output slot is
-    written, except that the row is written last when ``sr`` is given,
-    after every read of ``sr``.
+    ``rs`` is not read.  ``bd``, when given, is the pivot's diagonal
+    block of ``B`` as eliminated, and ``qs`` and ``ws`` hold the fused
+    forward's ``F2_l`` and ``W_l - F2_l·Bd``: ``E_l = ws[l]·S^H``,
+    ``G_l = S·(Ss_l - Bd·F2_l^H)``, and ``qsb`` is not read.  ``out``,
+    when given, names an output slot (or None, for a new block) for
+    every block of the result, in its shape; each block is written into
+    its slot by its last operation.  The slots may be those of the
+    step's own inputs (``g``, ``rs``, ``qs``, ``ss``, ``ws``, ``sr``):
+    every input is read before the first output slot is written, except
+    that the row is written after every read of ``sr`` when that is
+    given, and the column after every read of ``qs`` when ``bd`` is.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -353,10 +332,10 @@ def _backstep(
 
     which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
     the quadratic solution at ``k`` trailing couplings, less one per
-    reused ``Q_l·Sb`` and ``k`` fewer with ``sr`` (the standard RGF
-    recursion, Svizhenko et al., J. Appl. Phys. 2002).  All products are
-    pattern-restricted: the trailing blocks touched are exactly those on
-    the BT(A) pattern of the (possibly permuted) system.
+    reused ``Q_l·Sb``, ``k`` with ``sr`` and ``2k`` with ``bd`` (the
+    standard RGF recursion, Svizhenko et al., J. Appl. Phys. 2002).  All
+    products are pattern-restricted: the trailing blocks touched are
+    exactly those on the BT(A) pattern of the (possibly permuted) system.
 
     Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
     come from a ``B = sigma·B^H``, so the quadratic solution is
@@ -379,18 +358,24 @@ def _backstep(
     # from a base block, or a sum of differences, is formed first.  The
     # quadratic factors read g and qs, whose slots xa_diag and xa_col may
     # be, so they are formed first.
-    fused = yb is not None
+    fused, handed = yb is not None, bd is not None
     if fused:
+        # Handed the forward's products, ws holds W_l - F2_l·Bd: E_l = W_l·S^H.
         es = [mm(w, g, c, tb=True) for w in ws]
-        for e, q, reused in zip(es, qs, qsb or none):
+        for e, q, reused in zip(es, qs, () if handed else qsb or none):
             if reused is None:
                 mm(q, sc, c, out=e, alpha=-1, beta=1)
             else:
                 e -= reused
         if not sigma:
-            gs = [_sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
-    f2 = [mm(q, g, c) for q in qs]
-    xa_col = [_sum_mm(ya[j], f2, c, out=ca[j], alpha=-1) for j in range(k)]
+            gs = [mm(g, mm(bd, q, c, tb=True, out=s.copy(), alpha=-1, beta=1), c) if handed
+                  else _sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
+    f2 = qs if handed else [mm(q, g, c) for q in qs]
+    # The forward's F2 may sit in the column's slots: the column then
+    # goes there from new blocks, once nothing reads F2 again.
+    xa_col = [_sum_mm(ya[j], f2, c, out=None if handed else ca[j], alpha=-1) for j in range(k)]
+    if handed:
+        xa_col = [x if o is None else _put(o, x) for x, o in zip(xa_col, ca)]
     del f2
     f1 = sr or [mm(g, r, c) for r in rs]
     xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
@@ -442,45 +427,37 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     blocks, read from their slots of ``x_a`` (``x_b``), and the tip
     solution ``ytt`` (``ztt``); it writes every block it solves into its
     slot.  ``a`` and ``b`` are the working stacks :func:`_forward_sweep`
-    left: ``a.diag[i]`` is the pivot inverse ``S``, in selected inversion
-    ``a.upper[i]`` and ``a.arrow_col[i]`` are ``S·U`` and ``S·Ac``, and
-    every other coupling is as seen when block ``i`` was eliminated.
-    ``x_a`` (``x_b``) may be ``a`` (``b``) itself: a step reads its pivot
-    and coupling slots before it writes its own solution slots, and
-    later steps read only solved slots.
+    left: ``a.diag[i]`` is the pivot inverse ``S``, the forward's
+    products sit in the slots it names, and every other coupling is as
+    seen when block ``i`` was eliminated.  ``x_a`` (``x_b``) may be ``a``
+    (``b``) itself: a step reads a slot before it writes it, and writes
+    a block whose slot holds a factor from a new block after the
+    factor's last read; later steps read only solved slots.
 
-    With an arrow a step has two trailing couplings, the next block
-    (``d``) and the tip (``t``): the ``k = 2`` case of :func:`_backstep`
-    written out, each sum as its two products in its order and each
-    temporary freed where it frees it, so the bits, counts and peak
-    memory are its own; its per-call lists made the b=16 sweep 20-30%
-    slower.  A step costs 12 (selected inversion), 41 (fused) or 29
-    (σ = ±1) products.
-
-    Without one (``factors.a == 0``) a step has the next block as its
-    only coupling.  That is the ``k = 1`` case of :func:`_backstep`,
-    written out by hand because it is the hot loop of small-block runs:
-    the generic step made the b=4 sweep 13-18% slower.  With
-    ``S = a.diag[i]``, ``Sb = s_b[i]``, ``U``/``L`` the upper/lower
-    couplings of ``a`` and ``Bu``/``Bl`` those of ``b``, ``F1 = S·U``,
-    ``F2 = L·S`` and ``Y``/``Z`` the trailing diagonals::
+    A step is the ``k = 1`` (no arrow) or ``k = 2`` (the next block
+    ``d`` and the tip ``t``) case of :func:`_backstep` written out, each
+    sum as its products in its order and each temporary freed where it
+    frees it, so the bits, counts and peak memory are its own; the
+    generic step made the b=4 sweep 13-18% slower and the b=16 arrow
+    sweep 20-30%.  With ``U``/``L`` the couplings of ``a`` and
+    ``Bu``/``Bl``/``Bd`` the blocks of ``b``, ``F1 = S·U``, ``F2 = L·S``,
+    ``q = Bl - F2·Bd``, ``Sb = s_b[i]`` and ``Y``/``Z`` the trailing
+    diagonals, the BT step is::
 
         X(i+1,i) = -Y·F2    X(i,i+1) = -F1·Y    X_ii = S - F1·X(i+1,i)
-        Z(i+1,i) = Y·(Bl·S^H - L·Sb) - Z·F1^H
-        V = (S·Bu - Sb·L^H)·Y^H                 Z(i,i+1) = V - F1·Z
-        Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
+        Z(i+1,i) = Y·q·S^H - Z·F1^H             V = S·(Bu - Bd·F2^H)·Y^H
+        Z(i,i+1) = V - F1·Z          Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
 
-    ``F1`` (selected inversion, ``a.upper[i]``) or ``L·Sb`` (fused,
-    ``l_sb``) comes from the forward pass, so a step costs 4 (selected
-    inversion) or 14 (fused) b-sized products.  With ``factors.sigma`` = ±1 it costs
-    10 (:func:`_backstep` at ``k = 1``)::
+    With ``F1`` (selected inversion) or ``F2`` and ``q`` (fused) from the
+    forward, a BT step costs 4 or 13 products and an arrow step 12 or
+    38.  With ``factors.sigma`` = ±1 they cost 9 and 26::
 
-        P = Z·F1^H          Z(i+1,i) = Y·(Bl·S^H - L·Sb) - P
+        P = Z·F1^H          Z(i+1,i) = Y·q·S^H - P
         T = F1·Z(i+1,i)     Z_ii = Sb - T - σ·T^H - F1·P
 
     and ``Z(i,i+1)``, the mirror of ``Z(i+1,i)``, is written for every
-    step at once when the sweep ends, with an arrow too; the arrow
-    column ``Z(i,t)`` is mirrored in each step, whose successor reads it.
+    step at once when the sweep ends; the arrow column ``Z(i,t)`` is
+    mirrored in each step, whose successor reads it.
     """
     fused, arrow, sigma = x_b is not None, factors.a > 0, factors.sigma
     y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
@@ -492,25 +469,25 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             # A difference from a base block starts as a copy of the base.
             # Every product that reads s or a coupling is formed before
             # the first write: the outputs may be those very slots.
-            y, lo = y_dd, a.lower[i]
+            y = y_dd
             f1 = mm(s, a.upper[i], counter) if fused else a.upper[i]
-            f2 = mm(lo, s, counter)
+            f2 = a.lower[i] if fused else mm(a.lower[i], s, counter)
             if fused:
                 z, sb = z_dd, factors.s_b[i]
                 e = mm(b.lower[i], s, counter, tb=True)
-                e -= factors.l_sb[i]
                 if not sigma:
-                    g = mm(s, b.upper[i], counter)
-                    mm(sb, lo, counter, tb=True, out=g, alpha=-1, beta=1)
-            xl = mm(y, f2, counter, out=x_a.lower[i], alpha=-1)
-            # The forward's F1 may sit in the upper slot: the row goes
-            # there from a new block, after the last read of F1.
+                    bu = mm(b.diag[i], f2, counter, tb=True, out=b.upper[i], alpha=-1, beta=1)
+                    g = mm(s, bu, counter)
+            # The block whose slot holds F1 or F2 goes there from a new one.
+            xl = mm(y, f2, counter, out=None if fused else x_a.lower[i], alpha=-1)
             xu = mm(f1, y, counter, out=x_a.upper[i] if fused else None, alpha=-1)
             x_a.diag[i] = s
             y_dd = mm(f1, xl, counter, out=x_a.diag[i], alpha=-1, beta=1)
             if not fused:
                 x_a.upper[i] = xu
-            elif sigma:
+                continue
+            x_a.lower[i] = xl
+            if sigma:
                 p = mm(z, f1, counter, tb=True)
                 zl = mm(y, e, counter, out=x_b.lower[i])
                 zl -= p
@@ -530,23 +507,23 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             continue
         # With an arrow: the k = 2 step of _backstep, the next block (d)
         # and the tip (t), with its products, operands and order.
-        y, ydt, ytd, lo, ar = y_dd, y_dt, y_td, a.lower[i], a.arrow_row[i]
-        if fused:
+        y, ydt, ytd = y_dd, y_dt, y_td
+        if fused:  # F2, and B's couplings less F2·Bd, from the forward
+            f2d, f2t = a.lower[i], a.arrow_row[i]
             z, zdt, ztd, sb = z_dd, z_dt, z_td, factors.s_b[i]
-            ed = mm(b.lower[i], s, counter, tb=True)
-            et = mm(b.arrow_row[i], s, counter, tb=True)
-            ed -= factors.l_sb[i]
-            mm(ar, sb, counter, out=et, alpha=-1, beta=1)
-            if not sigma:
-                gd = mm(s, b.upper[i], counter)
-                mm(sb, lo, counter, tb=True, out=gd, alpha=-1, beta=1)
-                gt = mm(s, b.arrow_col[i], counter)
-                mm(sb, ar, counter, tb=True, out=gt, alpha=-1, beta=1)
-        f2d, f2t = mm(lo, s, counter), mm(ar, s, counter)
-        xl = mm(y, f2d, counter, out=x_a.lower[i], alpha=-1)
+            ed, et = mm(b.lower[i], s, counter, tb=True), mm(b.arrow_row[i], s, counter, tb=True)
+            if not sigma:  # G = S·(Bu - Bd·F2^H), the difference formed in Bu's slot
+                bd = b.diag[i]
+                gd, gt = (mm(s, mm(bd, f, counter, tb=True, out=o, alpha=-1, beta=1), counter)
+                          for f, o in ((f2d, b.upper[i]), (f2t, b.arrow_col[i])))
+        else:
+            f2d, f2t = mm(a.lower[i], s, counter), mm(a.arrow_row[i], s, counter)
+        xl = mm(y, f2d, counter, out=None if fused else x_a.lower[i], alpha=-1)
         mm(ydt, f2t, counter, out=xl, alpha=-1, beta=1)
-        xr = mm(ytd, f2d, counter, out=x_a.arrow_row[i], alpha=-1)
+        xr = mm(ytd, f2d, counter, out=None if fused else x_a.arrow_row[i], alpha=-1)
         mm(ytt, f2t, counter, out=xr, alpha=-1, beta=1)
+        if fused:  # the column goes into F2's slots after their last read
+            xl, xr = _put(x_a.lower[i], xl), _put(x_a.arrow_row[i], xr)
         del f2d, f2t  # as _backstep frees them: at b=256 each is 1 MB of peak
         if fused:
             f1d, f1t = mm(s, a.upper[i], counter), mm(s, a.arrow_col[i], counter)
@@ -623,10 +600,10 @@ def bta_backward(
     ``a`` (and ``b``) are the working copies :func:`bta_forward` updated,
     which become the solution in place: each solution block is written
     into the slot of the same block.  The non-destructive entry point is
-    :func:`solve_selected`.  Reads the pivot inverses, the couplings and
-    the inverted tip from their slots, and ``Sb`` and ``L·Sb`` from the
-    factors, before it overwrites them; with selected-inversion factors
-    ``b`` is not read.  Starts from the last block (with an arrow, from
+    :func:`solve_selected`.  Reads the pivot inverses, the couplings, the
+    forward's products and the inverted tip from their slots, and ``Sb``
+    from the factors, before it overwrites them; with selected-inversion
+    factors ``b`` is not read.  Starts from the last block (with an arrow, from
     the inverted reduced tip, with :func:`_backstep` at the tip as the
     only coupling) and steps backward with :func:`_backward_sweep`, whose
     one- and two-coupling steps are written out by hand.  Every pattern
@@ -651,16 +628,17 @@ def bta_backward(
             b.diag[i] = sc
     else:
         # The last block's step has the tip as its only trailing coupling.
-        ss = ws = yb = None
+        ss = ws = yb = bd = None
         if fused:
             ztt = mm(mm(ytt, b.tip, counter), ytt, counter, tb=True, out=b.tip)
-            ss, ws, yb = [b.arrow_col[i]], [b.arrow_row[i]], [[ztt]]
+            ss, ws, yb, bd = [b.arrow_col[i]], [b.arrow_row[i]], [[ztt]], b.diag[i]
         out = _out_slots(a, i, 1) + (_out_slots(b, i, 1) if fused else (None,) * 3)
-        # In selected inversion the arrow column slot holds S·Ac.
+        # The forward's S·Ac (selected inversion), or Ar·S and Br - Ar·S·Bd
+        # (fused), sit in the arrow slots.
         col = [a.arrow_col[i]]
         rs, sr = (col, None) if fused else (None, col)
         _backstep(s, rs, [a.arrow_row[i]], [[ytt]], sc, ss, ws, yb, counter,
-                  sr=sr, out=out, sigma=factors.sigma)
+                  sr=sr, bd=bd, out=out, sigma=factors.sigma)
     _backward_sweep(factors, a, b, a, b, i, ytt, ztt, counter)
 
     if diagonal_only:
@@ -671,7 +649,7 @@ def bta_backward(
 
 def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
     """:func:`bta_forward` of a plain BT matrix (``a = 0``), which it
-    requires; the empty arrow skips every arrow and tip update: 2 (or 8
+    requires; the empty arrow skips every arrow and tip update: 2 (or 7
     fused) b-sized products per step and ``n`` inversions."""
     if a.a != 0:
         raise ShapeMismatchError("bt_forward requires a plain BT matrix (a=0)")
@@ -681,7 +659,7 @@ def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
 def bt_backward(factors: RgfFactors, *args, **kwargs) -> SelectedSolution:
     """:func:`bta_backward` of BT factors (``a = 0``), which it requires:
     the hand-written one-coupling step of :func:`_backward_sweep`, 4
-    (selected inversion) or 14 (fused, 10 for a σ-Hermitian right-hand
+    (selected inversion) or 13 (fused, 9 for a σ-Hermitian right-hand
     side) b-sized products per step."""
     if factors.a != 0:
         raise ShapeMismatchError("bt_backward requires BT factors (a=0)")

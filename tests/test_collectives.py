@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from btasel import BtaMatrix, ProtocolError, ThreadHub
-from btasel.collectives import _FRAME_HEADER, SocketCollectives, _unpack_part
+from btasel.collectives import (
+    _FRAME_HEADER,
+    SocketCollectives,
+    _recv_frame,
+    _send_frame,
+    _unpack_part,
+)
 from btasel.dist import BoundaryPayload
 from btasel.errors import TruncatedPayloadError
 
@@ -103,6 +109,24 @@ def test_payload_roundtrip_bytes():
     np.testing.assert_array_equal(again.a.diag[0], pay.a.diag[0])
     np.testing.assert_array_equal(again.a.arrow_row[0], pay.a.arrow_row[0])
     assert again.nbytes() == pay.nbytes()
+
+
+@pytest.mark.parametrize("sizes", [(), (0,), (3, 0, 5), (1 << 22, 7)])
+def test_frame_of_parts_arrives_as_their_concatenation(sizes):
+    # A frame's parts go out in one gather list, not joined; the peer
+    # receives one payload.  A part of 4 MB outgrows the socket buffers.
+    parts = [bytearray(np.random.default_rng(k).bytes(size)) for k, size in enumerate(sizes)]
+    left, right = socket.socketpair()
+    try:
+        sender = threading.Thread(target=_send_frame, args=(left, 3, 7, *parts))
+        sender.start()
+        got = _recv_frame(right)
+        sender.join(timeout=30)
+    finally:
+        left.close()
+        right.close()
+    assert not sender.is_alive()
+    assert got == (3, 7, b"".join(parts))
 
 
 def _fused_middle_payload():

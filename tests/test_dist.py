@@ -1,6 +1,7 @@
 import multiprocessing
 import socket
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from btasel import dist
 from btasel.collectives import SocketCollectives
 from btasel.dist import assemble_reduced, local_forward, solve_reduced
 from btasel.errors import ProtocolError
+from btasel.fileio import encode_bta
 from btasel.matrix import stack_shapes
 
 
@@ -216,9 +218,9 @@ class TestLocalForward:
         counter = OpCounter(b=4, a=2)
         local_forward(a, rhs, plan, 0, counter)
         lo, hi = plan.ranges[0]
-        assert counter.gemm_by_shape["bbb"] == 8 * (hi - lo - 1)
+        assert counter.gemm_by_shape["bbb"] == 7 * (hi - lo - 1)
         # Selected-inversion mode: the plain 2-products-per-step rate, so
-        # the middle-to-end work ratio is 6/2 (22/8 fused).
+        # the middle-to-end work ratio is 6/2 (22/7 fused).
         plan_si = plan_partitions(16, 3, "si")
         for rank in (0, 2):
             counter = OpCounter(b=4, a=2)
@@ -591,11 +593,13 @@ def _tally(gemms, inv):
 
 class TestCountingOnRequest:
     # random_system(16, 3, 2, seed=21): the aggregate tally, then each
-    # rank's, as counted before counting was made optional, but for si:
-    # there the first and last partitions' and the reduced solve's
+    # rank's, as counted before counting was made optional, but for the
+    # first and last partitions and the reduced solve: in si their
     # backward steps reuse the forward's S·U and S·Ac (one bbb and one
-    # bba fewer per step; a middle rank keeps its count).  Gemm counts in
-    # _GEMM_CLASSES order, then the inversions (one LU and two TRSM each).
+    # bba fewer per step), in siq the forward's L·S, Ar·S, L·S·Bd and
+    # Ar·S·Bd (seven products fewer per step); a middle rank keeps its
+    # count.  Gemm counts in _GEMM_CLASSES order, then the inversions
+    # (one LU and two TRSM each).
     TALLIES = {
         (2, "si"): [
             ((0, 16, 16, 46, 16, 46, 46, 90), 17),
@@ -603,9 +607,9 @@ class TestCountingOnRequest:
             ((0, 7, 7, 21, 7, 21, 21, 42), 7),
         ],
         (2, "siq"): [
-            ((2, 48, 64, 170, 48, 138, 168, 332), 17),
-            ((0, 21, 28, 77, 21, 63, 77, 154), 7),
-            ((0, 21, 28, 77, 21, 63, 77, 154), 7),
+            ((2, 48, 48, 138, 48, 138, 138, 302), 17),
+            ((0, 21, 21, 63, 21, 63, 63, 140), 7),
+            ((0, 21, 21, 63, 21, 63, 63, 140), 7),
         ],
         (3, "si"): [
             ((0, 16, 16, 49, 16, 48, 48, 104), 17),
@@ -614,10 +618,10 @@ class TestCountingOnRequest:
             ((0, 5, 5, 15, 5, 15, 15, 30), 5),
         ],
         (3, "siq"): [
-            ((2, 48, 64, 178, 48, 144, 174, 372), 17),
-            ((0, 18, 24, 66, 18, 54, 66, 132), 6),
+            ((2, 48, 49, 148, 48, 144, 146, 344), 17),
+            ((0, 18, 18, 54, 18, 54, 54, 120), 6),
             ((0, 3, 4, 19, 3, 15, 17, 62), 1),
-            ((0, 15, 20, 55, 15, 45, 55, 110), 5),
+            ((0, 15, 15, 45, 15, 45, 45, 100), 5),
         ],
     }
 
@@ -784,8 +788,8 @@ def test_socket_root_solves_in_its_own_output(monkeypatch, parts, mode):
     real_decode, real_backward = dist.decode_bta, dist.local_backward
     decoded, slices, ranks = [], {}, {}
 
-    def decode(raw, offset=0):
-        x, end = real_decode(raw, offset)
+    def decode(raw, offset=0, copy=True):
+        x, end = real_decode(raw, offset, copy)
         decoded.append((ranks[threading.current_thread()], x.n))
         return x, end
 
@@ -832,6 +836,31 @@ def test_socket_root_solves_in_its_own_output(monkeypatch, parts, mode):
     assert got[0].x_a.equals_exact(ref.x_a)
     if mode == "siq":
         assert got[0].x_b.equals_exact(ref.x_b)
+
+
+def test_root_places_slices_from_views_of_their_blobs():
+    # Each received slice is copied once, from views of its blob into the
+    # solution stacks: placing them allocates less than one slice.
+    n, b, a_sz, parts = 60, 8, 2, 3
+    plan = plan_partitions(n, parts, "siq")
+    whole = [random_system(n, b, a_sz, seed=41)[k] for k in (0, 1)]
+    blobs = [b""]
+    for lo, hi in plan.ranges[1:]:
+        sl = [BtaMatrix(hi - lo, b, a_sz, *dist._view(x, lo, hi, False)) for x in whole]
+        blobs.append(b"".join(bytes(encode_bta(x)) for x in sl))
+    slice_bytes = min(len(blob) for blob in blobs[1:]) // 2
+    xs = [BtaMatrix.zeros(n, b, a_sz) for _ in whole]
+    tracemalloc.start()
+    try:
+        dist._place_slices(xs, plan, blobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < slice_bytes / 4, (peak, slice_bytes)
+    for lo, hi in plan.ranges[1:]:
+        for x, ref in zip(xs, whole):
+            for got, want in zip(dist._view(x, lo, hi, False), dist._view(ref, lo, hi, False)):
+                assert np.array_equal(got, want)
 
 
 def test_socket_ranks_find_the_sign_themselves():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import (
@@ -54,7 +56,7 @@ class TestBtForward:
         a, b = random_system(6, 8, 0, seed=1)
         counter = OpCounter(b=8)
         bt_forward(a.copy(), b.copy(), counter=counter)
-        assert dict(counter.gemm_by_shape) == {"bbb": 8 * (6 - 1)}
+        assert dict(counter.gemm_by_shape) == {"bbb": 7 * (6 - 1)}
 
     def test_requires_bt(self):
         a = generate_dd_bta(3, 2, 1, seed=1)
@@ -142,7 +144,7 @@ class TestBtaPaths:
 
         c5, c6 = forward_counts(5), forward_counts(6)
         step = {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
-        assert step == {"bbb": 8, "abb": 5, "bba": 5, "aba": 4}
+        assert step == {"bbb": 7, "abb": 5, "bba": 3, "aba": 3}
 
     def test_si_step_counts_match_op_table(self):
         def forward_counts(n):
@@ -158,15 +160,14 @@ class TestBtaPaths:
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_signed_rhs_step_counts(self, sigma):
         # B = sigma·B^H: the next arrow column is the mirror of the arrow
-        # row, and the tip's g·Bc terms are mirrored once per sweep; the
-        # diagonal update keeps its two products.
+        # row; the diagonal and tip updates keep their two products.
         def forward_counts(n, a_sz):
             a, b = signed_system(n, 8, a_sz, seed=6, sigma=sigma)
             counter = OpCounter(b=8, a=a_sz)
             assert bta_forward(a.copy(), b.copy(), counter).sigma == sigma
             return counter.gemm_by_shape
 
-        for a_sz, want in ((4, {"bbb": 8, "abb": 5, "bba": 1, "aba": 3}), (0, {"bbb": 8})):
+        for a_sz, want in ((4, {"bbb": 7, "abb": 5, "bba": 1, "aba": 3}), (0, {"bbb": 7})):
             c5, c6 = forward_counts(5, a_sz), forward_counts(6, a_sz)
             assert {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]} == want
 
@@ -229,26 +230,26 @@ class TestSweepGuards:
 
 def _generic_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
     """The arrowhead backward sweep with :func:`rgf._backstep` at k = 2
-    for its step, as it ran before the step was written out."""
+    for its step, as it ran before the step was written out, handed the
+    forward's products as the written-out step reads them."""
     fused, sigma = x_b is not None, factors.sigma
     y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
     if fused:
         z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
-    ss = ws = yb = sc = qsb = None
+    ss = ws = yb = sc = bd = None
     for i in range(stop - 1, -1, -1):
-        qs = [a.lower[i], a.arrow_row[i]]
+        qs = [a.lower[i], a.arrow_row[i]]  # fused: L·S and Ar·S
         ya = [[y_dd, y_dt], [y_td, ytt]]
         rs = [a.upper[i], a.arrow_col[i]]  # in selected inversion S·U and S·Ac
         rs, sr = (rs, None) if fused else (None, rs)
         if fused:
             ss = [b.upper[i], b.arrow_col[i]]
-            ws = [b.lower[i], b.arrow_row[i]]
+            ws = [b.lower[i], b.arrow_row[i]]  # Bl - L·S·Bd and Br - Ar·S·Bd
             yb = [[z_dd, z_dt], [z_td, ztt]]
-            sc = factors.s_b[i]
-            qsb = [factors.l_sb[i], None]
+            sc, bd = factors.s_b[i], b.diag[i]
         out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            a.diag[i], rs, qs, ya, sc, ss, ws, yb, counter, qsb=qsb, sr=sr, out=out, sigma=sigma
+            a.diag[i], rs, qs, ya, sc, ss, ws, yb, counter, sr=sr, bd=bd, out=out, sigma=sigma
         )
         y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
         if fused:
@@ -282,6 +283,26 @@ class TestBackwardStep:
             solved.append((_bits(wa), _bits(wb) if wb is not None else None, counter.as_dict()))
         assert solved[0] == solved[1]
 
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    @pytest.mark.parametrize("rhs", ["si", "general", "sigma=1", "sigma=-1"])
+    def test_no_product_is_formed_twice(self, monkeypatch, a_sz, rhs):
+        # Every product of one solve, fingerprinted by its operands' bytes
+        # and shapes and their conjugate-transpose flags: none repeats.
+        if rhs.startswith("sigma"):
+            a, rb = signed_system(6, 4, a_sz, seed=33, sigma=int(rhs[6:]))
+        else:
+            a, rb = random_system(6, 4, a_sz, seed=33)
+        seen, real_mm = Counter(), rgf.mm
+
+        def mm(x, y, *args, ta=False, tb=False, **kwargs):
+            seen[(x.shape, x.tobytes(), y.shape, y.tobytes(), ta, tb)] += 1
+            return real_mm(x, y, *args, ta=ta, tb=tb, **kwargs)
+
+        monkeypatch.setattr(rgf, "mm", mm)
+        solve_selected(a, None if rhs == "si" else rb, reblock=False)
+        assert sum(seen.values()) > 0
+        assert [n for n in seen.values() if n > 1] == []
+
     @staticmethod
     def _step_counts(b, a_sz, fused, sigma=0):
         # Backward products per step, by differencing two lengths.
@@ -300,19 +321,20 @@ class TestBackwardStep:
         return {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
 
     def test_bt_step_counts(self):
-        # k = 1: 2k^2+3k = 5 (si) less the forward's S·U, reused: 4.
-        assert self._step_counts(4, 0, fused=True) == {"bbb": 14}
+        # k = 1: 2k^2+3k = 5 (si) less the forward's S·U, reused: 4;
+        # 6k^2+9k = 15 (siq) less the forward's L·S and L·S·Bd: 13.
+        assert self._step_counts(4, 0, fused=True) == {"bbb": 13}
         assert self._step_counts(4, 0, fused=False) == {"bbb": 4}
 
     def test_bta_step_counts(self):
         # k = 2 trailing couplings: 2k^2+3k = 14 (si) less the forward's
         # S·U and S·Ac, reused: 12; 6k^2+9k = 42 (siq) less the forward's
-        # L·Sb, reused: 41.
+        # L·S, Ar·S, L·S·Bd and Ar·S·Bd, reused: 38.
         assert self._step_counts(8, 4, fused=False) == {
             "bbb": 4, "bba": 1, "abb": 2, "bab": 3, "aab": 1, "baa": 1,
         }
         assert self._step_counts(8, 4, fused=True) == {
-            "bbb": 14, "bba": 6, "abb": 6, "bab": 9, "aab": 3, "baa": 3,
+            "bbb": 13, "bba": 6, "abb": 4, "bab": 9, "aab": 3, "baa": 3,
         }
 
     def test_si_counts_at_the_inla_shape(self):
@@ -332,10 +354,10 @@ class TestBackwardStep:
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_signed_rhs_step_counts(self, sigma):
         # The quadratic half takes 2k^2+4k products instead of 4k^2+6k,
-        # less the reused L·Sb: 14 to 10 at k = 1, 41 to 29 at k = 2.
-        assert self._step_counts(4, 0, fused=True, sigma=sigma) == {"bbb": 10}
+        # less the reused ones: 13 to 9 at k = 1, 38 to 26 at k = 2.
+        assert self._step_counts(4, 0, fused=True, sigma=sigma) == {"bbb": 9}
         assert self._step_counts(8, 4, fused=True, sigma=sigma) == {
-            "bbb": 10, "bba": 2, "abb": 6, "bab": 7, "aab": 3, "baa": 1,
+            "bbb": 9, "bba": 2, "abb": 4, "bab": 7, "aab": 3, "baa": 1,
         }
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -625,10 +647,10 @@ class TestReblock:
     # step in si.
     COUNTS = {
         (0, "si"): {"gemm_bbb": 378, "lu": 64, "trsm": 128, "inv": 64},
-        (0, "siq"): {"gemm_bbb": 1388, "lu": 64, "trsm": 128, "inv": 64},
+        (0, "siq"): {"gemm_bbb": 1262, "lu": 64, "trsm": 128, "inv": 64},
         (2, "siq"): {
-            "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 256, "gemm_abb": 698,
-            "gemm_baa": 192, "gemm_bab": 570, "gemm_bba": 696, "gemm_bbb": 1388,
+            "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 192, "gemm_abb": 570,
+            "gemm_baa": 192, "gemm_bab": 570, "gemm_bba": 570, "gemm_bbb": 1262,
             "lu": 65, "trsm": 130, "inv": 65,
         },
     }
@@ -744,12 +766,12 @@ class TestSignedRhs:
             assert solve_selected(a, herm, reblock=reblock).x_a.equals_exact(want)
 
     # Re-blocked counts at (n, b) = (256, 4), 64 blocks of order 16, for a
-    # sigma-Hermitian B: 1,136 products against TestReblock's 1,388.
+    # sigma-Hermitian B: 1,010 products against TestReblock's 1,262.
     COUNTS = {
-        0: {"gemm_bbb": 1136, "lu": 64, "trsm": 128, "inv": 64},
+        0: {"gemm_bbb": 1010, "lu": 64, "trsm": 128, "inv": 64},
         2: {
-            "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 192, "gemm_abb": 698,
-            "gemm_baa": 64, "gemm_bab": 444, "gemm_bba": 190, "gemm_bbb": 1136,
+            "gemm_aaa": 2, "gemm_aab": 192, "gemm_aba": 192, "gemm_abb": 570,
+            "gemm_baa": 64, "gemm_bab": 444, "gemm_bba": 190, "gemm_bbb": 1010,
             "lu": 65, "trsm": 130, "inv": 65,
         },
     }
