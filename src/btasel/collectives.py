@@ -168,9 +168,12 @@ _FRAME_HEADER = struct.Struct("<IIQ")  # rank, round, payload length
 
 def _send_frame(sock: socket.socket, rank: int, round_id: int, *parts) -> None:
     """Send a frame whose payload is ``parts`` back to back: one
-    ``sendmsg`` gathers them behind the header, so nothing is joined."""
-    head = _FRAME_HEADER.pack(rank, round_id, sum(map(len, parts)))
-    bufs = [memoryview(p).cast("B") for p in (head, *parts)]
+    ``sendmsg`` gathers them behind the header, so nothing is joined.
+    A part is any C-contiguous buffer that holds at least one byte or is
+    one-dimensional."""
+    bufs = [memoryview(p).cast("B") for p in parts]
+    head = _FRAME_HEADER.pack(rank, round_id, sum(map(len, bufs)))
+    bufs.insert(0, memoryview(head))
     sent = sock.sendmsg(bufs)
     for buf in bufs:  # the rest of a send that a signal cut short
         if sent < len(buf):
@@ -178,17 +181,20 @@ def _send_frame(sock: socket.socket, rank: int, round_id: int, *parts) -> None:
         sent = max(sent - len(buf), 0)
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < size:
-        chunk = sock.recv(size - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    """``size`` bytes from ``sock``, received into one buffer."""
+    buf = bytearray(size)
+    view = memoryview(buf)
+    got = 0
+    while got < size:
+        count = sock.recv_into(view[got:])
+        if not count:
             raise ProtocolError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
+        got += count
+    return buf
 
 
-def _recv_frame(sock: socket.socket) -> tuple[int, int, bytes]:
+def _recv_frame(sock: socket.socket) -> tuple[int, int, bytearray]:
     rank, round_id, length = _FRAME_HEADER.unpack(_recv_exact(sock, _FRAME_HEADER.size))
     return rank, round_id, _recv_exact(sock, length)
 

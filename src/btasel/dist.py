@@ -34,7 +34,7 @@ import numpy as np
 
 from .collectives import Collectives, SocketCollectives, ThreadHub
 from .errors import FormatError, ProtocolError, WorkerError
-from .fileio import decode_bta, encode_bta
+from .fileio import bta_parts, decode_bta
 from .kernels import COMPLEX, OpCounter, mm
 from .matrix import BtaMatrix, SelectedSolution, _signed_part
 from .partition import PartitionPlan, plan_partitions
@@ -110,7 +110,7 @@ class BoundaryPayload:
 
     def to_bytes(self) -> bytes:
         head = _HEAD.pack(self.rank, _KIND_CODES[self.kind])
-        return b"".join([head, *map(encode_bta, self.sides)])
+        return b"".join([head, *(p for m in self.sides for p in bta_parts(m))])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BoundaryPayload":
@@ -638,10 +638,11 @@ def dist_solve(
     if timings is not None:
         timings.update(results[0][3])
     if sockets:
-        # A slice travels as its containers' BTA1 bytes, back to back and
-        # not joined; rank 0's is in place already and sends none.
+        # A slice travels as its containers' BTA1 bytes, back to back,
+        # sent from the headers and the stacks themselves; rank 0's is in
+        # place already and sends none.
         own = results[0][0] if hub.rank else ()
-        blobs = hub.gather_to_root(*(encode_bta(x) for x in own if x is not None))
+        blobs = hub.gather_to_root(*(p for x in own if x is not None for p in bta_parts(x)))
         if hub.rank != 0:
             return None
         _place_slices(xs, plan, blobs)

@@ -11,6 +11,15 @@ Layout, all little-endian, no padding or compression::
                   in order diag[0..n), lower[0..n-1), upper[0..n-1),
                   arrow_row[0..n), arrow_col[0..n), tip
 
+Each payload byte is copied once each way.  ``read_bta`` reads the
+header, then the payload straight into one array of the size the header
+declares; the stacks are views of that array.  ``write_bta`` writes the
+header and then each stack from its own memory, and rewrites an existing
+file in place: it opens it without truncating and cuts it at the end of
+the container, so a rewrite of the same size frees and allocates no
+file blocks.  Neither calls ``fsync``: nothing is promised about
+durability.
+
 Read errors are distinguished: a missing or wrong magic, a payload that
 ends early, and a header whose declared shape is invalid or disagrees
 with the payload size each raise their own exception type.
@@ -19,8 +28,9 @@ with the payload size each raise their own exception type.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +41,7 @@ __all__ = [
     "read_bta",
     "write_bta",
     "read_bta_header",
+    "bta_parts",
     "encode_bta",
     "decode_bta",
     "MAGIC",
@@ -48,19 +59,36 @@ def payload_size(n: int, b: int, a: int) -> int:
     return 16 * sum(math.prod(shape) for shape in stack_shapes(n, b, a))
 
 
+def bta_parts(m: BtaMatrix) -> list:
+    """A container's ``BTA1`` bytes as parts to send or write back to
+    back: the header, then each non-empty stack as a C-ordered
+    little-endian array (on a little-endian host, the stack itself)."""
+    head = MAGIC + _HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128)
+    return [head, *(np.ascontiguousarray(s, dtype="<c16") for s in m.stacks if s.size)]
+
+
 def encode_bta(m: BtaMatrix) -> bytearray:
-    """A container's ``BTA1`` bytes: the header, then the six stacks
-    flattened in C order into the same buffer."""
-    buf = bytearray(_HEADER_SIZE + payload_size(*m.shape_params))
-    buf[:_HEADER_SIZE] = MAGIC + _HEADER.pack(m.n, m.b, m.a, DTYPE_COMPLEX128)
-    payload = np.frombuffer(buf, dtype="<c16", offset=_HEADER_SIZE)
-    np.concatenate(m.stacks, axis=None, out=payload)
-    return buf
+    """A container's ``BTA1`` bytes: its :func:`bta_parts` joined."""
+    return bytearray().join(bta_parts(m))
+
+
+def _keep_contents(path, flags: int) -> int:
+    # ``open(path, "wb")``'s own opener, less the truncation.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def write_bta(m: BtaMatrix, path) -> None:
-    """Write a container losslessly; ``read_bta`` restores it bit-for-bit."""
-    Path(path).write_bytes(encode_bta(m))
+    """Write a container losslessly; ``read_bta`` restores it bit-for-bit.
+
+    The file is opened as ``open(path, "wb")`` opens it, but an existing
+    one is rewritten in place and then, if it is a regular file, cut at
+    the end of the container: its bytes are ``encode_bta(m)`` either way.
+    """
+    with open(path, "wb", opener=_keep_contents) as fh:
+        for part in bta_parts(m):
+            fh.write(part)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def read_bta_header(path) -> tuple[int, int, int]:
@@ -83,6 +111,16 @@ def _parse_header(head: bytes) -> tuple[int, int, int]:
     return n, b, a
 
 
+def _container(data: np.ndarray, n: int, b: int, a: int) -> BtaMatrix:
+    """The container whose stacks are consecutive views of ``data``."""
+    stacks, start = [], 0
+    for shape in stack_shapes(n, b, a):
+        size = math.prod(shape)
+        stacks.append(data[start : start + size].reshape(shape))
+        start += size
+    return BtaMatrix(n, b, a, *stacks)
+
+
 def decode_bta(raw, offset: int = 0, copy: bool = True) -> tuple[BtaMatrix, int]:
     """Decode the ``BTA1`` container at ``offset`` of ``raw``; returns it
     and the offset just past it.  Its fields are views of one decoded
@@ -98,13 +136,26 @@ def decode_bta(raw, offset: int = 0, copy: bool = True) -> tuple[BtaMatrix, int]
     data = np.frombuffer(raw, dtype="<c16", count=(end - start) // 16, offset=start)
     if copy:
         data = data.astype(np.complex128)
-    shapes = stack_shapes(n, b, a)
-    parts = np.split(data, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-    return BtaMatrix(n, b, a, *(p.reshape(shape) for p, shape in zip(parts, shapes))), end
+    return _container(data, n, b, a), end
+
+
+def _read_full(fh, buf) -> int:
+    """Fill ``buf`` from ``fh``, looping on short reads; returns the bytes
+    read, fewer than ``buf`` holds only at the end of the file."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view):
+        count = fh.readinto(view[got:])
+        if not count:
+            break
+        got += count
+    return got
 
 
 def read_bta(path) -> BtaMatrix:
     """Read a ``BTA1`` file.
+
+    The stacks are views of one array, the payload read into it directly.
 
     Raises
     ------
@@ -112,14 +163,25 @@ def read_bta(path) -> BtaMatrix:
         For a wrong magic, a short payload, and an invalid header, an
         oversized payload or a non-finite entry, respectively.
     """
-    raw = Path(path).read_bytes()
-    m, end = decode_bta(raw)
-    if len(raw) > end:
-        raise ShapeInconsistencyError(
-            f"payload has {len(raw) - _HEADER_SIZE} bytes, header requires exactly "
-            f"{end - _HEADER_SIZE}"
-        )
+    with open(path, "rb", buffering=0) as fh:
+        head = bytearray(_HEADER_SIZE)
+        n, b, a = _parse_header(bytes(head[: _read_full(fh, head)]))
+        size = payload_size(n, b, a)
+        found = os.fstat(fh.fileno())
+        # A regular file too short for its header's shape fails before the
+        # payload array is allocated: a corrupt header may declare terabytes.
+        if stat.S_ISREG(found.st_mode) and found.st_size - _HEADER_SIZE < size:
+            got = found.st_size - _HEADER_SIZE
+        else:
+            data = np.empty(size // 16, dtype="<c16")
+            got = _read_full(fh, data)
+        if got < size:
+            raise TruncatedPayloadError(f"payload has {got} bytes, header requires {size}")
+        if fh.read(1):
+            raise ShapeInconsistencyError(
+                f"payload has more than {size} bytes, header requires exactly {size}"
+            )
     # One pass over the payload as (real, imag) float pairs.
-    if not np.isfinite(np.frombuffer(raw, dtype="<f8", offset=_HEADER_SIZE)).all():
+    if not np.isfinite(data.view("<f8")).all():
         raise ShapeInconsistencyError("payload contains non-finite entries")
-    return m
+    return _container(data, n, b, a)

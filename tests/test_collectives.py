@@ -129,6 +129,57 @@ def test_frame_of_parts_arrives_as_their_concatenation(sizes):
     assert got == (3, 7, b"".join(parts))
 
 
+def test_frame_of_array_parts_counts_their_bytes():
+    # A stack of blocks is sent from its own memory: the frame's length
+    # is its byte count, not its number of blocks.
+    stack = np.arange(12, dtype="<c16").reshape(3, 2, 2)
+    left, right = socket.socketpair()
+    try:
+        _send_frame(left, 1, 2, b"head", stack)
+        got = _recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+    assert got == (1, 2, b"head" + stack.tobytes())
+
+
+def test_frame_in_several_chunks_arrives_intact():
+    # The peer's bytes trickle in: the receiver fills one buffer across
+    # many reads.
+    payload = np.random.default_rng(5).bytes(1000)
+    frame = _FRAME_HEADER.pack(2, 9, len(payload)) + payload
+    left, right = socket.socketpair()
+
+    def trickle():
+        for k in range(0, len(frame), 97):
+            left.sendall(frame[k : k + 97])
+            time.sleep(0.001)
+
+    sender = threading.Thread(target=trickle)
+    try:
+        sender.start()
+        got = _recv_frame(right)
+        sender.join(timeout=30)
+    finally:
+        left.close()
+        right.close()
+    assert not sender.is_alive()
+    assert got == (2, 9, payload)
+
+
+@pytest.mark.parametrize("sent", [3, _FRAME_HEADER.size + 10], ids=["in-header", "in-payload"])
+def test_peer_closing_mid_frame_is_a_protocol_error(sent):
+    frame = _FRAME_HEADER.pack(1, 0, 100) + bytes(100)
+    left, right = socket.socketpair()
+    try:
+        left.sendall(frame[:sent])
+        left.close()
+        with pytest.raises(ProtocolError, match="closed mid-frame"):
+            _recv_frame(right)
+    finally:
+        right.close()
+
+
 def _fused_middle_payload():
     # A middle payload in fused mode: two containers of two blocks each.
     a, b = (BtaMatrix.zeros(2, 2, 1) for _ in range(2))

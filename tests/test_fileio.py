@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,18 +12,79 @@ from btasel import (
     read_bta_header,
     write_bta,
 )
-from btasel.fileio import MAGIC, payload_size
+from btasel.fileio import MAGIC, encode_bta, payload_size
+
+SHAPES = [(1, 1, 0), (1, 3, 2), (4, 2, 0), (3, 2, 1), (5, 4, 3), (2, 1, 5)]
 
 
-@pytest.mark.parametrize(
-    "shape", [(1, 1, 0), (1, 3, 2), (4, 2, 0), (3, 2, 1), (5, 4, 3), (2, 1, 5)]
-)
+@pytest.mark.parametrize("shape", SHAPES)
 def test_roundtrip_bitwise(tmp_path, shape):
     m = generate_dd_bta(*shape, seed=sum(shape))
     path = tmp_path / "m.bta"
     write_bta(m, path)
+    assert path.read_bytes() == encode_bta(m)
     again = read_bta(path)
     assert m.equals_exact(again)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("before", [(6, 4, 3), (1, 1, 0)], ids=["longer", "shorter"])
+def test_rewrite_in_place_leaves_exactly_the_container(tmp_path, shape, before):
+    # The file is rewritten in place, not truncated first: what stays of
+    # a longer file is cut, a shorter one grows, and the inode is kept.
+    path = tmp_path / "m.bta"
+    write_bta(generate_dd_bta(*before, seed=1), path)
+    inode = path.stat().st_ino
+    m = generate_dd_bta(*shape, seed=sum(shape))
+    write_bta(m, path)
+    assert path.read_bytes() == encode_bta(m)
+    assert path.stat().st_ino == inode
+
+
+def test_rewrite_follows_a_symlink(tmp_path):
+    target, link = tmp_path / "target.bta", tmp_path / "link.bta"
+    write_bta(generate_dd_bta(4, 2, 1, seed=0), target)
+    link.symlink_to(target)
+    m = generate_dd_bta(2, 2, 0, seed=3)
+    write_bta(m, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == encode_bta(m)
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_bta(generate_dd_bta(2, 2, 0, seed=0), tmp_path / "m.bta")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "m.bta").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_write_to_a_device_is_not_truncated():
+    # A device, like a FIFO, cannot be cut at the end: as with
+    # ``open(path, "wb")`` only a regular file is truncated.
+    write_bta(generate_dd_bta(2, 2, 1, seed=0), os.devnull)
+
+
+def test_stacks_of_any_layout_encode_alike(tmp_path):
+    # A stack in another byte order or memory layout is written as its
+    # C-ordered little-endian entries.
+    m = generate_dd_bta(3, 2, 1, seed=2)
+    expected = encode_bta(m)
+    m.diag = np.asfortranarray(m.diag.astype(">c16"))
+    m.arrow_col = m.arrow_col.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    write_bta(m, tmp_path / "m.bta")
+    assert encode_bta(m) == expected
+    assert (tmp_path / "m.bta").read_bytes() == expected
+
+
+def test_read_stacks_are_plain_arrays(tmp_path):
+    m = generate_dd_bta(3, 2, 2, seed=4)
+    write_bta(m, tmp_path / "m.bta")
+    got = read_bta(tmp_path / "m.bta")
+    for stack in got.stacks:
+        assert stack.dtype == np.complex128
+        assert stack.flags.c_contiguous and stack.flags.aligned and stack.flags.writeable
 
 
 def test_header_layout(tmp_path):
@@ -74,11 +137,29 @@ def test_truncated_payload(tmp_path):
         read_bta(forged)
 
 
+@pytest.mark.parametrize("n, kept", [(2, 0), (2, -1), (2**40, 0)],
+                         ids=["header-only", "one-byte-short", "terabytes-declared"])
+def test_short_payload_is_truncated(tmp_path, n, kept):
+    raw = encode_bta(generate_dd_bta(2, 2, 0, seed=0))
+    head = MAGIC + n.to_bytes(8, "little") + raw[12:29]
+    path = tmp_path / "m.bta"
+    path.write_bytes(head + raw[29 : len(raw) + kept if kept else 29])
+    with pytest.raises(TruncatedPayloadError):
+        read_bta(path)
+
+
 def test_oversized_payload_is_shape_inconsistency(tmp_path):
     m = generate_dd_bta(2, 2, 0, seed=0)
     path = tmp_path / "m.bta"
     write_bta(m, path)
     path.write_bytes(path.read_bytes() + b"\x00" * 16)
+    with pytest.raises(ShapeInconsistencyError):
+        read_bta(path)
+
+
+def test_one_trailing_byte_is_shape_inconsistency(tmp_path):
+    path = tmp_path / "m.bta"
+    path.write_bytes(encode_bta(generate_dd_bta(2, 2, 0, seed=0)) + b"\x00")
     with pytest.raises(ShapeInconsistencyError):
         read_bta(path)
 
