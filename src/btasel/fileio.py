@@ -13,12 +13,9 @@ Layout, all little-endian, no padding or compression::
 
 Each payload byte is copied once each way.  ``read_bta`` reads the
 header, then the payload straight into one array of the size the header
-declares; the stacks are views of that array.  ``write_bta`` writes the
-header and then each stack from its own memory, and rewrites an existing
-file in place: it opens it without truncating and cuts it at the end of
-the container, so a rewrite of the same size frees and allocates no
-file blocks.  Neither calls ``fsync``: nothing is promised about
-durability.
+declares; the stacks are views of that array.  ``write_bta`` truncates
+the file, then writes the header and each stack from its own memory.
+Neither calls ``fsync``: nothing is promised about durability.
 
 Read errors are distinguished: a missing or wrong magic, a payload that
 ends early, and a header whose declared shape is invalid or disagrees
@@ -72,23 +69,11 @@ def encode_bta(m: BtaMatrix) -> bytearray:
     return bytearray().join(bta_parts(m))
 
 
-def _keep_contents(path, flags: int) -> int:
-    # ``open(path, "wb")``'s own opener, less the truncation.
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def write_bta(m: BtaMatrix, path) -> None:
-    """Write a container losslessly; ``read_bta`` restores it bit-for-bit.
-
-    The file is opened as ``open(path, "wb")`` opens it, but an existing
-    one is rewritten in place and then, if it is a regular file, cut at
-    the end of the container: its bytes are ``encode_bta(m)`` either way.
-    """
-    with open(path, "wb", opener=_keep_contents) as fh:
+    """Write a container losslessly; ``read_bta`` restores it bit-for-bit."""
+    with open(path, "wb") as fh:
         for part in bta_parts(m):
             fh.write(part)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
 
 
 def read_bta_header(path) -> tuple[int, int, int]:
@@ -139,19 +124,6 @@ def decode_bta(raw, offset: int = 0, copy: bool = True) -> tuple[BtaMatrix, int]
     return _container(data, n, b, a), end
 
 
-def _read_full(fh, buf) -> int:
-    """Fill ``buf`` from ``fh``, looping on short reads; returns the bytes
-    read, fewer than ``buf`` holds only at the end of the file."""
-    view = memoryview(buf).cast("B")
-    got = 0
-    while got < len(view):
-        count = fh.readinto(view[got:])
-        if not count:
-            break
-        got += count
-    return got
-
-
 def read_bta(path) -> BtaMatrix:
     """Read a ``BTA1`` file.
 
@@ -163,18 +135,23 @@ def read_bta(path) -> BtaMatrix:
         For a wrong magic, a short payload, and an invalid header, an
         oversized payload or a non-finite entry, respectively.
     """
-    with open(path, "rb", buffering=0) as fh:
-        head = bytearray(_HEADER_SIZE)
-        n, b, a = _parse_header(bytes(head[: _read_full(fh, head)]))
+    with open(path, "rb") as fh:
+        n, b, a = _parse_header(fh.read(_HEADER_SIZE))
         size = payload_size(n, b, a)
         found = os.fstat(fh.fileno())
-        # A regular file too short for its header's shape fails before the
-        # payload array is allocated: a corrupt header may declare terabytes.
+        # A corrupt header may declare terabytes: a regular file too short
+        # for its shape fails before the payload array is allocated, and a
+        # stream whose array cannot be allocated fails as truncated too.
         if stat.S_ISREG(found.st_mode) and found.st_size - _HEADER_SIZE < size:
             got = found.st_size - _HEADER_SIZE
         else:
-            data = np.empty(size // 16, dtype="<c16")
-            got = _read_full(fh, data)
+            try:
+                data = np.empty(size // 16, dtype="<c16")
+            except (MemoryError, ValueError):
+                raise TruncatedPayloadError(
+                    f"header requires a {size}-byte payload, more than can be held"
+                ) from None
+            got = fh.readinto(data)
         if got < size:
             raise TruncatedPayloadError(f"payload has {got} bytes, header requires {size}")
         if fh.read(1):

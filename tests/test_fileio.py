@@ -12,6 +12,7 @@ from btasel import (
     read_bta_header,
     write_bta,
 )
+from btasel import fileio
 from btasel.fileio import MAGIC, encode_bta, payload_size
 
 SHAPES = [(1, 1, 0), (1, 3, 2), (4, 2, 0), (3, 2, 1), (5, 4, 3), (2, 1, 5)]
@@ -29,26 +30,26 @@ def test_roundtrip_bitwise(tmp_path, shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("before", [(6, 4, 3), (1, 1, 0)], ids=["longer", "shorter"])
-def test_rewrite_in_place_leaves_exactly_the_container(tmp_path, shape, before):
-    # The file is rewritten in place, not truncated first: what stays of
-    # a longer file is cut, a shorter one grows, and the inode is kept.
+def test_rewrite_leaves_exactly_the_container(tmp_path, shape, before):
     path = tmp_path / "m.bta"
     write_bta(generate_dd_bta(*before, seed=1), path)
-    inode = path.stat().st_ino
     m = generate_dd_bta(*shape, seed=sum(shape))
     write_bta(m, path)
     assert path.read_bytes() == encode_bta(m)
-    assert path.stat().st_ino == inode
 
 
-def test_rewrite_follows_a_symlink(tmp_path):
-    target, link = tmp_path / "target.bta", tmp_path / "link.bta"
-    write_bta(generate_dd_bta(4, 2, 1, seed=0), target)
-    link.symlink_to(target)
-    m = generate_dd_bta(2, 2, 0, seed=3)
-    write_bta(m, link)
-    assert link.is_symlink()
-    assert target.read_bytes() == encode_bta(m)
+def test_rewrite_stopped_after_the_header_is_detected(tmp_path, monkeypatch):
+    # A rewrite of the same shape that stops partway leaves a short file,
+    # not old blocks behind new ones.
+    m = generate_dd_bta(3, 2, 1, seed=0)
+    path = tmp_path / "m.bta"
+    write_bta(m, path)
+    parts = fileio.bta_parts
+    monkeypatch.setattr(fileio, "bta_parts", lambda m: [parts(m)[0], None])
+    with pytest.raises(TypeError):
+        write_bta(generate_dd_bta(3, 2, 1, seed=1), path)
+    with pytest.raises(TruncatedPayloadError):
+        read_bta(path)
 
 
 def test_new_file_mode_follows_the_umask(tmp_path):
@@ -58,12 +59,6 @@ def test_new_file_mode_follows_the_umask(tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "m.bta").stat().st_mode & 0o777 == 0o666 & ~0o027
-
-
-def test_write_to_a_device_is_not_truncated():
-    # A device, like a FIFO, cannot be cut at the end: as with
-    # ``open(path, "wb")`` only a regular file is truncated.
-    write_bta(generate_dd_bta(2, 2, 1, seed=0), os.devnull)
 
 
 def test_stacks_of_any_layout_encode_alike(tmp_path):
@@ -146,6 +141,19 @@ def test_short_payload_is_truncated(tmp_path, n, kept):
     path.write_bytes(head + raw[29 : len(raw) + kept if kept else 29])
     with pytest.raises(TruncatedPayloadError):
         read_bta(path)
+
+
+@pytest.mark.parametrize("n", [2**40, 2**60], ids=["memory-error", "value-error"])
+def test_stream_declaring_terabytes_is_truncated(n):
+    # A pipe has no size to check first: the payload array the header
+    # declares cannot be allocated, and that too is a truncated payload.
+    raw = encode_bta(generate_dd_bta(2, 2, 0, seed=0))
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        with os.fdopen(w, "wb") as writer:
+            writer.write(MAGIC + n.to_bytes(8, "little") + raw[12:64])
+        with pytest.raises(TruncatedPayloadError):
+            read_bta(f"/dev/fd/{reader.fileno()}")
 
 
 def test_oversized_payload_is_shape_inconsistency(tmp_path):
