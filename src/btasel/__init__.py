@@ -10,8 +10,7 @@ Public API:
   backward block sweeps)
 * distributed solver: :func:`dist_solve`, :func:`plan_partitions`
 * reference oracles: :func:`dense_solve`, :func:`batched_solve`
-* kernels and instrumentation: :class:`OpCounter`, :func:`block_multiply_acc`,
-  :func:`block_lu`, :func:`block_inverse`, :func:`triangular_solve`
+* kernels and instrumentation: :class:`OpCounter`, :func:`block_inverse`
 """
 
 from .baselines import batched_solve, dense_solve
@@ -32,13 +31,7 @@ from .errors import (
     WorkerError,
 )
 from .fileio import read_bta, read_bta_header, write_bta
-from .kernels import (
-    OpCounter,
-    block_inverse,
-    block_lu,
-    block_multiply_acc,
-    triangular_solve,
-)
+from .kernels import OpCounter, block_inverse
 from .matrix import (
     BtaMatrix,
     SelectedSolution,
@@ -69,10 +62,7 @@ __all__ = [
     "read_bta",
     "read_bta_header",
     "write_bta",
-    "block_multiply_acc",
-    "block_lu",
     "block_inverse",
-    "triangular_solve",
     "bt_forward",
     "bt_backward",
     "bta_forward",

@@ -1,11 +1,13 @@
 """Brute-force reference solvers used as correctness oracles.
 
-Both baselines expand the system matrix to dense form and share the
-dense LU factorization from the block kernels; they differ in how the
-solution is produced.  ``dense_solve`` materializes the full inverse and
-the full quadratic solution before masking.  ``batched_solve`` works one
-column at a time, so its auxiliary memory stays at one column vector on
-top of the factors and the masked result.
+Both baselines expand the system matrix to dense form, factor it once
+with LAPACK's ``zgetrf`` (:func:`~btasel.kernels._getrf`) and solve from
+those factors with ``zgetrs`` (``scipy.linalg.lu_solve``), for ``A`` or
+``A^H``; they differ in how the solution is produced.  ``dense_solve``
+materializes the full inverse and the full quadratic solution before
+masking.  ``batched_solve`` works one column at a time, so its auxiliary
+memory stays at one column vector on top of the factors and the masked
+result.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from time import perf_counter
 
 import numpy as np
+from scipy.linalg import lu_solve
 
 from .errors import DenseGuardError, ShapeMismatchError
-from .kernels import COMPLEX, OpCounter, block_lu, mm, triangular_solve
+from .kernels import COMPLEX, OpCounter, _getrf, mm
 from .matrix import BtaMatrix, SelectedSolution, mask_to_pattern, to_dense
 
 __all__ = ["dense_solve", "batched_solve", "DEFAULT_DENSE_GUARD"]
@@ -32,6 +35,15 @@ def _check_guard(a: BtaMatrix, guard: int | None) -> None:
         )
 
 
+def _lu_solve(factors, rhs: np.ndarray, counter: OpCounter | None, trans: int = 0):
+    """``A^-1·rhs``, or with ``trans=2`` ``A^-H·rhs``, from ``factors``,
+    the LU of ``A`` that :func:`~btasel.kernels._getrf` gave: counted as
+    two triangular solves."""
+    if counter is not None:
+        counter.trsm_count += 2
+    return lu_solve(factors, rhs, trans=trans, check_finite=False)
+
+
 def dense_solve(
     a: BtaMatrix,
     b: BtaMatrix | None = None,
@@ -44,7 +56,7 @@ def dense_solve(
     """Dense reference solve, masked to the pattern.
 
     Expands ``a`` (and ``b``), factors once, forms the full inverse by
-    triangular solves against the identity, multiplies out the quadratic
+    solving against the identity, multiplies out the quadratic
     solution, and masks both to the input pattern.  Memory is O(N^2);
     refuse inputs beyond ``guard``.
     """
@@ -57,18 +69,10 @@ def dense_solve(
     _check_guard(a, guard)
 
     t0 = perf_counter()
-    dense_a = to_dense(a)
-    lower, upper, perm = block_lu(dense_a, counter)
+    factors = _getrf(to_dense(a), counter)
     t1 = perf_counter()
 
-    eye = np.eye(a.total_size, dtype=COMPLEX)
-    inv = triangular_solve(
-        upper,
-        triangular_solve(lower, eye[perm], side="left", uplo="lower", unit=True, counter=counter),
-        side="left",
-        uplo="upper",
-        counter=counter,
-    )
+    inv = _lu_solve(factors, np.eye(a.total_size, dtype=COMPLEX), counter)
     x_a = mask_to_pattern(inv, a.shape_params)
     x_b = None
     if mode == "siq":
@@ -127,10 +131,10 @@ def batched_solve(
 ) -> SelectedSolution:
     """Column-batched reference solve.
 
-    One LU of the dense system; then, per column, a conjugate solve, a
-    blockwise right-hand-side product, and a forward/backward solve
-    produce one column of the quadratic solution (and of the inverse),
-    which is masked to the pattern immediately.  Auxiliary memory beyond
+    One LU of the dense system; then, per column, a solve with ``A^H``
+    from the same factors, a blockwise right-hand-side product, and a
+    solve with ``A`` produce one column of the quadratic solution (and
+    of the inverse), which is masked to the pattern immediately.  Auxiliary memory beyond
     the factors and the masked outputs is a handful of length-N vectors;
     ``on_alloc`` (tag, nbytes) observes every allocation for the memory
     contract test.
@@ -146,44 +150,27 @@ def batched_solve(
 
     dense_a = to_dense(a)
     note("dense_a", dense_a.nbytes)
-    lower, upper, perm = block_lu(dense_a, counter)
-    note("lu_factors", lower.nbytes + upper.nbytes + perm.nbytes)
+    factors = _getrf(dense_a, counter)
+    note("lu_factors", sum(f.nbytes for f in factors))
     del dense_a
-    # Conjugate-transposed factors, formed once: A^H = U^H L^H P.
-    lower_h = lower.conj().T
-    upper_h = upper.conj().T
-    note("lu_factors", lower_h.nbytes + upper_h.nbytes)
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(total)
 
     x_a = BtaMatrix.zeros(*a.shape_params)
     x_b = BtaMatrix.zeros(*a.shape_params)
     note("masked_output", 2 * sum(blk.nbytes for _, _, blk in x_a.pattern_blocks()))
-
-    def solve_cols(rhs):
-        # A x = rhs, rhs shape (N, k):  x = U \ (L \ rhs[perm])
-        y = triangular_solve(lower, rhs[perm], side="left", uplo="lower", unit=True, counter=counter)
-        return triangular_solve(upper, y, side="left", uplo="upper", counter=counter)
-
-    def solve_cols_conj(rhs):
-        # A^H z = rhs:  v = U^H \ rhs;  w = L^H \ v;  z[perm] = w
-        v = triangular_solve(upper_h, rhs, side="left", uplo="lower", counter=counter)
-        w = triangular_solve(lower_h, v, side="left", uplo="upper", unit=True, counter=counter)
-        return w[inv_perm]
 
     unit = np.zeros((total, 1), dtype=COMPLEX)
     note("column", unit.nbytes)
     for col in range(total):
         unit[:, 0] = 0.0
         unit[col, 0] = 1.0
-        xa_col = solve_cols(unit)
+        xa_col = _lu_solve(factors, unit, counter)
         note("column", xa_col.nbytes)
         _scatter_column(x_a, col, xa_col[:, 0])
-        z = solve_cols_conj(unit)
+        z = _lu_solve(factors, unit, counter, trans=2)
         note("column", z.nbytes)
         w = _bta_matvec(b, z[:, 0])[:, None]
         note("column", w.nbytes)
-        xb_col = solve_cols(w)
+        xb_col = _lu_solve(factors, w, counter)
         note("column", xb_col.nbytes)
         _scatter_column(x_b, col, xb_col[:, 0])
 

@@ -166,19 +166,28 @@ class ThreadCollectives(Collectives):
 _FRAME_HEADER = struct.Struct("<IIQ")  # rank, round, payload length
 
 
-def _send_frame(sock: socket.socket, rank: int, round_id: int, *parts) -> None:
-    """Send a frame whose payload is ``parts`` back to back: one
-    ``sendmsg`` gathers them behind the header, so nothing is joined.
-    A part is any C-contiguous buffer that holds at least one byte or is
+def _frame(rank: int, round_id: int, *parts) -> list[memoryview]:
+    """A frame as byte views, its header before ``parts``.  A part is any
+    C-contiguous buffer that holds at least one byte or is
     one-dimensional."""
     bufs = [memoryview(p).cast("B") for p in parts]
     head = _FRAME_HEADER.pack(rank, round_id, sum(map(len, bufs)))
-    bufs.insert(0, memoryview(head))
+    return [memoryview(head), *bufs]
+
+
+def _send_views(sock: socket.socket, bufs: list) -> None:
+    """Send the byte views ``bufs`` back to back: one ``sendmsg`` gathers
+    them, so nothing is joined."""
     sent = sock.sendmsg(bufs)
     for buf in bufs:  # the rest of a send that a signal cut short
         if sent < len(buf):
             sock.sendall(buf[sent:])
         sent = max(sent - len(buf), 0)
+
+
+def _send_frame(sock: socket.socket, rank: int, round_id: int, *parts) -> None:
+    """Send a frame whose payload is ``parts`` back to back."""
+    _send_views(sock, _frame(rank, round_id, *parts))
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytearray:
@@ -324,18 +333,20 @@ class SocketCollectives(Collectives):
             blobs[peer] = self._recv_from(peer, sock, round_id)
         return round_id, blobs
 
-    def _round_trip(self, blob: bytes) -> list[bytes]:
-        """Send this rank's blob, receive everyone's, ordered by rank.
+    def _round_trip(self, *parts) -> list[bytes]:
+        """Send this rank's blob, ``parts`` back to back, and receive
+        everyone's, ordered by rank.
 
         Rank 0 relays the round's frames to every peer with their rank
-        and round tags unchanged, and the peers check both tags.
+        and round tags unchanged, each as its header and the received
+        blob, in one ``sendmsg`` per peer; the peers check both tags.
         """
-        round_id, blobs = self._collect(blob)
+        round_id, blobs = self._collect(*parts)
         if blobs is None:
             return [self._recv_from(r, self._hub, round_id) for r in range(self.world_size)]
-        frames = b"".join(_FRAME_HEADER.pack(r, round_id, len(p)) + p for r, p in enumerate(blobs))
+        frames = [buf for r, p in enumerate(blobs) for buf in _frame(r, round_id, p)]
         for sock in self._peers.values():
-            sock.sendall(frames)
+            _send_views(sock, frames)
         return blobs
 
     def all_gather(self, payload) -> list:
@@ -353,7 +364,7 @@ class SocketCollectives(Collectives):
     def all_reduce_sum(self, array: np.ndarray) -> np.ndarray:
         array = np.ascontiguousarray(array, dtype=np.complex128)
         head = struct.pack(f"<I{array.ndim}Q", array.ndim, *array.shape)
-        blobs = self._round_trip(head + array.astype("<c16").tobytes())
+        blobs = self._round_trip(head, array.astype("<c16", copy=False).ravel())
         parts = [_unpack_part(r, blob) for r, blob in enumerate(blobs)]
         total = parts[0].copy()
         for part in parts[1:]:

@@ -1,17 +1,19 @@
 """Distributed-memory selected inversion and quadratic solution.
 
 The diagonal blocks are split into contiguous partitions.  Each worker
-eliminates its interior blocks independently: the first partition runs
-the sequential forward sweep of :mod:`btasel.rgf` down into its bottom
-boundary block, the last runs the same sweep on its block-reversed
-blocks up into its top boundary block, and middle partitions sweep down
-from below their top boundary while maintaining fill-in couplings to
-it.  The updated boundary blocks, fill-in coupling pairs, and arrow
-strips are exchanged in a single AllGather; the tip contributions are
-summed in a single AllReduce.  Every rank then assembles and
+eliminates its interior blocks independently with the sequential
+sweeps of :mod:`btasel.rgf`: the first partition runs the forward sweep
+down into its bottom boundary block, the last runs it on its
+block-reversed blocks up into its top boundary block, and a middle one
+runs it down into its bottom boundary on its other blocks bordered by
+its top boundary, an arrowhead system whose arrow is that boundary and
+the tip, so that the fill-in couplings to the top boundary are its
+arrow strips.  The updated boundary blocks, fill-in coupling pairs, and
+arrow strips are exchanged in a single AllGather; the tip contributions
+are summed in a single AllReduce.  Every rank then assembles and
 redundantly solves the same small reduced arrowhead system, seeds its
 partition boundaries with the reduced solution, and back-substitutes
-its interior blocks in embarrassingly parallel fashion, in place in its
+its interior blocks with the sequential backward sweep, in place in its
 slice of the solution (on threads, and on a socket run's rank 0, a view
 of the merged solution), so that the merge writes only the separators
 between partitions and the tip, from the reduced solution.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import NamedTuple
 
@@ -35,17 +37,14 @@ import numpy as np
 from .collectives import Collectives, SocketCollectives, ThreadHub
 from .errors import FormatError, ProtocolError, WorkerError
 from .fileio import bta_parts, decode_bta
-from .kernels import COMPLEX, OpCounter, mm
+from .kernels import COMPLEX, OpCounter, mm  # noqa: F401 - dist.mm is a profiling hook
 from .matrix import BtaMatrix, SelectedSolution, _signed_part
 from .partition import PartitionPlan, plan_partitions
 from .rgf import (
     RgfFactors,
-    _backstep,
     _backward_sweep,
     _forward_sweep,
     _hermitian_sign,
-    _invert_pivot,
-    _out_slots,
     solve_selected,
 )
 
@@ -77,8 +76,9 @@ class BoundaryPayload:
     diagonal blocks, one for a first or last partition and two (top,
     bottom) for a middle one, with their arrow strips and a zero tip; a
     middle partition's fill-in coupling pair is its ``upper``/``lower``.
-    Separator blocks never travel: they are untouched original data,
-    read from each rank's input view.
+    A middle partition reads them off its bordered system
+    (:func:`_boundary`).  Separator blocks never travel: they are
+    untouched original data, read from each rank's input view.
     """
 
     rank: int
@@ -130,23 +130,20 @@ class BoundaryPayload:
 
 @dataclass
 class LocalFactors(RgfFactors):
-    """A partition's elimination data: the :class:`RgfFactors` fields and
-    the partition's working stacks ``wa`` (``wb``), views in sweep order
-    of its slice of the solution, whose slots hold the pivot inverses and
-    the couplings as seen at elimination until the backward sweep writes
-    the solution over them.  A middle partition adds its fill chain, one
-    entry per interior block in elimination order: the fill-in couplings
-    to the top boundary as seen at each elimination, and their products
-    with ``Sb``."""
+    """A partition's elimination data: the :class:`RgfFactors` fields of
+    the system its sweeps run on, its ``slices`` (the partition's slice
+    of the solution, one container per side), and the working stacks
+    ``wa`` (``wb``) of that system, in sweep order.  Their diagonal and
+    coupling stacks are views of the slices, whose slots hold the pivot
+    inverses and the couplings as seen at elimination until the backward
+    sweep writes the solution over them; so are a first or last
+    partition's arrow stacks.  A middle partition's system is bordered by
+    its top boundary (:func:`_bordered`), and its arrow stacks, of width
+    ``b + a``, are its own."""
 
+    slices: tuple = ()
     wa: _Stacks | None = None
     wb: _Stacks | None = None
-    fill_row: list = field(default_factory=list)  # A'(top, j)
-    fill_col: list = field(default_factory=list)  # A'(j, top)
-    b_fill_row: list = field(default_factory=list)
-    b_fill_col: list = field(default_factory=list)
-    fill_sb: list = field(default_factory=list)  # fill_row·s_b
-    l_sb: list = field(default_factory=list)  # lower·s_b
 
 
 class _Stacks(NamedTuple):
@@ -179,14 +176,36 @@ class _SharedPlan(PartitionPlan):
     sigma: int = 0
 
 
-def _boundary(w: _Stacks, bnd: list, fill: tuple | None) -> BtaMatrix:
-    """A payload container: blocks ``bnd`` of the working stacks ``w``
-    and, for a middle partition, its fill pair ``(upper, lower)``.
-    Indexing by a list copies: peers may still read the payload while
-    this rank's backward sweep overwrites its working stacks."""
-    upper, lower = (f[None] for f in fill) if fill else (None, None)
-    b, a = w.diag.shape[1], w.arrow_row.shape[1]
-    return BtaMatrix(len(bnd), b, a, w.diag[bnd], lower, upper, w.arrow_row[bnd], w.arrow_col[bnd])
+def _bordered(x: BtaMatrix, tip: np.ndarray) -> _Stacks:
+    """A middle partition's slice ``x`` as an arrowhead system of its
+    blocks 1..m-1, whose arrow is the top boundary (block 0) and the tip,
+    of width ``b + a``.  Its diagonal and coupling stacks are views of
+    ``x``; its arrow strips ``[A(0, j); Ar(j)]`` and ``[A(j, 0) | Ac(j)]``
+    are new, with top parts zero but next to the top boundary.  Its tip
+    ``[[A(0, 0), Ac(0)], [Ar(0), 0]]`` is written in ``tip``."""
+    bs = x.b
+    ar = np.zeros((x.n - 1, len(tip), bs), dtype=COMPLEX)
+    ac = np.zeros((x.n - 1, bs, len(tip)), dtype=COMPLEX)
+    ar[0, :bs], ac[0, :, :bs] = x.upper[0], x.lower[0]
+    ar[:, bs:], ac[:, :, bs:] = x.arrow_row[1:], x.arrow_col[1:]
+    tip[:bs, :bs], tip[:bs, bs:], tip[bs:, :bs] = x.diag[0], x.arrow_col[0], x.arrow_row[0]
+    return _Stacks(x.diag[1:], x.lower[1:], x.upper[1:], ar, ac)
+
+
+def _boundary(w: _Stacks, tip: np.ndarray, asz: int) -> BtaMatrix:
+    """A payload container, read off the working stacks ``w`` and the tip
+    after the forward: the last block, and for a middle partition, whose
+    tip is bordered by its top boundary, that boundary (the tip's top-left
+    block, with its off-diagonal blocks as arrow strips) before it and the
+    top parts of the last block's arrow strips as the fill pair.  Every
+    field is a copy: peers may still read the payload while this rank's
+    backward sweep overwrites its working stacks."""
+    d, r, c = w.diag[-1], w.arrow_row[-1], w.arrow_col[-1]
+    k = len(tip) - asz  # the top boundary's order in the tip, if any
+    if not k:
+        return BtaMatrix(1, len(d), asz, [d], None, None, [r], [c])
+    top = ([tip[:k, :k], d], [c[:, :k]], [r[:k]], [tip[k:, :k], r[k:]], [tip[:k, k:], c[:, k:]])
+    return BtaMatrix(2, k, asz, *top)
 
 
 @dataclass
@@ -206,14 +225,6 @@ class ReducedSystem:
     index: dict  # (rank, side) -> reduced diagonal index
 
 
-def _bupdate(counter, out, x1, y1, x2, y2, x3, y3):
-    """A middle partition's update ``out - x1·y1 - x2·y2^H + x3·y3^H`` of
-    ``B``, left to right, in ``out`` (or a new block from ``-x1·y1``)."""
-    out = mm(x1, y1, counter, out=out, alpha=-1, beta=0 if out is None else 1)
-    mm(x2, y2, counter, tb=True, out=out, alpha=-1, beta=1)
-    return mm(x3, y3, counter, tb=True, out=out, beta=1)
-
-
 def local_forward(
     a: BtaMatrix,
     b: BtaMatrix | None,
@@ -229,12 +240,15 @@ def local_forward(
     carry the partition's working stacks to :func:`local_backward`.
     The first partition runs the sequential forward sweep down to its
     bottom boundary, the last runs it on its block-reversed blocks up to
-    its top boundary.  The inputs are never mutated: the rank's blocks
-    and the couplings between them are copied into new stacks, its slice
-    of the solution, which the sweeps update in place.  The rank finds in
-    its ``b`` whether ``b = σ·B^H`` (:func:`rgf._hermitian_sign`) and
-    keeps σ in the factors: the first and last partitions run both
-    sweeps' σ path, a middle one only its backward step's.  On
+    its top boundary, and a middle one runs it down to its bottom
+    boundary on its other blocks bordered by its top boundary
+    (:func:`_bordered`), which leaves the payload in that system's tip
+    and last arrow strips.  The inputs are never mutated: the rank's
+    blocks and the couplings between them are copied into new stacks,
+    its slice of the solution, which the sweeps update in place.  The
+    rank finds in its ``b`` whether ``b = σ·B^H``
+    (:func:`rgf._hermitian_sign`) and keeps σ in the factors, for both
+    sweeps' σ path.  On
     :func:`dist_solve`'s threads, and on a socket run's rank 0, the slice
     is a view of the merged solution instead, and σ is found by
     :func:`dist_solve`, once for the ranks that share it.
@@ -243,83 +257,34 @@ def local_forward(
     kind = plan.kinds[rank]
     fused = b is not None
     m, bs, asz = hi - lo, a.b, a.a
-    reverse, arrow = kind == "last", asz > 0
     if isinstance(plan, _SharedPlan):
         xs, at, sigma = plan.solution, lo, plan.sigma
     else:
         xs, at = [BtaMatrix.empty(m, bs, asz) for _ in range(1 + fused)], 0
         sigma = _hermitian_sign(b) if fused else 0
-    for x, src in zip(xs, (a, b)):
-        for dst, blocks in zip(_view(x, at, at + m, False), _view(src, lo, hi, False)):
+    slices = [BtaMatrix(m, bs, asz, *_view(x, at, at + m, False)) for x in xs]
+    for x, src in zip(slices, (a, b)):
+        for dst, blocks in zip(x.stacks, _view(src, lo, hi, False)):
             dst[...] = blocks
-    wa = _view(xs[0], at, at + m, reverse)
-    wb = _view(xs[1], at, at + m, reverse) if fused else None
-    tip_delta = np.zeros((2 if fused else 1, asz, asz), dtype=COMPLEX)
-    tip_a, tip_b = tip_delta[0], tip_delta[1] if fused else None
-    factors = LocalFactors(m, bs, asz, "siq" if fused else "si", sigma, wa=wa, wb=wb)
 
-    if kind != "middle":
-        index = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-        _forward_sweep(wa, wb, factors, m - 1, tip_a, tip_b, counter, index)
-        bnd, fill_a, fill_b = [m - 1], None, None
+    if kind == "middle":
+        # Interior blocks 1..m-2, then the bottom boundary, bordered by the
+        # top boundary: the fill-in couplings to it are the arrow strips.
+        tips = np.zeros((len(slices), bs + asz, bs + asz), dtype=COMPLEX)
+        works = [_bordered(x, tip) for x, tip in zip(slices, tips)]
+        stop, index = m - 2, range(lo + 1, hi)
     else:
-        # Interior blocks 1..m-2 downward, keeping fill-in couplings to
-        # the top boundary, block 0; the fill chain in elimination order.
-        ad, al, au, ar, ac = wa
-        fill_r = au[0].copy()  # A'(lo, j); a copy, as a degenerate middle sends it
-        fill_c = al[0].copy()  # A'(j, lo)
-        if fused:
-            bd, bl, bu, br, bc = wb
-            bfill_r = bu[0].copy()
-            bfill_c = bl[0].copy()
-        for i in range(1, m - 1):
-            s = _invert_pivot(ad[i], lo + i, counter)
-            factors.fill_row.append(fill_r)
-            factors.fill_col.append(fill_c)
-            fn = mm(al[i], s, counter)
-            fr = mm(fill_r, s, counter)
-            # System-side updates: fill pair, next diagonal, top boundary
-            # and, with an arrow, both arrow strips and the tip.
-            new_fill_r = mm(fr, au[i], counter, alpha=-1)
-            new_fill_c = mm(fn, fill_c, counter, alpha=-1)
-            mm(fn, au[i], counter, out=ad[i + 1], alpha=-1, beta=1)
-            mm(fr, fill_c, counter, out=ad[0], alpha=-1, beta=1)
-            if arrow:
-                g = mm(ar[i], s, counter)
-                mm(g, au[i], counter, out=ar[i + 1], alpha=-1, beta=1)
-                mm(g, fill_c, counter, out=ar[0], alpha=-1, beta=1)
-                mm(fn, ac[i], counter, out=ac[i + 1], alpha=-1, beta=1)
-                mm(fr, ac[i], counter, out=ac[0], alpha=-1, beta=1)
-                mm(g, ac[i], counter, out=tip_a, alpha=-1, beta=1)
-            if fused:
-                factors.b_fill_row.append(bfill_r)
-                factors.b_fill_col.append(bfill_c)
-                w = mm(s, bd[i], counter)
-                sb = mm(w, s, counter, tb=True)
-                factors.s_b.append(sb)
-                v0 = mm(fill_r, sb, counter)
-                vn = mm(al[i], sb, counter)
-                factors.fill_sb.append(v0)
-                factors.l_sb.append(vn)
-                _bupdate(counter, bd[i + 1], fn, bu[i], bl[i], fn, vn, al[i])
-                new_bfill_c = _bupdate(counter, None, fn, bfill_c, bl[i], fr, vn, fill_r)
-                new_bfill_r = _bupdate(counter, None, fr, bu[i], bfill_r, fn, v0, al[i])
-                _bupdate(counter, bd[0], fr, bfill_c, bfill_r, fr, v0, fill_r)
-                if arrow:
-                    p = mm(g, bd[i], counter)
-                    _bupdate(counter, bc[i + 1], fn, bc[i], bl[i], g, vn, ar[i])
-                    _bupdate(counter, bc[0], fr, bc[i], bfill_r, g, v0, ar[i])
-                    _bupdate(counter, br[i + 1], g, bu[i], br[i], fn, p, fn)
-                    _bupdate(counter, br[0], g, bfill_c, br[i], fr, p, fr)
-                    # The tip's three terms are summed before they meet it.
-                    tip_b += _bupdate(counter, None, g, bc[i], br[i], g, p, g)
-                bfill_r, bfill_c = new_bfill_r, new_bfill_c
-            fill_r, fill_c = new_fill_r, new_fill_c
-        bnd, fill_a = [0, m - 1], (fill_r, fill_c)
-        fill_b = (bfill_r, bfill_c) if fused else None
-
-    pay_b = _boundary(wb, bnd, fill_b) if fused else None
-    return BoundaryPayload(rank, kind, _boundary(wa, bnd, fill_a), pay_b), tip_delta, factors
+        tips = np.zeros((len(slices), asz, asz), dtype=COMPLEX)
+        works = [_view(x, 0, m, kind == "last") for x in slices]
+        stop, index = m - 1, range(hi - 1, lo - 1, -1) if kind == "last" else range(lo, hi)
+    wa, wb = (*works, None)[:2]
+    factors = LocalFactors(
+        stop + 1, bs, len(tips[0]), "siq" if fused else "si", sigma, slices=slices, wa=wa, wb=wb
+    )
+    _forward_sweep(wa, wb, factors, stop, tips[0], tips[-1] if fused else None, counter, index)
+    pays = [_boundary(w, tip, asz) for w, tip in zip(works, tips)]
+    k = len(tips[0]) - asz  # a middle's tip delta follows its top boundary
+    return BoundaryPayload(rank, kind, *pays), tips[:, k:, k:], factors
 
 
 def assemble_reduced(
@@ -412,81 +377,47 @@ def local_backward(
     blocks, arrow strips and the couplings between its own blocks; their
     tips are zero.  The separator to the next partition and the tip are
     blocks of the reduced solution, which the merge reads from there.
-    The containers' stacks are the working stacks ``factors`` carries
-    from :func:`local_forward`, in whose slots every block is solved in
-    place.  The first and last partitions run the sequential backward
-    sweep, the last on its block-reversed blocks.  Of ``a`` only the
-    block sizes are read, and of ``b`` only whether it is None.
+    The containers are the slices ``factors`` carries from
+    :func:`local_forward`, whose working stacks hold every block's slot.
+    Every partition runs the sequential backward sweep: the last on its
+    block-reversed blocks, and a middle one on its system bordered by its
+    top boundary, seeded with the reduced solution's blocks of that
+    system's tip and last arrow strips; it then copies the solution's
+    arrow strips and top couplings out of its own arrow stacks.  ``a`` is
+    not read, and of ``b`` only whether it is None.
     """
-    lo, hi = plan.ranges[rank]
     kind = plan.kinds[rank]
     fused = factors.mode == "siq"
     if fused and b is None:
         raise ProtocolError("fused factors require the right-hand side")
     if red_sol.x_a.shape_params != reduced.matrix_a.shape_params:
         raise ProtocolError("reduced solution shape disagrees with reduced system")
-    m, rev = hi - lo, kind == "last"
     wa, wb = factors.wa, factors.wb
-    x_a = BtaMatrix(m, a.b, a.a, *_view(wa, 0, m, rev))
-    x_b = BtaMatrix(m, a.b, a.a, *_view(wb, 0, m, rev)) if fused else None
-    pairs = [(x_a, red_sol.x_a)] + ([(x_b, red_sol.x_b)] if fused else [])
-    ytt = red_sol.x_a.tip
-    ztt = red_sol.x_b.tip if fused else None
+    pairs = list(zip(factors.slices, (red_sol.x_a, red_sol.x_b)))
 
     # Boundary blocks are solved in the reduced system.
     for side in _SIDES[kind]:
-        k, j = reduced.index[(rank, side)], 0 if side == "top" else m - 1
+        k, j = reduced.index[(rank, side)], 0 if side == "top" else -1
         for x, r in pairs:
             x.diag[j], x.arrow_row[j], x.arrow_col[j] = r.diag[k], r.arrow_row[k], r.arrow_col[k]
-
-    if kind != "middle":
-        _backward_sweep(factors, wa, wb, wa, wb, m - 1, ytt, ztt, counter)
-        return x_a, x_b
-
-    # Middle: X values at the fill positions (top boundary <-> running
-    # block) start as the reduced solution's top coupling.
-    k_top = reduced.index[(rank, "top")]
-    if m == 2:
-        # Degenerate middle: the fill coupling is the original pattern
-        # off-diagonal, solved entirely inside the reduced system.
-        for x, r in pairs:
-            x.upper[0], x.lower[0] = r.upper[k_top], r.lower[k_top]
-    k = 3 if a.a > 0 else 2  # the tip is a trailing coupling only with an arrow
-    # Trailing solution blocks over (top boundary, next block, tip), with
-    # the fill pair X(lo, i+1), X(i+1, lo) starting as the top coupling.
-    ys = []
-    for x, r in pairs:
-        top = [x.diag[0], r.upper[k_top], x.arrow_col[0]]
-        nxt = [r.lower[k_top], x.diag[m - 1], x.arrow_col[m - 1]]
-        tip = [x.arrow_row[0], x.arrow_row[m - 1], r.tip]
-        ys.append([row[:k] for row in (top, nxt, tip)[:k]])
-    ss = ws = yb = sc = qsb = None
-    for i in range(m - 2, 0, -1):
-        t = i - 1  # elimination order
-        rs = [factors.fill_col[t], wa.upper[i], wa.arrow_col[i]][:k]
-        qs = [factors.fill_row[t], wa.lower[i], wa.arrow_row[i]][:k]
-        if fused:
-            ss = [factors.b_fill_col[t], wb.upper[i], wb.arrow_col[i]][:k]
-            ws = [factors.b_fill_row[t], wb.lower[i], wb.arrow_row[i]][:k]
-            yb, sc = ys[1], factors.s_b[t]
-            qsb = [factors.fill_sb[t], factors.l_sb[t], None][:k]
-        out = ()
-        for x, _ in pairs:
-            row, col, diag = _out_slots(x, i, 2)
-            # The fill blocks are pattern blocks only next to the top boundary.
-            fill_row, fill_col = (x.lower[0], x.upper[0]) if i == 1 else (None, None)
-            out += ([fill_row, *row][:k], [fill_col, *col][:k], diag)
-        out += (None,) * (6 - len(out))  # no quadratic slots in "si" mode
-        res = _backstep(
-            wa.diag[i], rs, qs, ys[0], sc, ss, ws, yb, counter, qsb=qsb, out=out,
-            sigma=factors.sigma,
-        )
-        # Block i is the next step's trailing block; the top and tip stay.
-        for y, (row, col, diag) in zip(ys, (res[:3], res[3:])):
-            for l in range(0, k, 2):
-                y[1][l], y[l][1] = row[l], col[l]
-            y[1][1] = diag
-    return x_a, x_b
+    ys = [r.tip for _, r in pairs]
+    if kind == "middle":
+        # The bordered system's tip and its last block's arrow strips:
+        # the reduced solution's top boundary with the tip, and its
+        # bottom boundary's couplings to both.
+        k, bs = reduced.index[(rank, "top")], factors.b
+        ys = [np.block([[r.diag[k], r.arrow_col[k]], [r.arrow_row[k], r.tip]]) for _, r in pairs]
+        for w, (_, r) in zip((wa, wb), pairs):
+            w.arrow_row[-1] = np.concatenate([r.upper[k], r.arrow_row[k + 1]])
+            w.arrow_col[-1] = np.concatenate([r.lower[k], r.arrow_col[k + 1]], axis=1)
+    ztt = ys[-1] if fused else None
+    _backward_sweep(factors, wa, wb, wa, wb, factors.n - 1, ys[0], ztt, counter)
+    if kind == "middle":
+        # X(top, 1) and X(1, top) are the top parts of the first strips.
+        for w, (x, _) in zip((wa, wb), pairs):
+            x.upper[0], x.lower[0] = w.arrow_row[0, :bs], w.arrow_col[0, :, :bs]
+            x.arrow_row[1:], x.arrow_col[1:] = w.arrow_row[:, bs:], w.arrow_col[:, :, bs:]
+    return (*factors.slices, None)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Dense complex block primitives.
 
-Every solver in this package is expressed in terms of the four kernels
-defined here: multiply-accumulate with optional conjugate transposition,
-LU factorization with partial pivoting, triangular solves, and explicit
-block inversion.  A block is a plain two-dimensional ``numpy.ndarray`` of
+Every solver in this package is expressed in terms of the two kernels
+defined here, multiply-accumulate with optional conjugate transposition
+(:func:`mm`) and explicit block inversion (:func:`block_inverse`), and
+counts them with :class:`OpCounter`; the dense oracles factor with
+:func:`_getrf`.  A block is a plain two-dimensional ``numpy.ndarray`` of
 ``complex128``; no wrapper type is introduced.
 
-The public kernels check their operands.  The sweeps multiply through
+:func:`block_inverse` checks its operand.  The sweeps multiply through
 :func:`mm`, which does not (their containers validated every shape) and
 which picks a path by the product's size.  A product with every side
 from 2 to 16 is one call of SciPy's BLAS ``zgemm``, with conjugate
@@ -35,20 +36,12 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import zgemm
 from scipy.linalg.lapack import zgetrf, zgetri, zgetri_lwork
 
 from .errors import ShapeMismatchError, SingularBlockError
 
-__all__ = [
-    "OpCounter",
-    "block_multiply_acc",
-    "mm",
-    "block_lu",
-    "block_inverse",
-    "triangular_solve",
-]
+__all__ = ["OpCounter", "mm", "block_inverse"]
 
 COMPLEX = np.complex128
 
@@ -137,51 +130,6 @@ def _as_block(x) -> np.ndarray:
     return x
 
 
-def block_multiply_acc(
-    c: np.ndarray | None,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    alpha: complex = 1.0,
-    beta: complex = 0.0,
-    trans_a: bool = False,
-    trans_b: bool = False,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Return ``beta*c + alpha*op(a) @ op(b)``.
-
-    ``op`` is the identity or the conjugate transpose, selected per
-    operand by ``trans_a`` / ``trans_b``.  ``c`` may be None, in which
-    case the pure product term is returned and ``beta`` is ignored.
-
-    Raises
-    ------
-    ShapeMismatchError
-        If the inner dimensions disagree after transposition, or if
-        ``c`` does not match the result shape.
-    """
-    a = _as_block(a)
-    b = _as_block(b)
-    op_a = a.conj().T if trans_a else a
-    op_b = b.conj().T if trans_b else b
-    m, k = op_a.shape
-    kb, n = op_b.shape
-    if k != kb:
-        raise ShapeMismatchError(
-            f"inner dimensions disagree: op(a) is {op_a.shape}, op(b) is {op_b.shape}"
-        )
-    if c is not None:
-        c = _as_block(c)
-        if c.shape != (m, n):
-            raise ShapeMismatchError(
-                f"accumulator shape {c.shape} does not match product shape {(m, n)}"
-            )
-    if counter is not None:
-        counter.record_gemm(m, k, n)
-    prod = op_a @ op_b if alpha == 1.0 else alpha * (op_a @ op_b)
-    return prod if c is None or beta == 0.0 else beta * c + prod
-
-
 _SMALL = 16  # the largest side of a product that :func:`mm` hands to BLAS
 
 
@@ -252,33 +200,6 @@ def _getrf(a: np.ndarray, counter: OpCounter | None = None):
     if info > 0:
         raise SingularBlockError(f"exactly singular pivot at row {info - 1}", index=info - 1)
     return lu, piv
-
-
-def block_lu(
-    a: np.ndarray, counter: OpCounter | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor ``a`` as ``a[perm] = L @ U`` with partial (row) pivoting.
-
-    Returns
-    -------
-    (L, U, perm)
-        ``L`` unit lower triangular, ``U`` upper triangular, and ``perm``
-        an index array such that ``a[perm] == L @ U``.
-
-    Raises
-    ------
-    SingularBlockError
-        If a pivot column remainder is exactly zero; carries the pivot
-        index.
-    """
-    lu, piv = _getrf(a, counter)
-    n = lu.shape[0]
-    lower = np.tril(lu, k=-1) + np.eye(n, dtype=COMPLEX)
-    upper = np.triu(lu)
-    perm = np.arange(n)
-    for i, p in enumerate(piv):
-        perm[i], perm[p] = perm[p], perm[i]
-    return lower, upper, perm
 
 
 # ``zgetri``'s optimal workspace by order.  With SciPy's default, a
@@ -352,57 +273,3 @@ def block_inverse(
         counter.inv_count += 1
         counter.trsm_count += 2
     return x
-
-
-def triangular_solve(
-    t: np.ndarray,
-    bp: np.ndarray,
-    *,
-    side: str = "left",
-    uplo: str = "lower",
-    unit: bool = False,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Solve ``t @ x = bp`` (side="left") or ``x @ t = bp`` (side="right").
-
-    ``t`` must be square and triangular as declared by ``uplo``; only the
-    declared triangle (plus the diagonal unless ``unit``) is referenced.
-
-    Raises
-    ------
-    SingularBlockError
-        If a non-unit triangular factor has a zero diagonal entry.
-    """
-    t = _as_block(t)
-    bp = _as_block(bp)
-    if t.shape[0] != t.shape[1]:
-        raise ShapeMismatchError(f"triangular factor must be square, got {t.shape}")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if uplo not in ("lower", "upper"):
-        raise ValueError(f"uplo must be 'lower' or 'upper', got {uplo!r}")
-    dim = bp.shape[0] if side == "left" else bp.shape[1]
-    if t.shape[0] != dim:
-        raise ShapeMismatchError(
-            f"factor {t.shape} incompatible with rhs {bp.shape} on side={side!r}"
-        )
-    if not unit:
-        zero = np.flatnonzero(np.diagonal(t) == 0)
-        if zero.size:
-            raise SingularBlockError(
-                f"zero diagonal at row {int(zero[0])} in triangular factor",
-                index=int(zero[0]),
-            )
-    if counter is not None:
-        counter.trsm_count += 1
-    if t.shape[0] == 0 or bp.size == 0:
-        return bp.copy()
-    if side == "left":
-        return scipy.linalg.solve_triangular(
-            t, bp, lower=(uplo == "lower"), unit_diagonal=unit, check_finite=False
-        )
-    # x @ t = bp  <=>  t.T @ x.T = bp.T (plain transpose, no conjugation)
-    xt = scipy.linalg.solve_triangular(
-        t.T, bp.T, lower=(uplo == "upper"), unit_diagonal=unit, check_finite=False
-    )
-    return xt.T

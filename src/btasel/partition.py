@@ -1,12 +1,13 @@
 """Load-balanced mapping of diagonal blocks onto workers.
 
 Middle partitions pay a higher per-block price than the first and last
-ones (they maintain fill-in couplings to their top boundary), so they
-receive proportionally fewer blocks.  The cost ratios in ``_COSTS`` are
-the per-step block-product counts, forward plus backward, of the plain
-vs. permuted variants before the backward step was regrouped: 9 vs. 20
-in selected-inversion mode and 42 vs. 94 in fused mode.  They are kept
-until they are calibrated against measured per-rank times.  Plans are
+ones (their sweeps carry the top boundary in the arrow, of order
+``b + a``), so they receive proportionally fewer blocks.  The cost
+ratios in ``_COSTS`` are the per-step block-product counts, forward
+plus backward, of the plain vs. permuted variants before the backward
+step was regrouped and the middle kind ran the arrowhead sweeps: 9 vs.
+20 in selected-inversion mode and 42 vs. 94 in fused mode.  They are
+kept until they are calibrated against measured per-rank times.  Plans are
 deterministic functions of ``(n, num_parts, mode)``.
 """
 

@@ -290,14 +290,14 @@ def _sum_pairs(terms, alpha, counter, out=None):
 
 
 def _backstep(
-    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, qsb=None, sr=None,
-    bd=None, out=None, sigma=0,
+    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, sr=None, bd=None,
+    out=None, sigma=0,
 ):
     """One backward substitution step at a pivot with trailing couplings.
 
     It runs the last block's step of an arrowhead system (``k = 1``, the
-    tip) and the steps of ``dist``'s middle partitions (``k = 3``).
-    :func:`_backward_sweep` writes out its ``k = 1`` and ``k = 2`` cases.
+    tip); :func:`_backward_sweep` writes out its ``k = 1`` and ``k = 2``
+    cases.
 
     ``g`` is the pivot inverse ``S``; ``rs[l]``/``qs[l]`` are the
     pivot-to-trailing and trailing-to-pivot coupling blocks ``R_l``/``Q_l``
@@ -306,20 +306,19 @@ def _backstep(
     the pivot's solution row ``X(i,j)``, column ``X(j,i)`` and diagonal
     for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
     (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
-    ``yb`` is given, for the quadratic solution.  ``qsb[l]``, when not
-    None, is the forward's product ``Q_l·Sb``, reused instead of formed;
-    ``sr``, when given, holds the forward's products ``S·R_l``, and
-    ``rs`` is not read.  ``bd``, when given, is the pivot's diagonal
-    block of ``B`` as eliminated, and ``qs`` and ``ws`` hold the fused
-    forward's ``F2_l`` and ``W_l - F2_l·Bd``: ``E_l = ws[l]·S^H``,
-    ``G_l = S·(Ss_l - Bd·F2_l^H)``, and ``qsb`` is not read.  ``out``,
-    when given, names an output slot (or None, for a new block) for
-    every block of the result, in its shape; each block is written into
-    its slot by its last operation.  The slots may be those of the
-    step's own inputs (``g``, ``rs``, ``qs``, ``ss``, ``ws``, ``sr``):
-    every input is read before the first output slot is written, except
-    that the row is written after every read of ``sr`` when that is
-    given, and the column after every read of ``qs`` when ``bd`` is.
+    ``yb`` is given, for the quadratic solution.  ``sr``, when given,
+    holds the forward's products ``S·R_l``, and ``rs`` is not read.
+    ``bd``, when given, is the pivot's diagonal block of ``B`` as
+    eliminated, and ``qs`` and ``ws`` hold the fused forward's ``F2_l``
+    and ``W_l - F2_l·Bd``: ``E_l = ws[l]·S^H`` and ``G_l = S·(Ss_l -
+    Bd·F2_l^H)``.  ``out``, when given, names an output slot (or None,
+    for a new block) for every block of the result, in its shape; each
+    block is written into its slot by its last operation.  The slots may
+    be those of the step's own inputs (``g``, ``rs``, ``qs``, ``ss``,
+    ``ws``, ``sr``): every input is read before the first output slot is
+    written, except that the row is written after every read of ``sr``
+    when that is given, and the column after every read of ``qs`` when
+    ``bd`` is.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -331,11 +330,10 @@ def _backstep(
         Z_ii   = Sb - sum_l (F1_l·Z(l,i) + V_l·F1_l^H)
 
     which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
-    the quadratic solution at ``k`` trailing couplings, less one per
-    reused ``Q_l·Sb``, ``k`` with ``sr`` and ``2k`` with ``bd`` (the
-    standard RGF recursion, Svizhenko et al., J. Appl. Phys. 2002).  All
-    products are pattern-restricted: the trailing blocks touched are
-    exactly those on the BT(A) pattern of the (possibly permuted) system.
+    the quadratic solution at ``k`` trailing couplings, less ``k`` with
+    ``sr`` and ``2k`` with ``bd`` (the standard RGF recursion, Svizhenko
+    et al., J. Appl. Phys. 2002).  All products are pattern-restricted:
+    the trailing blocks touched are exactly those on the BT(A) pattern.
 
     Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
     come from a ``B = sigma·B^H``, so the quadratic solution is
@@ -345,8 +343,8 @@ def _backstep(
         Z(j,i) = sum_l Y_jl·E_l - P_j
         Z_ii   = Sb - T - sigma·T^H - sum_m F1_m·P_m
 
-    ``2k^2+4k`` quadratic products, less the reused ``Q_l·Sb``; ``ss`` is
-    not read (``G_l`` and ``V_j`` are not formed).
+    ``2k^2+4k`` quadratic products; ``ss`` is not read (``G_l`` and
+    ``V_j`` are not formed).
     """
     k = len(qs)
     c = counter
@@ -362,11 +360,9 @@ def _backstep(
     if fused:
         # Handed the forward's products, ws holds W_l - F2_l·Bd: E_l = W_l·S^H.
         es = [mm(w, g, c, tb=True) for w in ws]
-        for e, q, reused in zip(es, qs, () if handed else qsb or none):
-            if reused is None:
+        if not handed:
+            for e, q in zip(es, qs):
                 mm(q, sc, c, out=e, alpha=-1, beta=1)
-            else:
-                e -= reused
         if not sigma:
             gs = [mm(g, mm(bd, q, c, tb=True, out=s.copy(), alpha=-1, beta=1), c) if handed
                   else _sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]

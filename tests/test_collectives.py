@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from btasel import BtaMatrix, ProtocolError, ThreadHub
+from btasel import BtaMatrix, ProtocolError, ThreadHub, collectives
 from btasel.collectives import (
     _FRAME_HEADER,
     SocketCollectives,
@@ -304,6 +304,76 @@ def test_socket_reduce_shape_mismatch_raises():
     # shape is refused on every rank too.
     assert _socket_reduce_errors([(2, 2), (4,)]) == [(0, ProtocolError), (1, ProtocolError)]
     assert _socket_reduce_errors([(2, 2), (2, 2)]) == []
+    assert _socket_reduce_errors([(0, 3), (0, 3)]) == []  # an empty part
+
+
+def _socket_rounds(world, rounds):
+    """Each rank's results of ``rounds(coll)``, every rank of a socket run
+    in a thread of this process."""
+    port, got, errors = _free_port(), {}, []
+
+    def run(rank):
+        try:
+            coll = SocketCollectives(world, rank, f"127.0.0.1:{port}", timeout=30.0)
+            try:
+                got[rank] = rounds(coll)
+            finally:
+                coll.close()
+        except Exception as exc:  # noqa: BLE001 - checked by the caller
+            errors.append((rank, exc))
+
+    threads = [threading.Thread(target=run, args=(rank,)) for rank in range(world)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    return [got[rank] for rank in range(world)]
+
+
+def test_root_relays_each_round_in_one_sendmsg_per_peer(monkeypatch):
+    # Rank 0 sends each peer the round's frames as one gather list: every
+    # rank's header, then its blob itself, not a joined copy of them.
+    real, sends = collectives._send_views, []
+
+    def spy(sock, bufs):
+        sends.append((threading.current_thread(), [b.obj for b in bufs]))
+        return real(sock, bufs)
+
+    monkeypatch.setattr(collectives, "_send_views", spy)
+    root = {}
+
+    def rounds(coll):
+        if coll.rank == 0:
+            root["thread"] = threading.current_thread()
+        return coll._round_trip(bytes([coll.rank]) * (coll.rank + 1))
+
+    got = _socket_rounds(3, rounds)
+    blobs = [bytes([r]) * (r + 1) for r in range(3)]
+    assert [[bytes(b) for b in g] for g in got] == [blobs] * 3
+    relays = [objs for thread, objs in sends if thread is root["thread"]]
+    assert len(relays) == 2  # one per peer
+    for objs in relays:
+        assert len(objs) == 6 and all(obj is blob for obj, blob in zip(objs[1::2], got[0]))
+
+
+def test_reduce_parts_travel_from_their_own_memory(monkeypatch):
+    # A rank's all_reduce part leaves as its shape header and the array's
+    # own memory: no joined copy of the two.
+    real, sent = collectives._frame, []
+
+    def spy(rank, round_id, *parts):
+        sent.append(parts)
+        return real(rank, round_id, *parts)
+
+    monkeypatch.setattr(collectives, "_frame", spy)
+    part = np.arange(6, dtype=complex).reshape(2, 3) * (1 + 1j)
+    totals = _socket_rounds(2, lambda coll: coll.all_reduce_sum(part))
+    for total in totals:
+        np.testing.assert_array_equal(total, 2 * part)
+    own = [p for parts in sent if len(parts) == 2 for p in parts[1:]]
+    assert own and all(np.shares_memory(p, part) for p in own)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from btasel import (
     plan_partitions,
     solve_selected,
 )
-from btasel import dist
+from btasel import dist, to_dense
 from btasel.collectives import SocketCollectives
 from btasel.dist import assemble_reduced, local_forward, solve_reduced
 from btasel.errors import ProtocolError
@@ -190,27 +190,37 @@ class TestLocalForward:
                     assert not any(np.shares_memory(s, x) for w in works for x in w), rank
 
     def test_middle_per_step_bbb_counts(self):
-        # Permuted forward: 6 bbb per interior step (selected inversion),
-        # 22 in fused mode, measured by differencing two middle lengths.
-        def middle_bbb(n, parts, fused):
-            a, rhs = random_system(n, 4, 2, seed=10)
-            plan = plan_partitions(n, parts, "siq" if fused else "si")
-            rank = 1
-            lo, hi = plan.ranges[rank]
+        # A middle partition runs the arrowhead forward on its bordered
+        # system, whose arrow has width b + a (the letter ?): per interior
+        # step 2 bbb products of 6 (selected inversion), 7 of 18 (fused)
+        # and 7 of 16 (B = ±B^H), measured by differencing two middle
+        # lengths.
+        def middle_counts(n, rhs_kind):
+            if rhs_kind in (1, -1):
+                a, rhs = signed_system(n, 4, 2, seed=10, sigma=rhs_kind)
+            else:
+                a, rhs = random_system(n, 4, 2, seed=10)
+                rhs = None if rhs_kind == "si" else rhs
+            plan = plan_partitions(n, 3, "si" if rhs is None else "siq")
+            lo, hi = plan.ranges[1]
             counter = OpCounter(b=4, a=2)
-            local_forward(a, rhs if fused else None, plan, rank, counter)
-            return hi - lo - 2, counter.gemm_by_shape["bbb"]
+            local_forward(a, rhs, plan, 1, counter)
+            return hi - lo - 2, counter.gemm_by_shape
 
-        steps1, bbb1 = middle_bbb(16, 3, fused=False)
-        steps2, bbb2 = middle_bbb(24, 3, fused=False)
-        assert steps2 > steps1
-        assert bbb2 - bbb1 == 6 * (steps2 - steps1)
-        assert bbb1 == 6 * steps1
-
-        steps1, bbb1 = middle_bbb(16, 3, fused=True)
-        steps2, bbb2 = middle_bbb(24, 3, fused=True)
-        assert bbb2 - bbb1 == 22 * (steps2 - steps1)
-        assert bbb1 == 22 * steps1
+        steps = {
+            "si": {"bbb": 2, "bb?": 2, "?bb": 1, "?b?": 1},
+            "general": {"bbb": 7, "bb?": 3, "?bb": 5, "?b?": 3},
+            1: {"bbb": 7, "bb?": 1, "?bb": 5, "?b?": 3},
+            -1: {"bbb": 7, "bb?": 1, "?bb": 5, "?b?": 3},
+        }
+        for rhs_kind, step in steps.items():
+            steps1, c1 = middle_counts(16, rhs_kind)
+            steps2, c2 = middle_counts(24, rhs_kind)
+            assert steps2 > steps1
+            assert {k: v for k, v in c1.items() if v} == {k: v * steps1 for k, v in step.items()}
+            assert {k: c2[k] - c1[k] for k in c2 if c2[k] != c1[k]} == {
+                k: v * (steps2 - steps1) for k, v in step.items()
+            }
 
     def test_first_per_step_matches_sequential(self):
         a, rhs = random_system(16, 4, 2, seed=11)
@@ -219,14 +229,90 @@ class TestLocalForward:
         local_forward(a, rhs, plan, 0, counter)
         lo, hi = plan.ranges[0]
         assert counter.gemm_by_shape["bbb"] == 7 * (hi - lo - 1)
-        # Selected-inversion mode: the plain 2-products-per-step rate, so
-        # the middle-to-end work ratio is 6/2 (22/7 fused).
+        # Selected-inversion mode: the plain 2-products-per-step rate, the
+        # middle's bbb rate too (7 fused), beside its products with a side
+        # of b + a.
         plan_si = plan_partitions(16, 3, "si")
         for rank in (0, 2):
             counter = OpCounter(b=4, a=2)
             local_forward(a, None, plan_si, rank, counter)
             lo, hi = plan_si.ranges[rank]
             assert counter.gemm_by_shape["bbb"] == 2 * (hi - lo - 1)
+
+
+def _schur_payload(a, b, lo, hi, kind):
+    """A partition's payload by a dense oracle: the Schur complement of its
+    interior blocks in its own blocks and a zero tip, on the boundary
+    blocks and the tip, ``S = A_BB - F·A_IB`` with ``F = A_BI·A_II^-1``,
+    and for ``b`` ``B_BB - F·B_IB - B_BI·F^H + F·B_II·F^H``.  Returns the
+    containers' expected stacks per side, then the tip deltas."""
+    m, bs, asz = hi - lo, a.b, a.a
+    bnd = {"first": [m - 1], "middle": [0, m - 1], "last": [0]}[kind]
+
+    def rows(blocks):
+        return [r for j in blocks for r in range(j * bs, (j + 1) * bs)]
+
+    def local(x):
+        return to_dense(BtaMatrix(m, bs, asz, *dist._view(x, lo, hi, False)))
+
+    bb = rows(bnd) + list(range(m * bs, m * bs + asz))  # boundary blocks, then the tip
+    ii = rows([j for j in range(m) if j not in bnd])
+
+    da = local(a)
+    f = da[np.ix_(bb, ii)] @ np.linalg.inv(da[np.ix_(ii, ii)])
+    s = [da[np.ix_(bb, bb)] - f @ da[np.ix_(ii, bb)]]
+    if b is not None:
+        db = local(b)
+        fh = f.conj().T
+        s.append(db[np.ix_(bb, bb)] - f @ db[np.ix_(ii, bb)] - db[np.ix_(bb, ii)] @ fh
+                 + f @ db[np.ix_(ii, ii)] @ fh)
+    k, sides = len(bnd), []
+    blk = [slice(p * bs, (p + 1) * bs) for p in range(k)] + [slice(k * bs, None)]  # then the tip
+    for x in s:
+        sides.append({
+            "diag": [x[blk[p], blk[p]] for p in range(k)],
+            "upper": [x[blk[0], blk[1]]] if k == 2 else [],
+            "lower": [x[blk[1], blk[0]]] if k == 2 else [],
+            "arrow_row": [x[blk[-1], blk[p]] for p in range(k)],
+            "arrow_col": [x[blk[p], blk[-1]] for p in range(k)],
+        })
+    return sides, [x[blk[-1], blk[-1]] for x in s]
+
+
+@pytest.mark.parametrize(
+    "n, bs, a_sz, parts",
+    [(20, 3, 2, 3), (20, 3, 0, 3), (24, 3, 2, 4), (12, 2, 1, 4), (14, 2, 0, 4)],
+)
+@pytest.mark.parametrize("rhs_kind", ["si", "general", 1, -1])
+def test_payload_matches_dense_schur_complement(n, bs, a_sz, parts, rhs_kind):
+    # Every field of every rank's payload, and its tip delta, against the
+    # dense Schur complement of the partition's interior: first, middle
+    # (with interior blocks, and degenerate at P=4 with n=12 and 14) and
+    # last partitions, with and without an arrow, in si, with a general B
+    # and with B = ±B^H.
+    if rhs_kind in (1, -1):
+        a, rhs = signed_system(n, bs, a_sz, seed=80 + n, sigma=rhs_kind)
+    else:
+        a, rhs = random_system(n, bs, a_sz, seed=80 + n)
+        rhs = None if rhs_kind == "si" else rhs
+    plan = plan_partitions(n, parts, "si" if rhs is None else "siq")
+    sizes = [hi - lo for lo, hi in plan.ranges[1:-1]]
+    assert (min(sizes) == 2) == (parts == 4 and n < 20)
+    for rank, (lo, hi) in enumerate(plan.ranges):
+        payload, tip_delta, _ = local_forward(a, rhs, plan, rank)
+        sides, tips = _schur_payload(a, rhs, lo, hi, plan.kinds[rank])
+        for got, want in zip(payload.sides, sides, strict=True):
+            for name, blocks in want.items():
+                stack = getattr(got, name)
+                assert len(stack) == len(blocks), (rank, name)
+                for g, w in zip(stack, blocks):
+                    if w.size:
+                        err = np.linalg.norm(g - w) / np.linalg.norm(w)
+                        assert err <= 1e-12, (rank, name, err)
+        assert len(tip_delta) == len(tips)
+        for g, w in zip(tip_delta, tips):
+            if a_sz:
+                assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), rank
 
 
 class TestReducedSystem:
@@ -307,10 +393,10 @@ def test_worker_error_carries_rank():
 
 
 def test_middle_backward_per_step_counts():
-    # The middle backward step has k = 3 trailing couplings (fill,
-    # next diagonal, tip): 2k^2+3k = 27 (si) and 6k^2+9k = 81 (siq)
-    # products less the forward's two reused coupling·Sb (79), measured
-    # as rank 1's tally minus its forward pass.
+    # The middle backward step is rgf's arrowhead step on the bordered
+    # system, whose arrow (the top boundary and the tip) has width b + a,
+    # the letter ?: 12 products (si) and 38 (siq), measured as rank 1's
+    # tally minus its forward pass.  Nothing is counted outside the steps.
     def middle_backward(n, fused):
         a, rhs = random_system(n, 4, 2, seed=10)
         rhs = rhs if fused else None
@@ -325,8 +411,8 @@ def test_middle_backward_per_step_counts():
         counts.subtract(forward.gemm_by_shape)
         return hi - lo - 2, counts
 
-    si = {"bbb": 14, "abb": 3, "bba": 3, "bab": 5, "aab": 1, "baa": 1}
-    siq = {"bbb": 40, "abb": 9, "bba": 9, "bab": 15, "aab": 3, "baa": 3}
+    si = {"bbb": 4, "bb?": 1, "?bb": 2, "b?b": 3, "??b": 1, "b??": 1}
+    siq = {"bbb": 13, "bb?": 6, "?bb": 4, "b?b": 9, "??b": 3, "b??": 3}
     for fused, step in ((False, si), (True, siq)):
         steps1, c1 = middle_backward(16, fused)
         steps2, c2 = middle_backward(24, fused)
@@ -338,9 +424,8 @@ def test_middle_backward_per_step_counts():
 
 
 def test_middle_backward_per_step_counts_signed_rhs():
-    # B = sigma·B^H: the middle step's quadratic half takes 2k^2+4k = 30
-    # products less the two reused coupling·Sb (28, against 52); its
-    # forward is the general one, whose lower-side factors it reads.
+    # B = sigma·B^H: the middle step takes the sweep's mirrored path, 26
+    # products.
     def middle_backward(n, sigma):
         a, rhs = signed_system(n, 4, 2, seed=10, sigma=sigma)
         plan = plan_partitions(n, 3, "siq")
@@ -353,7 +438,7 @@ def test_middle_backward_per_step_counts_signed_rhs():
         counts.subtract(forward.gemm_by_shape)
         return hi - lo - 2, counts
 
-    step = {"bbb": 28, "abb": 9, "bba": 3, "bab": 11, "aab": 3, "baa": 1}
+    step = {"bbb": 9, "bb?": 2, "?bb": 4, "b?b": 7, "??b": 3, "b??": 1}
     for sigma in (1, -1):
         steps1, c1 = middle_backward(16, sigma)
         steps2, c2 = middle_backward(24, sigma)
@@ -367,9 +452,8 @@ def test_middle_backward_per_step_counts_signed_rhs():
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("a_sz", [0, 2])
 def test_signed_rhs_matches_dense_oracle(sigma, parts, a_sz):
-    # The first and last partitions run both sweeps' mirrored path, a
-    # middle one its backward step's, and the reduced solve takes the
-    # path too: every upper coupling and arrow column of X_B is the
+    # Every partition runs both sweeps' mirrored path, and the reduced
+    # solve takes it too: every upper coupling and arrow column of X_B is the
     # exact mirror of its lower counterpart.
     a, rhs = signed_system(14, 3, a_sz, seed=60 + a_sz, sigma=sigma)
     a_ref, rhs_ref = a.copy(), rhs.copy()
@@ -427,19 +511,30 @@ def _same_view(x, y):
 @pytest.mark.parametrize("rank", [0, 1, 2])
 def test_local_factors_hold_only_views_of_the_solution(monkeypatch, rank):
     # The working stacks are the rank's slice of the solution, in sweep
-    # order: all five stacks of each side, and no copy of their own.
+    # order: all five stacks of each side of a first or last partition,
+    # and no copy of their own.  A middle partition sweeps its blocks but
+    # the top boundary, bordered by it: its diagonal and coupling stacks
+    # are views of the slice's, its arrow stacks (of width b + a) its own.
     a, rhs = random_system(16, 2, 1, seed=19)
     for mode in ("si", "siq"):
         calls, sol = _local_backward_calls(monkeypatch, a, rhs, 3, mode)
         args, slices = calls[rank]
         plan, factors = args[2], args[4]
         lo, hi = plan.ranges[rank]
-        rev = plan.kinds[rank] == "last"
+        kind = plan.kinds[rank]
         works = [factors.wa, factors.wb][: 1 + (mode == "siq")]
         assert (factors.wb is None) == (mode == "si")
         for w, x, merged in zip(works, slices, (sol.x_a, sol.x_b)):
             assert all(s is not None for s in w)
-            for got, want, whole in zip(dist._view(w, 0, hi - lo, rev), x.stacks, merged.stacks):
+            if kind == "middle":
+                views = dist._view(x, 1, hi - lo, False)[:3]
+                for own in w[3:]:  # b + a = 3
+                    assert own.shape[1:] in ((3, 2), (2, 3)), own.shape
+                    assert not any(np.shares_memory(own, s) for s in merged.stacks), mode
+            else:
+                views = x.stacks
+            swept = dist._view(w, 0, len(w.diag), kind == "last")
+            for got, want, whole in zip(swept, views, merged.stacks):
                 assert _same_view(got, want), (mode, rank)
                 assert np.shares_memory(got, whole), (mode, rank)
 
@@ -585,10 +680,20 @@ def test_no_tally_without_counter(monkeypatch):
 _GEMM_CLASSES = ("aaa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb")
 
 
-def _tally(gemms, inv):
+def _tally(gemms, inv, bordered=None):
+    """A tally's ``as_dict``: gemm counts in ``_GEMM_CLASSES`` order, the
+    inversions, and the classes with a side of order b + a (``?``), a
+    middle partition's bordered system's."""
     counts = {f"gemm_{k}": v for k, v in zip(_GEMM_CLASSES, gemms) if v}
+    counts.update((f"gemm_{k}", v) for k, v in (bordered or {}).items())
     counts.update(lu=inv, trsm=2 * inv, inv=inv)
     return counts
+
+
+# The middle rank's products with a side of order b + a at P=3, one
+# interior step.
+_MIDDLE_SI = {"bb?": 3, "?bb": 3, "?b?": 1, "b?b": 3, "??b": 1, "b??": 1}
+_MIDDLE_SIQ = {"bb?": 9, "?bb": 9, "?b?": 3, "b?b": 9, "??b": 3, "b??": 3}
 
 
 class TestCountingOnRequest:
@@ -597,9 +702,11 @@ class TestCountingOnRequest:
     # first and last partitions and the reduced solve: in si their
     # backward steps reuse the forward's S·U and S·Ac (one bbb and one
     # bba fewer per step), in siq the forward's L·S, Ar·S, L·S·Bd and
-    # Ar·S·Bd (seven products fewer per step); a middle rank keeps its
-    # count.  Gemm counts in _GEMM_CLASSES order, then the inversions
-    # (one LU and two TRSM each).
+    # Ar·S·Bd (seven products fewer per step).  A middle rank runs the
+    # same sweeps on its system bordered by its top boundary, whose arrow
+    # has order b + a = 5 (the letter ?).  Gemm counts in _GEMM_CLASSES
+    # order, then the inversions (one LU and two TRSM each), then the
+    # classes with a side of order b + a.
     TALLIES = {
         (2, "si"): [
             ((0, 16, 16, 46, 16, 46, 46, 90), 17),
@@ -612,15 +719,15 @@ class TestCountingOnRequest:
             ((0, 21, 21, 63, 21, 63, 63, 140), 7),
         ],
         (3, "si"): [
-            ((0, 16, 16, 49, 16, 48, 48, 104), 17),
+            ((0, 15, 15, 43, 15, 43, 43, 90), 17, _MIDDLE_SI),
             ((0, 6, 6, 18, 6, 18, 18, 36), 6),
-            ((0, 1, 1, 6, 1, 5, 5, 20), 1),
+            ((0, 0, 0, 0, 0, 0, 0, 6), 1, _MIDDLE_SI),
             ((0, 5, 5, 15, 5, 15, 15, 30), 5),
         ],
         (3, "siq"): [
-            ((2, 48, 49, 148, 48, 144, 146, 344), 17),
+            ((2, 45, 45, 129, 45, 129, 129, 302), 17, _MIDDLE_SIQ),
             ((0, 18, 18, 54, 18, 54, 54, 120), 6),
-            ((0, 3, 4, 19, 3, 15, 17, 62), 1),
+            ((0, 0, 0, 0, 0, 0, 0, 20), 1, _MIDDLE_SIQ),
             ((0, 15, 15, 45, 15, 45, 45, 100), 5),
         ],
     }

@@ -302,7 +302,7 @@ class TestStackedStorage:
     }
     GENERAL_RHS_DIST = {
         2: "753f0c167328d2bc6ea541c982a7acec3d9ea507a6f24099edbe27ab0595fb79",
-        3: "4861af13e8ee165aee8666646b99d1b8ad60ade1747ff8a645891f9fcedf4745",
+        3: "4e2539cee140f92f04f65ea60165baf1a17bce9bfe9cffb9cb68463c13250c1d",
     }
 
     @pytest.mark.parametrize("shape, reblock", sorted(GENERAL_RHS))
