@@ -315,6 +315,30 @@ def test_payload_matches_dense_schur_complement(n, bs, a_sz, parts, rhs_kind):
                 assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), rank
 
 
+@pytest.mark.parametrize("mode", ["si", "siq"])
+def test_every_partition_runs_the_sequential_sweeps(monkeypatch, mode):
+    # First, middle and last partitions alike eliminate with rgf's
+    # forward sweep and back-substitute with its backward sweep, one call
+    # of each per rank.
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append((name, threading.current_thread()))
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_forward_sweep", "_backward_sweep"):
+        monkeypatch.setattr(dist, name, spy(name, getattr(dist, name)))
+    a, rhs = random_system(24, 3, 2, seed=31)  # P=4: two middles with interior blocks
+    dist_solve(a, rhs if mode == "siq" else None, num_parts=4, mode=mode)
+    threads = {t for _, t in calls}
+    assert len(threads) == 4
+    for t in threads:
+        assert sorted(name for name, u in calls if u is t) == ["_backward_sweep", "_forward_sweep"]
+
+
 class TestReducedSystem:
     def test_scalar_hand_elimination(self):
         # (n=4, b=1, a=0, P=2): reduced system is 2x2 with the two
