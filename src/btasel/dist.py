@@ -411,7 +411,7 @@ def local_backward(
             w.arrow_row[-1] = np.concatenate([r.upper[k], r.arrow_row[k + 1]])
             w.arrow_col[-1] = np.concatenate([r.lower[k], r.arrow_col[k + 1]], axis=1)
     ztt = ys[-1] if fused else None
-    _backward_sweep(factors, wa, wb, wa, wb, factors.n - 1, ys[0], ztt, counter)
+    _backward_sweep(factors, wa, wb, factors.n - 1, ys[0], ztt, counter)
     if kind == "middle":
         # X(top, 1) and X(1, top) are the top parts of the first strips.
         for w, (x, _) in zip((wa, wb), pairs):

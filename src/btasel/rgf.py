@@ -11,9 +11,11 @@ size picks the step.  With an arrow every elimination step adds
 arrow-strip and tip updates, keeping the coupling values seen at
 elimination time, and every backward step has two trailing couplings,
 the next block and the tip; without one it has one, the next block.
-Both steps are the generic k-coupling step (:func:`_backstep`) written
-out by hand, its products in its order, so they give its bits and
-counts at less per-call cost.  The backward substitution at pivot
+One function, :func:`_bt_step`, runs every step with one trailing
+coupling: each BT step, and an arrowhead system's last block, whose one
+coupling is the tip.  The two-coupling step is written out in
+:func:`_backward_sweep` with the same formulas.  Both form each product
+of the recursion once.  The backward substitution at pivot
 ``i`` only ever reads trailing entries that lie on the sparsity
 pattern, which is what keeps the selected solve linear in the number
 of diagonal blocks.
@@ -269,15 +271,6 @@ def bta_forward(
     return factors
 
 
-def _sum_mm(xs, ys, counter, *, tb=False, out=None, alpha=1):
-    """``alpha·sum_l xs[l]·op(ys[l])``, accumulated in ``out`` (a new block
-    when None) by one :func:`mm` call per term."""
-    out = mm(xs[0], ys[0], counter, tb=tb, out=out, alpha=alpha)
-    for x, y in zip(xs[1:], ys[1:]):
-        mm(x, y, counter, tb=tb, out=out, alpha=alpha, beta=1)
-    return out
-
-
 def _sum_pairs(terms, alpha, counter, out=None):
     """``sum_l (x_l·y_l + alpha·u_l·v_l^H)`` over ``terms`` (x, y, u, v), each
     term formed before it is added, the first in ``out`` (or a new block)."""
@@ -289,220 +282,113 @@ def _sum_pairs(terms, alpha, counter, out=None):
     return acc
 
 
-def _backstep(
-    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, sr=None, bd=None,
-    out=None, sigma=0,
-):
-    """One backward substitution step at a pivot with trailing couplings.
-
-    It runs the last block's step of an arrowhead system (``k = 1``, the
-    tip); :func:`_backward_sweep` writes out its ``k = 1`` and ``k = 2``
-    cases.
-
-    ``g`` is the pivot inverse ``S``; ``rs[l]``/``qs[l]`` are the
-    pivot-to-trailing and trailing-to-pivot coupling blocks ``R_l``/``Q_l``
-    as seen at elimination time; ``ya[l][m]`` (and ``yb``) are the
-    already-known trailing solution blocks ``Y_lm`` (``Z_lm``).  Returns
-    the pivot's solution row ``X(i,j)``, column ``X(j,i)`` and diagonal
-    for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
-    (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
-    ``yb`` is given, for the quadratic solution.  ``sr``, when given,
-    holds the forward's products ``S·R_l``, and ``rs`` is not read.
-    ``bd``, when given, is the pivot's diagonal block of ``B`` as
-    eliminated, and ``qs`` and ``ws`` hold the fused forward's ``F2_l``
-    and ``W_l - F2_l·Bd``: ``E_l = ws[l]·S^H`` and ``G_l = S·(Ss_l -
-    Bd·F2_l^H)``.  ``out``, when given, names an output slot (or None,
-    for a new block) for every block of the result, in its shape; each
-    block is written into its slot by its last operation.  The slots may
-    be those of the step's own inputs (``g``, ``rs``, ``qs``, ``ss``,
-    ``ws``, ``sr``): every input is read before the first output slot is
-    written, except that the row is written after every read of ``sr``
-    when that is given, and the column after every read of ``qs`` when
-    ``bd`` is.
-
-    Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
-    ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
-
-        X(j,i) = -sum_l Y_jl·F2_l        X(i,j) = -sum_l F1_l·Y_lj
-        X_ii   = S - sum_l F1_l·X(l,i)
-        Z(j,i) = sum_l (Y_jl·E_l - Z_jl·F1_l^H)
-        V_j    = sum_l G_l·Y_jl^H        Z(i,j) = V_j - sum_l F1_l·Z_lj
-        Z_ii   = Sb - sum_l (F1_l·Z(l,i) + V_l·F1_l^H)
-
-    which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
-    the quadratic solution at ``k`` trailing couplings, less ``k`` with
-    ``sr`` and ``2k`` with ``bd`` (the standard RGF recursion, Svizhenko
-    et al., J. Appl. Phys. 2002).  All products are pattern-restricted:
-    the trailing blocks touched are exactly those on the BT(A) pattern.
-
-    Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
-    come from a ``B = sigma·B^H``, so the quadratic solution is
-    σ-Hermitian too: ``Z(i,j) = sigma·Z(j,i)^H`` is copied, not formed.
-    With ``P_j = sum_l Z_jl·F1_l^H`` and ``T = sum_l F1_l·Z(l,i)``::
-
-        Z(j,i) = sum_l Y_jl·E_l - P_j
-        Z_ii   = Sb - T - sigma·T^H - sum_m F1_m·P_m
-
-    ``2k^2+4k`` quadratic products; ``ss`` is not read (``G_l`` and
-    ``V_j`` are not formed).
-    """
-    k = len(qs)
-    c = counter
-    none = [None] * k
-    ra, ca, da, rb, cb, db = out or (none, none, None, none, none, None)
-    # Ordered so that few temporary blocks are alive at once: at large b
-    # each one shows in peak memory.  A negated sum accumulates in its
-    # output slot, -x - y being -(x + y) bit for bit; a sum subtracted
-    # from a base block, or a sum of differences, is formed first.  The
-    # quadratic factors read g and qs, whose slots xa_diag and xa_col may
-    # be, so they are formed first.
-    fused, handed = yb is not None, bd is not None
-    if fused:
-        # Handed the forward's products, ws holds W_l - F2_l·Bd: E_l = W_l·S^H.
-        es = [mm(w, g, c, tb=True) for w in ws]
-        if not handed:
-            for e, q in zip(es, qs):
-                mm(q, sc, c, out=e, alpha=-1, beta=1)
-        if not sigma:
-            gs = [mm(g, mm(bd, q, c, tb=True, out=s.copy(), alpha=-1, beta=1), c) if handed
-                  else _sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
-    f2 = qs if handed else [mm(q, g, c) for q in qs]
-    # The forward's F2 may sit in the column's slots: the column then
-    # goes there from new blocks, once nothing reads F2 again.
-    xa_col = [_sum_mm(ya[j], f2, c, out=None if handed else ca[j], alpha=-1) for j in range(k)]
-    if handed:
-        xa_col = [x if o is None else _put(o, x) for x, o in zip(xa_col, ca)]
-    del f2
-    f1 = sr or [mm(g, r, c) for r in rs]
-    xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
-    # The forward's S·R_l may sit in the row's slots: the row then goes
-    # there from new blocks, once nothing reads F1 again.
-    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=None if sr else ra[j], alpha=-1)
-              for j in range(k)]
-    xb_row = xb_col = xb_diag = None
-
-    if fused and sigma:
-        ps = [_sum_mm(z, f1, c, tb=True) for z in yb]
-        xb_col = [_sum_mm(y, es, c, out=o) for y, o in zip(ya, cb)]
-        for col, p in zip(xb_col, ps):
-            col -= p
-        xb_row = [_mirror(col, sigma, out=o) for col, o in zip(xb_col, rb)]
-        t = _sum_mm(f1, xb_col, c)
-        xb_diag = _sub_mirrored(np.subtract(sc, _sum_mm(f1, ps, c), out=db), t, sigma)
-    elif fused:
-        xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
-        vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
-        xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
-        sums = [_sum_mm(f1, [y[j] for y in yb], c) for j in range(k)]
-        xb_row = [np.subtract(v, t, out=t if o is None else o) for v, t, o in zip(vs, sums, rb)]
-    if sr:
-        xa_row = [r if o is None else _put(o, r) for r, o in zip(xa_row, ra)]
-    return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
-
-
 def _put(slot, block):
     """``block`` copied into ``slot``, which is returned."""
     slot[...] = block
     return slot
 
 
-def _out_slots(x, i, k):
-    """Output slots of backward step ``i``: the solution row (first
-    off-diagonal when ``k = 2``, arrow column), column and diagonal."""
-    row, col = [x.arrow_col[i]], [x.arrow_row[i]]
-    if k == 2:
-        row.insert(0, x.upper[i])
-        col.insert(0, x.lower[i])
-    return row, col, x.diag[i]
+def _bt_step(s, u, l, y, counter, bu=None, bl=None, bd=None, z=None, sb=None, sigma=0):
+    """The backward step at a pivot with one trailing coupling ``j``: a
+    BT step, or the last block's step of an arrowhead system, whose one
+    coupling is the tip.  It solves in the slots it is handed.
 
+    ``s`` is the pivot inverse ``S``; ``u`` and ``l`` are ``A``'s
+    pivot-to-trailing and trailing-to-pivot couplings, ``bu``, ``bl`` and
+    ``bd`` (fused) ``B``'s and the pivot's diagonal block of ``B``; ``y``
+    (``z``) is the trailing diagonal solution ``Y`` (``Z``) and ``sb`` the
+    quadratic Schur block ``Sb``.  The couplings are as
+    :func:`_forward_sweep` left them: ``F1 = S·U`` in ``u`` (selected
+    inversion), or ``F2 = L·S`` in ``l`` and ``q = Bl - F2·Bd`` in ``bl``
+    (fused).  The step is::
 
-def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
-    """Backward steps at blocks ``stop-1`` down to 0.
+        X(j,i) = -Y·F2      X(i,j) = -F1·Y      X_ii = S - F1·X(j,i)
+        Z(j,i) = Y·q·S^H - Z·F1^H               V = S·(Bu - Bd·F2^H)·Y^H
+        Z(i,j) = V - F1·Z   Z_ii = Sb - (F1·Z(j,i) + V·F1^H)
 
-    The sweep is seeded with block ``stop``'s diagonal and arrow solution
-    blocks, read from their slots of ``x_a`` (``x_b``), and the tip
-    solution ``ytt`` (``ztt``); it writes every block it solves into its
-    slot.  ``a`` and ``b`` are the working stacks :func:`_forward_sweep`
-    left: ``a.diag[i]`` is the pivot inverse ``S``, the forward's
-    products sit in the slots it names, and every other coupling is as
-    seen when block ``i`` was eliminated.  ``x_a`` (``x_b``) may be ``a``
-    (``b``) itself: a step reads a slot before it writes it, and writes
-    a block whose slot holds a factor from a new block after the
-    factor's last read; later steps read only solved slots.
+    4 (selected inversion) or 13 (fused) products.  With ``sigma`` = ±1
+    (``B = σ·B^H``) it is 9 products, and ``Z(i,j)``, the mirror of
+    ``Z(j,i)``, is left to the caller::
 
-    A step is the ``k = 1`` (no arrow) or ``k = 2`` (the next block
-    ``d`` and the tip ``t``) case of :func:`_backstep` written out, each
-    sum as its products in its order and each temporary freed where it
-    frees it, so the bits, counts and peak memory are its own; the
-    generic step made the b=4 sweep 13-18% slower and the b=16 arrow
-    sweep 20-30%.  With ``U``/``L`` the couplings of ``a`` and
-    ``Bu``/``Bl``/``Bd`` the blocks of ``b``, ``F1 = S·U``, ``F2 = L·S``,
-    ``q = Bl - F2·Bd``, ``Sb = s_b[i]`` and ``Y``/``Z`` the trailing
-    diagonals, the BT step is::
+        P = Z·F1^H          Z(j,i) = Y·q·S^H - P
+        T = F1·Z(j,i)       Z_ii = Sb - T - σ·T^H - F1·P
 
-        X(i+1,i) = -Y·F2    X(i,i+1) = -F1·Y    X_ii = S - F1·X(i+1,i)
-        Z(i+1,i) = Y·q·S^H - Z·F1^H             V = S·(Bu - Bd·F2^H)·Y^H
-        Z(i,i+1) = V - F1·Z          Z_ii = Sb - F1·Z(i+1,i) - V·F1^H
-
-    With ``F1`` (selected inversion) or ``F2`` and ``q`` (fused) from the
-    forward, a BT step costs 4 or 13 products and an arrow step 12 or
-    38.  With ``factors.sigma`` = ±1 they cost 9 and 26::
-
-        P = Z·F1^H          Z(i+1,i) = Y·q·S^H - P
-        T = F1·Z(i+1,i)     Z_ii = Sb - T - σ·T^H - F1·P
-
-    and ``Z(i,i+1)``, the mirror of ``Z(i+1,i)``, is written for every
-    step at once when the sweep ends; the arrow column ``Z(i,t)`` is
-    mirrored in each step, whose successor reads it.
+    Each solution block goes into the slot of the same block: ``X_ii``
+    into ``s``, ``X(i,j)`` into ``u``, ``X(j,i)`` into ``l``, and ``Z``'s
+    into ``bd``, ``bu`` and ``bl``.  Returns ``(X_ii, Z_ii)``, ``Z_ii``
+    None in selected inversion.
     """
-    fused, arrow, sigma = x_b is not None, factors.a > 0, factors.sigma
-    y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
+    fused = z is not None
+    # Every product that reads s or a coupling is formed before the first
+    # write: the outputs are those very slots.
+    f1 = mm(s, u, counter) if fused else u
+    f2 = l if fused else mm(l, s, counter)
     if fused:
-        z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
+        e = mm(bl, s, counter, tb=True)
+        if not sigma:  # G = S·(Bu - Bd·F2^H), the difference formed in Bu's slot
+            g = mm(s, mm(bd, f2, counter, tb=True, out=bu, alpha=-1, beta=1), counter)
+    # The block whose slot holds F1 or F2 goes there from a new one.
+    xl = mm(y, f2, counter, out=None if fused else l, alpha=-1)
+    xu = mm(f1, y, counter, out=u if fused else None, alpha=-1)
+    x_ii = mm(f1, xl, counter, out=s, alpha=-1, beta=1)
+    if not fused:
+        u[...] = xu
+        return x_ii, None
+    l[...] = xl
+    zl = mm(y, e, counter, out=bl)
+    if sigma:
+        p = mm(z, f1, counter, tb=True)
+        zl -= p
+        t = mm(f1, zl, counter)
+        bd[...] = sb  # a difference from a base block starts as its copy
+        mm(f1, p, counter, out=bd, alpha=-1, beta=1)
+        return x_ii, _sub_mirrored(bd, t, sigma)
+    mm(z, f1, counter, tb=True, out=zl, alpha=-1, beta=1)
+    v = mm(g, y, counter, tb=True)
+    t = mm(f1, zl, counter)
+    mm(v, f1, counter, tb=True, out=t, beta=1)
+    z_ii = np.subtract(sb, t, out=bd)
+    bu[...] = v
+    mm(f1, z, counter, out=bu, alpha=-1, beta=1)
+    return x_ii, z_ii
+
+
+def _backward_sweep(factors, a, b, stop, ytt, ztt, counter):
+    """Backward steps at blocks ``stop-1`` down to 0, solved in place.
+
+    ``a`` and ``b`` are the working stacks :func:`_forward_sweep` left:
+    ``a.diag[i]`` is the pivot inverse ``S``, the forward's products sit
+    in the slots it names, and every other coupling is as seen when block
+    ``i`` was eliminated.  The sweep is seeded with block ``stop``'s
+    diagonal and arrow solution blocks, read from their slots, and the
+    tip solution ``ytt`` (``ztt``); it writes every block it solves into
+    its slot.  A step reads a slot before it writes it, and writes a
+    block whose slot holds a factor from a new block after the factor's
+    last read; later steps read only solved slots.
+
+    Without an arrow a step is :func:`_bt_step`.  With one it has two
+    trailing couplings, the next block ``d`` and the tip ``t``, and runs
+    inline: each sum of :func:`_bt_step`'s formulas becomes a sum over
+    ``d`` and ``t`` of its products, in that order, and each temporary
+    is freed where a generic k-coupling step would free it, which keeps
+    the traced peak memory; a generic step made the b=16 arrow sweep
+    20-30% slower.  With ``F1`` (selected inversion) or ``F2`` and ``q``
+    (fused) from the forward, an arrow step costs 12 or 38 products, 26
+    with ``factors.sigma`` = ±1.  Under σ, ``Z(i,i+1)``, the mirror of
+    ``Z(i+1,i)``, is written for every step at once when the sweep ends;
+    the arrow column ``Z(i,t)`` is mirrored in each step, whose
+    successor reads it.
+    """
+    fused, arrow, sigma = b is not None, factors.a > 0, factors.sigma
+    y_dd, y_dt, y_td = a.diag[stop], a.arrow_col[stop], a.arrow_row[stop]
+    if fused:
+        z_dd, z_dt, z_td = b.diag[stop], b.arrow_col[stop], b.arrow_row[stop]
     for i in range(stop - 1, -1, -1):
         s = a.diag[i]
         if not arrow:
-            # A difference from a base block starts as a copy of the base.
-            # Every product that reads s or a coupling is formed before
-            # the first write: the outputs may be those very slots.
-            y = y_dd
-            f1 = mm(s, a.upper[i], counter) if fused else a.upper[i]
-            f2 = a.lower[i] if fused else mm(a.lower[i], s, counter)
-            if fused:
-                z, sb = z_dd, factors.s_b[i]
-                e = mm(b.lower[i], s, counter, tb=True)
-                if not sigma:
-                    bu = mm(b.diag[i], f2, counter, tb=True, out=b.upper[i], alpha=-1, beta=1)
-                    g = mm(s, bu, counter)
-            # The block whose slot holds F1 or F2 goes there from a new one.
-            xl = mm(y, f2, counter, out=None if fused else x_a.lower[i], alpha=-1)
-            xu = mm(f1, y, counter, out=x_a.upper[i] if fused else None, alpha=-1)
-            x_a.diag[i] = s
-            y_dd = mm(f1, xl, counter, out=x_a.diag[i], alpha=-1, beta=1)
-            if not fused:
-                x_a.upper[i] = xu
-                continue
-            x_a.lower[i] = xl
-            if sigma:
-                p = mm(z, f1, counter, tb=True)
-                zl = mm(y, e, counter, out=x_b.lower[i])
-                zl -= p
-                t = mm(f1, zl, counter)
-                x_b.diag[i] = sb
-                mm(f1, p, counter, out=x_b.diag[i], alpha=-1, beta=1)
-                z_dd = _sub_mirrored(x_b.diag[i], t, sigma)
-            else:
-                zl = mm(y, e, counter, out=x_b.lower[i])
-                mm(z, f1, counter, tb=True, out=zl, alpha=-1, beta=1)
-                v = mm(g, y, counter, tb=True)
-                x_b.upper[i] = v
-                mm(f1, z, counter, out=x_b.upper[i], alpha=-1, beta=1)
-                x_b.diag[i] = sb
-                mm(f1, zl, counter, out=x_b.diag[i], alpha=-1, beta=1)
-                z_dd = mm(v, f1, counter, tb=True, out=x_b.diag[i], alpha=-1, beta=1)
+            qb = (b.upper[i], b.lower[i], b.diag[i], z_dd, factors.s_b[i]) if fused else ()
+            y_dd, z_dd = _bt_step(s, a.upper[i], a.lower[i], y_dd, counter, *qb, sigma=sigma)
             continue
-        # With an arrow: the k = 2 step of _backstep, the next block (d)
-        # and the tip (t), with its products, operands and order.
         y, ydt, ytd = y_dd, y_dt, y_td
         if fused:  # F2, and B's couplings less F2·Bd, from the forward
             f2d, f2t = a.lower[i], a.arrow_row[i]
@@ -514,33 +400,33 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
                           for f, o in ((f2d, b.upper[i]), (f2t, b.arrow_col[i])))
         else:
             f2d, f2t = mm(a.lower[i], s, counter), mm(a.arrow_row[i], s, counter)
-        xl = mm(y, f2d, counter, out=None if fused else x_a.lower[i], alpha=-1)
+        xl = mm(y, f2d, counter, out=None if fused else a.lower[i], alpha=-1)
         mm(ydt, f2t, counter, out=xl, alpha=-1, beta=1)
-        xr = mm(ytd, f2d, counter, out=None if fused else x_a.arrow_row[i], alpha=-1)
+        xr = mm(ytd, f2d, counter, out=None if fused else a.arrow_row[i], alpha=-1)
         mm(ytt, f2t, counter, out=xr, alpha=-1, beta=1)
         if fused:  # the column goes into F2's slots after their last read
-            xl, xr = _put(x_a.lower[i], xl), _put(x_a.arrow_row[i], xr)
-        del f2d, f2t  # as _backstep frees them: at b=256 each is 1 MB of peak
+            xl, xr = _put(a.lower[i], xl), _put(a.arrow_row[i], xr)
+        del f2d, f2t  # at b=256 each is 1 MB of peak
         if fused:
             f1d, f1t = mm(s, a.upper[i], counter), mm(s, a.arrow_col[i], counter)
         else:  # S·U and S·Ac, from the forward
             f1d, f1t = a.upper[i], a.arrow_col[i]
         t = mm(f1d, xl, counter)
         mm(f1t, xr, counter, out=t, beta=1)
-        y_dd = np.subtract(s, t, out=x_a.diag[i])
+        y_dd = np.subtract(s, t, out=a.diag[i])
         del t
         # The forward's F1 may sit in the row's slots: the row then goes
         # there from new blocks, after the last read of F1.
-        xu = mm(f1d, y, counter, out=x_a.upper[i] if fused else None, alpha=-1)
+        xu = mm(f1d, y, counter, out=a.upper[i] if fused else None, alpha=-1)
         mm(f1t, ytd, counter, out=xu, alpha=-1, beta=1)
-        xc = mm(f1d, ydt, counter, out=x_a.arrow_col[i] if fused else None, alpha=-1)
+        xc = mm(f1d, ydt, counter, out=a.arrow_col[i] if fused else None, alpha=-1)
         mm(f1t, ytt, counter, out=xc, alpha=-1, beta=1)
-        y_dt, y_td = x_a.arrow_col[i], xr
+        y_dt, y_td = a.arrow_col[i], xr
         if not fused:
-            x_a.upper[i], x_a.arrow_col[i] = xu, xc
+            a.upper[i], a.arrow_col[i] = xu, xc
             del xu, xc
             continue
-        zl, zr = x_b.lower[i], x_b.arrow_row[i]
+        zl, zr = b.lower[i], b.arrow_row[i]
         if sigma:
             pd = mm(z, f1d, counter, tb=True)
             mm(zdt, f1t, counter, tb=True, out=pd, beta=1)
@@ -554,12 +440,12 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             zr -= pt
             # The next step reads the arrow column; the upper coupling is
             # mirrored for every step at once when the sweep ends.
-            z_dt = _mirror(zr, sigma, out=x_b.arrow_col[i])
+            z_dt = _mirror(zr, sigma, out=b.arrow_col[i])
             t = mm(f1d, zl, counter)
             mm(f1t, zr, counter, out=t, beta=1)
             u = mm(f1d, pd, counter)
             mm(f1t, pt, counter, out=u, beta=1)
-            z_dd = _sub_mirrored(np.subtract(sb, u, out=x_b.diag[i]), t, sigma)
+            z_dd = _sub_mirrored(np.subtract(sb, u, out=b.diag[i]), t, sigma)
             del pd, pt, u
         else:
             _sum_pairs(((y, ed, z, f1d), (ydt, et, zdt, f1t)), -1, counter, zl)
@@ -569,18 +455,18 @@ def _backward_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
             vt = mm(gd, ytd, counter, tb=True)
             mm(gt, ytt, counter, tb=True, out=vt, beta=1)
             t = _sum_pairs(((f1d, zl, vd, f1d), (f1t, zr, vt, f1t)), 1, counter)
-            z_dd = np.subtract(sb, t, out=x_b.diag[i])
+            z_dd = np.subtract(sb, t, out=b.diag[i])
             t = mm(f1d, z, counter)
             mm(f1t, ztd, counter, out=t, beta=1)
-            np.subtract(vd, t, out=x_b.upper[i])
+            np.subtract(vd, t, out=b.upper[i])
             t = mm(f1d, zdt, counter)
             mm(f1t, ztt, counter, out=t, beta=1)
-            z_dt = np.subtract(vt, t, out=x_b.arrow_col[i])
+            z_dt = np.subtract(vt, t, out=b.arrow_col[i])
             del gd, gt, vd, vt
         z_td = zr
-        del ed, et, f1d, f1t, t  # none outlives its step, as in _backstep
+        del ed, et, f1d, f1t, t  # none outlives its step
     if sigma:
-        _mirror(x_b.lower[:stop], sigma, out=x_b.upper[:stop])
+        _mirror(b.lower[:stop], sigma, out=b.upper[:stop])
 
 
 def bta_backward(
@@ -599,10 +485,11 @@ def bta_backward(
     :func:`solve_selected`.  Reads the pivot inverses, the couplings, the
     forward's products and the inverted tip from their slots, and ``Sb``
     from the factors, before it overwrites them; with selected-inversion
-    factors ``b`` is not read.  Starts from the last block (with an arrow, from
-    the inverted reduced tip, with :func:`_backstep` at the tip as the
-    only coupling) and steps backward with :func:`_backward_sweep`, whose
-    one- and two-coupling steps are written out by hand.  Every pattern
+    factors ``b`` is not read.  Starts from the last block: without an
+    arrow its solution is ``S`` (and ``Sb``); with one, from the inverted
+    reduced tip, it runs :func:`_bt_step` with the tip as the one
+    trailing coupling and the arrow strips as the couplings.  It then
+    steps backward with :func:`_backward_sweep`.  Every pattern
     block of the solution(s) is written into its slot by its last
     operation; with ``diagonal_only`` the off-diagonal blocks are
     computed but left zero.
@@ -623,19 +510,16 @@ def bta_backward(
         if fused:
             b.diag[i] = sc
     else:
-        # The last block's step has the tip as its only trailing coupling.
-        ss = ws = yb = bd = None
+        # The last block's step has the tip as its only trailing coupling,
+        # and the arrow strips, as the forward left them, as its couplings.
+        qb = ()
         if fused:
             ztt = mm(mm(ytt, b.tip, counter), ytt, counter, tb=True, out=b.tip)
-            ss, ws, yb, bd = [b.arrow_col[i]], [b.arrow_row[i]], [[ztt]], b.diag[i]
-        out = _out_slots(a, i, 1) + (_out_slots(b, i, 1) if fused else (None,) * 3)
-        # The forward's S·Ac (selected inversion), or Ar·S and Br - Ar·S·Bd
-        # (fused), sit in the arrow slots.
-        col = [a.arrow_col[i]]
-        rs, sr = (col, None) if fused else (None, col)
-        _backstep(s, rs, [a.arrow_row[i]], [[ytt]], sc, ss, ws, yb, counter,
-                  sr=sr, bd=bd, out=out, sigma=factors.sigma)
-    _backward_sweep(factors, a, b, a, b, i, ytt, ztt, counter)
+            qb = (b.arrow_col[i], b.arrow_row[i], b.diag[i], ztt, sc)
+        _bt_step(s, a.arrow_col[i], a.arrow_row[i], ytt, counter, *qb, sigma=factors.sigma)
+        if factors.sigma:  # the next step reads the arrow column
+            _mirror(b.arrow_row[i], factors.sigma, out=b.arrow_col[i])
+    _backward_sweep(factors, a, b, i, ytt, ztt, counter)
 
     if diagonal_only:
         for x in (a, b) if fused else (a,):
@@ -654,9 +538,8 @@ def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
 
 def bt_backward(factors: RgfFactors, *args, **kwargs) -> SelectedSolution:
     """:func:`bta_backward` of BT factors (``a = 0``), which it requires:
-    the hand-written one-coupling step of :func:`_backward_sweep`, 4
-    (selected inversion) or 13 (fused, 9 for a σ-Hermitian right-hand
-    side) b-sized products per step."""
+    :func:`_bt_step` at every block, 4 (selected inversion) or 13 (fused,
+    9 for a σ-Hermitian right-hand side) b-sized products per step."""
     if factors.a != 0:
         raise ShapeMismatchError("bt_backward requires BT factors (a=0)")
     return bta_backward(factors, *args, **kwargs)

@@ -291,14 +291,18 @@ class TestStackedStorage:
     # The fused solve of a right-hand side that is not Hermitian, on the
     # input's blocks and re-blocked, and partitioned (20 blocks of order 3,
     # arrow 2, on P = 2 and 3 threads).  A B = ±B^H takes a path of its
-    # own; these pins show the general path keeps every bit.
+    # own; these pins show the general path keeps every bit.  Its BT step
+    # (a = 0) forms Z_ii = Sb - (F1·Z(i+1,i) + V·F1^H) as the generic
+    # k-coupling step does.  Dense-oracle max block relative error of
+    # x_b, on the input's blocks / re-blocked: (7, 3, 0) 6.12e-16 /
+    # 5.85e-16, (256, 4, 0) 8.86e-16 / 8.51e-16.
     GENERAL_RHS = {
         ((7, 3, 2), False): "3a5937521030e456a56086111b626d3c81a2a28975e8f6ed01dc54e4b297796e",
         ((7, 3, 2), True): "dd19fb701740fa5969f63b0176aae65a868be07429cbd65ce235e8e7e18045d4",
-        ((7, 3, 0), False): "fd05556442d3f41ae74167169ae753eb2af0faedd4e3910088bd6da7b6b8d356",
-        ((7, 3, 0), True): "b0732e7dbacfe33f98ea0c10ec53d71483a143aecf4b7b8fc592c79a0ac79d34",
-        ((256, 4, 0), False): "c78b1cf961de22dd525d7f88a35b89ab66f1162eda3507d1338897b935e52649",
-        ((256, 4, 0), True): "f2e84b4d8fe49290c2f51c11c698fd9a73a2b2d92da0852dc681b24fd1d658ba",
+        ((7, 3, 0), False): "6ab25ffc135a5740324b02f8aee1f4d7fb485c6f57d4a08dc77fda1542d81ca0",
+        ((7, 3, 0), True): "bc4b1e3c119ed0e3801e070ba2876b45b7a01530af923f41357d882483a7dc2b",
+        ((256, 4, 0), False): "fa3f44d200a595b1622f043423ffb98e1e22ba02bf7e7fd441078058a891a199",
+        ((256, 4, 0), True): "b10183fdd3636d993bb871b031696152827c1c40643a7915b9348318d5bdd894",
     }
     GENERAL_RHS_DIST = {
         2: "753f0c167328d2bc6ea541c982a7acec3d9ea507a6f24099edbe27ab0595fb79",

@@ -29,7 +29,8 @@ from btasel import (
 )
 from btasel.matrix import stack_shapes
 from btasel import rgf
-from btasel.rgf import _backstep, _hermitian_sign, _out_slots
+from btasel.kernels import mm
+from btasel.rgf import _hermitian_sign, _mirror, _put, _sub_mirrored, _sum_pairs
 
 
 class TestBtForward:
@@ -228,11 +229,158 @@ class TestSweepGuards:
         assert _bits(wb) == _bits(rhs)
 
 
-def _generic_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
-    """The arrowhead backward sweep with :func:`rgf._backstep` at k = 2
-    for its step, as it ran before the step was written out, handed the
+# The generic k-coupling backward step, which no solver runs.  The
+# solver's steps are its k = 1 and k = 2 cases written out; the tests
+# below check them against it, and it against the dense oracles.
+
+
+def _sum_mm(xs, ys, counter, *, tb=False, out=None, alpha=1):
+    """``alpha·sum_l xs[l]·op(ys[l])``, accumulated in ``out`` (a new block
+    when None) by one :func:`mm` call per term."""
+    out = mm(xs[0], ys[0], counter, tb=tb, out=out, alpha=alpha)
+    for x, y in zip(xs[1:], ys[1:]):
+        mm(x, y, counter, tb=tb, out=out, alpha=alpha, beta=1)
+    return out
+
+
+def _backstep(
+    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, sr=None, bd=None,
+    out=None, sigma=0,
+):
+    """One backward substitution step at a pivot with trailing couplings.
+
+    The reference the solver's steps are checked against:
+    :func:`rgf._bt_step` is its ``k = 1`` case and the arrow step of
+    :func:`rgf._backward_sweep` its ``k = 2`` case, written out.
+
+    ``g`` is the pivot inverse ``S``; ``rs[l]``/``qs[l]`` are the
+    pivot-to-trailing and trailing-to-pivot coupling blocks ``R_l``/``Q_l``
+    as seen at elimination time; ``ya[l][m]`` (and ``yb``) are the
+    already-known trailing solution blocks ``Y_lm`` (``Z_lm``).  Returns
+    the pivot's solution row ``X(i,j)``, column ``X(j,i)`` and diagonal
+    for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
+    (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
+    ``yb`` is given, for the quadratic solution.  ``sr``, when given,
+    holds the forward's products ``S·R_l``, and ``rs`` is not read.
+    ``bd``, when given, is the pivot's diagonal block of ``B`` as
+    eliminated, and ``qs`` and ``ws`` hold the fused forward's ``F2_l``
+    and ``W_l - F2_l·Bd``: ``E_l = ws[l]·S^H`` and ``G_l = S·(Ss_l -
+    Bd·F2_l^H)``.  ``out``, when given, names an output slot (or None,
+    for a new block) for every block of the result, in its shape; each
+    block is written into its slot by its last operation.  The slots may
+    be those of the step's own inputs (``g``, ``rs``, ``qs``, ``ss``,
+    ``ws``, ``sr``): every input is read before the first output slot is
+    written, except that the row is written after every read of ``sr``
+    when that is given, and the column after every read of ``qs`` when
+    ``bd`` is.
+
+    Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
+    ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
+
+        X(j,i) = -sum_l Y_jl·F2_l        X(i,j) = -sum_l F1_l·Y_lj
+        X_ii   = S - sum_l F1_l·X(l,i)
+        Z(j,i) = sum_l (Y_jl·E_l - Z_jl·F1_l^H)
+        V_j    = sum_l G_l·Y_jl^H        Z(i,j) = V_j - sum_l F1_l·Z_lj
+        Z_ii   = Sb - sum_l (F1_l·Z(l,i) + V_l·F1_l^H)
+
+    which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
+    the quadratic solution at ``k`` trailing couplings, less ``k`` with
+    ``sr`` and ``2k`` with ``bd`` (the standard RGF recursion, Svizhenko
+    et al., J. Appl. Phys. 2002).  All products are pattern-restricted:
+    the trailing blocks touched are exactly those on the BT(A) pattern.
+
+    Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
+    come from a ``B = sigma·B^H``, so the quadratic solution is
+    σ-Hermitian too: ``Z(i,j) = sigma·Z(j,i)^H`` is copied, not formed.
+    With ``P_j = sum_l Z_jl·F1_l^H`` and ``T = sum_l F1_l·Z(l,i)``::
+
+        Z(j,i) = sum_l Y_jl·E_l - P_j
+        Z_ii   = Sb - T - sigma·T^H - sum_m F1_m·P_m
+
+    ``2k^2+4k`` quadratic products; ``ss`` is not read (``G_l`` and
+    ``V_j`` are not formed).
+    """
+    k = len(qs)
+    c = counter
+    none = [None] * k
+    ra, ca, da, rb, cb, db = out or (none, none, None, none, none, None)
+    # Ordered so that few temporary blocks are alive at once: at large b
+    # each one shows in peak memory.  A negated sum accumulates in its
+    # output slot, -x - y being -(x + y) bit for bit; a sum subtracted
+    # from a base block, or a sum of differences, is formed first.  The
+    # quadratic factors read g and qs, whose slots xa_diag and xa_col may
+    # be, so they are formed first.
+    fused, handed = yb is not None, bd is not None
+    if fused:
+        # Handed the forward's products, ws holds W_l - F2_l·Bd: E_l = W_l·S^H.
+        es = [mm(w, g, c, tb=True) for w in ws]
+        if not handed:
+            for e, q in zip(es, qs):
+                mm(q, sc, c, out=e, alpha=-1, beta=1)
+        if not sigma:
+            gs = [mm(g, mm(bd, q, c, tb=True, out=s.copy(), alpha=-1, beta=1), c) if handed
+                  else _sum_pairs([(g, s, sc, q)], -1, c) for s, q in zip(ss, qs)]
+    f2 = qs if handed else [mm(q, g, c) for q in qs]
+    # The forward's F2 may sit in the column's slots: the column then
+    # goes there from new blocks, once nothing reads F2 again.
+    xa_col = [_sum_mm(ya[j], f2, c, out=None if handed else ca[j], alpha=-1) for j in range(k)]
+    if handed:
+        xa_col = [x if o is None else _put(o, x) for x, o in zip(xa_col, ca)]
+    del f2
+    f1 = sr or [mm(g, r, c) for r in rs]
+    xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
+    # The forward's S·R_l may sit in the row's slots: the row then goes
+    # there from new blocks, once nothing reads F1 again.
+    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=None if sr else ra[j], alpha=-1)
+              for j in range(k)]
+    xb_row = xb_col = xb_diag = None
+
+    if fused and sigma:
+        ps = [_sum_mm(z, f1, c, tb=True) for z in yb]
+        xb_col = [_sum_mm(y, es, c, out=o) for y, o in zip(ya, cb)]
+        for col, p in zip(xb_col, ps):
+            col -= p
+        xb_row = [_mirror(col, sigma, out=o) for col, o in zip(xb_col, rb)]
+        t = _sum_mm(f1, xb_col, c)
+        xb_diag = _sub_mirrored(np.subtract(sc, _sum_mm(f1, ps, c), out=db), t, sigma)
+    elif fused:
+        xb_col = [_sum_pairs(zip(ya[j], es, yb[j], f1), -1, c, cb[j]) for j in range(k)]
+        vs = [_sum_mm(gs, ya[j], c, tb=True) for j in range(k)]
+        xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
+        sums = [_sum_mm(f1, [y[j] for y in yb], c) for j in range(k)]
+        xb_row = [np.subtract(v, t, out=t if o is None else o) for v, t, o in zip(vs, sums, rb)]
+    if sr:
+        xa_row = [r if o is None else _put(o, r) for r, o in zip(xa_row, ra)]
+    return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
+
+
+def _out_slots(x, i, k):
+    """Output slots of backward step ``i``: the solution row (first
+    off-diagonal when ``k = 2``, arrow column), column and diagonal."""
+    row, col = [x.arrow_col[i]], [x.arrow_row[i]]
+    if k == 2:
+        row.insert(0, x.upper[i])
+        col.insert(0, x.lower[i])
+    return row, col, x.diag[i]
+
+
+def _generic_bt_step(s, u, l, y, counter, bu=None, bl=None, bd=None, z=None, sb=None, sigma=0):
+    """:func:`rgf._bt_step` as :func:`_backstep` at k = 1, handed the
     forward's products as the written-out step reads them."""
-    fused, sigma = x_b is not None, factors.sigma
+    fused = z is not None
+    rs, sr = ([u], None) if fused else (None, [u])  # in selected inversion S·U
+    quad = (sb, [bu], [bl], [[z]]) if fused else (None,) * 4  # bl: Bl - L·S·Bd
+    out = ([u], [l], s) + (([bu], [bl], bd) if fused else (None,) * 3)
+    got = _backstep(s, rs, [l], [[y]], *quad, counter, sr=sr, bd=bd, out=out, sigma=sigma)
+    return got[2], got[5]
+
+
+def _generic_sweep(factors, a, b, stop, ytt, ztt, counter):
+    """The arrowhead backward sweep with :func:`_backstep` at k = 2 for
+    its step, as it ran before the step was written out, handed the
+    forward's products as the written-out step reads them."""
+    x_a, x_b = a, b
+    fused, sigma = b is not None, factors.sigma
     y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
     if fused:
         z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
@@ -257,7 +405,39 @@ def _generic_sweep(factors, a, b, x_a, x_b, stop, ytt, ztt, counter):
 
 
 class TestBackwardStep:
-    """The backward step forms each product once (``rgf._backstep``)."""
+    """The backward step forms each product once (:func:`_backstep`)."""
+
+    @pytest.mark.parametrize(
+        "shape", [(9, 4, 0), (7, 16, 0), (6, 20, 0), (9, 4, 1), (7, 16, 3), (6, 20, 4)]
+    )
+    @pytest.mark.parametrize("rhs", ["si", "general", "sigma=1", "sigma=-1"])
+    def test_one_coupling_step_is_the_generic_step(self, monkeypatch, shape, rhs):
+        # Every step with one trailing coupling, each BT step and an
+        # arrowhead system's tip step, runs rgf._bt_step, and equals
+        # _backstep at k = 1 on the same factors, both solving in place:
+        # the same bytes in every slot and the same tallies.  The shapes
+        # run small and large products, the latter on numpy's path.
+        n, b, a_sz = shape
+        if rhs.startswith("sigma"):
+            a, rb = signed_system(n, b, a_sz, seed=31, sigma=int(rhs[6:]))
+        else:
+            a, rb = random_system(n, b, a_sz, seed=31)
+        rb = None if rhs == "si" else rb
+        factors = bta_forward(a, rb)
+        solved, calls = [], Counter()
+        for step in (rgf._bt_step, _generic_bt_step):
+
+            def counted(*args, step=step, **kwargs):
+                calls[step] += 1
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(rgf, "_bt_step", counted)
+            wa, wb = a.copy(), (rb.copy() if rb is not None else None)
+            counter = OpCounter(b=b, a=a_sz)
+            bta_backward(factors, wa, wb, counter)
+            solved.append((_bits(wa), _bits(wb) if wb is not None else None, counter.as_dict()))
+        assert solved[0] == solved[1]
+        assert set(calls.values()) == {n - 1 if a_sz == 0 else 1}
 
     @pytest.mark.parametrize("shape", [(9, 4, 1), (12, 3, 2), (7, 16, 3), (6, 20, 4)])
     @pytest.mark.parametrize("rhs", ["si", "general", "sigma=1", "sigma=-1"])
