@@ -379,11 +379,10 @@ def _generic_sweep(factors, a, b, stop, ytt, ztt, counter):
     """The arrowhead backward sweep with :func:`_backstep` at k = 2 for
     its step, as it ran before the step was written out, handed the
     forward's products as the written-out step reads them."""
-    x_a, x_b = a, b
     fused, sigma = b is not None, factors.sigma
-    y_dd, y_dt, y_td = x_a.diag[stop], x_a.arrow_col[stop], x_a.arrow_row[stop]
+    y_dd, y_dt, y_td = a.diag[stop], a.arrow_col[stop], a.arrow_row[stop]
     if fused:
-        z_dd, z_dt, z_td = x_b.diag[stop], x_b.arrow_col[stop], x_b.arrow_row[stop]
+        z_dd, z_dt, z_td = b.diag[stop], b.arrow_col[stop], b.arrow_row[stop]
     ss = ws = yb = sc = bd = None
     for i in range(stop - 1, -1, -1):
         qs = [a.lower[i], a.arrow_row[i]]  # fused: L·S and Ar·S
@@ -395,7 +394,7 @@ def _generic_sweep(factors, a, b, stop, ytt, ztt, counter):
             ws = [b.lower[i], b.arrow_row[i]]  # Bl - L·S·Bd and Br - Ar·S·Bd
             yb = [[z_dd, z_dt], [z_td, ztt]]
             sc, bd = factors.s_b[i], b.diag[i]
-        out = _out_slots(x_a, i, 2) + (_out_slots(x_b, i, 2) if fused else (None,) * 3)
+        out = _out_slots(a, i, 2) + (_out_slots(b, i, 2) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
             a.diag[i], rs, qs, ya, sc, ss, ws, yb, counter, sr=sr, bd=bd, out=out, sigma=sigma
         )
