@@ -229,11 +229,13 @@ def _unpack_part(rank: int, blob: bytes) -> np.ndarray:
 class SocketCollectives(Collectives):
     """TCP star transport: rank 0 is the hub, everyone else connects to it.
 
-    Gather payloads must provide ``to_bytes()`` and a ``from_bytes``
-    classmethod; reduce payloads are complex arrays, sent as their shape
-    (a u32 number of axes, then one u64 extent per axis) and their
-    little-endian ``complex128`` entries.  The wire carries only
-    length-prefixed frames tagged with rank and round.
+    Gather payloads must provide ``parts()``, their bytes as buffers that
+    are sent back to back from their own memory, and a ``from_bytes``
+    classmethod that reads those bytes joined; reduce payloads are
+    complex arrays, sent as their shape (a u32 number of axes, then one
+    u64 extent per axis) and their little-endian ``complex128`` entries.
+    The wire carries only length-prefixed frames tagged with rank and
+    round.
     """
 
     def __init__(self, world_size: int, rank: int, rendezvous: str, timeout: float = 60.0):
@@ -350,7 +352,7 @@ class SocketCollectives(Collectives):
         return blobs
 
     def all_gather(self, payload) -> list:
-        blobs = self._round_trip(payload.to_bytes())
+        blobs = self._round_trip(*payload.parts())
         results = [type(payload).from_bytes(blob) for blob in blobs]
         self.trace.append(
             TraceEvent(

@@ -108,9 +108,14 @@ class BoundaryPayload:
             )
         return {"rank": self.rank, "kind": self.kind, "nbytes": self.nbytes(), "blocks": blocks}
 
-    def to_bytes(self) -> bytes:
+    def parts(self) -> list:
+        """The payload's bytes as parts to send back to back: the 5-byte
+        rank/kind head, then each side's :func:`~btasel.fileio.bta_parts`."""
         head = _HEAD.pack(self.rank, _KIND_CODES[self.kind])
-        return b"".join([head, *(p for m in self.sides for p in bta_parts(m))])
+        return [head, *(p for m in self.sides for p in bta_parts(m))]
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.parts())
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BoundaryPayload":

@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from .errors import BadMagicError, ShapeInconsistencyError, TruncatedPayloadError
-from .matrix import BtaMatrix, stack_shapes
+from .matrix import BtaMatrix, _container, stack_shapes
 
 __all__ = [
     "read_bta",
@@ -94,16 +94,6 @@ def _parse_header(head: bytes) -> tuple[int, int, int]:
     if n < 1 or b < 1:
         raise ShapeInconsistencyError(f"invalid shape in header (n={n}, b={b}, a={a})")
     return n, b, a
-
-
-def _container(data: np.ndarray, n: int, b: int, a: int) -> BtaMatrix:
-    """The container whose stacks are consecutive views of ``data``."""
-    stacks, start = [], 0
-    for shape in stack_shapes(n, b, a):
-        size = math.prod(shape)
-        stacks.append(data[start : start + size].reshape(shape))
-        start += size
-    return BtaMatrix(n, b, a, *stacks)
 
 
 def decode_bta(raw, offset: int = 0, copy: bool = True) -> tuple[BtaMatrix, int]:

@@ -31,11 +31,22 @@ __all__ = [
 ]
 
 MODES = ("si", "siq")
+_HUGE_PAGE = 2 << 20  # bytes: the x86-64 and arm64 (4 KiB base page) PMD size
 
 
 def stack_shapes(n: int, b: int, a: int) -> tuple[tuple[int, ...], ...]:
     """Shapes of the six fields, in :attr:`BtaMatrix.FIELDS` order."""
     return ((n, b, b), (n - 1, b, b), (n - 1, b, b), (n, a, b), (n, b, a), (a, a))
+
+
+def _container(data: np.ndarray, n: int, b: int, a: int) -> "BtaMatrix":
+    """The container whose stacks are consecutive views of ``data``."""
+    stacks, start = [], 0
+    for shape in stack_shapes(n, b, a):
+        size = math.prod(shape)
+        stacks.append(data[start : start + size].reshape(shape))
+        start += size
+    return BtaMatrix(n, b, a, *stacks)
 
 
 def _as_stack(name: str, blocks, shape: tuple[int, ...]) -> np.ndarray:
@@ -58,9 +69,10 @@ class BtaMatrix:
     """Container for the pattern blocks of a BT(A) matrix.
 
     Each field is one C-contiguous ``complex128`` array: a stack of
-    blocks whose ``i``-th entry is a view of block ``i``.  A
-    field given as such an array is stored as given (not copied); a
-    sequence of blocks is stacked once.
+    blocks whose ``i``-th entry is a view of block ``i``.  A field given
+    as such an array is stored as given (not copied); a sequence of
+    blocks is stacked once.  The fields of a :meth:`copy` of 2 MiB or
+    more are views of one array.
 
     Parameters
     ----------
@@ -119,8 +131,23 @@ class BtaMatrix:
         return m
 
     def copy(self) -> "BtaMatrix":
-        """A copy whose fields share no memory with this container's."""
-        return BtaMatrix(self.n, self.b, self.a, *(x.copy() for x in self.stacks))
+        """A copy whose fields share no memory with this container's.
+
+        A copy of one huge page (2 MiB) or more is one array on a 2 MiB
+        boundary, its fields consecutive views of it in ``BTA1`` payload
+        order, so that the huge pages numpy asks the kernel for back it
+        whole instead of 4 KiB pages faulted in one by one; a field keeps
+        the whole array alive.  A smaller copy keeps one array per field,
+        which malloc serves from its warm heap.
+        """
+        nbytes = sum(x.nbytes for x in self.stacks)
+        if nbytes < _HUGE_PAGE:
+            return BtaMatrix(self.n, self.b, self.a, *(x.copy() for x in self.stacks))
+        buf = np.empty(nbytes + _HUGE_PAGE, np.uint8)
+        start = -buf.ctypes.data % _HUGE_PAGE
+        data = buf[start : start + nbytes].view(COMPLEX)
+        np.concatenate([x.reshape(-1) for x in self.stacks], out=data)
+        return _container(data, *self.shape_params)
 
     def pattern_blocks(self):
         """Yield ``(kind, index, block)`` over all pattern blocks."""

@@ -376,6 +376,30 @@ def test_reduce_parts_travel_from_their_own_memory(monkeypatch):
     assert own and all(np.shares_memory(p, part) for p in own)
 
 
+def test_gather_parts_travel_from_their_own_memory(monkeypatch):
+    # A sending rank's all_gather frame is its payload's head, then each
+    # side's BTA1 header and non-empty stacks from the stacks' own
+    # memory: no joined copy of them.
+    real, sent = collectives._frame, []
+
+    def spy(rank, round_id, *parts):
+        sent.append((rank, parts))
+        return real(rank, round_id, *parts)
+
+    monkeypatch.setattr(collectives, "_frame", spy)
+    pays = [_payload(0, "first"), _payload(1, "last")]
+    pays[1].b = _payload(1, "last", b=3).a
+    got = _socket_rounds(2, lambda coll: coll.all_gather(pays[coll.rank]))
+    for gathered in got:
+        assert [p.to_bytes() for p in gathered] == [p.to_bytes() for p in pays]
+    frames = [parts for rank, parts in sent if rank == 1 and len(parts) > 1]
+    assert len(frames) == 1  # rank 1's frame; the root relays blobs, one part each
+    stacks = [s for m in pays[1].sides for s in m.stacks if s.size]
+    arrays = [p for p in frames[0] if isinstance(p, np.ndarray)]
+    assert len(arrays) == len(stacks) == 8
+    assert all(np.shares_memory(p, s) for p, s in zip(arrays, stacks))
+
+
 @pytest.mark.parametrize(
     "blob",
     [b"", struct.pack("<I", 2), struct.pack("<IQ", 1, 2) + bytes(16)],

@@ -18,6 +18,13 @@ from btasel import (
 from btasel.matrix import stack_shapes
 
 
+def _root(x):
+    """The array that owns ``x``'s memory."""
+    while x.base is not None:
+        x = x.base
+    return x
+
+
 def _pattern_mask(n, b, a):
     total = n * b + a
     mask = np.zeros((total, total), dtype=bool)
@@ -350,6 +357,31 @@ class TestStackedStorage:
         assert c.equals_exact(m)
         for name in BtaMatrix.FIELDS:
             assert not np.shares_memory(getattr(c, name), getattr(m, name)), name
+
+    def test_copy_of_a_huge_page_or_more_is_one_aligned_array(self):
+        # n=8, b=96, a=8: about 3.4 MB, above the 2 MiB of one huge page.
+        m = generate_dd_bta(8, 96, 8, seed=6)
+        assert sum(x.nbytes for x in m.stacks) >= 2 << 20
+        c = m.copy()
+        assert c.equals_exact(m)
+        start = c.diag.ctypes.data
+        assert start % (2 << 20) == 0
+        for name, x, y in zip(BtaMatrix.FIELDS, c.stacks, m.stacks):
+            assert x.flags.c_contiguous and x.dtype == np.complex128, name
+            assert not np.shares_memory(x, y), name
+            assert x.tobytes() == y.tobytes(), name
+        # One array: the fields lie back to back in FIELDS order, as in a
+        # BTA1 payload.
+        offsets = np.cumsum([0] + [x.nbytes for x in c.stacks[:-1]])
+        assert [x.ctypes.data - start for x in c.stacks] == offsets.tolist()
+        assert len({id(_root(x)) for x in c.stacks}) == 1
+
+    def test_copy_below_a_huge_page_keeps_one_array_per_field(self):
+        m = generate_dd_bta(8, 64, 8, seed=6)  # about 1.6 MB
+        assert sum(x.nbytes for x in m.stacks) < 2 << 20
+        c = m.copy()
+        assert c.equals_exact(m)
+        assert all(x.base is None for x in c.stacks)
 
     def test_mask_to_pattern_copies(self):
         # A single-entry tip or arrow strip of a 1x1-block dense array is

@@ -709,14 +709,14 @@ class TestSolveInPlace:
     """The facade's working copies become its solution: the backward pass
     writes each block into the slot of the same block of the copies."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    @pytest.mark.parametrize("a_sz", [0, 2])
-    @pytest.mark.parametrize("reblock", [False, True])  # c = 1, and c = min(4, n) at b = 4
-    def test_facade_never_writes_or_aliases_its_inputs(self, n, a_sz, reblock):
-        a, rhs = random_system(n, 4, a_sz, seed=40 + n + a_sz)
+    @staticmethod
+    def _check(n, b, a_sz, reblock, seed):
+        """Solve in every mode; returns the solutions' containers."""
+        a, rhs = random_system(n, b, a_sz, seed=seed)
         a_ref, rhs_ref = a.copy(), rhs.copy()
         oracle = (dense_selected_inverse(a), dense_selected_quadratic(a, rhs))
         inputs = a.stacks + rhs.stacks
+        solved = []
         for mode in ("si", "siq"):
             for diagonal_only in (False, True):
                 sol = solve_selected(
@@ -734,9 +734,24 @@ class TestSolveInPlace:
                 for x, dense in zip(xs, oracle):
                     if diagonal_only:
                         assert not x.lower.any() and not x.upper.any()
-                        dense = BtaMatrix(n, 4, a_sz, dense.diag, x.lower, x.upper,
+                        dense = BtaMatrix(n, b, a_sz, dense.diag, x.lower, x.upper,
                                           dense.arrow_row, dense.arrow_col, dense.tip)
                     assert max_block_rel_err(x, dense) <= 1e-12, (mode, diagonal_only)
+                solved += xs
+        return solved
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("a_sz", [0, 2])
+    @pytest.mark.parametrize("reblock", [False, True])  # c = 1, and c = min(4, n) at b = 4
+    def test_facade_never_writes_or_aliases_its_inputs(self, n, a_sz, reblock):
+        self._check(n, 4, a_sz, reblock, seed=40 + n + a_sz)
+
+    def test_facade_solves_in_an_aligned_copy_of_a_huge_page_or_more(self):
+        # About 3.4 MB (N = 776): the working copies, and so the solution,
+        # are each one array on a 2 MiB boundary.
+        for x in self._check(8, 96, 8, reblock=True, seed=48):
+            assert x.diag.ctypes.data % (2 << 20) == 0
+            assert x.tip.ctypes.data == x.diag.ctypes.data + sum(s.nbytes for s in x.stacks[:-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
