@@ -114,9 +114,6 @@ class BoundaryPayload:
         head = _HEAD.pack(self.rank, _KIND_CODES[self.kind])
         return [head, *(p for m in self.sides for p in bta_parts(m))]
 
-    def to_bytes(self) -> bytes:
-        return b"".join(self.parts())
-
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BoundaryPayload":
         try:

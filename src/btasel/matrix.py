@@ -71,8 +71,8 @@ class BtaMatrix:
     Each field is one C-contiguous ``complex128`` array: a stack of
     blocks whose ``i``-th entry is a view of block ``i``.  A field given
     as such an array is stored as given (not copied); a sequence of
-    blocks is stacked once.  The fields of a :meth:`copy` of 2 MiB or
-    more are views of one array.
+    blocks is stacked once.  The fields of a :meth:`copy` are views of
+    one array.
 
     Parameters
     ----------
@@ -133,18 +133,17 @@ class BtaMatrix:
     def copy(self) -> "BtaMatrix":
         """A copy whose fields share no memory with this container's.
 
-        A copy of one huge page (2 MiB) or more is one array on a 2 MiB
-        boundary, its fields consecutive views of it in ``BTA1`` payload
-        order, so that the huge pages numpy asks the kernel for back it
-        whole instead of 4 KiB pages faulted in one by one; a field keeps
-        the whole array alive.  A smaller copy keeps one array per field,
-        which malloc serves from its warm heap.
+        The copy is one array, its fields consecutive views of it in
+        ``BTA1`` payload order; a field keeps the whole array alive.  A
+        copy of one huge page (2 MiB) or more starts on a 2 MiB boundary
+        inside an array that numpy advises as huge pages, so the kernel
+        can back it with huge pages rather than 4 KiB ones (see the
+        README's performance note for what that saves and when).
         """
         nbytes = sum(x.nbytes for x in self.stacks)
-        if nbytes < _HUGE_PAGE:
-            return BtaMatrix(self.n, self.b, self.a, *(x.copy() for x in self.stacks))
-        buf = np.empty(nbytes + _HUGE_PAGE, np.uint8)
-        start = -buf.ctypes.data % _HUGE_PAGE
+        align = _HUGE_PAGE if nbytes >= _HUGE_PAGE else np.dtype(COMPLEX).itemsize
+        buf = np.empty(nbytes + align, np.uint8)
+        start = -buf.ctypes.data % align
         data = buf[start : start + nbytes].view(COMPLEX)
         np.concatenate([x.reshape(-1) for x in self.stacks], out=data)
         return _container(data, *self.shape_params)

@@ -95,6 +95,11 @@ class TestThreadHub:
         assert hub.trace[1].payloads[0]["elements"] == 4
 
 
+def _wire(pay):
+    """A payload's bytes as a socket gather sends them."""
+    return b"".join(pay.parts())
+
+
 def _payload(rank, kind, b=2, a=1):
     side = BtaMatrix.zeros(1, b, a)
     side.diag[0] = rank + 1
@@ -104,7 +109,7 @@ def _payload(rank, kind, b=2, a=1):
 
 def test_payload_roundtrip_bytes():
     pay = _payload(3, "first")
-    again = BoundaryPayload.from_bytes(pay.to_bytes())
+    again = BoundaryPayload.from_bytes(_wire(pay))
     assert again.rank == 3 and again.kind == "first"
     np.testing.assert_array_equal(again.a.diag[0], pay.a.diag[0])
     np.testing.assert_array_equal(again.a.arrow_row[0], pay.a.arrow_row[0])
@@ -184,7 +189,7 @@ def _fused_middle_payload():
     # A middle payload in fused mode: two containers of two blocks each.
     a, b = (BtaMatrix.zeros(2, 2, 1) for _ in range(2))
     a.upper[0], b.lower[0] = 1.0, 2j
-    return BoundaryPayload(rank=1, kind="middle", a=a, b=b).to_bytes()
+    return _wire(BoundaryPayload(rank=1, kind="middle", a=a, b=b))
 
 
 @pytest.mark.parametrize(
@@ -391,7 +396,7 @@ def test_gather_parts_travel_from_their_own_memory(monkeypatch):
     pays[1].b = _payload(1, "last", b=3).a
     got = _socket_rounds(2, lambda coll: coll.all_gather(pays[coll.rank]))
     for gathered in got:
-        assert [p.to_bytes() for p in gathered] == [p.to_bytes() for p in pays]
+        assert [_wire(p) for p in gathered] == [_wire(p) for p in pays]
     frames = [parts for rank, parts in sent if rank == 1 and len(parts) > 1]
     assert len(frames) == 1  # rank 1's frame; the root relays blobs, one part each
     stacks = [s for m in pays[1].sides for s in m.stacks if s.size]

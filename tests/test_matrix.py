@@ -358,30 +358,26 @@ class TestStackedStorage:
         for name in BtaMatrix.FIELDS:
             assert not np.shares_memory(getattr(c, name), getattr(m, name)), name
 
-    def test_copy_of_a_huge_page_or_more_is_one_aligned_array(self):
-        # n=8, b=96, a=8: about 3.4 MB, above the 2 MiB of one huge page.
-        m = generate_dd_bta(8, 96, 8, seed=6)
-        assert sum(x.nbytes for x in m.stacks) >= 2 << 20
+    # n=8, b=96, a=8 is about 3.4 MB, above the 2 MiB of one huge page;
+    # the others are below it, (1, 2, 0) with empty fields.
+    @pytest.mark.parametrize("n,b,a", [(8, 96, 8), (8, 64, 8), (4, 3, 2), (1, 2, 0)])
+    def test_copy_is_one_array(self, n, b, a):
+        m = generate_dd_bta(n, b, a, seed=6)
         c = m.copy()
         assert c.equals_exact(m)
         start = c.diag.ctypes.data
-        assert start % (2 << 20) == 0
+        if sum(x.nbytes for x in m.stacks) >= 2 << 20:
+            assert start % (2 << 20) == 0
         for name, x, y in zip(BtaMatrix.FIELDS, c.stacks, m.stacks):
-            assert x.flags.c_contiguous and x.dtype == np.complex128, name
+            assert x.flags.c_contiguous and x.flags.aligned and x.dtype == np.complex128, name
             assert not np.shares_memory(x, y), name
             assert x.tobytes() == y.tobytes(), name
         # One array: the fields lie back to back in FIELDS order, as in a
-        # BTA1 payload.
+        # BTA1 payload; an empty field has no memory.
         offsets = np.cumsum([0] + [x.nbytes for x in c.stacks[:-1]])
-        assert [x.ctypes.data - start for x in c.stacks] == offsets.tolist()
-        assert len({id(_root(x)) for x in c.stacks}) == 1
-
-    def test_copy_below_a_huge_page_keeps_one_array_per_field(self):
-        m = generate_dd_bta(8, 64, 8, seed=6)  # about 1.6 MB
-        assert sum(x.nbytes for x in m.stacks) < 2 << 20
-        c = m.copy()
-        assert c.equals_exact(m)
-        assert all(x.base is None for x in c.stacks)
+        kept = [(x, off) for x, off in zip(c.stacks, offsets) if x.size]
+        assert [x.ctypes.data - start for x, _ in kept] == [off for _, off in kept]
+        assert len({id(_root(x)) for x, _ in kept}) == 1
 
     def test_mask_to_pattern_copies(self):
         # A single-entry tip or arrow strip of a 1x1-block dense array is
