@@ -5,8 +5,8 @@ A :class:`Collectives` endpoint exposes exactly two group operations:
 * ``all_gather``: every rank contributes a payload and receives the list
   of all payloads, ordered by rank, identical on every rank.
 * ``all_reduce_sum``: every rank contributes an array and receives the
-  elementwise sum, accumulated in fixed rank order so the result is
-  deterministic and replicated.
+  elementwise sum, accumulated in ``complex128`` in fixed rank order so
+  the result is deterministic and replicated.
 
 ``ThreadHub`` backs the in-process transport: one hub object shared by
 ``world_size`` worker threads, message passing by value.  It is the
@@ -56,7 +56,7 @@ class TraceEvent:
 
     kind: str  # "all_gather" | "all_reduce"
     round_id: int
-    payloads: list  # per-rank summary dicts (gather) or element counts (reduce)
+    payloads: list  # per-rank summary dicts
 
 
 def _summarize(obj) -> dict:
@@ -65,6 +65,18 @@ def _summarize(obj) -> dict:
     if isinstance(obj, np.ndarray):
         return {"nbytes": obj.nbytes, "elements": obj.size}
     return {"nbytes": None}
+
+
+def _rank_ordered_sum(parts: list) -> np.ndarray:
+    """The all_reduce result: the ranks' ``complex128`` parts summed in
+    rank order, so every rank gets the same bits on either transport.
+    Parts of different shapes raise :class:`ProtocolError`."""
+    total = parts[0].copy()
+    for part in parts[1:]:
+        if part.shape != total.shape:
+            raise ProtocolError(f"all_reduce shape mismatch: {part.shape} vs {total.shape}")
+        total += part
+    return total
 
 
 class Collectives:
@@ -148,15 +160,8 @@ class ThreadCollectives(Collectives):
         return self.hub._exchange("all_gather", self.rank, payload)
 
     def all_reduce_sum(self, array: np.ndarray) -> np.ndarray:
-        slots = self.hub._exchange("all_reduce", self.rank, np.asarray(array))
-        total = slots[0].copy()
-        for part in slots[1:]:
-            if part.shape != total.shape:
-                raise ProtocolError(
-                    f"all_reduce shape mismatch: {part.shape} vs {total.shape}"
-                )
-            total += part
-        return total
+        part = np.asarray(array, dtype=np.complex128)
+        return _rank_ordered_sum(self.hub._exchange("all_reduce", self.rank, part))
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +373,12 @@ class SocketCollectives(Collectives):
         head = struct.pack(f"<I{array.ndim}Q", array.ndim, *array.shape)
         blobs = self._round_trip(head, array.astype("<c16", copy=False).ravel())
         parts = [_unpack_part(r, blob) for r, blob in enumerate(blobs)]
-        total = parts[0].copy()
-        for part in parts[1:]:
-            if part.shape != total.shape:
-                raise ProtocolError(f"all_reduce shape mismatch: {part.shape} vs {total.shape}")
-            total += part
+        total = _rank_ordered_sum(parts)
         self.trace.append(
             TraceEvent(
                 kind="all_reduce",
                 round_id=self._round - 1,
-                payloads=[{"elements": total.size}] * self.world_size,
+                payloads=[_summarize(p) for p in parts],
             )
         )
         return total

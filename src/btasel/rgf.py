@@ -67,10 +67,9 @@ class RgfFactors:
     holds its pivot's inverse ``S``, each arrow slot the coupling as seen
     when its block was eliminated, and with an arrow the tip slot the
     inverted reduced tip.  The forward's products that the backward step
-    reads sit in the slots of the couplings they were formed from: in
-    selected inversion ``S·U`` and ``S·Ac`` in the upper and arrow-column
-    slots, in fused mode ``L·S`` and ``Ar·S`` in ``a``'s lower and
-    arrow-row slots and ``Bl - L·S·Bd`` and ``Br - Ar·S·Bd`` in ``b``'s.
+    reads sit in the slots of the couplings they were formed from, in
+    both modes ``L·S`` and ``Ar·S`` in ``a``'s lower and arrow-row slots,
+    and in fused mode ``Bl - L·S·Bd`` and ``Br - Ar·S·Bd`` in ``b``'s.
     In fused mode ``s_b[i]`` holds the quadratic Schur block ``Sb`` of
     pivot ``i < n-1``, which no slot holds; the list is empty in
     selected inversion.  ``sigma`` is 1 or -1 when the right-hand side
@@ -148,16 +147,14 @@ def _sub_mirrored(out, t, sigma):
 
 def _arrow_into_tip(a, b, i, s, tip_a, tip_b, counter):
     """Eliminate block ``i``'s arrow strips into the tips ``tip_a`` (and
-    ``tip_b``), leaving in its slots what the backward step reads: ``S·Ac``
-    in ``a.arrow_col[i]`` (selected inversion), or ``g = Ar·S`` in
-    ``a.arrow_row[i]`` and ``r = Br - g·Bd`` in ``b.arrow_row[i]``
-    (fused).  Returns ``S·Ac``, or ``(g, r)``."""
-    if b is None:
-        t2 = _put(a.arrow_col[i], mm(s, a.arrow_col[i], counter))
-        mm(a.arrow_row[i], t2, counter, out=tip_a, alpha=-1, beta=1)
-        return t2
+    ``tip_b``), leaving in its slots what the backward step reads:
+    ``g = Ar·S`` in ``a.arrow_row[i]`` and, in fused mode,
+    ``r = Br - g·Bd`` in ``b.arrow_row[i]``.  Returns ``(g, r)``, ``r``
+    None in selected inversion."""
     g = _put(a.arrow_row[i], mm(a.arrow_row[i], s, counter))
     mm(g, a.arrow_col[i], counter, out=tip_a, alpha=-1, beta=1)
+    if b is None:
+        return g, None
     r = mm(g, b.diag[i], counter, out=b.arrow_row[i], alpha=-1, beta=1)
     mm(r, g, counter, tb=True, out=tip_b, alpha=-1, beta=1)
     mm(g, b.arrow_col[i], counter, out=tip_b, alpha=-1, beta=1)
@@ -173,10 +170,11 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
     arrow slots and subtracts its tip contribution from ``tip_a``
     (``tip_b``).  Slot ``i`` is left as block ``i`` was eliminated, but
     for the coupling slots the caller must own, which get the products
-    the backward step reads: ``S·U`` and ``S·Ac`` in selected inversion;
-    in fused mode ``f = L·S`` and ``g = Ar·S`` in ``a``'s lower and
-    arrow-row slots and ``q = Bl - f·Bd`` and ``r = Br - g·Bd`` in
-    ``b``'s, with ``Sb`` appended to ``factors``.  ``B``'s updates are::
+    the backward step reads: ``f = L·S`` and ``g = Ar·S`` in ``a``'s
+    lower and arrow-row slots and, in fused mode, ``q = Bl - f·Bd`` and
+    ``r = Br - g·Bd`` in ``b``'s, with ``Sb`` appended to ``factors``.
+    Selected inversion is the fused step less ``B``'s products, so
+    ``A``'s side gets the same bytes in both modes.  ``B``'s updates are::
 
         Bd' -= q·f^H + f·Bu     Br' -= g·Bu + r·f^H
         Bc' -= f·Bc + q·g^H     Bt  -= r·g^H + g·Bc
@@ -193,27 +191,20 @@ def _forward_sweep(a, b, factors, stop, tip_a, tip_b, counter, index):
         s = _invert_pivot(a.diag[i], index[i], counter)
         if fused:
             factors.s_b.append(mm(mm(s, b.diag[i], counter), s, counter, tb=True))
-            f = _put(a.lower[i], mm(a.lower[i], s, counter))
-            mm(f, a.upper[i], counter, out=a.diag[i + 1], alpha=-1, beta=1)
+        f = _put(a.lower[i], mm(a.lower[i], s, counter))
+        mm(f, a.upper[i], counter, out=a.diag[i + 1], alpha=-1, beta=1)
+        if fused:
             q = mm(f, b.diag[i], counter, out=b.lower[i], alpha=-1, beta=1)
             bd = b.diag[i + 1]
             mm(q, f, counter, tb=True, out=bd, alpha=-1, beta=1)
             mm(f, b.upper[i], counter, out=bd, alpha=-1, beta=1)
-        else:
-            # Right-hand temporaries reach the minimal mixed-shape count.
-            t1 = _put(a.upper[i], mm(s, a.upper[i], counter))
-            mm(a.lower[i], t1, counter, out=a.diag[i + 1], alpha=-1, beta=1)
         if not arrow:
             continue
-        ar, ac = a.arrow_row[i + 1], a.arrow_col[i + 1]
-        if not fused:
-            t2 = _arrow_into_tip(a, b, i, s, tip_a, tip_b, counter)
-            mm(a.arrow_row[i], t1, counter, out=ar, alpha=-1, beta=1)
-            mm(a.lower[i], t2, counter, out=ac, alpha=-1, beta=1)
-            continue
         g, r = _arrow_into_tip(a, b, i, s, tip_a, tip_b, counter)
-        mm(g, a.upper[i], counter, out=ar, alpha=-1, beta=1)
-        mm(f, a.arrow_col[i], counter, out=ac, alpha=-1, beta=1)
+        mm(g, a.upper[i], counter, out=a.arrow_row[i + 1], alpha=-1, beta=1)
+        mm(f, a.arrow_col[i], counter, out=a.arrow_col[i + 1], alpha=-1, beta=1)
+        if not fused:
+            continue
         br, bc = b.arrow_row[i + 1], b.arrow_col[i + 1]
         mm(g, b.upper[i], counter, out=br, alpha=-1, beta=1)
         mm(r, f, counter, tb=True, out=br, alpha=-1, beta=1)
@@ -239,7 +230,7 @@ def bta_forward(
     (``a = 0``) the last pivot's inverse ends the pass, so a plain BT
     system takes exactly ``n`` inversions.
 
-    Cost per interior step: 2/1/2/1 (selected inversion) or 7/5/3/3
+    Cost per interior step: 2/2/1/1 (selected inversion) or 7/5/3/3
     (fused) products of shape classes bbb/abb/bba/aba, the last three
     absent at ``a = 0``; 7/5/1/3 (fused) when ``b`` is exactly
     σ-Hermitian (σ = ±1, found here by :func:`_hermitian_sign` and kept
@@ -298,9 +289,8 @@ def _bt_step(s, u, l, y, counter, bu=None, bl=None, bd=None, z=None, sb=None, si
     ``bd`` (fused) ``B``'s and the pivot's diagonal block of ``B``; ``y``
     (``z``) is the trailing diagonal solution ``Y`` (``Z``) and ``sb`` the
     quadratic Schur block ``Sb``.  The couplings are as
-    :func:`_forward_sweep` left them: ``F1 = S·U`` in ``u`` (selected
-    inversion), or ``F2 = L·S`` in ``l`` and ``q = Bl - F2·Bd`` in ``bl``
-    (fused).  The step is::
+    :func:`_forward_sweep` left them: ``F2 = L·S`` in ``l`` and, fused,
+    ``q = Bl - F2·Bd`` in ``bl``.  With ``F1 = S·U`` the step is::
 
         X(j,i) = -Y·F2      X(i,j) = -F1·Y      X_ii = S - F1·X(j,i)
         Z(j,i) = Y·q·S^H - Z·F1^H               V = S·(Bu - Bd·F2^H)·Y^H
@@ -318,23 +308,20 @@ def _bt_step(s, u, l, y, counter, bu=None, bl=None, bd=None, z=None, sb=None, si
     into ``bd``, ``bu`` and ``bl``.  Returns ``(X_ii, Z_ii)``, ``Z_ii``
     None in selected inversion.
     """
-    fused = z is not None
     # Every product that reads s or a coupling is formed before the first
     # write: the outputs are those very slots.
-    f1 = mm(s, u, counter) if fused else u
-    f2 = l if fused else mm(l, s, counter)
-    if fused:
+    f1 = mm(s, u, counter)
+    if z is not None:
         e = mm(bl, s, counter, tb=True)
         if not sigma:  # G = S·(Bu - Bd·F2^H), the difference formed in Bu's slot
-            g = mm(s, mm(bd, f2, counter, tb=True, out=bu, alpha=-1, beta=1), counter)
-    # The block whose slot holds F1 or F2 goes there from a new one.
-    xl = mm(y, f2, counter, out=None if fused else l, alpha=-1)
-    xu = mm(f1, y, counter, out=u if fused else None, alpha=-1)
+            g = mm(s, mm(bd, l, counter, tb=True, out=bu, alpha=-1, beta=1), counter)
+    # X(j,i) goes into F2's slot from a new block.
+    xl = mm(y, l, counter, alpha=-1)
+    mm(f1, y, counter, out=u, alpha=-1)
     x_ii = mm(f1, xl, counter, out=s, alpha=-1, beta=1)
-    if not fused:
-        u[...] = xu
-        return x_ii, None
     l[...] = xl
+    if z is None:
+        return x_ii, None
     zl = mm(y, e, counter, out=bl)
     if sigma:
         p = mm(z, f1, counter, tb=True)
@@ -372,8 +359,8 @@ def _backward_sweep(factors, a, b, stop, ytt, ztt, counter):
     ``d`` and ``t`` of its products, in that order, and each temporary
     is freed where a generic k-coupling step would free it, which keeps
     the traced peak memory; a generic step made the b=16 arrow sweep
-    20-30% slower.  With ``F1`` (selected inversion) or ``F2`` and ``q``
-    (fused) from the forward, an arrow step costs 12 or 38 products, 26
+    20-30% slower.  With ``F2`` (and, fused, ``q``) from the forward, an
+    arrow step costs 12 (selected inversion) or 38 (fused) products, 26
     with ``factors.sigma`` = ±1.  Under σ, ``Z(i,i+1)``, the mirror of
     ``Z(i+1,i)``, is written for every step at once when the sweep ends;
     the arrow column ``Z(i,t)`` is mirrored in each step, whose
@@ -390,41 +377,32 @@ def _backward_sweep(factors, a, b, stop, ytt, ztt, counter):
             y_dd, z_dd = _bt_step(s, a.upper[i], a.lower[i], y_dd, counter, *qb, sigma=sigma)
             continue
         y, ydt, ytd = y_dd, y_dt, y_td
-        if fused:  # F2, and B's couplings less F2·Bd, from the forward
-            f2d, f2t = a.lower[i], a.arrow_row[i]
+        f2d, f2t = a.lower[i], a.arrow_row[i]  # F2, from the forward
+        if fused:  # and B's couplings less F2·Bd
             z, zdt, ztd, sb = z_dd, z_dt, z_td, factors.s_b[i]
             ed, et = mm(b.lower[i], s, counter, tb=True), mm(b.arrow_row[i], s, counter, tb=True)
             if not sigma:  # G = S·(Bu - Bd·F2^H), the difference formed in Bu's slot
                 bd = b.diag[i]
                 gd, gt = (mm(s, mm(bd, f, counter, tb=True, out=o, alpha=-1, beta=1), counter)
                           for f, o in ((f2d, b.upper[i]), (f2t, b.arrow_col[i])))
-        else:
-            f2d, f2t = mm(a.lower[i], s, counter), mm(a.arrow_row[i], s, counter)
-        xl = mm(y, f2d, counter, out=None if fused else a.lower[i], alpha=-1)
+        xl = mm(y, f2d, counter, alpha=-1)
         mm(ydt, f2t, counter, out=xl, alpha=-1, beta=1)
-        xr = mm(ytd, f2d, counter, out=None if fused else a.arrow_row[i], alpha=-1)
+        xr = mm(ytd, f2d, counter, alpha=-1)
         mm(ytt, f2t, counter, out=xr, alpha=-1, beta=1)
-        if fused:  # the column goes into F2's slots after their last read
-            xl, xr = _put(a.lower[i], xl), _put(a.arrow_row[i], xr)
-        del f2d, f2t  # at b=256 each is 1 MB of peak
-        if fused:
-            f1d, f1t = mm(s, a.upper[i], counter), mm(s, a.arrow_col[i], counter)
-        else:  # S·U and S·Ac, from the forward
-            f1d, f1t = a.upper[i], a.arrow_col[i]
+        # The column goes into F2's slots after their last read.
+        xl, xr = _put(a.lower[i], xl), _put(a.arrow_row[i], xr)
+        f1d, f1t = mm(s, a.upper[i], counter), mm(s, a.arrow_col[i], counter)
         t = mm(f1d, xl, counter)
         mm(f1t, xr, counter, out=t, beta=1)
         y_dd = np.subtract(s, t, out=a.diag[i])
         del t
-        # The forward's F1 may sit in the row's slots: the row then goes
-        # there from new blocks, after the last read of F1.
-        xu = mm(f1d, y, counter, out=a.upper[i] if fused else None, alpha=-1)
+        xu = mm(f1d, y, counter, out=a.upper[i], alpha=-1)
         mm(f1t, ytd, counter, out=xu, alpha=-1, beta=1)
-        xc = mm(f1d, ydt, counter, out=a.arrow_col[i] if fused else None, alpha=-1)
+        xc = mm(f1d, ydt, counter, out=a.arrow_col[i], alpha=-1)
         mm(f1t, ytt, counter, out=xc, alpha=-1, beta=1)
         y_dt, y_td = a.arrow_col[i], xr
         if not fused:
-            a.upper[i], a.arrow_col[i] = xu, xc
-            del xu, xc
+            del f1d, f1t  # neither outlives its step
             continue
         zl, zr = b.lower[i], b.arrow_row[i]
         if sigma:

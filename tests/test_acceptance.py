@@ -174,7 +174,7 @@ def test_criterion_5_forward_operation_counts():
         local_forward(a, rhs if fused else None, plan, 1, counter)
         return hi - lo - 2, counter.gemm_by_shape
 
-    si_step = {"bbb": 2, "bb?": 2, "?bb": 1, "?b?": 1}
+    si_step = {"bbb": 2, "?bb": 2, "bb?": 1, "?b?": 1}
     fused_step = {"bbb": 7, "bb?": 3, "?bb": 5, "?b?": 3}
     for fused, per_step in ((False, si_step), (True, fused_step)):
         s1, c1 = middle_counts(18, fused)

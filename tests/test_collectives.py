@@ -415,6 +415,56 @@ def test_socket_reduce_malformed_part_is_a_protocol_error(blob):
         _unpack_part(1, blob)
 
 
+def _thread_rounds(hub, rounds):
+    """Each rank's results of ``rounds(endpoint)``, every rank of ``hub`` in
+    a thread of this process."""
+    got = [None] * hub.world_size
+
+    def run(rank):
+        got[rank] = rounds(hub.endpoint(rank))
+
+    threads = [threading.Thread(target=run, args=(r,)) for r in range(hub.world_size)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return got
+
+
+# Rank 0 contributes a float part, rank 1 a complex one.
+_MIXED_PARTS = [
+    np.arange(6.0).reshape(2, 3) / 3,
+    np.arange(6).reshape(2, 3) * (0.25 - 1j) + np.array([0, -0.0, 1e-300]) * 1j,
+]
+
+
+def test_thread_reduce_of_mixed_parts_is_the_socket_sum():
+    # Both transports sum complex128 parts in rank order: a float part
+    # on one rank and a complex part on another give the same bits.
+    hub = ThreadHub(2)
+    threads = _thread_rounds(hub, lambda ep: ep.all_reduce_sum(_MIXED_PARTS[ep.rank]))
+    sockets = _socket_rounds(2, lambda coll: coll.all_reduce_sum(_MIXED_PARTS[coll.rank]))
+    want = _MIXED_PARTS[0] + _MIXED_PARTS[1]
+    for total in threads + sockets:
+        assert total.dtype == np.complex128
+        assert total.tobytes() == want.tobytes()
+
+
+def test_socket_and_thread_rounds_trace_alike():
+    # One record per round, made by the same summary on both transports.
+    def rounds(coll):
+        coll.all_gather(_payload(coll.rank, ("first", "last")[coll.rank]))
+        coll.all_reduce_sum(_MIXED_PARTS[coll.rank])
+        return coll.trace if isinstance(coll, SocketCollectives) else None
+
+    hub = ThreadHub(2)
+    _thread_rounds(hub, rounds)
+    for trace in _socket_rounds(2, rounds):
+        assert trace == hub.trace
+    assert hub.trace[1].payloads == [{"nbytes": 96, "elements": 6}] * 2
+
+
 def test_reduce_shape_mismatch_raises():
     hub = ThreadHub(2)
     errors = []

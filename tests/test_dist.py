@@ -91,6 +91,21 @@ def test_single_part_is_bitwise_sequential():
     assert got.x_b.equals_exact(seq.x_b)
 
 
+@pytest.mark.parametrize(
+    "shape, parts", [((10, 4, 0), 2), ((13, 3, 2), 2), ((24, 4, 2), 3), ((17, 5, 0), 3)]
+)
+def test_si_x_a_is_the_siq_x_a(shape, parts):
+    # At shapes where both modes plan the same ranges, every rank runs
+    # the same A-side products in both modes, and so does the reduced
+    # solve: X_A has the same bytes in both.
+    a, rhs = random_system(*shape, seed=36)
+    n = shape[0]
+    assert plan_partitions(n, parts, "si") == plan_partitions(n, parts, "siq")
+    si = dist_solve(a, None, num_parts=parts)
+    siq = dist_solve(a, rhs, num_parts=parts)
+    assert [x.tobytes() for x in si.x_a.stacks] == [x.tobytes() for x in siq.x_a.stacks]
+
+
 def test_rerun_determinism_bitwise():
     a, rhs = random_system(14, 3, 2, seed=2)
     s1 = dist_solve(a, rhs, num_parts=4, mode="siq")
@@ -208,7 +223,7 @@ class TestLocalForward:
             return hi - lo - 2, counter.gemm_by_shape
 
         steps = {
-            "si": {"bbb": 2, "bb?": 2, "?bb": 1, "?b?": 1},
+            "si": {"bbb": 2, "?bb": 2, "bb?": 1, "?b?": 1},
             "general": {"bbb": 7, "bb?": 3, "?bb": 5, "?b?": 3},
             1: {"bbb": 7, "bb?": 1, "?bb": 5, "?b?": 3},
             -1: {"bbb": 7, "bb?": 1, "?bb": 5, "?b?": 3},
@@ -435,7 +450,7 @@ def test_middle_backward_per_step_counts():
         counts.subtract(forward.gemm_by_shape)
         return hi - lo - 2, counts
 
-    si = {"bbb": 4, "bb?": 1, "?bb": 2, "b?b": 3, "??b": 1, "b??": 1}
+    si = {"bbb": 4, "bb?": 2, "?bb": 1, "b?b": 3, "??b": 1, "b??": 1}
     siq = {"bbb": 13, "bb?": 6, "?bb": 4, "b?b": 9, "??b": 3, "b??": 3}
     for fused, step in ((False, si), (True, siq)):
         steps1, c1 = middle_backward(16, fused)

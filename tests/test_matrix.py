@@ -209,7 +209,7 @@ class TestStackedStorage:
         (256, 4, 0): "640a75868dc103e3c7d0d48d88855f96baee9f8c873139755afb54cb09b16f7b",
     }
     SOLVED = {
-        "si x_a": "a7c5531fe80b5da7a6c1f1b517673240f394f5c4da6cae16afdf6cd74c9b0ddb",
+        "si x_a": "654f6752ae12831dfdf5dff7364ffe062812b1624b3a9c9103707fcbe7d4ba93",
         "siq x_a": "654f6752ae12831dfdf5dff7364ffe062812b1624b3a9c9103707fcbe7d4ba93",
         "siq x_b": "232db2877508d1cb9ba4986fb34ca67c48d49fe0906cafec3b8196d7c3c5c841",
     }
@@ -233,9 +233,9 @@ class TestStackedStorage:
 
     # Two blocks of order 15, the second holding two padding blocks.
     # Dense-oracle max block relative error: si x_a 5.07e-16, siq x_a
-    # 5.07e-16, siq x_b 7.47e-16 (5.28e-16, 5.27e-16, 6.65e-16 above).
+    # 5.07e-16, siq x_b 7.47e-16 (5.27e-16, 5.27e-16, 6.65e-16 above).
     REBLOCKED = {
-        "si x_a": "decf8e435dcf48725d48c290e8abf32e2e3d8be411a81d36932328dd6b0c9949",
+        "si x_a": "a99c0f0c8b16f2b89a2f441f7c41c93e93e1888772c7337a0830a7540e9ed9df",
         "siq x_a": "a99c0f0c8b16f2b89a2f441f7c41c93e93e1888772c7337a0830a7540e9ed9df",
         "siq x_b": "b7829ff2adbb71d335e3b1ff1ba81938c964d5bb5d5a37a8f05ddd6e9fc84b1b",
     }

@@ -156,7 +156,7 @@ class TestBtaPaths:
 
         c5, c6 = forward_counts(5), forward_counts(6)
         step = {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
-        assert step == {"bbb": 2, "abb": 1, "bba": 2, "aba": 1}
+        assert step == {"bbb": 2, "abb": 2, "bba": 1, "aba": 1}
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_signed_rhs_step_counts(self, sigma):
@@ -244,7 +244,7 @@ def _sum_mm(xs, ys, counter, *, tb=False, out=None, alpha=1):
 
 
 def _backstep(
-    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, sr=None, bd=None,
+    g, rs, qs, ya, sc=None, ss=None, ws=None, yb=None, counter=None, *, handed=False, bd=None,
     out=None, sigma=0,
 ):
     """One backward substitution step at a pivot with trailing couplings.
@@ -260,19 +260,17 @@ def _backstep(
     the pivot's solution row ``X(i,j)``, column ``X(j,i)`` and diagonal
     for the inverse and, when the quadratic data ``sc`` (``Sb``), ``ss``
     (``Ss_l``, pivot-to-trailing), ``ws`` (``W_l``, trailing-to-pivot) and
-    ``yb`` is given, for the quadratic solution.  ``sr``, when given,
-    holds the forward's products ``S·R_l``, and ``rs`` is not read.
-    ``bd``, when given, is the pivot's diagonal block of ``B`` as
-    eliminated, and ``qs`` and ``ws`` hold the fused forward's ``F2_l``
-    and ``W_l - F2_l·Bd``: ``E_l = ws[l]·S^H`` and ``G_l = S·(Ss_l -
-    Bd·F2_l^H)``.  ``out``, when given, names an output slot (or None,
-    for a new block) for every block of the result, in its shape; each
-    block is written into its slot by its last operation.  The slots may
-    be those of the step's own inputs (``g``, ``rs``, ``qs``, ``ss``,
-    ``ws``, ``sr``): every input is read before the first output slot is
-    written, except that the row is written after every read of ``sr``
-    when that is given, and the column after every read of ``qs`` when
-    ``bd`` is.
+    ``yb`` is given, for the quadratic solution.  With ``handed``,
+    ``qs`` holds the forward's products ``F2_l`` and, with the quadratic
+    data, ``ws`` holds ``W_l - F2_l·Bd``, ``bd`` being the pivot's
+    diagonal block of ``B`` as eliminated: ``E_l = ws[l]·S^H`` and
+    ``G_l = S·(Ss_l - Bd·F2_l^H)``.  ``out``, when given, names an output
+    slot (or None, for a new block) for every block of the result, in
+    its shape; each block is written into its slot by its last
+    operation.  The slots may be those of the step's own inputs (``g``,
+    ``rs``, ``qs``, ``ss``, ``ws``): every input is read before the first
+    output slot is written, except that the column is written after
+    every read of ``qs`` when ``handed``.
 
     Each product is formed once.  With ``F1_l = S·R_l``, ``F2_l = Q_l·S``,
     ``E_l = W_l·S^H - Q_l·Sb`` and ``G_l = S·Ss_l - Sb·Q_l^H``::
@@ -284,10 +282,11 @@ def _backstep(
         Z_ii   = Sb - sum_l (F1_l·Z(l,i) + V_l·F1_l^H)
 
     which is ``2k^2+3k`` products for the inverse and ``4k^2+6k`` more for
-    the quadratic solution at ``k`` trailing couplings, less ``k`` with
-    ``sr`` and ``2k`` with ``bd`` (the standard RGF recursion, Svizhenko
-    et al., J. Appl. Phys. 2002).  All products are pattern-restricted:
-    the trailing blocks touched are exactly those on the BT(A) pattern.
+    the quadratic solution at ``k`` trailing couplings, less ``k`` (``2k``
+    with the quadratic data) when ``handed`` (the standard RGF recursion,
+    Svizhenko et al., J. Appl. Phys. 2002).  All products are
+    pattern-restricted: the trailing blocks touched are exactly those on
+    the BT(A) pattern.
 
     Those formulas hold for any ``B``.  With ``sigma`` = ±1 the data
     come from a ``B = sigma·B^H``, so the quadratic solution is
@@ -310,7 +309,7 @@ def _backstep(
     # from a base block, or a sum of differences, is formed first.  The
     # quadratic factors read g and qs, whose slots xa_diag and xa_col may
     # be, so they are formed first.
-    fused, handed = yb is not None, bd is not None
+    fused = yb is not None
     if fused:
         # Handed the forward's products, ws holds W_l - F2_l·Bd: E_l = W_l·S^H.
         es = [mm(w, g, c, tb=True) for w in ws]
@@ -327,12 +326,9 @@ def _backstep(
     if handed:
         xa_col = [x if o is None else _put(o, x) for x, o in zip(xa_col, ca)]
     del f2
-    f1 = sr or [mm(g, r, c) for r in rs]
+    f1 = [mm(g, r, c) for r in rs]
     xa_diag = np.subtract(g, _sum_mm(f1, xa_col, c), out=da)
-    # The forward's S·R_l may sit in the row's slots: the row then goes
-    # there from new blocks, once nothing reads F1 again.
-    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=None if sr else ra[j], alpha=-1)
-              for j in range(k)]
+    xa_row = [_sum_mm(f1, [y[j] for y in ya], c, out=ra[j], alpha=-1) for j in range(k)]
     xb_row = xb_col = xb_diag = None
 
     if fused and sigma:
@@ -349,8 +345,6 @@ def _backstep(
         xb_diag = np.subtract(sc, _sum_pairs(zip(f1, xb_col, vs, f1), 1, c), out=db)
         sums = [_sum_mm(f1, [y[j] for y in yb], c) for j in range(k)]
         xb_row = [np.subtract(v, t, out=t if o is None else o) for v, t, o in zip(vs, sums, rb)]
-    if sr:
-        xa_row = [r if o is None else _put(o, r) for r, o in zip(xa_row, ra)]
     return xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag
 
 
@@ -368,10 +362,9 @@ def _generic_bt_step(s, u, l, y, counter, bu=None, bl=None, bd=None, z=None, sb=
     """:func:`rgf._bt_step` as :func:`_backstep` at k = 1, handed the
     forward's products as the written-out step reads them."""
     fused = z is not None
-    rs, sr = ([u], None) if fused else (None, [u])  # in selected inversion S·U
     quad = (sb, [bu], [bl], [[z]]) if fused else (None,) * 4  # bl: Bl - L·S·Bd
     out = ([u], [l], s) + (([bu], [bl], bd) if fused else (None,) * 3)
-    got = _backstep(s, rs, [l], [[y]], *quad, counter, sr=sr, bd=bd, out=out, sigma=sigma)
+    got = _backstep(s, [u], [l], [[y]], *quad, counter, handed=True, bd=bd, out=out, sigma=sigma)
     return got[2], got[5]
 
 
@@ -385,10 +378,9 @@ def _generic_sweep(factors, a, b, stop, ytt, ztt, counter):
         z_dd, z_dt, z_td = b.diag[stop], b.arrow_col[stop], b.arrow_row[stop]
     ss = ws = yb = sc = bd = None
     for i in range(stop - 1, -1, -1):
-        qs = [a.lower[i], a.arrow_row[i]]  # fused: L·S and Ar·S
+        qs = [a.lower[i], a.arrow_row[i]]  # L·S and Ar·S
         ya = [[y_dd, y_dt], [y_td, ytt]]
-        rs = [a.upper[i], a.arrow_col[i]]  # in selected inversion S·U and S·Ac
-        rs, sr = (rs, None) if fused else (None, rs)
+        rs = [a.upper[i], a.arrow_col[i]]
         if fused:
             ss = [b.upper[i], b.arrow_col[i]]
             ws = [b.lower[i], b.arrow_row[i]]  # Bl - L·S·Bd and Br - Ar·S·Bd
@@ -396,7 +388,8 @@ def _generic_sweep(factors, a, b, stop, ytt, ztt, counter):
             sc, bd = factors.s_b[i], b.diag[i]
         out = _out_slots(a, i, 2) + (_out_slots(b, i, 2) if fused else (None,) * 3)
         xa_row, xa_col, xa_diag, xb_row, xb_col, xb_diag = _backstep(
-            a.diag[i], rs, qs, ya, sc, ss, ws, yb, counter, sr=sr, bd=bd, out=out, sigma=sigma
+            a.diag[i], rs, qs, ya, sc, ss, ws, yb, counter, handed=True, bd=bd, out=out,
+            sigma=sigma,
         )
         y_dd, y_dt, y_td = xa_diag, xa_row[-1], xa_col[-1]
         if fused:
@@ -500,17 +493,17 @@ class TestBackwardStep:
         return {k: c6[k] - c5[k] for k in c6 if c6[k] != c5[k]}
 
     def test_bt_step_counts(self):
-        # k = 1: 2k^2+3k = 5 (si) less the forward's S·U, reused: 4;
+        # k = 1: 2k^2+3k = 5 (si) less the forward's L·S, reused: 4;
         # 6k^2+9k = 15 (siq) less the forward's L·S and L·S·Bd: 13.
         assert self._step_counts(4, 0, fused=True) == {"bbb": 13}
         assert self._step_counts(4, 0, fused=False) == {"bbb": 4}
 
     def test_bta_step_counts(self):
         # k = 2 trailing couplings: 2k^2+3k = 14 (si) less the forward's
-        # S·U and S·Ac, reused: 12; 6k^2+9k = 42 (siq) less the forward's
+        # L·S and Ar·S, reused: 12; 6k^2+9k = 42 (siq) less the forward's
         # L·S, Ar·S, L·S·Bd and Ar·S·Bd, reused: 38.
         assert self._step_counts(8, 4, fused=False) == {
-            "bbb": 4, "bba": 1, "abb": 2, "bab": 3, "aab": 1, "baa": 1,
+            "bbb": 4, "bba": 2, "abb": 1, "bab": 3, "aab": 1, "baa": 1,
         }
         assert self._step_counts(8, 4, fused=True) == {
             "bbb": 13, "bba": 6, "abb": 4, "bab": 9, "aab": 3, "baa": 3,
@@ -571,11 +564,12 @@ class TestBackwardStep:
 
         si = _backstep(s, rs, qs, ya)
         assert si[3:] == (None, None, None)
-        # The forward's products S·R_l, given in the slots the row goes to.
-        sr = [s @ r for r in rs]
-        slots = (sr, [None] * k, None, None, None, None)
-        reused = _backstep(s, None, qs, ya, sr=list(sr), out=slots)
-        assert all(got is slot for got, slot in zip(reused[0], sr))
+        # The forward's products F2_l = Q_l·S, given in the slots the
+        # column goes to.
+        f2 = [q @ s for q in qs]
+        slots = ([None] * k, f2, None, None, None, None)
+        reused = _backstep(s, rs, f2, ya, handed=True, out=slots)
+        assert all(got is slot for got, slot in zip(reused[1], f2))
         out = _backstep(s, rs, qs, ya, sb, ss, ws, yb)
         for got, full in ((si[:3], x), (reused[:3], x), (out[:3], x), (out[3:], z)):
             row, col, diag = got
@@ -639,6 +633,19 @@ class TestSolveFacade:
         a, b = random_system(3, 2, 1, seed=10)
         sol = solve_selected(a, b, "si")
         assert sol.x_b is None and sol.mode == "si"
+
+    @pytest.mark.parametrize("reblock", [False, True])
+    @pytest.mark.parametrize("rhs", ["hermitian", "general"])
+    @pytest.mark.parametrize("shape", [(9, 4, 0), (9, 4, 2), (6, 20, 3)])
+    def test_si_x_a_is_the_siq_x_a(self, shape, rhs, reblock):
+        # Selected inversion is the fused solve less B's products: both
+        # leave the same products in the same slots, so X_A has the same
+        # bytes in both modes, whatever B is.  b=4 is re-blocked into one
+        # block of order 16 per four; b=20 runs on numpy's path.
+        a, b = random_system(*shape, seed=35, hermitian_rhs=rhs == "hermitian")
+        si = solve_selected(a, reblock=reblock)
+        siq = solve_selected(a, b, reblock=reblock)
+        assert _bits(si.x_a) == _bits(siq.x_a)
 
     def test_determinism_bitwise(self):
         a, b = random_system(5, 4, 2, seed=11)
