@@ -18,8 +18,8 @@ import numpy as np
 from .baselines import batched_solve, dense_solve
 from .dist import dist_solve
 from .kernels import OpCounter
-from .matrix import BtaMatrix
-from .rgf import solve_selected
+from .matrix import BtaMatrix, generate_dd_bta, hermitianize
+from .rgf import _working_system, bta_forward, solve_selected
 
 __all__ = ["BenchReport", "run_benchmark", "weak_scaling_sweep", "block_errors", "PHASES"]
 
@@ -46,7 +46,6 @@ class BenchReport:
     counts: dict = field(default_factory=dict)
     counts_b: int | None = None  # the block order the counts call "b"
     counts_forward: dict = field(default_factory=dict)
-    residual: float | None = None
     parallel_efficiency: float | None = None
 
     def to_text(self) -> str:
@@ -70,8 +69,6 @@ class BenchReport:
             lines.append(f"count_{key}: {value}")
         for key, value in sorted(self.counts_forward.items()):
             lines.append(f"count_forward_{key}: {value}")
-        if self.residual is not None:
-            lines.append(f"residual_vs_dense: {self.residual:.3e}")
         if self.parallel_efficiency is not None:
             lines.append(f"parallel_efficiency: {self.parallel_efficiency:.6f}")
         return "\n".join(lines) + "\n"
@@ -115,7 +112,6 @@ def run_benchmark(
     mode: str | None = None,
     parts: int = 1,
     repeat: int = 10,
-    residual_oracle: bool = False,
 ) -> BenchReport:
     """Run one benchmark point: ``repeat`` timed solves of the same input.
 
@@ -133,11 +129,10 @@ def run_benchmark(
     _solve_once(algo, a, b, mode, parts, counter, {})
     phase_samples = {phase: [] for phase in PHASES}
     totals = []
-    solution = None
     for _ in range(repeat):
         timings: dict = {}
         t0 = perf_counter()
-        solution = _solve_once(algo, a, b, mode, parts, None, timings)
+        _solve_once(algo, a, b, mode, parts, None, timings)
         totals.append(perf_counter() - t0)
         for phase in PHASES:
             phase_samples[phase].append(timings.get(phase, 0.0))
@@ -157,8 +152,6 @@ def run_benchmark(
         # Forward-pass counts broken out: these are the per-step table
         # figures (e.g. 2(n-1) b-products for the BT selected inversion)
         # of the system the solve swept, so at the orders of ``counts``.
-        from .rgf import _working_system, bta_forward
-
         work, rhs, _ = _working_system(a, b if mode == "siq" else None, reblock=True)
         fwd_counter = OpCounter(b=work.b, a=work.a)
         bta_forward(work, rhs, fwd_counter)
@@ -166,10 +159,6 @@ def run_benchmark(
     for phase in PHASES:
         report.phase_mean[phase], report.phase_ci95[phase] = _mean_ci(phase_samples[phase])
     report.total_mean, report.total_ci95 = _mean_ci(totals)
-
-    if residual_oracle:
-        reference = dense_solve(a, b, mode)
-        report.residual = max_relative_error(solution, reference)
     return report
 
 
@@ -214,8 +203,6 @@ def weak_scaling_sweep(
     ``parts_list`` is the reference; each report carries the parallel
     efficiency ``eta = T_ref / T_P``.
     """
-    from .matrix import generate_dd_bta, hermitianize
-
     reports = []
     t_ref = None
     for parts in parts_list:
@@ -224,7 +211,6 @@ def weak_scaling_sweep(
         rhs = hermitianize(generate_dd_bta(n, b, a, seed=seed + 1)) if mode == "siq" else None
         algo = "dist" if parts > 1 else "rgf"
         report = run_benchmark(algo, system, rhs, mode=mode, parts=parts, repeat=repeat)
-        report.parts = parts
         if t_ref is None:
             t_ref = report.total_mean
         report.parallel_efficiency = t_ref / report.total_mean

@@ -28,6 +28,7 @@ from .errors import (
 from .fileio import read_bta, write_bta
 from .kernels import OpCounter
 from .matrix import generate_dd_bta, hermitianize
+from .partition import plan_partitions
 from .rgf import solve_selected
 from .threads import set_blas_threads
 
@@ -35,6 +36,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+_POSITIVE = click.IntRange(min=1)
 
 # Synthetic-dataset presets: fixed 1024 block size, growing block counts.
 PRESETS = {f"sd-{n}": (n, 1024, 0) for n in (32, 64, 128, 256, 512, 1024)}
@@ -54,7 +57,7 @@ def _exit_codes(func):
         except SingularBlockError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except (DenseGuardError, ShapeMismatchError) as exc:
+        except (click.UsageError, DenseGuardError, ShapeMismatchError) as exc:
             click.echo(f"usage error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
         except FormatError as exc:
@@ -89,12 +92,23 @@ def _resolve_shape(preset, n, b, a):
     return n, b, a
 
 
+def _check_parts(n: int, parts: int, mode: str, option: str = "--parts") -> None:
+    """A usage error unless ``parts`` workers can split ``n`` blocks; one
+    worker runs the sequential solver."""
+    try:
+        if parts != 1:
+            plan_partitions(n, parts, mode)
+    except ValueError as exc:
+        raise click.UsageError(f"{option} {parts}: {exc}") from exc
+
+
 @main.command("generate")
-@click.option("--n", type=int, default=None, help="Number of diagonal blocks.")
-@click.option("--b", type=int, default=None, help="Diagonal block size.")
-@click.option("--a", "arrow", type=int, default=0, help="Arrow tip size (0 = plain BT).")
+@click.option("--n", type=_POSITIVE, default=None, help="Number of diagonal blocks.")
+@click.option("--b", type=_POSITIVE, default=None, help="Diagonal block size.")
+@click.option("--a", "arrow", type=click.IntRange(min=0), default=0,
+              help="Arrow tip size (0 = plain BT).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--dominance", type=float, default=1.5, show_default=True)
+@click.option("--dominance", type=click.FloatRange(min=1), default=1.5, show_default=True)
 @click.option("--hermitian-b", is_flag=True, help="Make the right-hand side Hermitian.")
 @click.option("--preset", type=str, default=None, help="Named shape, e.g. sd-32.")
 @click.option("--out-a", type=click.Path(path_type=Path), required=True)
@@ -103,8 +117,6 @@ def _resolve_shape(preset, n, b, a):
 def cmd_generate(n, b, arrow, seed, dominance, hermitian_b, preset, out_a, out_b):
     """Write deterministic diagonally dominant test matrices."""
     n, b, arrow = _resolve_shape(preset, n, b, arrow)
-    if n < 1 or b < 1 or arrow < 0:
-        raise click.UsageError(f"invalid shape (n={n}, b={b}, a={arrow})")
     matrix = generate_dd_bta(n, b, arrow, seed=seed, dominance=dominance)
     write_bta(matrix, out_a)
     click.echo(f"wrote {out_a} (n={n}, b={b}, a={arrow}, seed={seed})")
@@ -128,7 +140,7 @@ def cmd_generate(n, b, arrow, seed, dominance, hermitian_b, preset, out_a, out_b
 @click.option("--counts", is_flag=True, help="Print operation counts.")
 @click.option("--transport", type=click.Choice(["threads", "sockets"]), default="threads",
               show_default=True, help="Distributed transport (sockets reads env config).")
-@click.option("--blas-threads", type=int, default=None,
+@click.option("--blas-threads", type=_POSITIVE, default=None,
               help="Cap BLAS threads (recommended: 1 for small blocks).")
 @_exit_codes
 def cmd_solve(algo, mode, parts, a_file, b_file, out, out_b, counts, transport, blas_threads):
@@ -143,6 +155,8 @@ def cmd_solve(algo, mode, parts, a_file, b_file, out, out_b, counts, transport, 
         raise click.UsageError("--algo batched requires --b-file")
     a = read_bta(a_file)
     b = read_bta(b_file) if b_file is not None else None
+    if algo == "dist":
+        _check_parts(a.n, parts, mode)
 
     # A tally costs about a fifth of a small-block solve: only on request.
     counter = OpCounter(b=a.b, a=a.a) if counts else None
@@ -221,17 +235,17 @@ def cmd_verify(candidate, a_file, b_file, reference, which, tol):
               show_default=True)
 @click.option("--mode", type=click.Choice(["si", "siq"]), default="si", show_default=True)
 @click.option("--parts", type=int, default=1, show_default=True)
-@click.option("--repeat", type=int, default=10, show_default=True)
+@click.option("--repeat", type=_POSITIVE, default=10, show_default=True)
 @click.option("--preset", type=str, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--b", type=int, default=None)
-@click.option("--a", "arrow", type=int, default=0)
+@click.option("--n", type=_POSITIVE, default=None)
+@click.option("--b", type=_POSITIVE, default=None)
+@click.option("--a", "arrow", type=click.IntRange(min=0), default=0)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", type=click.Path(path_type=Path), default=None,
               help="Write the report(s) to file(s) instead of stdout.")
 @click.option("--weak-scale", type=str, default=None,
               help="Comma-separated worker counts; n scales with P at fixed b.")
-@click.option("--blas-threads", type=int, default=None,
+@click.option("--blas-threads", type=_POSITIVE, default=None,
               help="Cap BLAS threads (recommended: 1 for small blocks).")
 @_exit_codes
 def cmd_bench(algo, mode, parts, repeat, preset, n, b, arrow, seed, report, weak_scale,
@@ -239,8 +253,6 @@ def cmd_bench(algo, mode, parts, repeat, preset, n, b, arrow, seed, report, weak
     """Benchmark a solver; in weak-scaling mode, one report per point."""
     if blas_threads is not None:
         set_blas_threads(blas_threads)
-    if repeat < 1:
-        raise click.UsageError("--repeat must be >= 1")
     n, b, arrow = _resolve_shape(preset, n, b, arrow)
 
     if weak_scale is not None:
@@ -248,6 +260,10 @@ def cmd_bench(algo, mode, parts, repeat, preset, n, b, arrow, seed, report, weak
             parts_list = [int(p) for p in weak_scale.split(",") if p]
         except ValueError as exc:
             raise click.UsageError(f"bad --weak-scale list: {exc}") from exc
+        if not parts_list:
+            raise click.UsageError("--weak-scale lists no worker count")
+        for p in parts_list:
+            _check_parts(n * p, p, mode, "--weak-scale")
         reports = weak_scaling_sweep(
             base_n=n, b=b, a=arrow, parts_list=parts_list,
             mode=mode, repeat=repeat, seed=seed,
@@ -256,6 +272,8 @@ def cmd_bench(algo, mode, parts, repeat, preset, n, b, arrow, seed, report, weak
             _emit_report(rep, report, suffix=f"-p{rep.parts}")
         return
 
+    if algo == "dist":
+        _check_parts(n, parts, mode)
     system = generate_dd_bta(n, b, arrow, seed=seed)
     rhs = None
     if mode == "siq" or algo == "batched":

@@ -22,7 +22,12 @@ SciPy's wrappers or any change to the process-wide warning filters.
 Inversion is ``zgetrf`` and then ``zgetri``, which forms the inverse in
 place from the LU factors (Du Croz & Higham, IMA J. Numer. Anal. 1992),
 with no identity right-hand side; the sweeps invert each pivot in its
-working slot.  Pivot arrays stay per call: two threads' LAPACK calls
+working slot.  SciPy's f2py ``zgetrf`` and ``zgetri`` release the GIL
+(its ``zgemm`` does not), so beside a spinning Python thread an
+inversion can wait a switch interval (5 ms) to return: at order 16 on 2
+shared vCPUs, lone ``zgetrf`` went from 3.5-7 µs to 5.1 ms (medians),
+:func:`block_inverse` from 9-17 to 600-2,500 µs (means), ``zgemm`` stayed
+at 3-6 µs.  Pivot arrays stay per call: two threads' LAPACK calls
 sharing one have aborted with "double free or corruption".
 
 Operation counting happens inside the kernels: passing an

@@ -452,8 +452,6 @@ def bta_backward(
     a: BtaMatrix,
     b: BtaMatrix | None = None,
     counter: OpCounter | None = None,
-    *,
-    diagonal_only: bool = False,
 ) -> SelectedSolution:
     """Backward selected substitution over a BT or arrowhead system.
 
@@ -469,8 +467,7 @@ def bta_backward(
     trailing coupling and the arrow strips as the couplings.  It then
     steps backward with :func:`_backward_sweep`.  Every pattern
     block of the solution(s) is written into its slot by its last
-    operation; with ``diagonal_only`` the off-diagonal blocks are
-    computed but left zero.
+    operation.
     """
     if a.shape_params != (factors.n, factors.b, factors.a):
         raise ShapeMismatchError("system shape disagrees with factors")
@@ -498,10 +495,6 @@ def bta_backward(
         if factors.sigma:  # the next step reads the arrow column
             _mirror(b.arrow_row[i], factors.sigma, out=b.arrow_col[i])
     _backward_sweep(factors, a, b, i, ytt, ztt, counter)
-
-    if diagonal_only:
-        for x in (a, b) if fused else (a,):
-            x.lower[...] = x.upper[...] = 0.0
     return SelectedSolution(x_a=a, x_b=b, mode=factors.mode)
 
 
@@ -575,21 +568,18 @@ def _coarsen(m: BtaMatrix, c: int, pad: float) -> BtaMatrix:
     return x
 
 
-def _refine(x: BtaMatrix, n: int, c: int, diagonal_only: bool, sigma: int = 0) -> BtaMatrix:
-    """The ``n``-block solution held in the re-blocked solution ``x``,
-    with zero off-diagonal blocks under ``diagonal_only``.  A σ-Hermitian
-    ``x`` (``sigma`` = ±1) gets its upper couplings as the mirrors of the
-    lower ones: most sit in coarse diagonal blocks, which are σ-Hermitian
-    only up to rounding."""
+def _refine(x: BtaMatrix, n: int, c: int, sigma: int = 0) -> BtaMatrix:
+    """The ``n``-block solution held in the re-blocked solution ``x``.  A
+    σ-Hermitian ``x`` (``sigma`` = ±1) gets its upper couplings as the
+    mirrors of the lower ones: most sit in coarse diagonal blocks, which
+    are σ-Hermitian only up to rounding."""
     nc, cb, a = x.shape_params
     f = BtaMatrix.empty(n, cb // c, a)
     for name, k, view in _block_map(x, n, c):
         if not (sigma and name == "upper"):  # mirrored from the lower below
             getattr(f, name)[k] = view
     f.tip[...] = x.tip
-    if diagonal_only:
-        f.lower[...] = f.upper[...] = 0.0
-    elif sigma:
+    if sigma:
         _mirror(f.lower, sigma, out=f.upper)
     return f
 
@@ -619,7 +609,6 @@ def solve_selected(
     *,
     counter: OpCounter | None = None,
     timings: dict | None = None,
-    diagonal_only: bool = False,
     reblock: bool = True,
 ) -> SelectedSolution:
     """Compute the selected inverse of ``a`` and, in fused mode, the
@@ -677,15 +666,13 @@ def solve_selected(
             f"singular pivot at diagonal block {k} (input not diagonally dominant?)", index=k
         ) from exc
     t1 = perf_counter()
-    # A coarse solution is sliced back by _refine, which clears the
-    # off-diagonals itself under diagonal_only.
-    sol = bta_backward(factors, work, rhs, counter, diagonal_only=diagonal_only and c == 1)
+    sol = bta_backward(factors, work, rhs, counter)
     t2 = perf_counter()
     if timings is not None:
         timings["forward"] = t1 - t0
         timings["backward"] = t2 - t1
     if c > 1:
-        x_a = _refine(sol.x_a, a.n, c, diagonal_only)
-        x_b = None if sol.x_b is None else _refine(sol.x_b, a.n, c, diagonal_only, factors.sigma)
+        x_a = _refine(sol.x_a, a.n, c)
+        x_b = None if sol.x_b is None else _refine(sol.x_b, a.n, c, factors.sigma)
         sol = SelectedSolution(x_a, x_b, sol.mode)
     return sol

@@ -89,13 +89,6 @@ def test_forward_counts_column():
     assert "counts_b: 16" in text
 
 
-def test_residual_oracle_field():
-    a = generate_dd_bta(5, 3, 1, seed=4)
-    report = run_benchmark("rgf", a, repeat=1, residual_oracle=True)
-    assert report.residual is not None and report.residual <= 1e-10
-    assert "residual_vs_dense" in report.to_text()
-
-
 def test_rejects_bad_arguments():
     a = generate_dd_bta(4, 2, 0, seed=5)
     with pytest.raises(ValueError):

@@ -161,6 +161,20 @@ class TestSolve:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("parts", ["0", "-1", "5"])  # 5 workers need n >= 10
+    def test_parts_the_planner_rejects_are_usage_errors(self, tmp_path, runner, parts):
+        a_path, _ = _generate_files(tmp_path, runner, n=8)
+        out = tmp_path / "x.bta"
+        result = runner.invoke(
+            main,
+            ["solve", "--algo", "dist", "--parts", parts, "--a-file", str(a_path),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "usage error: --parts" in result.output
+        assert not out.exists()
+
     def test_dense_guard_exceeded_is_usage_error(self, tmp_path, runner):
         a_path = tmp_path / "big.bta"
         write_bta(generate_dd_bta(3, 2, 0, seed=1), a_path)
@@ -294,11 +308,39 @@ class TestBench:
             text = (tmp_path / f"weak.txt-p{parts}").read_text()
             assert "parallel_efficiency:" in text
 
+    @pytest.mark.parametrize("args", [
+        ["--n", "4", "--algo", "dist", "--parts", "0"],
+        ["--n", "4", "--algo", "dist", "--parts", "3"],  # 3 workers need n >= 6
+        ["--n", "4", "--weak-scale", "0,1"],
+        ["--n", "4", "--weak-scale", ","],
+    ])
+    def test_worker_counts_that_cannot_run_are_usage_errors(self, runner, args):
+        result = runner.invoke(main, ["bench", "--b", "2", "--repeat", "1"] + args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "usage error: " in result.output
+
     def test_bad_weak_scale_list(self, runner):
         result = runner.invoke(
             main, ["bench", "--n", "4", "--b", "2", "--weak-scale", "1,x"]
         )
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--n", "4", "--b", "2", "--dominance", "0.5", "--out-a", "x.bta"],
+    ["generate", "--n", "4", "--b", "2", "--a", "-1", "--out-a", "x.bta"],
+    ["bench", "--n", "4", "--b", "0"],
+    ["bench", "--n", "4", "--b", "2", "--repeat", "0"],
+    ["bench", "--n", "4", "--b", "2", "--blas-threads", "0"],
+    ["solve", "--algo", "rgf", "--a-file", "a.bta", "--out", "x.bta", "--blas-threads", "0"],
+])
+def test_out_of_range_values_are_usage_errors(runner, args):
+    # Rejected while the options are parsed, before any file is opened.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "Invalid value for '--" in result.output
 
 
 def _free_port():

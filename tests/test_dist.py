@@ -1,5 +1,6 @@
 import multiprocessing
 import socket
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -25,7 +26,7 @@ from btasel import (
     plan_partitions,
     solve_selected,
 )
-from btasel import dist, to_dense
+from btasel import dist, kernels, to_dense
 from btasel.collectives import SocketCollectives
 from btasel.dist import assemble_reduced, local_forward, solve_reduced
 from btasel.errors import ProtocolError
@@ -112,6 +113,46 @@ def test_rerun_determinism_bitwise():
     s2 = dist_solve(a, rhs, num_parts=4, mode="siq")
     assert s1.x_a.equals_exact(s2.x_a)
     assert s1.x_b.equals_exact(s2.x_b)
+
+
+def test_concurrent_solves_from_two_callers_are_bitwise_serial(monkeypatch):
+    # Two caller threads solve at once, each 5 times on hubs of its own:
+    # the per-call pivot arrays and the shared cache of zgetri workspace
+    # sizes, which both callers' ranks fill here (orders 2, 4 and 16), keep
+    # every result the bytes of a serial run.  The main thread is the
+    # second caller, so the solves start 1 + 2 + 3 = 6 threads.
+    monkeypatch.setattr(kernels, "_LWORK", {})
+    herm = random_system(24, 16, 4, seed=80, hermitian_rhs=True)
+    inv = random_system(40, 4, 2, seed=81)[0]
+    jobs = (
+        lambda: dist_solve(*herm, num_parts=2, transport=ThreadHub(2)),
+        lambda: dist_solve(inv, num_parts=3, mode="si", transport=ThreadHub(3)),
+    )
+
+    def stacks(sol):
+        return [x.tobytes() for m in (sol.x_a, sol.x_b) if m is not None for x in m.stacks]
+
+    start, got = threading.Barrier(2), ([], [])
+
+    def repeat(k):
+        start.wait()
+        for _ in range(5):
+            got[k].append(stacks(jobs[k]()))
+
+    other = threading.Thread(target=repeat, args=(0,))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    other.start()
+    try:
+        repeat(1)
+    finally:
+        other.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not other.is_alive()
+    assert sorted(kernels._LWORK) == [2, 4, 16]
+    for job, results in zip(jobs, got):
+        want = stacks(job())
+        assert results == [want] * 5
 
 
 class TestCommunicationContract:

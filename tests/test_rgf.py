@@ -668,22 +668,12 @@ class TestSolveFacade:
             assert np.linalg.norm(x.upper[i] - x.lower[i].conj().T) <= 1e-12 * scale
         assert np.linalg.norm(x.tip - x.tip.conj().T) <= 1e-12 * scale
 
-    def test_diagonal_only_flag(self):
-        a, b = random_system(5, 3, 0, seed=13)
-        full = solve_selected(a, b, "siq")
-        diag = solve_selected(a, b, "siq", diagonal_only=True)
-        for i in range(5):
-            np.testing.assert_array_equal(diag.x_a.diag[i], full.x_a.diag[i])
-        assert all(np.all(blk == 0) for blk in diag.x_a.lower)
-        assert all(np.all(blk == 0) for blk in diag.x_b.upper)
-
     @pytest.mark.parametrize("mode", ["si", "siq"])
     @pytest.mark.parametrize("a_sz", [0, 2])
     def test_output_stacks_need_no_initial_values(self, monkeypatch, mode, a_sz):
         # A re-blocked solve (b=3, c=5) slices its coarse solution into
-        # uninitialised stacks: every fine slot is written (diagonal_only
-        # clears the off-diagonals).  Stacks that start as NaN give the
-        # bytes of zero-filled ones.
+        # uninitialised stacks: every fine slot is written.  Stacks that
+        # start as NaN give the bytes of zero-filled ones.
         def filled(value):
             def empty(cls, n, b, a=0):
                 x = BtaMatrix.zeros(n, b, a)
@@ -695,14 +685,13 @@ class TestSolveFacade:
 
         a, rhs = random_system(9, 3, a_sz, seed=31)
         rhs = rhs if mode == "siq" else None
-        for diagonal_only in (False, True):
-            monkeypatch.setattr(BtaMatrix, "empty", filled(0.0))
-            want = solve_selected(a, rhs, mode, diagonal_only=diagonal_only)
-            monkeypatch.setattr(BtaMatrix, "empty", filled(np.nan))
-            got = solve_selected(a, rhs, mode, diagonal_only=diagonal_only)
-            for x, w in ((got.x_a, want.x_a), (got.x_b, want.x_b))[: 2 if rhs is not None else 1]:
-                assert all(np.isfinite(s).all() for s in x.stacks)
-                assert [s.tobytes() for s in x.stacks] == [s.tobytes() for s in w.stacks]
+        monkeypatch.setattr(BtaMatrix, "empty", filled(0.0))
+        want = solve_selected(a, rhs, mode)
+        monkeypatch.setattr(BtaMatrix, "empty", filled(np.nan))
+        got = solve_selected(a, rhs, mode)
+        for x, w in ((got.x_a, want.x_a), (got.x_b, want.x_b))[: 2 if rhs is not None else 1]:
+            assert all(np.isfinite(s).all() for s in x.stacks)
+            assert [s.tobytes() for s in x.stacks] == [s.tobytes() for s in w.stacks]
 
     def test_timings_populated(self):
         a = generate_dd_bta(4, 4, 0, seed=14)
@@ -725,26 +714,18 @@ class TestSolveInPlace:
         inputs = a.stacks + rhs.stacks
         solved = []
         for mode in ("si", "siq"):
-            for diagonal_only in (False, True):
-                sol = solve_selected(
-                    a, rhs if mode == "siq" else None, mode,
-                    diagonal_only=diagonal_only, reblock=reblock,
-                )
-                assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
-                xs = [sol.x_a] + ([sol.x_b] if mode == "siq" else [])
-                for x in xs:
-                    for s in x.stacks:
-                        assert not any(np.shares_memory(s, t) for t in inputs)
-                if mode == "siq":
-                    for s in sol.x_a.stacks:
-                        assert not any(np.shares_memory(s, t) for t in sol.x_b.stacks)
-                for x, dense in zip(xs, oracle):
-                    if diagonal_only:
-                        assert not x.lower.any() and not x.upper.any()
-                        dense = BtaMatrix(n, b, a_sz, dense.diag, x.lower, x.upper,
-                                          dense.arrow_row, dense.arrow_col, dense.tip)
-                    assert max_block_rel_err(x, dense) <= 1e-12, (mode, diagonal_only)
-                solved += xs
+            sol = solve_selected(a, rhs if mode == "siq" else None, mode, reblock=reblock)
+            assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
+            xs = [sol.x_a] + ([sol.x_b] if mode == "siq" else [])
+            for x in xs:
+                for s in x.stacks:
+                    assert not any(np.shares_memory(s, t) for t in inputs)
+            if mode == "siq":
+                for s in sol.x_a.stacks:
+                    assert not any(np.shares_memory(s, t) for t in sol.x_b.stacks)
+            for x, dense in zip(xs, oracle):
+                assert max_block_rel_err(x, dense) <= 1e-12, mode
+            solved += xs
         return solved
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -825,22 +806,15 @@ class TestReblock:
             oracle = (dense_selected_inverse(a), dense_selected_quadratic(a, rhs))
             for mode in ("si", "siq"):
                 used = rhs if mode == "siq" else None
-                for diagonal_only in (False, True):
-                    got = solve_selected(a, used, mode, diagonal_only=diagonal_only)
-                    swept = solve_selected(
-                        a, used, mode, diagonal_only=diagonal_only, reblock=False
-                    )
-                    pairs = [(got.x_a, swept.x_a, oracle[0])]
-                    if mode == "siq":
-                        pairs.append((got.x_b, swept.x_b, oracle[1]))
-                    for x, ref, dense in pairs:
-                        assert all(np.isfinite(s).all() for s in x.stacks)
-                        if diagonal_only:
-                            assert not x.lower.any() and not x.upper.any()
-                            dense = BtaMatrix(n, b, a_sz, dense.diag, x.lower, x.upper,
-                                              dense.arrow_row, dense.arrow_col, dense.tip)
-                        assert max_block_rel_err(x, ref) <= 1e-12, (n, mode)
-                        assert max_block_rel_err(x, dense) <= 1e-12, (n, mode)
+                got = solve_selected(a, used, mode)
+                swept = solve_selected(a, used, mode, reblock=False)
+                pairs = [(got.x_a, swept.x_a, oracle[0])]
+                if mode == "siq":
+                    pairs.append((got.x_b, swept.x_b, oracle[1]))
+                for x, ref, dense in pairs:
+                    assert all(np.isfinite(s).all() for s in x.stacks)
+                    assert max_block_rel_err(x, ref) <= 1e-12, (n, mode)
+                    assert max_block_rel_err(x, dense) <= 1e-12, (n, mode)
             assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
 
     # Re-blocked counts at (n, b) = (256, 4): 64 blocks of order 16, so
@@ -945,19 +919,11 @@ class TestSignedRhs:
         a, rhs = signed_system(n, 3, a_sz, seed=50 + a_sz, sigma=sigma)
         a_ref, rhs_ref = a.copy(), rhs.copy()
         oracle = (dense_selected_inverse(a), dense_selected_quadratic(a, rhs))
-        for diagonal_only in (False, True):
-            sol = solve_selected(a, rhs, diagonal_only=diagonal_only, reblock=reblock)
-            assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
-            x_b = sol.x_b
-            if diagonal_only:
-                assert not x_b.lower.any() and not x_b.upper.any()
-            else:
-                assert_mirrored(x_b, sigma)
-            for x, dense in zip((sol.x_a, x_b), oracle):
-                if diagonal_only:
-                    dense = BtaMatrix(n, 3, a_sz, dense.diag, x.lower, x.upper,
-                                      dense.arrow_row, dense.arrow_col, dense.tip)
-                assert max_block_rel_err(x, dense) <= 1e-10
+        sol = solve_selected(a, rhs, reblock=reblock)
+        assert a.equals_exact(a_ref) and rhs.equals_exact(rhs_ref)
+        assert_mirrored(sol.x_b, sigma)
+        for x, dense in zip((sol.x_a, sol.x_b), oracle):
+            assert max_block_rel_err(x, dense) <= 1e-10
 
     def test_inverse_bits_do_not_depend_on_the_sign(self):
         a, herm = signed_system(7, 3, 2, seed=9, sigma=1)
