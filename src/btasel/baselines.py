@@ -17,9 +17,9 @@ from time import perf_counter
 import numpy as np
 from scipy.linalg import lu_solve
 
-from .errors import DenseGuardError, ShapeMismatchError
+from .errors import DenseGuardError
 from .kernels import COMPLEX, OpCounter, _getrf, mm
-from .matrix import BtaMatrix, SelectedSolution, mask_to_pattern, to_dense
+from .matrix import BtaMatrix, SelectedSolution, _solve_rhs, mask_to_pattern, to_dense
 
 __all__ = ["dense_solve", "batched_solve", "DEFAULT_DENSE_GUARD"]
 
@@ -58,14 +58,11 @@ def dense_solve(
     Expands ``a`` (and ``b``), factors once, forms the full inverse by
     solving against the identity, multiplies out the quadratic
     solution, and masks both to the input pattern.  Memory is O(N^2);
-    refuse inputs beyond ``guard``.
+    refuse inputs beyond ``guard``.  Raises :class:`ShapeMismatchError`
+    if ``b``'s shape is not ``a``'s, and :class:`NonFiniteInputError` if
+    ``a`` (or, in ``"siq"`` mode, ``b``) holds a NaN or infinite entry.
     """
-    if mode is None:
-        mode = "si" if b is None else "siq"
-    if mode == "siq" and b is None:
-        raise ValueError("mode 'siq' requires a right-hand side")
-    if b is not None and b.shape_params != a.shape_params:
-        raise ShapeMismatchError("right-hand side shape differs from system shape")
+    b = _solve_rhs(a, b, mode)
     _check_guard(a, guard)
 
     t0 = perf_counter()
@@ -75,14 +72,14 @@ def dense_solve(
     inv = _lu_solve(factors, np.eye(a.total_size, dtype=COMPLEX), counter)
     x_a = mask_to_pattern(inv, a.shape_params)
     x_b = None
-    if mode == "siq":
+    if b is not None:
         y = mm(inv, to_dense(b), counter)
         x_b = mask_to_pattern(mm(y, inv, counter, tb=True), a.shape_params)
     t2 = perf_counter()
     if timings is not None:
         timings["forward"] = t1 - t0
         timings["backward"] = t2 - t1
-    return SelectedSolution(x_a=x_a, x_b=x_b, mode=mode)
+    return SelectedSolution(x_a, x_b)
 
 
 def _bta_matvec(m: BtaMatrix, vec: np.ndarray) -> np.ndarray:
@@ -137,10 +134,11 @@ def batched_solve(
     of the inverse), which is masked to the pattern immediately.  Auxiliary memory beyond
     the factors and the masked outputs is a handful of length-N vectors;
     ``on_alloc`` (tag, nbytes) observes every allocation for the memory
-    contract test.
+    contract test.  Raises ``ValueError`` without ``b``,
+    :class:`ShapeMismatchError` if ``b``'s shape is not ``a``'s, and
+    :class:`NonFiniteInputError` if ``a`` or ``b`` holds a NaN or infinity.
     """
-    if b.shape_params != a.shape_params:
-        raise ShapeMismatchError("right-hand side shape differs from system shape")
+    b = _solve_rhs(a, b, "siq")
     _check_guard(a, guard)
     total = a.total_size
 
@@ -174,4 +172,4 @@ def batched_solve(
         note("column", xb_col.nbytes)
         _scatter_column(x_b, col, xb_col[:, 0])
 
-    return SelectedSolution(x_a=x_a, x_b=x_b, mode="siq")
+    return SelectedSolution(x_a, x_b)

@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import batched_solve, dense_solve
 from .dist import dist_solve
 from .kernels import OpCounter
-from .matrix import BtaMatrix, generate_dd_bta, hermitianize
+from .matrix import BtaMatrix, _solve_rhs, generate_dd_bta, hermitianize
 from .rgf import _working_system, bta_forward, solve_selected
 
 __all__ = ["BenchReport", "run_benchmark", "weak_scaling_sweep", "block_errors", "PHASES"]
@@ -93,13 +93,13 @@ def _mean_ci(samples: list[float]) -> tuple[float, float]:
     return mean, 1.96 * math.sqrt(var / k)
 
 
-def _solve_once(algo, a, b, mode, parts, counter, timings):
+def _solve_once(algo, a, b, parts, counter, timings):
     if algo == "rgf":
-        return solve_selected(a, b, mode, counter=counter, timings=timings)
+        return solve_selected(a, b, counter=counter, timings=timings)
     if algo == "dist":
-        return dist_solve(a, b, num_parts=parts, mode=mode, counter=counter, timings=timings)
+        return dist_solve(a, b, num_parts=parts, counter=counter, timings=timings)
     if algo == "dense":
-        return dense_solve(a, b, mode, counter=counter, timings=timings)
+        return dense_solve(a, b, counter=counter, timings=timings)
     if algo == "batched":
         return batched_solve(a, b, counter=counter)
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -116,23 +116,24 @@ def run_benchmark(
     """Run one benchmark point: ``repeat`` timed solves of the same input.
 
     An untimed solve first warms up and takes the operation counts; the
-    timed solves run without counting.
+    timed solves run without counting.  ``mode`` defaults to ``"siq"``
+    when ``b`` is given and ``"si"`` otherwise; ``"batched"`` solves
+    ``"siq"`` only, and raises ``ValueError`` in ``"si"`` mode.
     """
+    b = _solve_rhs(a, b, mode)
     if algo not in ALGOS:
         raise ValueError(f"algo must be one of {ALGOS}, got {algo!r}")
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    if mode is None:
-        mode = "si" if b is None else "siq"
 
     counter = OpCounter(b=a.b, a=a.a)
-    _solve_once(algo, a, b, mode, parts, counter, {})
+    _solve_once(algo, a, b, parts, counter, {})
     phase_samples = {phase: [] for phase in PHASES}
     totals = []
     for _ in range(repeat):
         timings: dict = {}
         t0 = perf_counter()
-        _solve_once(algo, a, b, mode, parts, None, timings)
+        _solve_once(algo, a, b, parts, None, timings)
         totals.append(perf_counter() - t0)
         for phase in PHASES:
             phase_samples[phase].append(timings.get(phase, 0.0))
@@ -143,7 +144,7 @@ def run_benchmark(
         b=a.b,
         a=a.a,
         parts=parts if algo == "dist" else 1,
-        mode=mode,
+        mode="si" if b is None else "siq",
         repeats=repeat,
         counts=counter.as_dict(),
         counts_b=counter.b,
@@ -152,7 +153,7 @@ def run_benchmark(
         # Forward-pass counts broken out: these are the per-step table
         # figures (e.g. 2(n-1) b-products for the BT selected inversion)
         # of the system the solve swept, so at the orders of ``counts``.
-        work, rhs, _ = _working_system(a, b if mode == "siq" else None, reblock=True)
+        work, rhs, _ = _working_system(a, b, reblock=True)
         fwd_counter = OpCounter(b=work.b, a=work.a)
         bta_forward(work, rhs, fwd_counter)
         report.counts_forward = fwd_counter.as_dict()

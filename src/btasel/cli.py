@@ -92,12 +92,12 @@ def _resolve_shape(preset, n, b, a):
     return n, b, a
 
 
-def _check_parts(n: int, parts: int, mode: str, option: str = "--parts") -> None:
+def _check_parts(n: int, parts: int, option: str = "--parts") -> None:
     """A usage error unless ``parts`` workers can split ``n`` blocks; one
     worker runs the sequential solver."""
     try:
         if parts != 1:
-            plan_partitions(n, parts, mode)
+            plan_partitions(n, parts)
     except ValueError as exc:
         raise click.UsageError(f"{option} {parts}: {exc}") from exc
 
@@ -156,7 +156,7 @@ def cmd_solve(algo, mode, parts, a_file, b_file, out, out_b, counts, transport, 
     a = read_bta(a_file)
     b = read_bta(b_file) if b_file is not None else None
     if algo == "dist":
-        _check_parts(a.n, parts, mode)
+        _check_parts(a.n, parts)
 
     # A tally costs about a fifth of a small-block solve: only on request.
     counter = OpCounter(b=a.b, a=a.a) if counts else None
@@ -209,11 +209,8 @@ def cmd_verify(candidate, a_file, b_file, reference, which, tol):
     b = read_bta(b_file) if b_file is not None else None
     if which == "xb" and b is None:
         raise click.UsageError("--which xb requires --b-file")
-    mode = "siq" if which == "xb" else "si"
-    if reference == "dense":
-        ref_sol = dense_solve(a, b if mode == "siq" else None, mode)
-    else:
-        ref_sol = solve_selected(a, b if mode == "siq" else None, mode)
+    solver = dense_solve if reference == "dense" else solve_selected
+    ref_sol = solver(a, b, "siq" if which == "xb" else "si")
     ref = ref_sol.x_a if which == "xa" else ref_sol.x_b
     if cand.shape_params != ref.shape_params:
         raise ShapeMismatchError(
@@ -263,7 +260,7 @@ def cmd_bench(algo, mode, parts, repeat, preset, n, b, arrow, seed, report, weak
         if not parts_list:
             raise click.UsageError("--weak-scale lists no worker count")
         for p in parts_list:
-            _check_parts(n * p, p, mode, "--weak-scale")
+            _check_parts(n * p, p, "--weak-scale")
         reports = weak_scaling_sweep(
             base_n=n, b=b, a=arrow, parts_list=parts_list,
             mode=mode, repeat=repeat, seed=seed,
@@ -273,7 +270,7 @@ def cmd_bench(algo, mode, parts, repeat, preset, n, b, arrow, seed, report, weak
         return
 
     if algo == "dist":
-        _check_parts(n, parts, mode)
+        _check_parts(n, parts)
     system = generate_dd_bta(n, b, arrow, seed=seed)
     rhs = None
     if mode == "siq" or algo == "batched":

@@ -38,7 +38,7 @@ from .collectives import Collectives, SocketCollectives, ThreadHub
 from .errors import FormatError, ProtocolError, WorkerError
 from .fileio import bta_parts, decode_bta
 from .kernels import COMPLEX, OpCounter, mm  # noqa: F401 - dist.mm is a profiling hook
-from .matrix import BtaMatrix, SelectedSolution, _signed_part
+from .matrix import BtaMatrix, SelectedSolution, _signed_part, _solve_rhs
 from .partition import PartitionPlan, plan_partitions
 from .rgf import (
     RgfFactors,
@@ -347,18 +347,15 @@ def _concatenate(m: BtaMatrix, containers: list, seps: list, tip) -> BtaMatrix:
     return BtaMatrix(len(stacks[0]), m.b, m.a, *stacks, tip)
 
 
-def solve_reduced(
-    reduced: ReducedSystem, mode: str, counter: OpCounter | None = None
-) -> SelectedSolution:
+def solve_reduced(reduced: ReducedSystem, counter: OpCounter | None = None) -> SelectedSolution:
     """Solve the replicated reduced system locally on every rank with the
-    sequential arrowhead solver.
+    sequential arrowhead solver, in ``"siq"`` mode exactly when it has a
+    right-hand side.
 
     It runs without re-blocking: ``dist_solve`` tallies every rank's
     sweeps and this solve in one counter, at the orders of the
     partitions' blocks."""
-    return solve_selected(
-        reduced.matrix_a, reduced.matrix_b, mode, counter=counter, reblock=False
-    )
+    return solve_selected(reduced.matrix_a, reduced.matrix_b, counter=counter, reblock=False)
 
 
 def local_backward(
@@ -460,10 +457,10 @@ def _merge_slices(
             k = reduced.index[(p, "bottom")]
             x.lower[hi - 1], x.upper[hi - 1] = r.lower[k], r.upper[k]
         x.tip[...] = r.tip
-    return SelectedSolution(xs[0], xs[1] if len(xs) > 1 else None, red_sol.mode)
+    return SelectedSolution(xs[0], xs[1] if len(xs) > 1 else None)
 
 
-def _run_rank(a, b, plan, rank, coll, mode, counting):
+def _run_rank(a, b, plan, rank, coll, counting):
     # Every rank solves the same reduced system; only rank 0's tally of it
     # is kept, so the other ranks do not count it.
     counter = OpCounter(b=a.b, a=a.a) if counting else None
@@ -479,7 +476,7 @@ def _run_rank(a, b, plan, rank, coll, mode, counting):
         # (B + σ·B^H)/2, is solved instead, so that the solver finds σ in
         # it and every coupling of X_B is an exact mirror.
         reduced.matrix_b = _signed_part(reduced.matrix_b, factors.sigma)
-    red_sol = solve_reduced(reduced, mode, reduced_counter)
+    red_sol = solve_reduced(reduced, reduced_counter)
     t3 = perf_counter()
     sl = local_backward(a, b, plan, rank, factors, reduced, red_sol, counter)
     t4 = perf_counter()
@@ -522,15 +519,10 @@ def dist_solve(
     ``num_parts=1``, the sequential solve's, at its orders).  Operations
     are counted only when ``counter`` or ``rank_counters`` is passed;
     without either, no rank builds a tally.  Raises
+    :class:`ShapeMismatchError` if ``b``'s shape is not ``a``'s, and
     :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
     holds a NaN or infinite entry.
     """
-    if mode is None:
-        mode = "si" if b is None else "siq"
-    if mode == "siq" and b is None:
-        raise ValueError("mode 'siq' requires a right-hand side")
-    if mode == "si":
-        b = None
     if num_parts == 1:
         own = counter if rank_counters is None else OpCounter(b=a.b, a=a.a)
         sol = solve_selected(a, b, mode, counter=own, timings=timings)
@@ -539,11 +531,8 @@ def dist_solve(
             if counter is not None:
                 counter.merge(own)
         return sol
-    a.require_finite("a")
-    if b is not None:
-        b.require_finite("b")
-
-    plan = plan_partitions(a.n, num_parts, mode)
+    b = _solve_rhs(a, b, mode)
+    plan = plan_partitions(a.n, num_parts)
     counting = counter is not None or rank_counters is not None
 
     hub = transport if transport is not None else ThreadHub(num_parts)
@@ -557,9 +546,9 @@ def dist_solve(
         sigma = _hermitian_sign(b) if b is not None else 0
         plan = _SharedPlan(plan.n, num_parts, plan.ranges, plan.kinds, tuple(xs), sigma)
     if sockets:
-        results = [_run_rank(a, b, plan, hub.rank, hub, mode, counting)]
+        results = [_run_rank(a, b, plan, hub.rank, hub, counting)]
     else:
-        results = _run_threads(a, b, plan, hub, mode, counting)
+        results = _run_threads(a, b, plan, hub, counting)
 
     if counter is not None:
         for r in results:
@@ -582,7 +571,7 @@ def dist_solve(
     return _merge_slices(xs, plan, *results[0][4])
 
 
-def _run_threads(a, b, plan, hub: ThreadHub, mode, counting) -> list:
+def _run_threads(a, b, plan, hub: ThreadHub, counting) -> list:
     """Every rank's :func:`_run_rank` result, each rank in a thread of its own."""
     results: list = [None] * plan.num_parts
     # The pool starts its threads one at a time, so without a common start
@@ -592,7 +581,7 @@ def _run_threads(a, b, plan, hub: ThreadHub, mode, counting) -> list:
     def run(rank: int):
         try:
             start.wait()
-            return _run_rank(a, b, plan, rank, hub.endpoint(rank), mode, counting)
+            return _run_rank(a, b, plan, rank, hub.endpoint(rank), counting)
         except BaseException:
             hub.abort()  # release peers blocked inside a collective round
             raise

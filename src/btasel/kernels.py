@@ -1,17 +1,18 @@
 """Dense complex block primitives.
 
 Every solver in this package is expressed in terms of the two kernels
-defined here, multiply-accumulate with optional conjugate transposition
-(:func:`mm`) and explicit block inversion (:func:`block_inverse`), and
-counts them with :class:`OpCounter`; the dense oracles factor with
-:func:`_getrf`.  A block is a plain two-dimensional ``numpy.ndarray`` of
-``complex128``; no wrapper type is introduced.
+defined here, multiply-accumulate with an optional conjugate transpose
+of the right factor (:func:`mm`) and explicit block inversion
+(:func:`block_inverse`), and counts them with :class:`OpCounter`; the
+dense oracles factor with :func:`_getrf`.  A block is a plain
+two-dimensional ``numpy.ndarray`` of ``complex128``; no wrapper type is
+introduced.
 
 :func:`block_inverse` checks its operand.  The sweeps multiply through
 :func:`mm`, which does not (their containers validated every shape) and
 which picks a path by the product's size.  A product with every side
-from 2 to 16 is one call of SciPy's BLAS ``zgemm``, with conjugate
-transposes and the accumulation as its flags: on 2 shared vCPUs 1.0-1.4
+from 2 to 16 is one call of SciPy's BLAS ``zgemm``, with the conjugate
+transpose and the accumulation as its flags: on 2 shared vCPUs 1.0-1.4
 µs at b=4 and 2.3-2.9 µs at b=16, against 3.4 and 4.9-5.0 µs for numpy's
 ``@``; the gap stays 2-3 µs up to b=32 and is lost in the flops by b=48.
 Larger products stay on numpy: the f2py ``zgemm`` wrapper holds the GIL
@@ -143,43 +144,42 @@ def mm(
     b: np.ndarray,
     counter: OpCounter | None = None,
     *,
-    ta: bool = False,
     tb: bool = False,
     out: np.ndarray | None = None,
     alpha: int = 1,
     beta: int = 0,
 ) -> np.ndarray:
-    """Unchecked ``alpha·op(a)·op(b) + beta·out`` with counting; op = conj-transpose.
+    """Unchecked ``alpha·a·op(b) + beta·out`` with counting; op = conj-transpose.
 
     ``alpha`` is 1 or -1 and ``beta`` 0 or 1; without ``out`` a new block
-    holds ``alpha·op(a)·op(b)``.  The operands must be 2-d ``complex128``
+    holds ``alpha·a·op(b)``.  The operands must be 2-d ``complex128``
     blocks whose shapes agree; nothing checks them.  ``out`` is written in
     place and returned.  On the BLAS path one that is not a C-contiguous
     ``complex128`` block of the product's shape raises
     :class:`ShapeMismatchError` (f2py would write a copy); numpy writes
     any ``out`` it accepts (checking it cost 2% of a b=64 forward sweep).
     Both paths give the bits of the numpy expression replaced (such as
-    ``np.subtract(out, op(a) @ op(b))``) but for the sign of an exact zero;
+    ``np.subtract(out, a @ op(b))``) but for the sign of an exact zero;
     BLAS with a side of 1, or of over 128, would not.
     """
-    m, k = a.shape[::-1] if ta else a.shape
+    m, k = a.shape
     n = b.shape[0] if tb else b.shape[1]
     if counter is not None:
         counter.record_gemm(m, k, n)
     if 1 < m <= _SMALL and 1 < k <= _SMALL and 1 < n <= _SMALL:
         # C-ordered blocks are F-ordered transposes, so nothing is copied:
-        # out.T = op(b).T·op(a).T.  (f2py rejects empty operands.)
+        # out.T = op(b).T·a.T.  (f2py rejects empty operands.)
         if out is None:
-            return zgemm(alpha, b.T, a.T, 0, None, 2 * tb, 2 * ta).T
+            return zgemm(alpha, b.T, a.T, 0, None, 2 * tb).T
         c = out.T
         try:
             # f2py returns ``c`` itself only when it wrote it in place.
-            if zgemm(alpha, b.T, a.T, beta, c, 2 * tb, 2 * ta, 1) is c:
+            if zgemm(alpha, b.T, a.T, beta, c, 2 * tb, 0, 1) is c:
                 return out
         except ValueError:  # an out of another shape
             pass
         raise ShapeMismatchError(f"out must be a C-contiguous complex128 block of shape {(m, n)}")
-    a, b = (a.conj().T if ta else a), (b.conj().T if tb else b)
+    b = b.conj().T if tb else b
     if alpha == 1 and not beta:
         return np.matmul(a, b, out=out)
     prod = a @ b

@@ -31,6 +31,27 @@ __all__ = [
 ]
 
 MODES = ("si", "siq")
+
+
+def _solve_rhs(a: BtaMatrix, b: BtaMatrix | None, mode: str | None) -> BtaMatrix | None:
+    """The right-hand side a solve of ``a`` reads: ``b`` in ``"siq"`` mode,
+    None in ``"si"``, the default without ``b``.  Raises ``ValueError`` for
+    another mode or ``"siq"`` without ``b``, :class:`ShapeMismatchError` if
+    ``b``'s shape is not ``a``'s, and :class:`NonFiniteInputError` if ``a``,
+    or a ``b`` that is read, holds a NaN or infinite entry."""
+    if mode not in (None, *MODES):
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "siq" and b is None:
+        raise ValueError("mode 'siq' requires a right-hand side")
+    if b is not None and b.shape_params != a.shape_params:
+        raise ShapeMismatchError(f"right-hand side shape {b.shape_params} is not {a.shape_params}")
+    a.require_finite("a")
+    if mode == "si" or b is None:
+        return None
+    b.require_finite("b")
+    return b
+
+
 _HUGE_PAGE = 2 << 20  # bytes: the x86-64 and arm64 (4 KiB base page) PMD size
 
 
@@ -176,19 +197,18 @@ class SelectedSolution:
     """Pattern-restricted solution containers.
 
     ``x_a`` holds the selected entries of the inverse; ``x_b`` holds the
-    selected entries of the quadratic solution and is present exactly
-    when ``mode == "siq"``.
+    selected entries of the quadratic solution, or None: its presence is
+    the :attr:`mode`.
     """
 
     x_a: BtaMatrix
     x_b: BtaMatrix | None
-    mode: str
+
+    @property
+    def mode(self) -> str:
+        return "si" if self.x_b is None else "siq"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if (self.x_b is not None) != (self.mode == "siq"):
-            raise ValueError("x_b must be present exactly in 'siq' mode")
         if self.x_b is not None and self.x_b.shape_params != self.x_a.shape_params:
             raise ShapeMismatchError("x_a and x_b shapes disagree")
 

@@ -3,12 +3,13 @@
 Middle partitions pay a higher per-block price than the first and last
 ones (their sweeps carry the top boundary in the arrow, of order
 ``b + a``), so they receive proportionally fewer blocks.  The cost
-ratios in ``_COSTS`` are the per-step block-product counts, forward
-plus backward, of the plain vs. permuted variants before the backward
-step was regrouped and the middle kind ran the arrowhead sweeps: 9 vs.
-20 in selected-inversion mode and 42 vs. 94 in fused mode.  They are
-kept until they are calibrated against measured per-rank times.  Plans are
-deterministic functions of ``(n, num_parts, mode)``.
+ratio in ``_COSTS`` is the fused mode's per-step block-product counts,
+forward plus backward, of the plain vs. permuted variants before the
+backward step was regrouped and the middle kind ran the arrowhead
+sweeps: 42 vs. 94.  It is kept until it is calibrated against measured
+per-rank times.  Both modes plan with it, so that a system's partitions,
+and so the bytes of its selected inverse, do not depend on the mode.
+Plans are deterministic functions of ``(n, num_parts)``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 
 __all__ = ["PartitionPlan", "plan_partitions"]
 
-# (first/last, middle) per-block product counts, forward + backward sweeps.
-_COSTS = {"si": (2 + 7, 6 + 14), "siq": (8 + 34, 22 + 72)}
+# (first/last, middle) per-block product counts, forward + backward sweeps,
+# of the fused mode.  One value for both modes, keyed by mode because the
+# benchmark's tracer looks a plan's cost up by its mode.
+_COSTS = dict.fromkeys(("si", "siq"), (8 + 34, 22 + 72))
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class PartitionPlan:
         return hi - lo
 
 
-def plan_partitions(n: int, num_parts: int, mode: str = "si") -> PartitionPlan:
+def plan_partitions(n: int, num_parts: int) -> PartitionPlan:
     """Assign ``n`` diagonal blocks to ``num_parts`` workers.
 
     Middle partitions get fewer blocks in the inverse ratio of their
@@ -65,14 +68,12 @@ def plan_partitions(n: int, num_parts: int, mode: str = "si") -> PartitionPlan:
     ValueError
         If ``num_parts < 2`` or ``n < 2 * num_parts``.
     """
-    if mode not in _COSTS:
-        raise ValueError(f"mode must be 'si' or 'siq', got {mode!r}")
     if num_parts < 2:
         raise ValueError("a plan needs at least 2 partitions")
     if n < 2 * num_parts:
         raise ValueError(f"n={n} too small for {num_parts} partitions (need n >= {2 * num_parts})")
 
-    c_end, c_mid = _COSTS[mode]
+    c_end, c_mid = _COSTS["siq"]
     n_mid = num_parts - 2
     if n_mid == 0:
         first = (n + 1) // 2

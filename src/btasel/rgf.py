@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, SingularBlockError
 from .kernels import _SMALL, OpCounter, block_inverse, mm
-from .matrix import BtaMatrix, SelectedSolution
+from .matrix import BtaMatrix, SelectedSolution, _solve_rhs
 
 __all__ = [
     "RgfFactors",
@@ -495,7 +495,7 @@ def bta_backward(
         if factors.sigma:  # the next step reads the arrow column
             _mirror(b.arrow_row[i], factors.sigma, out=b.arrow_col[i])
     _backward_sweep(factors, a, b, i, ytt, ztt, counter)
-    return SelectedSolution(x_a=a, x_b=b, mode=factors.mode)
+    return SelectedSolution(a, b)
 
 
 def bt_forward(a: BtaMatrix, *args, **kwargs) -> RgfFactors:
@@ -621,6 +621,7 @@ def solve_selected(
     ``a`` or ``b``.  ``mode`` defaults to ``"siq"`` when ``b`` is
     given and ``"si"`` otherwise; ``timings``, when provided, receives
     the wall-clock seconds of the forward and backward sweeps.  Raises
+    :class:`ShapeMismatchError` if ``b``'s shape is not ``a``'s, and
     :class:`NonFiniteInputError` if ``a`` (or, in ``"siq"`` mode, ``b``)
     holds a NaN or infinite entry.
 
@@ -639,16 +640,7 @@ def solve_selected(
     ``ValueError``.  ``reblock=False`` runs the sweeps on ``a`` itself,
     whose counts the README tables give.
     """
-    if mode is None:
-        mode = "si" if b is None else "siq"
-    if mode not in ("si", "siq"):
-        raise ValueError(f"mode must be 'si' or 'siq', got {mode!r}")
-    if mode == "siq" and b is None:
-        raise ValueError("mode 'siq' requires a right-hand side")
-    a.require_finite("a")
-    if mode == "siq":
-        b.require_finite("b")
-    work, rhs, c = _working_system(a, b if mode == "siq" else None, reblock)
+    work, rhs, c = _working_system(a, _solve_rhs(a, b, mode), reblock)
     if counter is not None:
         counter.adopt(work.b, work.a)
 
@@ -674,5 +666,5 @@ def solve_selected(
     if c > 1:
         x_a = _refine(sol.x_a, a.n, c)
         x_b = None if sol.x_b is None else _refine(sol.x_b, a.n, c, factors.sigma)
-        sol = SelectedSolution(x_a, x_b, sol.mode)
+        sol = SelectedSolution(x_a, x_b)
     return sol

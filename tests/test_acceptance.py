@@ -168,7 +168,7 @@ def test_criterion_5_forward_operation_counts():
     # ?), exact counts per interior step: 6 products (si) / 18 (fused).
     def middle_counts(n, fused):
         a, rhs = random_system(n, 4, 2, seed=52)
-        plan = plan_partitions(n, 3, "siq" if fused else "si")
+        plan = plan_partitions(n, 3)
         lo, hi = plan.ranges[1]
         counter = OpCounter(b=4, a=2)
         local_forward(a, rhs if fused else None, plan, 1, counter)

@@ -57,9 +57,9 @@ def test_counts_in_one_untimed_warmup(monkeypatch, algo, parts):
     events = []
     solve_once, clock = bench._solve_once, bench.perf_counter
 
-    def solve_spy(algo, a, b, mode, parts, counter, timings):
+    def solve_spy(algo, a, b, parts, counter, timings):
         events.append("counted" if counter is not None else "uncounted")
-        return solve_once(algo, a, b, mode, parts, counter, timings)
+        return solve_once(algo, a, b, parts, counter, timings)
 
     def clock_spy():
         events.append("clock")
@@ -95,6 +95,15 @@ def test_rejects_bad_arguments():
         run_benchmark("nope", a)
     with pytest.raises(ValueError):
         run_benchmark("rgf", a, repeat=0)
+
+
+def test_batched_without_rhs_rejected():
+    # The column-batched oracle solves "siq" only: a missing right-hand
+    # side is a ValueError before any solve.
+    a = generate_dd_bta(4, 2, 0, seed=5)
+    for mode in (None, "si"):
+        with pytest.raises(ValueError, match="requires a right-hand side"):
+            run_benchmark("batched", a, mode=mode, repeat=1)
 
 
 def test_reports_deterministic_except_timing():

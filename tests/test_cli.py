@@ -175,6 +175,22 @@ class TestSolve:
         assert "usage error: --parts" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("rhs_shape", [(10, 3, 1), (8, 3, 2)])
+    def test_dist_rhs_of_another_shape_is_usage_error(self, tmp_path, runner, rhs_shape):
+        # Refused before the ranks start, not solved with B's first 8
+        # blocks nor failed in a worker (exit 4).
+        a_path, b_path = _generate_files(tmp_path, runner, n=8)
+        write_bta(generate_dd_bta(*rhs_shape, seed=8), b_path)
+        out = tmp_path / "x.bta"
+        result = runner.invoke(
+            main,
+            ["solve", "--algo", "dist", "--parts", "2", "--mode", "siq",
+             "--a-file", str(a_path), "--b-file", str(b_path), "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "usage error: right-hand side shape" in result.output
+        assert not out.exists()
+
     def test_dense_guard_exceeded_is_usage_error(self, tmp_path, runner):
         a_path = tmp_path / "big.bta"
         write_bta(generate_dd_bta(3, 2, 0, seed=1), a_path)

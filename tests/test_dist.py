@@ -93,15 +93,16 @@ def test_single_part_is_bitwise_sequential():
 
 
 @pytest.mark.parametrize(
-    "shape, parts", [((10, 4, 0), 2), ((13, 3, 2), 2), ((24, 4, 2), 3), ((17, 5, 0), 3)]
+    "shape, parts",
+    [((10, 4, 0), 2), ((13, 3, 2), 2), ((24, 4, 2), 3), ((17, 5, 0), 3),
+     ((30, 4, 2), 3), ((42, 4, 0), 4)],
 )
 def test_si_x_a_is_the_siq_x_a(shape, parts):
-    # At shapes where both modes plan the same ranges, every rank runs
-    # the same A-side products in both modes, and so does the reduced
-    # solve: X_A has the same bytes in both.
+    # Both modes plan the same ranges, every rank runs the same A-side
+    # products in both, and so does the reduced solve: X_A has the same
+    # bytes in both.  At the last two shapes the si products' own cost
+    # ratio (20/9) would plan other ranges than the fused one (94/42).
     a, rhs = random_system(*shape, seed=36)
-    n = shape[0]
-    assert plan_partitions(n, parts, "si") == plan_partitions(n, parts, "siq")
     si = dist_solve(a, None, num_parts=parts)
     siq = dist_solve(a, rhs, num_parts=parts)
     assert [x.tobytes() for x in si.x_a.stacks] == [x.tobytes() for x in siq.x_a.stacks]
@@ -115,15 +116,27 @@ def test_rerun_determinism_bitwise():
     assert s1.x_b.equals_exact(s2.x_b)
 
 
+def _row_reversed(m: BtaMatrix) -> BtaMatrix:
+    """``P·m`` for ``P = blockdiag(J, ..., J, I)``, ``J`` the reversal: the
+    rows of every block row but the tip's in reverse order.  Diagonally
+    dominant blocks never make zgetrf swap rows; reversed, they do."""
+    rev = [x[:, ::-1] for x in (m.diag, m.lower, m.upper)]
+    return BtaMatrix(m.n, m.b, m.a, *rev, m.arrow_row, m.arrow_col[:, ::-1], m.tip)
+
+
 def test_concurrent_solves_from_two_callers_are_bitwise_serial(monkeypatch):
     # Two caller threads solve at once, each 5 times on hubs of its own:
     # the per-call pivot arrays and the shared cache of zgetri workspace
     # sizes, which both callers' ranks fill here (orders 2, 4 and 16), keep
     # every result the bytes of a serial run.  The main thread is the
-    # second caller, so the solves start 1 + 2 + 3 = 6 threads.
+    # second caller, so the solves start 1 + 2 + 3 = 6 threads.  The
+    # systems' rows are reversed so that their pivots swap rows; with the
+    # identity pivots of diagonally dominant blocks, threads sharing one
+    # pivot array would still get the serial bytes.
     monkeypatch.setattr(kernels, "_LWORK", {})
-    herm = random_system(24, 16, 4, seed=80, hermitian_rhs=True)
-    inv = random_system(40, 4, 2, seed=81)[0]
+    a, rhs = random_system(24, 16, 4, seed=80, hermitian_rhs=True)
+    herm = (_row_reversed(a), rhs)
+    inv = _row_reversed(random_system(40, 4, 2, seed=81)[0])
     jobs = (
         lambda: dist_solve(*herm, num_parts=2, transport=ThreadHub(2)),
         lambda: dist_solve(inv, num_parts=3, mode="si", transport=ThreadHub(3)),
@@ -150,8 +163,18 @@ def test_concurrent_solves_from_two_callers_are_bitwise_serial(monkeypatch):
         sys.setswitchinterval(interval)
     assert not other.is_alive()
     assert sorted(kernels._LWORK) == [2, 4, 16]
+    getrf, pivots = kernels.zgetrf, []
+
+    def getrf_spy(*args, **kwargs):
+        lu, piv, info = getrf(*args, **kwargs)
+        pivots.append(not np.array_equal(piv, np.arange(len(piv))))
+        return lu, piv, info
+
+    monkeypatch.setattr(kernels, "zgetrf", getrf_spy)
     for job, results in zip(jobs, got):
+        pivots.clear()
         want = stacks(job())
+        assert any(pivots)  # some pivot swaps rows
         assert results == [want] * 5
 
 
@@ -207,7 +230,7 @@ class TestCommunicationContract:
 class TestLocalForward:
     def test_first_and_last_have_no_coupling(self):
         a, _ = random_system(8, 2, 1, seed=8)
-        plan = plan_partitions(8, 2, "si")
+        plan = plan_partitions(8, 2)
         for rank in range(2):
             payload, _, _ = local_forward(a, None, plan, rank)
             assert payload.a.upper.shape[0] == payload.a.lower.shape[0] == 0
@@ -217,7 +240,7 @@ class TestLocalForward:
         # A middle partition of length 2 does no elimination: its payload
         # is its untouched boundary blocks and originals as couplings.
         a, _ = random_system(8, 2, 1, seed=9)
-        plan = plan_partitions(8, 4, "si")
+        plan = plan_partitions(8, 4)
         rank = 1
         lo, hi = plan.ranges[rank]
         assert hi - lo == 2
@@ -237,7 +260,7 @@ class TestLocalForward:
         # overwrites the working stacks, its slice of the solution.
         a, rhs = random_system(n, 2, 1, seed=29)
         rhs = rhs if mode == "siq" else None
-        plan = plan_partitions(n, 4, mode)
+        plan = plan_partitions(n, 4)
         for rank in range(4):
             payload, _, factors = local_forward(a, rhs, plan, rank)
             works = [w for w in (factors.wa, factors.wb) if w is not None]
@@ -257,7 +280,7 @@ class TestLocalForward:
             else:
                 a, rhs = random_system(n, 4, 2, seed=10)
                 rhs = None if rhs_kind == "si" else rhs
-            plan = plan_partitions(n, 3, "si" if rhs is None else "siq")
+            plan = plan_partitions(n, 3)
             lo, hi = plan.ranges[1]
             counter = OpCounter(b=4, a=2)
             local_forward(a, rhs, plan, 1, counter)
@@ -280,7 +303,7 @@ class TestLocalForward:
 
     def test_first_per_step_matches_sequential(self):
         a, rhs = random_system(16, 4, 2, seed=11)
-        plan = plan_partitions(16, 3, "siq")
+        plan = plan_partitions(16, 3)
         counter = OpCounter(b=4, a=2)
         local_forward(a, rhs, plan, 0, counter)
         lo, hi = plan.ranges[0]
@@ -288,11 +311,10 @@ class TestLocalForward:
         # Selected-inversion mode: the plain 2-products-per-step rate, the
         # middle's bbb rate too (7 fused), beside its products with a side
         # of b + a.
-        plan_si = plan_partitions(16, 3, "si")
         for rank in (0, 2):
             counter = OpCounter(b=4, a=2)
-            local_forward(a, None, plan_si, rank, counter)
-            lo, hi = plan_si.ranges[rank]
+            local_forward(a, None, plan, rank, counter)
+            lo, hi = plan.ranges[rank]
             assert counter.gemm_by_shape["bbb"] == 2 * (hi - lo - 1)
 
 
@@ -351,7 +373,7 @@ def test_payload_matches_dense_schur_complement(n, bs, a_sz, parts, rhs_kind):
     else:
         a, rhs = random_system(n, bs, a_sz, seed=80 + n)
         rhs = None if rhs_kind == "si" else rhs
-    plan = plan_partitions(n, parts, "si" if rhs is None else "siq")
+    plan = plan_partitions(n, parts)
     sizes = [hi - lo for lo, hi in plan.ranges[1:-1]]
     assert (min(sizes) == 2) == (parts == 4 and n < 20)
     for rank, (lo, hi) in enumerate(plan.ranges):
@@ -401,7 +423,7 @@ class TestReducedSystem:
         # boundary Schur complements on the diagonal and the original
         # separator off-diagonals.
         a, _ = random_system(4, 1, 0, seed=12)
-        plan = plan_partitions(4, 2, "si")
+        plan = plan_partitions(4, 2)
         hub = ThreadHub(2)
         reduced = [None, None]
 
@@ -435,7 +457,7 @@ class TestReducedSystem:
 
     def test_reduced_solution_matches_sequential_boundaries(self):
         a, rhs = random_system(12, 4, 2, seed=13)
-        plan = plan_partitions(12, 3, "siq")
+        plan = plan_partitions(12, 3)
         hub = ThreadHub(3)
         out = [None] * 3
 
@@ -444,7 +466,7 @@ class TestReducedSystem:
         def run(rank):
             payload, tip_delta, _ = local_forward(a, rhs, plan, rank)
             red = assemble_reduced(hub.endpoint(rank), a, rhs, plan, payload, tip_delta)
-            out[rank] = (red, solve_reduced(red, "siq"))
+            out[rank] = (red, solve_reduced(red))
 
         threads = [threading.Thread(target=run, args=(r,)) for r in range(3)]
         for t in threads:
@@ -481,7 +503,7 @@ def test_middle_backward_per_step_counts():
         a, rhs = random_system(n, 4, 2, seed=10)
         rhs = rhs if fused else None
         mode = "siq" if fused else "si"
-        plan = plan_partitions(n, 3, mode)
+        plan = plan_partitions(n, 3)
         lo, hi = plan.ranges[1]
         per_rank = []
         dist_solve(a, rhs, num_parts=3, mode=mode, rank_counters=per_rank)
@@ -508,7 +530,7 @@ def test_middle_backward_per_step_counts_signed_rhs():
     # products.
     def middle_backward(n, sigma):
         a, rhs = signed_system(n, 4, 2, seed=10, sigma=sigma)
-        plan = plan_partitions(n, 3, "siq")
+        plan = plan_partitions(n, 3)
         lo, hi = plan.ranges[1]
         per_rank = []
         dist_solve(a, rhs, num_parts=3, mode="siq", rank_counters=per_rank)
@@ -553,7 +575,7 @@ def test_si_local_forward_leaves_input_bit_identical(parts, a_sz):
     # tests/test_kernels.py checks the same of a whole dist_solve.
     a, _ = random_system(20, 3, a_sz, seed=70 + a_sz)
     a_ref = a.copy()
-    plan = plan_partitions(a.n, parts, "si")
+    plan = plan_partitions(a.n, parts)
     for rank in range(parts):
         _, _, factors = local_forward(a, None, plan, rank)
         assert a.equals_exact(a_ref), rank
@@ -632,7 +654,7 @@ def test_local_backward_reduced_solution_of_another_shape(monkeypatch, rank):
     a, _ = random_system(16, 2, 1, seed=18)
     args = _local_backward_args(monkeypatch, a, None, 3)[rank]
     n, bs, asz = args[6].x_a.shape_params
-    short = SelectedSolution(BtaMatrix.zeros(n - 1, bs, asz), None, "si")
+    short = SelectedSolution(BtaMatrix.zeros(n - 1, bs, asz), None)
     with pytest.raises(ProtocolError, match="disagrees with reduced system"):
         dist.local_backward(*args[:6], short, *args[7:])
 
@@ -1009,7 +1031,7 @@ def test_socket_root_solves_in_its_own_output(monkeypatch, parts, mode):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in workers)
     assert not errors
-    plan = plan_partitions(21, parts, mode)
+    plan = plan_partitions(21, parts)
     sides = 1 + (mode == "siq")
     # Boundary payloads hold one or two blocks; every slice here holds more.
     assert [n for rank, n in decoded if rank == 0 and n > 2] == [
@@ -1029,7 +1051,7 @@ def test_root_places_slices_from_views_of_their_blobs():
     # Each received slice is copied once, from views of its blob into the
     # solution stacks: placing them allocates less than one slice.
     n, b, a_sz, parts = 60, 8, 2, 3
-    plan = plan_partitions(n, parts, "siq")
+    plan = plan_partitions(n, parts)
     whole = [random_system(n, b, a_sz, seed=41)[k] for k in (0, 1)]
     blobs = [b""]
     for lo, hi in plan.ranges[1:]:
@@ -1104,7 +1126,7 @@ def test_singular_pivot_reports_global_block(n, parts, rank, kind):
     # singular; the error names it by its global index, whichever way
     # the partition sweeps.
     a, _ = random_system(n, 2, 1, seed=14)
-    plan = plan_partitions(n, parts, "si")
+    plan = plan_partitions(n, parts)
     lo, hi = plan.ranges[rank]
     assert plan.kinds[rank] == kind
     block = {"first": lo, "middle": lo + 1, "last": hi - 1}[kind]

@@ -60,7 +60,7 @@ class TestMultiplyAcc:
         np.testing.assert_array_equal(out, eye)
 
     def test_conjugation(self):
-        out = mm(np.array([[1j]]), np.array([[1j]]), ta=True)
+        out = mm(np.array([[1j]]), np.array([[1j]]), tb=True)
         np.testing.assert_allclose(out, [[1.0]])
 
     def test_accumulator_shape_checked(self):
@@ -71,8 +71,8 @@ class TestMultiplyAcc:
     def test_conj_transpose_involution(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         eye = np.eye(4, dtype=complex)
-        once = mm(a, eye, ta=True)
-        twice = mm(once, eye, ta=True)
+        once = mm(eye, a, tb=True)
+        twice = mm(eye, once, tb=True)
         np.testing.assert_array_equal(twice, a)
 
     def test_counter_classification(self, rng):
@@ -87,21 +87,24 @@ class TestMultiplyAcc:
 
 
 class TestUncheckedMm:
-    @pytest.mark.parametrize("ta", [False, True])
+    @pytest.mark.parametrize("strip_right", [False, True])
     @pytest.mark.parametrize("tb", [False, True])
-    def test_equals_checked_kernel_bitwise(self, rng, ta, tb):
+    def test_equals_checked_kernel_bitwise(self, rng, strip_right, tb):
         def draw(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        # op(x) is (a x b) and op(y) is (b x b): shape class "abb".  The
-        # reference is numpy's op(x) @ op(y).
-        x = draw(5, 3) if ta else draw(3, 5)
-        y = draw(5, 5)
+        # A (b x b) block times an (a x b) strip on the left, shape class
+        # "abb", or on the right, "bba", as conjugate transpose 5x3 with
+        # tb.  The reference is numpy's x @ op(y).
+        if strip_right:
+            x, y = draw(5, 5), draw(3, 5) if tb else draw(5, 3)
+        else:
+            x, y = draw(3, 5), draw(5, 5)
         fast = OpCounter(b=5, a=3)
-        got = mm(x, y, fast, ta=ta, tb=tb)
-        want = (x.conj().T if ta else x) @ (y.conj().T if tb else y)
+        got = mm(x, y, fast, tb=tb)
+        want = x @ (y.conj().T if tb else y)
         assert got.tobytes() == want.tobytes()
-        assert dict(fast.gemm_by_shape) == {"abb": 1}
+        assert dict(fast.gemm_by_shape) == {"bba" if strip_right else "abb": 1}
 
     def test_zero_size_not_counted(self):
         # The arrow strips of a BT system (a=0) are empty operands.
@@ -111,7 +114,7 @@ class TestUncheckedMm:
         assert mm(strip, square, counter).shape == (0, 4)
         assert mm(square, strip, counter, tb=True).shape == (4, 0)
         assert mm(strip, strip, counter, tb=True).shape == (0, 0)
-        assert np.all(mm(strip, strip, counter, ta=True) == 0)
+        assert np.all(mm(strip.T, strip.T, counter, tb=True) == 0)
         assert counter.total_gemms() == 0
 
 
@@ -134,10 +137,10 @@ class TestMmForms:
     @pytest.mark.parametrize("shape", _PRODUCT_SHAPES, ids=str)
     def test_every_form_equals_the_numpy_expression_bitwise(self, rng, shape):
         m, k, n = shape
-        for ta, tb in ((False, False), (False, True), (True, False), (True, True)):
-            x = _draw(rng, k, m) if ta else _draw(rng, m, k)
+        for tb in (False, True):
+            x = _draw(rng, m, k)
             y = _draw(rng, n, k) if tb else _draw(rng, k, n)
-            prod = (x.conj().T if ta else x) @ (y.conj().T if tb else y)
+            prod = x @ (y.conj().T if tb else y)
             c = _draw(rng, m, n)
             want = {
                 (1, 0): prod,
@@ -148,11 +151,11 @@ class TestMmForms:
             for (alpha, beta), w in want.items():
                 # Without beta, out is written and never read: NaN stays out.
                 out = c.copy() if beta else np.full((m, n), np.nan, dtype=complex)
-                assert mm(x, y, ta=ta, tb=tb, out=out, alpha=alpha, beta=beta) is out
-                assert out.tobytes() == w.tobytes(), (ta, tb, alpha, beta)
-                new = mm(x, y, ta=ta, tb=tb, alpha=alpha)
+                assert mm(x, y, tb=tb, out=out, alpha=alpha, beta=beta) is out
+                assert out.tobytes() == w.tobytes(), (tb, alpha, beta)
+                new = mm(x, y, tb=tb, alpha=alpha)
                 assert new.flags.c_contiguous
-                assert new.tobytes() == want[alpha, 0].tobytes(), (ta, tb, alpha)
+                assert new.tobytes() == want[alpha, 0].tobytes(), (tb, alpha)
 
     @pytest.mark.parametrize("size", [4, 16])  # numpy writes any out it accepts
     def test_refuses_an_out_blas_cannot_write_in_place(self, rng, size):

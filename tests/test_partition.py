@@ -11,19 +11,19 @@ def test_two_parts_even_split():
 
 
 def test_middle_strictly_smaller_si():
-    plan = plan_partitions(12, 3, "si")
+    plan = plan_partitions(12, 3)
     first, middle, last = (hi - lo for lo, hi in plan.ranges)
     assert middle < first and middle < last
 
 
 def test_middle_strictly_smaller_siq():
-    plan = plan_partitions(40, 4, "siq")
+    plan = plan_partitions(40, 4)
     sizes = [hi - lo for lo, hi in plan.ranges]
     assert sizes[1] == sizes[2] < sizes[0]
 
 
 def test_plan_invariants_large():
-    plan = plan_partitions(100, 4, "siq")
+    plan = plan_partitions(100, 4)
     sizes = [hi - lo for lo, hi in plan.ranges]
     assert sum(sizes) == 100
     assert all(s >= 2 for s in sizes)
@@ -32,7 +32,7 @@ def test_plan_invariants_large():
 
 @pytest.mark.parametrize("n,parts", [(16, 8), (9, 4), (6, 3), (100, 8)])
 def test_exhaustive_contiguous(n, parts):
-    plan = plan_partitions(n, parts, "si")
+    plan = plan_partitions(n, parts)
     lo = 0
     for start, stop in plan.ranges:
         assert start == lo and stop - start >= 2
@@ -40,16 +40,8 @@ def test_exhaustive_contiguous(n, parts):
     assert lo == n
 
 
-def test_mode_changes_balance():
-    si = plan_partitions(60, 4, "si")
-    siq = plan_partitions(60, 4, "siq")
-    # Fused middles are relatively cheaper (42/94 vs 9/20), so they get
-    # at least as many blocks as in selected-inversion mode.
-    assert siq.size(1) >= si.size(1)
-
-
 def test_determinism():
-    assert plan_partitions(37, 5, "siq") == plan_partitions(37, 5, "siq")
+    assert plan_partitions(37, 5) == plan_partitions(37, 5)
 
 
 def test_too_small_n_rejected():

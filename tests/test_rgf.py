@@ -18,10 +18,12 @@ from btasel import (
     OpCounter,
     ShapeMismatchError,
     SingularBlockError,
+    batched_solve,
     bt_backward,
     bt_forward,
     bta_backward,
     bta_forward,
+    dense_solve,
     dist_solve,
     generate_dd_bta,
     solve_selected,
@@ -459,16 +461,16 @@ class TestBackwardStep:
     @pytest.mark.parametrize("rhs", ["si", "general", "sigma=1", "sigma=-1"])
     def test_no_product_is_formed_twice(self, monkeypatch, a_sz, rhs):
         # Every product of one solve, fingerprinted by its operands' bytes
-        # and shapes and their conjugate-transpose flags: none repeats.
+        # and shapes and the conjugate-transpose flag: none repeats.
         if rhs.startswith("sigma"):
             a, rb = signed_system(6, 4, a_sz, seed=33, sigma=int(rhs[6:]))
         else:
             a, rb = random_system(6, 4, a_sz, seed=33)
         seen, real_mm = Counter(), rgf.mm
 
-        def mm(x, y, *args, ta=False, tb=False, **kwargs):
-            seen[(x.shape, x.tobytes(), y.shape, y.tobytes(), ta, tb)] += 1
-            return real_mm(x, y, *args, ta=ta, tb=tb, **kwargs)
+        def mm(x, y, *args, tb=False, **kwargs):
+            seen[(x.shape, x.tobytes(), y.shape, y.tobytes(), tb)] += 1
+            return real_mm(x, y, *args, tb=tb, **kwargs)
 
         monkeypatch.setattr(rgf, "mm", mm)
         solve_selected(a, None if rhs == "si" else rb, reblock=False)
@@ -763,7 +765,16 @@ def test_identity_residual_beyond_dense_sizes():
     assert identity_block_row_residual(a, sol.x_a) <= 1e-12
 
 
-@pytest.mark.parametrize("entry", ["solve_selected", "dist_solve"])
+# Every entry point that solves with a right-hand side, in "siq" mode.
+_SIQ_ENTRIES = {
+    "solve_selected": lambda a, b: solve_selected(a, b, "siq"),
+    "dist_solve": lambda a, b: dist_solve(a, b, num_parts=2, mode="siq"),
+    "dense_solve": lambda a, b: dense_solve(a, b, "siq"),
+    "batched_solve": batched_solve,
+}
+
+
+@pytest.mark.parametrize("entry", list(_SIQ_ENTRIES))
 @pytest.mark.parametrize("operand", ["a", "b"])
 @pytest.mark.parametrize("field", BtaMatrix.FIELDS)
 def test_non_finite_input_rejected(entry, operand, field):
@@ -773,10 +784,19 @@ def test_non_finite_input_rejected(entry, operand, field):
     blk = bad.tip if field == "tip" else getattr(bad, field)[2]
     blk[0, -1] = np.nan if field in ("diag", "arrow_row", "tip") else np.inf
     with pytest.raises(NonFiniteInputError, match=f"{operand}.{field}"):
-        if entry == "solve_selected":
-            solve_selected(a, rhs, "siq")
-        else:
-            dist_solve(a, rhs, num_parts=2, mode="siq")
+        _SIQ_ENTRIES[entry](a, rhs)
+
+
+def test_rhs_of_another_shape_rejected():
+    # Two more blocks, a larger block and a larger arrow: each entry point
+    # refuses them before it solves, rather than reading the first n
+    # blocks of a longer B or failing in a worker.
+    a = generate_dd_bta(8, 3, 2, seed=21)
+    for shape in ((10, 3, 2), (8, 4, 2), (8, 3, 3)):
+        rhs = generate_dd_bta(*shape, seed=22)
+        for solve in _SIQ_ENTRIES.values():
+            with pytest.raises(ShapeMismatchError, match="right-hand side shape"):
+                solve(a, rhs)
 
 
 def _grid(b):
